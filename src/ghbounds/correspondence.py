@@ -23,7 +23,8 @@ from .errors import (
     NotACorrespondence,
     SizeCapExceeded,
 )
-from .metric import EuclideanPointSet, MetricLike, SubsetRef, as_subset, _row_chunks
+from .metric import (EuclideanPointSet, MetricLike, SubsetRef, as_subset, _euclid,
+                     _grid_nearest, _row_chunks)
 
 ENUM_CELL_CAP = 25
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -307,8 +308,9 @@ def exact_gh(x: MetricLike, y: MetricLike, budget: int = DEFAULT_NODE_BUDGET) ->
 
     Binary-searches the sorted discrepancy multiset for the least feasible
     distortion threshold, then constructs the lexicographically smallest
-    optimal correspondence cell by cell. If the node budget runs out, the
-    best certified upper bound found so far is returned with optimal=False.
+    optimal correspondence cell by cell. If the node budget runs out before
+    the search is settled, the best correspondence found so far is returned
+    with optimal=False and half its own distortion as the value.
     """
     nx, ny = x.n, y.n
     if ny > 62 or nx > 62:
@@ -361,6 +363,9 @@ def exact_gh(x: MetricLike, y: MetricLike, budget: int = DEFAULT_NODE_BUDGET) ->
         pass
 
     corr = Correspondence(_rows_to_pairs(best_rows, ny), nx, ny)
+    if not proven:
+        # the witness of the last feasible probe may do better than its threshold
+        best_t = distortion(x, y, corr)
     return GhResult(value=best_t / 2.0, correspondence=corr,
                     nodes=tracker.spent, optimal=proven)
 
@@ -373,25 +378,16 @@ def gh_upper_bound_from_correspondence(x: MetricLike, y: MetricLike,
     return distortion(x, y, rel) / 2.0
 
 
-def _cross_block(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    dx = p[:, 0][:, None] - q[:, 0][None, :]
-    dy = p[:, 1][:, None] - q[:, 1][None, :]
-    return np.sqrt(dx * dx + dy * dy)
-
-
 def nearest_point_correspondence(a: EuclideanPointSet, b: EuclideanPointSet) -> Correspondence:
     """Match every point of each set with its nearest point of the other.
 
     The union of both directed nearest-point maps is surjective onto both
     sides; ties resolve to the smallest index.
     """
-    pairs: set[tuple[int, int]] = set()
-    for chunk in _row_chunks(a.n, b.n):
-        nearest = _cross_block(a.points[chunk], b.points).argmin(axis=1)
-        pairs.update(zip(range(chunk.start, chunk.stop), nearest.tolist()))
-    for chunk in _row_chunks(b.n, a.n):
-        nearest = _cross_block(b.points[chunk], a.points).argmin(axis=1)
-        pairs.update(zip(nearest.tolist(), range(chunk.start, chunk.stop)))
+    _, a_to_b = _grid_nearest(a.points, b.points)
+    _, b_to_a = _grid_nearest(b.points, a.points)
+    pairs = set(enumerate(a_to_b.tolist()))
+    pairs.update(zip(b_to_a.tolist(), range(b.n)))
     return Correspondence(tuple(sorted(pairs)), a.n, b.n)
 
 
@@ -406,6 +402,7 @@ def ball_correspondence(a: EuclideanPointSet, b: EuclideanPointSet,
     """
     pairs: list[tuple[int, int]] = []
     for chunk in _row_chunks(a.n, b.n):
-        ii, jj = np.nonzero(_cross_block(a.points[chunk], b.points) <= r)
+        pa = a.points[chunk]
+        ii, jj = np.nonzero(_euclid(pa[:, :1] - b.points[:, 0], pa[:, 1:] - b.points[:, 1]) <= r)
         pairs.extend(zip((ii + chunk.start).tolist(), jj.tolist()))
     return Correspondence(tuple(pairs), a.n, b.n)

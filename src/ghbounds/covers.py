@@ -1,10 +1,10 @@
 """r-disjoint uniformly bounded families, cover certificates, and GH lower bounds.
 
 A verified certificate (k families, separation r, diameter bound C, covered
-target) entitles a lower bound of r/2 on the GH distance to any model space
-whose asymptotic dimension is at least k and whose scaling stabilizer is
-nontrivial. Model-space facts are axioms in a read-only registry; they are
-not computable from finite windows.
+target) entitles a lower bound of min(r, measured gap)/2 on the GH distance
+to any model space whose asymptotic dimension is at least k and whose
+scaling stabilizer is nontrivial. Model-space facts are axioms in a
+read-only registry; they are not computable from finite windows.
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ class CoverCertificate:
     strict: bool
     target: SubsetRef
     min_gap: float
+    tolerance: float = DEFAULT_TOL
 
     @property
     def k(self) -> int:
@@ -135,22 +136,6 @@ class CoverCertificate:
 # checks
 
 
-def _box_gap_matrix(space: EuclideanPointSet, members: Sequence[SubsetRef]) -> np.ndarray:
-    """Pairwise lower bounds on member gaps from axis-aligned bounding boxes."""
-    m = len(members)
-    lo = np.empty((m, 2))
-    hi = np.empty((m, 2))
-    for t, mem in enumerate(members):
-        pts = space.points[np.fromiter(mem.indices, dtype=np.intp)]
-        lo[t] = pts.min(axis=0)
-        hi[t] = pts.max(axis=0)
-    gx = np.maximum(0.0, np.maximum(lo[:, None, 0] - hi[None, :, 0],
-                                    lo[None, :, 0] - hi[:, None, 0]))
-    gy = np.maximum(0.0, np.maximum(lo[:, None, 1] - hi[None, :, 1],
-                                    lo[None, :, 1] - hi[:, None, 1]))
-    return np.hypot(gx, gy)
-
-
 def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[int, int] | None]:
     """Smallest gap between distinct members and its lexicographically first witness."""
     m = len(fam.members)
@@ -159,15 +144,21 @@ def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[
     best = math.inf
     witness: tuple[int, int] | None = None
     if isinstance(space, EuclideanPointSet):
-        # boxes lower-bound the true gap, so pairs at box distance >= best
-        # cannot improve the minimum and are skipped
-        boxd = _box_gap_matrix(space, fam.members)
+        # axis-aligned bounding boxes lower-bound the true gap, so pairs at
+        # box distance >= best cannot improve the minimum and are skipped
+        lo = np.empty((m, 2))
+        hi = np.empty((m, 2))
+        for t, mem in enumerate(fam.members):
+            pts = space.points[np.fromiter(mem.indices, dtype=np.intp)]
+            lo[t] = pts.min(axis=0)
+            hi[t] = pts.max(axis=0)
         for a in range(m - 1):
-            row = boxd[a, a + 1:]
+            g = np.maximum(0.0, np.maximum(lo[a] - hi[a + 1:], lo[a + 1:] - hi[a]))
+            row = np.hypot(g[:, 0], g[:, 1])
             for off in np.nonzero(row < best)[0]:
-                b = a + 1 + int(off)
-                if boxd[a, b] >= best:
+                if row[off] >= best:
                     continue
+                b = a + 1 + int(off)
                 d = set_distance(space, fam.members[a], fam.members[b])
                 if d < best:
                     best, witness = d, (a, b)
@@ -250,8 +241,8 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
         raise NotCovering(cov.uncovered)
 
     c = max(check_uniform_bound(space, fam) for fam in fams)
-    return CoverCertificate(space=space, families=fams, r=r, c=c,
-                            strict=strict, target=tgt, min_gap=min_gap)
+    return CoverCertificate(space=space, families=fams, r=r, c=c, strict=strict,
+                            target=tgt, min_gap=min_gap, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +256,13 @@ class BoundResult:
 
 
 def gh_lower_bound(cert: CoverCertificate, model: ModelSpaceDescriptor) -> BoundResult:
-    """Emit the certified GH lower bound r/2 against an infinite model space.
+    """Emit the certified GH lower bound min(r, measured gap)/2 against an infinite model space.
 
     Gates: the certificate's family count k must satisfy k <= n for the
     model's dimension lower bound n, and the model's scaling stabilizer must
     be nontrivial. The emitted bound concerns the infinite model space, not
-    any finite window.
+    any finite window. A non-strict certificate may accept a measured gap
+    up to its tolerance below r; the bound then uses the measured gap.
     """
     k, n = cert.k, model.asdim_lower
     if k > n:
@@ -279,6 +271,8 @@ def gh_lower_bound(cert: CoverCertificate, model: ModelSpaceDescriptor) -> Bound
         raise TrivialStabilizer(model.name)
     mode = "strict (> r)" if cert.strict else "non-strict (>= r)"
     gap = "inf" if math.isinf(cert.min_gap) else f"{cert.min_gap:.17g}"
+    short = cert.min_gap < cert.r
+    bound = (cert.min_gap if short else cert.r) / 2.0
     trace = (
         f"certificate: k={k} families, separation r={cert.r:.17g} [{mode}], "
         f"measured min gap {gap}, uniform diameter bound C={cert.c:.17g}, "
@@ -291,16 +285,22 @@ def gh_lower_bound(cert: CoverCertificate, model: ModelSpaceDescriptor) -> Bound
         "rescaling that cover through the stabilizer at every scale would force "
         f"its asymptotic dimension below {k}, which is impossible for n >= {k}",
         f"conclusion: GH distance between the covered space and {model.name} "
-        f"is at least r/2 = {cert.r / 2:.17g} (a statement about the infinite "
-        "model space, reproduced here on finite windows)",
+        f"is at least {'(measured gap)/2' if short else 'r/2'} = {bound:.17g} "
+        "(a statement about the infinite model space, reproduced here on finite windows)",
     )
-    if not cert.strict:
+    if short:
+        trace = trace + (
+            f"non-strict mode with tolerance {cert.tolerance!r}: the measured gap "
+            f"{gap} is {cert.r - cert.min_gap:.3g} below r, so the families are "
+            "separated only by the measured gap, and the bound uses it in place of r",
+        )
+    elif not cert.strict:
         trace = trace + (
             "non-strict mode: the measured gap attains r exactly; the strict "
             "hypothesis holds for every r' < r, and sup of r'/2 over r' < r "
             "equals r/2, so the emitted bound is unchanged",
         )
-    return BoundResult(bound=cert.r / 2.0, trace=trace)
+    return BoundResult(bound=bound, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,17 @@ stores a fully validated distance matrix, while ``EuclideanPointSet`` keeps
 2-D coordinates and evaluates distance blocks on demand (a 10^4-point net
 would need ~1 GB as a dense matrix, so large Euclidean ambients are never
 materialized). All set-level operations accept either backing.
+
+Nearest-point queries (directed Hausdorff, set distance, neighborhoods,
+nearest-point correspondences) all reduce over ``_nearest``. On a matrix
+space it scans distance blocks. On a planar set it buckets the targets in a
+uniform grid of about one point per cell, stored CSR-style, and searches
+growing rings of cells around each query until the best distance found is
+strictly below a rounding-safe lower bound on every cell not yet searched;
+a query whose search would cover a quarter of the grid scans every target
+as one block instead. Candidate distances use the same expression as
+``EuclideanPointSet.block``, so every minimum, maximum and argmin (ties to
+the smallest index) is bitwise equal to the block scan's.
 """
 
 from __future__ import annotations
@@ -133,9 +144,7 @@ class EuclideanPointSet:
 
     def block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         p, q = self.points[np.asarray(rows, dtype=np.intp)], self.points[np.asarray(cols, dtype=np.intp)]
-        dx = p[:, 0][:, None] - q[:, 0][None, :]
-        dy = p[:, 1][:, None] - q[:, 1][None, :]
-        return np.sqrt(dx * dx + dy * dy)
+        return _euclid(p[:, :1] - q[:, 0], p[:, 1:] - q[:, 1])
 
 
 MetricLike = Union[FiniteMetricSpace, EuclideanPointSet]
@@ -151,10 +160,193 @@ def _check_distinct(pts: np.ndarray) -> None:
         raise DuplicatePoint(min(a, b), max(a, b))
 
 
+def _euclid(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The planar distance expression; every Euclidean distance array is made here."""
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def _row_chunks(n_rows: int, n_cols: int) -> Iterator[slice]:
     step = max(1, _BLOCK_CELLS // max(1, n_cols))
     for s in range(0, n_rows, step):
         yield slice(s, min(s + step, n_rows))
+
+
+def _batches(weights: np.ndarray, cap: int) -> Iterator[slice]:
+    """Consecutive slices whose weights sum to at most cap; a heavier item goes alone."""
+    csum = np.cumsum(weights)
+    if csum[-1] <= cap:
+        yield slice(0, csum.size)
+        return
+    start = 0
+    while start < csum.size:
+        base = int(csum[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(csum, base + cap, side="right")))
+        yield slice(start, stop)
+        start = stop
+
+
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ranges [start, start + count), and the range each element came from."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    return starts[owner] + (np.arange(owner.size) - first[owner]), owner
+
+
+# ---------------------------------------------------------------------------
+# nearest points
+
+# relative allowance for rounding in cell assignment, cell edges and
+# distances; thousands of ulps, so the stopping test stays conservative
+_GRID_SLACK = 2.0 ** -40
+# a ring gather keeps about a dozen arrays per candidate (and per cell run),
+# so one gather holds a sixteenth of a distance block's cells
+_GATHER = _BLOCK_CELLS // 16
+
+
+def _nearest(space: MetricLike, ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each index in ia: distance to the nearest point of ib, and that point's index.
+
+    Ties go to the earliest position in ib (the smallest index, as callers
+    pass ib ascending), exactly as ``space.block(ia, ib).argmin(axis=1)``.
+    """
+    if isinstance(space, EuclideanPointSet):
+        dist, pos = _grid_nearest(space.points[ia], space.points[ib])
+    else:
+        dist, pos = _scan_nearest(lambda rows: space.block(ia[rows], ib), ia.size, ib.size)
+    return dist, ib[pos]
+
+
+def _scan_nearest(block, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row minima and first argmins of the n_rows x n_cols matrix block(rows), chunked."""
+    dist = np.empty(n_rows)
+    pos = np.empty(n_rows, dtype=np.intp)
+    for chunk in _row_chunks(n_rows, n_cols):
+        blk = block(chunk)
+        pos[chunk] = blk.argmin(axis=1)
+        dist[chunk] = blk[np.arange(blk.shape[0]), pos[chunk]]
+    return dist, pos
+
+
+def _grid_nearest(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest row of p for every row of q, on a uniform grid over p.
+
+    Returns the distances and the positions in p; ties go to the smallest
+    position. The cell side keeps the cell count at most about 3 |p|, also
+    for collinear points; a single point gets one cell. Each query searches
+    a growing square of cells around its cell; a query whose square would
+    cover a quarter of the grid scans all of p as one block instead.
+    """
+    m = p.shape[0]
+    lo, hi = p.min(axis=0), p.max(axis=0)
+    sx, sy = (hi - lo).tolist()
+    h = max(math.sqrt(sx) * math.sqrt(sy / m), max(sx, sy) / m)
+    if not 0.0 < h < math.inf:
+        h, sx, sy = 1.0, 0.0, 0.0
+    nx, ny = int(sx // h) + 1, int(sy // h) + 1
+
+    def scan(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _scan_nearest(lambda rows: _euclid(qs[rows, :1] - p[:, 0], qs[rows, 1:] - p[:, 1]),
+                             qs.shape[0], m)
+
+    # A query starts at the square of cells just past its distance to the
+    # bounding box of p. Once its square covers a quarter of the grid, the
+    # whole grid as one block costs little more, so it scans all of p. When
+    # even a corner query's first square would, every query scans at once.
+    (qx0, qy0), (qx1, qy1) = q.min(axis=0).tolist(), q.max(axis=0).tolist()
+    (x0, y0), (x1, y1) = lo.tolist(), hi.tolist()
+    apart = math.hypot(max(x0 - qx1, qx0 - x1, 0.0), max(y0 - qy1, qy0 - y1, 0.0))
+    r0 = math.ceil(min(apart / h, nx + ny)) + 1
+    if 4 * (min(r0, nx - 1) + 1) * (min(r0, ny - 1) + 1) >= nx * ny:
+        return scan(q)
+    shape = np.array([nx, ny])
+    top = lo + shape * h
+
+    def cell_of(v: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(np.floor((v - lo) / h), 0), shape - 1).astype(np.intp)
+
+    best = np.empty(q.shape[0])
+    bpos = np.empty(q.shape[0], dtype=np.intp)
+    center = cell_of(q)
+    outside = np.maximum(np.maximum(lo - q, q - hi), 0.0)
+    cover = max(nx, ny) - 1  # a square of this radius covers the grid
+    outer = (np.minimum(np.ceil(_euclid(outside[:, 0], outside[:, 1]) / h), cover) + 1).astype(np.intp)
+    inner = np.full(q.shape[0], -1, dtype=np.intp)
+    active = np.arange(q.shape[0])
+    offs = None
+    while True:
+        c, r = center[active], outer[:, None]
+        whole = 4 * (np.minimum(c + r, shape - 1) - np.maximum(c - r, 0) + 1).prod(axis=1) >= nx * ny
+        if whole.any():
+            best[active[whole]], bpos[active[whole]] = scan(q[active[whole]])
+            active, inner, outer, c = active[~whole], inner[~whole], outer[~whole], c[~whole]
+        if not active.size:
+            return best, bpos
+        if offs is None:
+            # CSR buckets: targets stably sorted by row-major cell id, so the
+            # cells [x0, x1) of grid row y are the run offs[y*nx + x0]:offs[y*nx + x1]
+            cid = cell_of(p) @ np.array([1, nx])
+            order = np.argsort(cid, kind="stable")
+            offs = np.zeros(nx * ny + 1, dtype=np.intp)
+            np.cumsum(np.bincount(cid, minlength=nx * ny), out=offs[1:])
+            ps = p[order]
+            best[active] = math.inf
+            # absolute rounding allowance: cell edges and cell assignment err
+            # by a few ulps of the largest grid coordinate
+            slack = _GRID_SLACK * float(np.abs(np.concatenate([lo, top])).max())
+
+        cx, cy = c[:, 0], c[:, 1]
+        row0 = np.maximum(cy - outer, 0)
+        nrows = np.minimum(cy + outer, ny - 1) - row0 + 1
+        for b1 in _batches(2 * nrows, _GATHER):
+            # each grid row of the band [cy - outer, cy + outer] gives two
+            # x-runs: its cells left and right of the square already searched,
+            # or, outside that square, its whole width split in two
+            iy, owner = _ragged(row0[b1], nrows[b1])
+            ox, r_in, r_out = cx[b1][owner], inner[b1][owner], outer[b1][owner]
+            x0 = np.column_stack([ox - r_out, ox + r_in + 1])
+            x1 = np.column_stack([ox + r_in, ox + r_out])
+            inside = np.abs(iy - cy[b1][owner]) <= r_in
+            x1[inside, 0] -= 2 * r_in[inside] + 1
+            x0 = np.minimum(np.maximum(x0, 0), nx)
+            x1 = np.maximum(np.minimum(x1, nx - 1) + 1, x0)
+            base = (iy * nx)[:, None]
+            s0 = offs[base + x0].ravel()
+            counts = offs[base + x1].ravel() - s0
+            per_q = np.add.reduceat(counts.reshape(-1, 2).sum(axis=1), np.cumsum(nrows[b1]) - nrows[b1])
+            seg_end = 2 * np.cumsum(nrows[b1])
+            for b2 in _batches(per_q, _GATHER):
+                segs = slice(seg_end[b2.start] - 2 * int(nrows[b1][b2.start]), seg_end[b2.stop - 1])
+                cand, _ = _ragged(s0[segs], counts[segs])
+                hits = per_q[b2] > 0
+                if not hits.any():
+                    continue
+                qh, n_h = active[b1][b2][hits], per_q[b2][hits]
+                who = np.repeat(np.arange(qh.size), n_h)
+                qw = q[qh][who]
+                d = _euclid(qw[:, 0] - ps[cand, 0], qw[:, 1] - ps[cand, 1])
+                starts = np.cumsum(n_h) - n_h
+                dmin = np.minimum.reduceat(d, starts)
+                pmin = np.minimum.reduceat(np.where(d == dmin[who], order[cand], m), starts)
+                bq = best[qh]
+                better = (dmin < bq) | ((dmin == bq) & (pmin < bpos[qh]))
+                best[qh[better]] = dmin[better]
+                bpos[qh[better]] = pmin[better]
+
+        # lower bound on the distance to any cell outside the searched square:
+        # the nearest grid slab beyond one of its four sides
+        qa, r = q[active], outer[:, None]
+        gap = np.minimum(
+            np.where(c + r + 1 < shape, lo + (c + r + 1) * h - qa, math.inf),
+            np.where(c - r > 0, qa - (lo + (c - r) * h), math.inf))
+        across = np.maximum(np.maximum(lo - qa, qa - top), 0.0)[:, ::-1]
+        lb = _euclid(np.maximum(gap, 0.0), across).min(axis=1)
+        b_a = best[active]
+        left = b_a >= lb * (1.0 - _GRID_SLACK) - slack
+        # cells beyond radius R lie at least (R - 1) h away: jump straight to
+        # the radius the best distance so far needs, or double without one
+        b_a, inner, outer, active = b_a[left], outer[left], outer[left], active[left]
+        need = np.where(b_a < math.inf, np.ceil(np.minimum(b_a / h, cover)) + 1, 2 * outer + 1)
+        outer = np.minimum(np.maximum(need.astype(np.intp), outer + 1), cover)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +430,7 @@ def set_distance(space: MetricLike, a: "SubsetRef | Iterable[int]",
     sa, sb = as_subset(a, space.n), as_subset(b, space.n)
     ia = np.fromiter(sa.indices, dtype=np.intp)
     ib = np.fromiter(sb.indices, dtype=np.intp)
-    best = math.inf
-    for chunk in _row_chunks(ia.size, ib.size):
-        best = min(best, float(space.block(ia[chunk], ib).min()))
-    return best
+    return float(_nearest(space, ia, ib)[0].min())
 
 
 def neighborhood(space: MetricLike, a: "SubsetRef | Iterable[int]", r: float) -> SubsetRef:
@@ -250,12 +439,8 @@ def neighborhood(space: MetricLike, a: "SubsetRef | Iterable[int]", r: float) ->
         raise ValueError(f"neighborhood radius must be positive, got {r}")
     sa = as_subset(a, space.n)
     ia = np.fromiter(sa.indices, dtype=np.intp)
-    out: list[np.ndarray] = []
-    for chunk in _row_chunks(space.n, ia.size):
-        rows = np.arange(chunk.start, chunk.stop, dtype=np.intp)
-        near = space.block(rows, ia).min(axis=1) < r
-        out.append(rows[near])
-    return SubsetRef(tuple(int(i) for i in np.concatenate(out)))
+    dist, _ = _nearest(space, np.arange(space.n, dtype=np.intp), ia)
+    return SubsetRef(tuple(np.flatnonzero(dist < r).tolist()))
 
 
 def directed_hausdorff(space: MetricLike, a: "SubsetRef | Iterable[int]",
@@ -264,10 +449,7 @@ def directed_hausdorff(space: MetricLike, a: "SubsetRef | Iterable[int]",
     sa, sb = as_subset(a, space.n), as_subset(b, space.n)
     ia = np.fromiter(sa.indices, dtype=np.intp)
     ib = np.fromiter(sb.indices, dtype=np.intp)
-    worst = 0.0
-    for chunk in _row_chunks(ia.size, ib.size):
-        worst = max(worst, float(space.block(ia[chunk], ib).min(axis=1).max()))
-    return worst
+    return float(_nearest(space, ia, ib)[0].max())
 
 
 def hausdorff(space: MetricLike, a: "SubsetRef | Iterable[int]",

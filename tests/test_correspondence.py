@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import random_correspondence, random_metric_matrix, random_space
-from ghbounds import (Correspondence, Relation, WindowSpec, ball_correspondence,
+from ghbounds import (Correspondence, EuclideanPointSet, Relation, WindowSpec,
+                      ball_correspondence,
                       build_space, count_correspondences, diam, distortion,
                       enumerate_correspondences, exact_gh, gen_epsilon_net,
                       gen_lattice_window, gh_upper_bound_from_correspondence,
@@ -217,6 +218,19 @@ class TestExactGh:
         assert not res.optimal
         assert res.value >= exact_gh(a, b).value
         assert distortion(a, b, res.correspondence) == res.dis
+
+    def test_budget_exit_reports_the_witness_distortion(self):
+        # the last feasible threshold here is 0.5268710617069374, but the
+        # witness that probe returned has a smaller distortion
+        rng = np.random.default_rng(0)
+        n1, n2 = rng.integers(4, 8, 2)
+        x = EuclideanPointSet(rng.uniform(0, 1, (n1, 2)))
+        y = EuclideanPointSet(rng.uniform(0, 1, (n2, 2)))
+        res = exact_gh(x, y, budget=100)
+        assert (x.n, y.n) == (7, 6)
+        assert not res.optimal
+        assert res.dis == distortion(x, y, res.correspondence) == 0.5234692099615352
+        assert res.value >= exact_gh(x, y).value
 
     def test_matches_oracle_on_mixed_sizes(self):
         rng = np.random.default_rng(11)

@@ -217,6 +217,19 @@ class TestLowerBound:
         assert "infinite" in text
         assert "non-strict mode" in text  # the sup over r' < r note
 
+    def test_bound_never_exceeds_the_measured_gap(self):
+        # the non-strict tolerance accepts r just above the measured gap fl(sqrt 2);
+        # the bound must follow the gap, not r
+        lat, red, blue = chess_setup()
+        cert = make_certificate(lat, (red, blue), SQRT2 + 5e-10)
+        assert cert.min_gap == SQRT2 < cert.r
+        result = gh_lower_bound(cert, model_space("R2"))
+        assert result.bound == 0.7071067811865476
+        text = "\n".join(result.trace)
+        assert f"tolerance {cert.tolerance!r}" in text
+        assert "bound uses it in place of r" in text
+        assert "attains r exactly" not in text
+
     def test_strict_certificates_drop_the_sup_note(self):
         lat, red, blue = chess_setup(4.0)
         cert = make_certificate(lat, (red, blue), 1.0, strict=True)

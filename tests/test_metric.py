@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_metric_matrix, random_space
 from ghbounds import (DEFAULT_TOL, EuclideanPointSet, FiniteMetricSpace,
-                      SubsetRef, as_subset, build_space, diam,
-                      directed_hausdorff, find_isometry, hausdorff,
-                      induce_space, is_isometric, neighborhood, scale,
-                      scale_points, set_distance)
+                      SubsetRef, WindowSpec, as_subset, build_space, diam,
+                      directed_hausdorff, find_isometry, gen_epsilon_net,
+                      gen_lattice_window, hausdorff, induce_space,
+                      is_isometric, merge_point_sets, nearest_point_correspondence,
+                      neighborhood, scale, scale_points, set_distance)
+from ghbounds import metric
 from ghbounds.errors import (DuplicatePoint, EmptySubset, IndexOutOfRange,
                              NegativeEntry, NonpositiveLambda, NonzeroDiagonal,
                              NotSymmetric, TriangleViolation, ZeroOffDiagonal)
@@ -211,6 +214,91 @@ class TestMeasurements:
             a = tuple(sorted(rng.choice(12, size=rng.integers(1, 13), replace=False)))
             b = tuple(sorted(rng.choice(12, size=rng.integers(1, 13), replace=False)))
             assert set_distance(x, a, b) <= hausdorff(x, a, b) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the grid nearest-point layer against the block scan
+
+def _planar_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Query and target coordinates of one differential case."""
+    n, m = int(rng.integers(1, 50)), int(rng.integers(1, 50))
+    if kind == "integer":  # exact ties everywhere
+        return rng.integers(-4, 5, (n, 2)).astype(float), rng.integers(-4, 5, (m, 2)).astype(float)
+    if kind == "quarter":
+        return rng.integers(-8, 9, (n, 2)) / 4.0, rng.integers(-8, 9, (m, 2)) / 4.0
+    if kind == "edges":
+        # s*s targets spanning [0, s]^2 give cells of side exactly 1, so
+        # integer and half-integer queries sit on cell edges
+        s = int(rng.integers(2, 7))
+        cells = np.array([[x, y] for x in range(s + 1) for y in range(s + 1)], dtype=float)
+        inner = cells[1:-1][rng.permutation(len(cells) - 2)[:s * s - 2]]
+        return rng.integers(-2, 2 * s + 3, (n, 2)) / 2.0, np.vstack([cells[:1], inner, cells[-1:]])
+    if kind == "collinear":
+        t = rng.integers(-6, 7, m).astype(float)
+        slope = float(rng.choice([0.0, 0.5, 1.0, 3.0]))
+        target = np.column_stack([t, slope * t]) if rng.random() < 0.5 else np.column_stack([slope * t, t])
+        return rng.integers(-8, 9, (n, 2)) / 2.0, target
+    if kind == "sparse":  # grids of hundreds of cells: searches take several steps
+        span = int(rng.integers(20, 60))
+        target = rng.integers(-span, span + 1, (int(rng.integers(100, 400)), 2)).astype(float)
+        return rng.integers(-span - 5, span + 6, (200, 2)).astype(float), target
+    if kind == "single":
+        return rng.uniform(-3, 3, (n, 2)), rng.integers(-2, 3, (1, 2)).astype(float)
+    if kind == "far":  # queries well outside the target's bounding box
+        far = rng.uniform(-1e3, 1e3, (n, 2))
+        return np.vstack([far, far[:1] * 1e6]), rng.uniform(0.0, 1.0, (m, 2))
+    # lattice merged with a net, the shape of the reproduce experiments
+    w = WindowSpec(0.0, 3.0, 0.0, 3.0)
+    net_step = float(rng.choice([0.25, 0.5, 0.75]))
+    both, lat, net = merge_point_sets(gen_lattice_window(w), gen_epsilon_net(w, net_step))
+    pts = both.points
+    return pts[list(lat.indices)], pts[list(net.indices)]
+
+
+PLANAR_KINDS = ("integer", "quarter", "edges", "collinear", "sparse", "single", "far", "merged")
+
+
+class TestGridNearest:
+    @settings(max_examples=200)
+    @given(st.sampled_from(PLANAR_KINDS), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans())
+    def test_matches_the_block_scan(self, kind, seed, tiny_batches):
+        rng = np.random.default_rng(seed)
+        q, t = _planar_case(kind, rng)
+        ambient, inv = np.unique(np.vstack([q, t]), axis=0, return_inverse=True)
+        inv = inv.reshape(-1)
+        a, b = sorted(set(inv[:len(q)].tolist())), sorted(set(inv[len(q):].tolist()))
+        grid = EuclideanPointSet(ambient)
+        block = induce_space(grid)  # matrix-backed: the chunked block path
+        r = float(block.matrix[a[0], b[-1]]) or 1.0  # a real distance: ties with r
+        gather = 3 if tiny_batches else metric._GATHER
+        with mock.patch.object(metric, "_GATHER", gather):
+            assert directed_hausdorff(grid, a, b) == directed_hausdorff(block, a, b)
+            assert directed_hausdorff(grid, b, a) == directed_hausdorff(block, b, a)
+            assert set_distance(grid, a, b) == set_distance(block, a, b)
+            assert neighborhood(grid, b, r) == neighborhood(block, b, r)
+
+            # nearest points of two separate sets, against a brute-force argmin
+            qs, ts = EuclideanPointSet(np.unique(q, axis=0)), EuclideanPointSet(np.unique(t, axis=0))
+            dx = qs.points[:, :1] - ts.points[:, 0]
+            dy = qs.points[:, 1:] - ts.points[:, 1]
+            d = np.sqrt(dx * dx + dy * dy)
+            want = set(enumerate(d.argmin(axis=1).tolist()))
+            want.update(zip(d.argmin(axis=0).tolist(), range(ts.n)))
+            assert set(nearest_point_correspondence(qs, ts).pairs) == want
+
+    def test_nearest_is_exact_on_the_comb_shape(self):
+        # vertical lines and an axis against a fine net: many exact ties at 0.5
+        lines = np.array([[x, 0.05 * y] for x in range(7) for y in range(-60, 61)])
+        net = np.array([[0.05 * x, 0.05 * y] for x in range(121) for y in range(-60, 61, 4)])
+        for q, t in ((net, lines), (lines, net)):
+            dist, pos = metric._grid_nearest(q, t)
+            for rows in (slice(0, len(q) // 2), slice(len(q) // 2, len(q))):
+                dx = q[rows, :1] - t[:, 0]
+                dy = q[rows, 1:] - t[:, 1]
+                d = np.sqrt(dx * dx + dy * dy)
+                assert np.array_equal(pos[rows], d.argmin(axis=1))
+                assert np.array_equal(dist[rows], d.min(axis=1))
 
 
 # ---------------------------------------------------------------------------
