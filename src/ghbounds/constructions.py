@@ -287,8 +287,14 @@ def merge_point_sets(a: EuclideanPointSet, b: EuclideanPointSet,
     can be computed in a single space.
     """
     stacked = np.concatenate((a.points, b.points))
-    merged, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    sub_a = as_subset(np.unique(inverse[: a.n]).tolist())
-    sub_b = as_subset(np.unique(inverse[a.n:]).tolist())
-    return EuclideanPointSet(merged), sub_a, sub_b
+    order = np.lexsort((stacked[:, 1], stacked[:, 0]))
+    rows = stacked[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    # merged index of each sorted row; each input's points are distinct, so
+    # its indices in sorted-row order are already strictly increasing
+    rank = np.cumsum(new) - 1
+    from_a = order < a.n
+    sub_a = SubsetRef(tuple(rank[from_a].tolist()))
+    sub_b = SubsetRef(tuple(rank[~from_a].tolist()))
+    return EuclideanPointSet(rows[new]), sub_a, sub_b

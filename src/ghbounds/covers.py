@@ -5,10 +5,16 @@ target) entitles a lower bound of min(r, measured gap)/2 on the GH distance
 to any model space whose asymptotic dimension is at least k and whose
 scaling stabilizer is nontrivial. Model-space facts are axioms in a
 read-only registry; they are not computable from finite windows.
+
+On planar sets the family gap search sorts the members' bounding boxes
+along the family's longer axis and sweeps them, measuring only pairs whose
+boxes come within the best gap so far; it returns the same bits and the
+same witness as the all-pairs scan that matrix spaces use.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -31,6 +37,9 @@ from .metric import (
     EuclideanPointSet,
     MetricLike,
     SubsetRef,
+    _batches,
+    _euclid,
+    _ragged,
     as_subset,
     diam,
     scale_points,
@@ -136,38 +145,112 @@ class CoverCertificate:
 # checks
 
 
+# member pairs per sweep batch, which keeps about a dozen arrays per pair,
+# and the sweep rows whose windows one batch measures to fill it
+_SWEEP_PAIRS = 4096
+_SWEEP_ROWS = 256
+# member points gathered at once to build bounding boxes
+_BOX_POINTS = 16384
+# the sweep window reaches past the threshold by thousands of ulps of its
+# coordinates, and by at least a gap whose square does not underflow, so
+# rounding never drops a pair whose box gap is at most the threshold
+_SWEEP_SLACK = 2.0 ** -40
+_SWEEP_FLOOR = 2.0 ** -500
+
+
 def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[int, int] | None]:
     """Smallest gap between distinct members and its lexicographically first witness."""
     m = len(fam.members)
     if m < 2:
         return math.inf, None
+    if isinstance(space, EuclideanPointSet):
+        return _sweep_min_gap(space, fam)
     best = math.inf
     witness: tuple[int, int] | None = None
-    if isinstance(space, EuclideanPointSet):
-        # axis-aligned bounding boxes lower-bound the true gap, so pairs at
-        # box distance >= best cannot improve the minimum and are skipped
-        lo = np.empty((m, 2))
-        hi = np.empty((m, 2))
-        for t, mem in enumerate(fam.members):
-            pts = space.points[np.fromiter(mem.indices, dtype=np.intp)]
-            lo[t] = pts.min(axis=0)
-            hi[t] = pts.max(axis=0)
-        for a in range(m - 1):
-            g = np.maximum(0.0, np.maximum(lo[a] - hi[a + 1:], lo[a + 1:] - hi[a]))
-            row = np.hypot(g[:, 0], g[:, 1])
-            for off in np.nonzero(row < best)[0]:
-                if row[off] >= best:
-                    continue
-                b = a + 1 + int(off)
-                d = set_distance(space, fam.members[a], fam.members[b])
-                if d < best:
-                    best, witness = d, (a, b)
-        return best, witness
     for a in range(m - 1):
         for b in range(a + 1, m):
             d = set_distance(space, fam.members[a], fam.members[b])
             if d < best:
                 best, witness = d, (a, b)
+    return best, witness
+
+
+def _member_boxes(space: EuclideanPointSet,
+                  members: Sequence[SubsetRef]) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high corners of every member's bounding box, as (2, m) arrays.
+
+    Members are gathered in groups of a few thousand points, so a family
+    over a large net never holds a copy of all its points at once.
+    """
+    sizes = np.fromiter((len(mem) for mem in members), dtype=np.intp, count=len(members))
+    lo, hi = np.empty((2, sizes.size)), np.empty((2, sizes.size))
+    for grp in _batches(sizes, _BOX_POINTS):
+        idx = np.fromiter(itertools.chain.from_iterable(mem.indices for mem in members[grp]),
+                          dtype=np.intp, count=int(sizes[grp].sum()))
+        starts = np.cumsum(sizes[grp]) - sizes[grp]
+        for c in range(2):
+            col = space.points[idx, c]
+            lo[c, grp] = np.minimum.reduceat(col, starts)
+            hi[c, grp] = np.maximum.reduceat(col, starts)
+    return lo, hi
+
+
+def _sweep_min_gap(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[float, tuple[int, int]]:
+    """The all-pairs minimum and witness of ``_family_min_gap``, by sort and sweep.
+
+    Members are sorted by the low edge of their bounding box along the
+    family's longer axis. Only pairs whose extents on that axis come within
+    the threshold -- the best gap so far, or a true distance between two
+    sweep-adjacent members if smaller -- are generated, in batches. Box gaps
+    use the distance expression of the points, so by monotone rounding they
+    never exceed the measured gap of any cross pair. ``set_distance`` runs
+    only on pairs whose box gap could still beat the best (gap, a, b), in
+    ascending (box gap, a, b) order.
+    """
+    members = fam.members
+    m = len(members)
+    lo, hi = _member_boxes(space, members)
+    k = int(np.argmax(hi.max(axis=1) - lo.min(axis=1)))
+    order = np.argsort(lo[k], kind="stable")
+    # sweep axis k and cross axis j, in sweep order; along k, lo never
+    # decreases, so a pair's box gap on k is key[u] - hik[t] or 0
+    key, hik, loj, hij = lo[k, order], hi[k, order], lo[1 - k, order], hi[1 - k, order]
+    # any point-to-point distance between two members bounds the minimum
+    first = space.points[[members[i].indices[0] for i in order.tolist()]]
+    ub = float(_euclid(first[1:, 0] - first[:-1, 0], first[1:, 1] - first[:-1, 1]).min())
+
+    best, witness = math.inf, (-1, -1)
+    t, u = 0, 1  # the next pair to generate, as sorted positions t < u
+    while t < m - 1:
+        stop = min(t + _SWEEP_ROWS, m - 1)
+        edge, thr = hik[t:stop], min(best, ub)
+        reach = edge + thr + (_SWEEP_SLACK * (np.abs(edge) + thr) + _SWEEP_FLOOR)
+        begin = np.arange(t + 1, stop + 1)
+        begin[0] = u
+        counts = np.maximum(np.searchsorted(key, reach, side="right") - begin, 0)
+        full = int(np.searchsorted(np.cumsum(counts), _SWEEP_PAIRS, side="right"))
+        if full:
+            begin, counts = begin[:full], counts[:full]
+            t0, t, u = t, t + full, t + full + 1
+        else:  # row t alone overflows a batch: take the next part of it
+            begin, counts = begin[:1], np.array([_SWEEP_PAIRS])
+            t0, u = t, u + _SWEEP_PAIRS
+        pu, pt = _ragged(begin, counts)
+        pt += t0
+        g = _euclid(np.maximum(key[pu] - hik[pt], 0.0),
+                    np.maximum(np.maximum(loj[pu] - hij[pt], loj[pt] - hij[pu]), 0.0))
+        a, b = np.minimum(order[pt], order[pu]), np.maximum(order[pt], order[pu])
+        del pu, pt  # only the kept candidates stay alive while measuring
+        wa, wb = witness
+        keep = (g <= ub) & ((g < best) | ((g == best) & ((a < wa) | ((a == wa) & (b < wb)))))
+        g, a, b = g[keep], a[keep], b[keep]
+        sel = np.lexsort((b, a, g))
+        for gi, ai, bi in zip(g[sel].tolist(), a[sel].tolist(), b[sel].tolist()):
+            if not (gi < best or (gi == best and (ai, bi) < witness)):
+                break
+            dist = set_distance(space, members[ai], members[bi])
+            if dist < best or (dist == best and (ai, bi) < witness):
+                best, witness = dist, (ai, bi)
     return best, witness
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ghbounds import (WindowSpec, check_cover, check_r_disjoint,
+from ghbounds import (EuclideanPointSet, WindowSpec, check_cover, check_r_disjoint,
                       check_uniform_bound, gen_brick_cover, gen_chess_families,
                       gen_comb_cover, gen_comb_set, gen_epsilon_net,
                       gen_interval_cover, gen_lattice_window, hausdorff,
@@ -341,6 +341,21 @@ class TestMergePointSets:
         assert len(sb) == net.n
         got = {tuple(merged.points[i]) for i in sa.indices}
         assert got == point_set(lat)
+
+    def test_matches_row_unique(self):
+        # the lexsort dedup against numpy's row unique: same order, same inverse
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            pool = np.unique(rng.integers(-4, 5, (60, 2)) / float(rng.choice([1, 2, 4])), axis=0)
+            a, b = (EuclideanPointSet(pool[rng.choice(len(pool), int(rng.integers(1, 40)),
+                                                      replace=False)]) for _ in range(2))
+            merged, sa, sb = merge_point_sets(a, b)
+            rows, inverse = np.unique(np.concatenate((a.points, b.points)), axis=0,
+                                      return_inverse=True)
+            inverse = inverse.reshape(-1)
+            assert np.array_equal(merged.points, rows)
+            assert sa.indices == tuple(sorted(set(inverse[:a.n].tolist())))
+            assert sb.indices == tuple(sorted(set(inverse[a.n:].tolist())))
 
     def test_hausdorff_through_the_merge(self):
         w = WindowSpec.square(4)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_correspondence, random_space
 from ghbounds import (Correspondence, EuclideanPointSet, SubsetFamily,
@@ -16,6 +18,7 @@ from ghbounds import (Correspondence, EuclideanPointSet, SubsetFamily,
                       gen_lattice_window, gh_lower_bound, induce_space,
                       make_certificate, model_space, multiplicity,
                       pushforward_family, scale_family, set_distance)
+from ghbounds import covers
 from ghbounds.errors import (EmptyFamilyList, NotCovering, NotDisjoint,
                              TooManyFamilies, TrivialStabilizer,
                              UnknownModelSpace)
@@ -27,6 +30,48 @@ def chess_setup(n: float = 6.0):
     lat = gen_lattice_window(WindowSpec(0.0, n, 0.0, n))
     red, blue = gen_chess_families(lat)
     return lat, red, blue
+
+
+def _family_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, list[list[int]]]:
+    """Distinct points and members over them (members may overlap or repeat)."""
+    n = int(rng.integers(2, 40))
+    if kind == "integer":  # many equal gaps
+        pts = rng.integers(0, 7, (n, 2)).astype(float)
+    elif kind == "half":
+        pts = rng.integers(-6, 7, (n, 2)) / 2.0
+    elif kind == "horizontal":
+        pts = np.column_stack([rng.integers(0, 40, n) / 2.0, np.full(n, 3.0)])
+    elif kind == "vertical":
+        pts = np.column_stack([np.full(n, -1.5), rng.uniform(-5.0, 5.0, n)])
+    elif kind == "collinear":  # a slope, so neither axis is constant
+        t = rng.integers(0, 30, n).astype(float)
+        pts = np.column_stack([t / 2.0, 3.0 * t - 7.0])
+    else:
+        pts = rng.uniform(-10.0, 10.0, (n, 2))
+    pts = np.unique(pts, axis=0)
+    n = pts.shape[0]
+    perm = rng.permutation(n).tolist()
+    if kind == "mixed":  # singletons beside a few large members
+        big = int(rng.integers(1, 4))
+        owner = rng.integers(0, big, n)
+        solo = rng.random(n) < 0.5
+        members = [[int(i)] for i in np.flatnonzero(solo)]
+        members += [np.flatnonzero(~solo & (owner == b)).tolist() for b in range(big)]
+    else:  # interleaved: random assignment, so member boxes overlap
+        k = int(rng.integers(1, n + 1))
+        owner = rng.integers(0, k, n)
+        members = [[perm[i] for i in np.flatnonzero(owner == b)] for b in range(k)]
+    members = [mem for mem in members if mem]
+    if rng.random() < 0.2:  # an identical copy of one member: gap 0
+        members.insert(int(rng.integers(0, len(members) + 1)),
+                       list(members[int(rng.integers(0, len(members)))]))
+    elif rng.random() < 0.2:  # two members sharing a point: gap 0
+        a, b = rng.integers(0, len(members), 2)
+        members[a] = sorted(set(members[a]) | {members[b][0]})
+    return pts, members
+
+
+FAMILY_KINDS = ("integer", "half", "horizontal", "vertical", "collinear", "uniform", "mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +130,50 @@ class TestDisjointness:
             slow = check_r_disjoint(induce_space(pts), fam, 1.0)
             assert fast.min_gap == slow.min_gap
             assert fast.witness == slow.witness
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(FAMILY_KINDS), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans(), st.integers(min_value=1, max_value=3))
+    def test_sweep_matches_all_pairs(self, kind, seed, tiny_batches, batch):
+        # the planar sort-and-sweep against the matrix path's all-pairs scan;
+        # tiny batches force many sweep steps, each with a fresh threshold
+        rng = np.random.default_rng(seed)
+        pts, members = _family_case(kind, rng)
+        planar = EuclideanPointSet(pts)
+        fam = SubsetFamily.of("f", members, n=planar.n)
+        sizes = {name: batch if tiny_batches else getattr(covers, name)
+                 for name in ("_SWEEP_PAIRS", "_SWEEP_ROWS", "_BOX_POINTS")}
+        with mock.patch.multiple(covers, **sizes):
+            sweep = check_r_disjoint(planar, fam, 1.0)
+        scan = check_r_disjoint(induce_space(planar), fam, 1.0)
+        assert sweep.min_gap == scan.min_gap
+        assert sweep.witness == scan.witness
+        assert sweep.ok == scan.ok
+
+    def test_box_gap_rounds_like_the_point_distances(self):
+        # box gaps must round like point distances: np.hypot puts the box gap
+        # of (0, 2) one ulp above its measured gap, which would prune the
+        # pair that attains the minimum and report (0, 1) with a larger gap
+        pts = EuclideanPointSet(np.array([[0.0, 0.0],
+                                          [1.380197857157211, 1.8267155902738015],
+                                          [1.380197857157211, -1.8267155902738013]]))
+        fam = SubsetFamily.of("solo", [[0], [1], [2]], n=3)
+        gap = 2.289505617518926
+        for space in (pts, induce_space(pts)):
+            rep = check_r_disjoint(space, fam, gap, strict=True)
+            assert rep.min_gap == gap
+            assert rep.witness == (0, 2)
+            assert not rep.ok
+        assert set_distance(pts, [0], [1]) == 2.2895056175189263
+
+    def test_sweep_window_allows_for_rounding(self):
+        # -1 + 1 rounds to 0, short of the point at 2**-60 whose gap to -1
+        # also rounds to 1; a window cut at 0 misses the first tie (0, 1)
+        pts = EuclideanPointSet(np.array([[2.0 ** -60, 0.0], [-1.0, 0.0],
+                                          [10.0, 0.0], [11.0, 0.0]]))
+        fam = SubsetFamily.of("row", [[0], [1], [2], [3]], n=4)
+        rep = check_r_disjoint(pts, fam, 1.0)
+        assert rep.min_gap == 1.0 and rep.witness == (0, 1)
 
     def test_touching_members_have_zero_gap(self):
         pts = EuclideanPointSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
