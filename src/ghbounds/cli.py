@@ -44,7 +44,7 @@ from .errors import (
     TooManyFamilies,
     TrivialStabilizer,
 )
-from .metric import EuclideanPointSet, as_subset, directed_hausdorff, hausdorff, scale_points
+from .metric import EuclideanPointSet, SubsetRef, directed_hausdorff, hausdorff, scale_points
 from .serialize import (
     certificate_report_json,
     cover_from_json,
@@ -168,9 +168,9 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
             raise ValueError("give either --space or both --space-a/--space-b")
         ambient = space_from_json(load_json(args.space))
         sa = (subset_from_json(load_json(args.a), ambient.n)
-              if args.a else as_subset(range(ambient.n)))
+              if args.a else SubsetRef.full(ambient.n))
         sb = (subset_from_json(load_json(args.b), ambient.n)
-              if args.b else as_subset(range(ambient.n)))
+              if args.b else SubsetRef.full(ambient.n))
         inputs = {"space": args.space, "a": args.a, "b": args.b, "merged": False}
     d_ab = directed_hausdorff(ambient, sa, sb)
     d_ba = directed_hausdorff(ambient, sb, sa)
@@ -233,7 +233,7 @@ def cmd_verify_cover(args: argparse.Namespace) -> int:
     space, families, r_file, strict_file, target = cover_from_json(load_json(args.cover))
     r = args.r if args.r is not None else r_file
     strict = bool(args.strict or strict_file)
-    tgt = target if target is not None else as_subset(range(space.n))
+    tgt = target if target is not None else SubsetRef.full(space.n)
     fam_reports = []
     all_ok = True
     for fam in families:

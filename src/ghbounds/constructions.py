@@ -23,7 +23,7 @@ from .errors import (
     NonIntegerPoint,
     TooManyPoints,
 )
-from .metric import EuclideanPointSet, SubsetRef, as_subset
+from .metric import EuclideanPointSet, SubsetRef, _subsets_from_runs, as_subset
 
 POINT_CAP = 1_000_000
 _GRID_TOL = 1e-9
@@ -122,6 +122,27 @@ def _integer_coords(pts: np.ndarray) -> np.ndarray:
     return ij.astype(np.int64)
 
 
+def _keyed_families(labels: tuple[str, ...], color: np.ndarray,
+                    *keys: np.ndarray) -> tuple[SubsetFamily, ...]:
+    """Group point indices by color, then by equal key tuples.
+
+    Family c collects the points of color c (0 <= c < len(labels)): one
+    member per distinct key tuple, members in ascending key order, indices
+    ascending within a member.
+    """
+    order = np.lexsort((*keys[::-1], color))  # stable: indices stay ascending
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in (color, *keys):
+        ks = key[order]
+        new[1:] |= ks[1:] != ks[:-1]
+    edges = np.append(np.flatnonzero(new), order.size)
+    counts = np.diff(edges)
+    cuts = np.searchsorted(color[order[edges[:-1]]], np.arange(len(labels) + 1))
+    return tuple(SubsetFamily(label, _subsets_from_runs(order[edges[lo]:edges[hi]], counts[lo:hi]))
+                 for label, lo, hi in zip(labels, cuts[:-1], cuts[1:]))
+
+
 def gen_chess_families(lattice: EuclideanPointSet) -> tuple[SubsetFamily, SubsetFamily]:
     """Chess coloring: red singletons where x+y is even, blue where odd.
 
@@ -130,9 +151,9 @@ def gen_chess_families(lattice: EuclideanPointSet) -> tuple[SubsetFamily, Subset
     """
     ij = _integer_coords(lattice.points)
     parity = (ij[:, 0] + ij[:, 1]) % 2
-    red = tuple(as_subset([int(i)]) for i in np.nonzero(parity == 0)[0])
-    blue = tuple(as_subset([int(i)]) for i in np.nonzero(parity == 1)[0])
-    return SubsetFamily("red", red), SubsetFamily("blue", blue)
+    # each point is its own key, so every member is a singleton
+    red, blue = _keyed_families(("red", "blue"), parity, np.arange(lattice.n))
+    return red, blue
 
 
 def gen_comb_set(w: WindowSpec, delta: float) -> EuclideanPointSet:
@@ -240,15 +261,8 @@ def gen_brick_cover(w: WindowSpec, r: float, L: float | None = None,
     x, y = net.points[:, 0], net.points[:, 1]
     j = np.floor(y / L + _GRID_TOL).astype(np.int64)
     i = np.floor((x - j * (L / 2.0)) / L + _GRID_TOL).astype(np.int64)
-    color = (i - j) % 3
-    fams = []
-    for c in range(3):
-        keys: dict[tuple[int, int], list[int]] = {}
-        for idx in np.nonzero(color == c)[0]:
-            keys.setdefault((int(i[idx]), int(j[idx])), []).append(int(idx))
-        fams.append(SubsetFamily(_BRICK_LABELS[c],
-                                 tuple(as_subset(keys[k]) for k in sorted(keys))))
-    return net, (fams[0], fams[1], fams[2])
+    red, blue, green = _keyed_families(_BRICK_LABELS, (i - j) % 3, i, j)
+    return net, (red, blue, green)
 
 
 def gen_interval_cover(w: WindowSpec, r: float, L: float | None = None,
@@ -268,14 +282,8 @@ def gen_interval_cover(w: WindowSpec, r: float, L: float | None = None,
     xs = _grid_coords(w.xmin, w.xmax, spacing if spacing is not None else r / 4.0, pad_edges=True)
     net = EuclideanPointSet(np.column_stack((xs, np.zeros_like(xs))))
     k = np.floor(xs / L + _GRID_TOL).astype(np.int64)
-    fams = []
-    for parity in (0, 1):
-        keys: dict[int, list[int]] = {}
-        for idx in np.nonzero(k % 2 == parity)[0]:
-            keys.setdefault(int(k[idx]), []).append(int(idx))
-        fams.append(SubsetFamily(("red", "blue")[parity],
-                                 tuple(as_subset(keys[kk]) for kk in sorted(keys))))
-    return net, (fams[0], fams[1])
+    red, blue = _keyed_families(("red", "blue"), k % 2, k)
+    return net, (red, blue)
 
 
 def merge_point_sets(a: EuclideanPointSet, b: EuclideanPointSet,
@@ -295,6 +303,6 @@ def merge_point_sets(a: EuclideanPointSet, b: EuclideanPointSet,
     # its indices in sorted-row order are already strictly increasing
     rank = np.cumsum(new) - 1
     from_a = order < a.n
-    sub_a = SubsetRef(tuple(rank[from_a].tolist()))
-    sub_b = SubsetRef(tuple(rank[~from_a].tolist()))
+    (sub_a,) = _subsets_from_runs(rank[from_a], np.array([a.n]))
+    (sub_b,) = _subsets_from_runs(rank[~from_a], np.array([b.n]))
     return EuclideanPointSet(rows[new]), sub_a, sub_b

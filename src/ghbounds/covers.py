@@ -273,11 +273,8 @@ def check_uniform_bound(space: MetricLike, fam: SubsetFamily) -> float:
 def check_cover(space: MetricLike, families: Sequence[SubsetFamily],
                 target: SubsetRef | Iterable[int]) -> CoverReport:
     tgt = as_subset(target, space.n)
-    covered = set()
-    for fam in families:
-        for mem in fam.members:
-            covered.update(mem.indices)
-    uncovered = tuple(i for i in tgt.indices if i not in covered)
+    t = np.array(tgt.indices, dtype=np.intp)
+    uncovered = tuple(t[_member_counts(space.n, families)[t] == 0].tolist())
     return CoverReport(ok=not uncovered, uncovered=uncovered)
 
 
@@ -285,11 +282,14 @@ def multiplicity(space: MetricLike, families: Sequence[SubsetFamily],
                  target: SubsetRef | Iterable[int]) -> int:
     """Largest number of members containing a single target point."""
     tgt = as_subset(target, space.n)
-    counts = np.zeros(space.n, dtype=np.int64)
-    for fam in families:
-        for mem in fam.members:
-            counts[np.fromiter(mem.indices, dtype=np.intp)] += 1
-    return int(counts[np.fromiter(tgt.indices, dtype=np.intp)].max())
+    return int(_member_counts(space.n, families)[np.array(tgt.indices, dtype=np.intp)].max())
+
+
+def _member_counts(n: int, families: Sequence[SubsetFamily]) -> np.ndarray:
+    """How many members contain each point; at least n entries."""
+    flat = np.fromiter(itertools.chain.from_iterable(
+        mem.indices for fam in families for mem in fam.members), dtype=np.intp)
+    return np.bincount(flat, minlength=n)
 
 
 def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: float,
@@ -309,7 +309,7 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
             if mem.indices in seen:
                 raise NotDisjoint(fam.label, (seen[mem.indices], pos), 0.0, r)
             seen[mem.indices] = pos
-    tgt = as_subset(target if target is not None else range(space.n), space.n)
+    tgt = as_subset(target, space.n) if target is not None else SubsetRef.full(space.n)
 
     min_gap = math.inf
     for fam in fams:

@@ -20,6 +20,7 @@ the smallest index) is bitwise equal to the block scan's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
@@ -65,6 +66,11 @@ class SubsetRef:
             s.check_ambient(n)
         return s
 
+    @staticmethod
+    def full(n: int) -> "SubsetRef":
+        """Every index of an n-point ambient, 0..n-1."""
+        return _trusted_subset(tuple(range(n))) if n > 0 else SubsetRef(())
+
     def check_ambient(self, n: int) -> None:
         if self.indices[-1] >= n:
             raise IndexOutOfRange(self.indices[-1], n)
@@ -85,6 +91,63 @@ def as_subset(s: "SubsetRef | Iterable[int]", n: int | None = None) -> SubsetRef
             s.check_ambient(n)
         return s
     return SubsetRef.of(s, n)
+
+
+def _trusted_subset(indices: tuple[int, ...]) -> SubsetRef:
+    """A SubsetRef of indices already known to be nonempty and strictly increasing."""
+    s = object.__new__(SubsetRef)
+    object.__setattr__(s, "indices", indices)
+    return s
+
+
+def _subsets_from_runs(flat: np.ndarray, counts: np.ndarray,
+                       n: int | None = None) -> tuple[SubsetRef, ...]:
+    """One SubsetRef per consecutive run of flat, member k holding counts[k] entries.
+
+    Validates the whole family in one vectorised pass and gives what
+    ``SubsetRef.of(run, n)`` gives member by member: equal subsets, or the
+    first failing member's exception. Runs that are not strictly increasing
+    go through ``SubsetRef.of`` to be sorted and deduplicated.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    bad = counts == 0
+    full = np.flatnonzero(~bad)
+    if full.size:
+        bad[full] = np.minimum.reduceat(flat, starts[full]) < 0
+        if n is not None:
+            bad[full] |= np.maximum.reduceat(flat, starts[full]) >= n
+    vals = flat.tolist()
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    if bad.any():
+        s, e = bounds[int(np.argmax(bad))]
+        SubsetRef.of(vals[s:e], n)  # raises that member's error
+    # a position that does not rise above its predecessor, inside a run
+    flat_rise = np.ones(flat.size, dtype=bool)
+    flat_rise[1:] = flat[1:] > flat[:-1]
+    flat_rise[starts[full]] = True
+    unsorted = np.searchsorted(ends, np.flatnonzero(~flat_rise), side="right")
+    subs = [_trusted_subset(tuple(vals[s:e])) for s, e in bounds]
+    for k in set(unsorted.tolist()):
+        s, e = bounds[k]
+        subs[k] = SubsetRef.of(vals[s:e])
+    return tuple(subs)
+
+
+def _subsets_from_lists(members: Sequence[Iterable[int]],
+                        n: int | None = None) -> tuple[SubsetRef, ...]:
+    """``tuple(SubsetRef.of(m, n) for m in members)``, validated in one pass.
+
+    Members that do not convert to int64 as a whole (non-numbers, integers
+    beyond 64 bits, unsized iterables) take the member-by-member path.
+    """
+    try:
+        counts = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
+        flat = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64,
+                           count=int(counts.sum()))
+    except (TypeError, ValueError, OverflowError):
+        return tuple(SubsetRef.of(m, n) for m in members)
+    return _subsets_from_runs(flat, counts, n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,13 +10,15 @@ Cover:    {"kind": "cover", "space": ..., "families": [...], "r": ...,
 
 Floats pass through json untouched, so distances print in Python's
 shortest round-trip form (e.g. 0.7071067811865476) and reload bit-exactly.
+Files are written as single-line JSON by the C encoder; ``python -m
+json.tool`` pretty-prints them.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -27,9 +29,12 @@ from .metric import (
     FiniteMetricSpace,
     MetricLike,
     SubsetRef,
-    as_subset,
+    _subsets_from_lists,
     build_space,
 )
+
+# list items per C-encoder call in dump_json
+_DUMP_SLICE = 4096
 
 
 def space_to_json(space: MetricLike) -> dict[str, Any]:
@@ -56,7 +61,7 @@ def subset_to_json(s: SubsetRef) -> list[int]:
 
 
 def subset_from_json(obj: Sequence[int], n: int | None = None) -> SubsetRef:
-    return as_subset(int(i) for i in obj) if n is None else as_subset((int(i) for i in obj), n)
+    return _subsets_from_lists((obj,), n)[0]
 
 
 def relation_to_json(rel: Relation | Correspondence) -> dict[str, Any]:
@@ -72,8 +77,7 @@ def family_to_json(fam: SubsetFamily) -> dict[str, Any]:
 
 
 def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
-    return SubsetFamily(str(obj["label"]),
-                        tuple(subset_from_json(m, n) for m in obj["members"]))
+    return SubsetFamily(str(obj["label"]), _subsets_from_lists(obj["members"], n))
 
 
 def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,
@@ -146,7 +150,33 @@ def load_json(path: str | Path) -> Any:
         return json.load(fh)
 
 
+def _encode(obj: Any) -> Iterator[str]:
+    """The text of ``json.dumps(obj)``, in pieces of bounded size.
+
+    Dicts with string keys and lists longer than _DUMP_SLICE items are taken
+    apart; everything else goes through the C encoder in one call.
+    """
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        yield "{"
+        for t, (k, v) in enumerate(obj.items()):
+            yield (", " if t else "") + json.dumps(k) + ": "
+            yield from _encode(v)
+        yield "}"
+    elif isinstance(obj, (list, tuple)) and len(obj) > _DUMP_SLICE:
+        yield "["
+        for s in range(0, len(obj), _DUMP_SLICE):
+            yield (", " if s else "") + json.dumps(obj[s:s + _DUMP_SLICE])[1:-1]
+        yield "]"
+    else:
+        yield json.dumps(obj)
+
+
 def dump_json(obj: Any, path: str | Path) -> None:
+    """Write obj as single-line JSON plus a newline: the bytes of ``json.dumps(obj)``.
+
+    ``json.dumps`` without an indent runs the C encoder; large lists are
+    encoded a slice at a time so no whole-file string is built.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        fh.writelines(_encode(obj))
         fh.write("\n")

@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ghbounds import (EuclideanPointSet, WindowSpec, check_cover, check_r_disjoint,
-                      check_uniform_bound, gen_brick_cover, gen_chess_families,
+from ghbounds import (EuclideanPointSet, SubsetFamily, SubsetRef, WindowSpec,
+                      check_cover, check_r_disjoint, check_uniform_bound, gen_brick_cover, gen_chess_families,
                       gen_comb_cover, gen_comb_set, gen_epsilon_net,
                       gen_interval_cover, gen_lattice_window, hausdorff,
                       make_certificate, merge_point_sets, multiplicity)
@@ -318,6 +319,42 @@ class TestIntervalCover:
     def test_rejects_short_tiles(self):
         with pytest.raises(LTooSmall):
             gen_interval_cover(WindowSpec(0.0, 10.0, 0.0, 0.0), 2.0, L=3.0)
+
+
+def _dict_grouped(labels, color, *keys) -> tuple[SubsetFamily, ...]:
+    """Reference grouping: a dict of index lists per color, members in sorted key order."""
+    fams = []
+    for c, label in enumerate(labels):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for idx in np.nonzero(color == c)[0]:
+            groups.setdefault(tuple(int(k[idx]) for k in keys), []).append(int(idx))
+        fams.append(SubsetFamily(label, tuple(SubsetRef.of(groups[key]) for key in sorted(groups))))
+    return tuple(fams)
+
+
+class TestGroupingMatchesDictReference:
+    @settings(max_examples=60)
+    @given(st.integers(-12, 6), st.integers(0, 9), st.integers(-12, 6), st.integers(0, 9),
+           st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([None, 2.0, 2.6, 4.0]),
+           st.sampled_from([None, 0.3, 0.5, 0.7]))
+    def test_brick(self, x0, w, y0, h, r, l_factor, spacing):
+        L = None if l_factor is None else l_factor * r
+        net, fams = gen_brick_cover(WindowSpec(x0, x0 + w, y0, y0 + h), r, L, spacing)
+        tile = 3.0 * r if L is None else L
+        x, y = net.points[:, 0], net.points[:, 1]
+        j = np.floor(y / tile + 1e-9).astype(np.int64)
+        i = np.floor((x - j * (tile / 2.0)) / tile + 1e-9).astype(np.int64)
+        assert fams == _dict_grouped(("red", "blue", "green"), (i - j) % 3, i, j)
+
+    @settings(max_examples=60)
+    @given(st.integers(-15, 6), st.integers(0, 14), st.sampled_from([0.5, 1.0, 1.5]),
+           st.sampled_from([None, 2.0, 3.5]), st.sampled_from([None, 0.2, 0.45]))
+    def test_interval(self, x0, w, r, l_factor, spacing):
+        L = None if l_factor is None else l_factor * r
+        net, fams = gen_interval_cover(WindowSpec(x0, x0 + w, 0.0, 0.0), r, L, spacing)
+        tile = 3.0 * r if L is None else L
+        k = np.floor(net.points[:, 0] / tile + 1e-9).astype(np.int64)
+        assert fams == _dict_grouped(("red", "blue"), k % 2, k)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,26 @@ class TestBoundAndCover:
         assert multiplicity(lat, (red, blue), range(lat.n)) == 1
         assert multiplicity(lat, (red, red, blue), range(lat.n)) == 2
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_coverage_and_multiplicity_match_a_set_count(self, seed):
+        rng = np.random.default_rng(seed)
+        lat = gen_lattice_window(WindowSpec(0.0, 5.0, 0.0, 3.0))
+        families = [SubsetFamily.of(f"f{t}", [rng.choice(lat.n, int(rng.integers(1, 5)))
+                                              for _ in range(int(rng.integers(0, 6)))], n=lat.n)
+                    for t in range(int(rng.integers(1, 4)))]
+        target = rng.choice(lat.n, int(rng.integers(1, lat.n)), replace=False)
+        covered = set()
+        hits = [0] * lat.n
+        for fam in families:
+            for mem in fam.members:
+                covered.update(mem.indices)
+                for i in mem.indices:
+                    hits[i] += 1
+        rep = check_cover(lat, families, target)
+        assert rep.uncovered == tuple(i for i in sorted(target.tolist()) if i not in covered)
+        assert rep.ok == (not rep.uncovered)
+        assert multiplicity(lat, families, target) == max(hits[i] for i in target.tolist())
+
 
 # ---------------------------------------------------------------------------
 # certificates

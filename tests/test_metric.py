@@ -57,6 +57,75 @@ class TestSubsetRef:
         assert as_subset([1, 0]).indices == (0, 1)
         assert as_subset(range(3)).indices == (0, 1, 2)
 
+    def test_full(self):
+        assert SubsetRef.full(5) == SubsetRef.of(range(5))
+        assert SubsetRef.full(1).indices == (0,)
+        with pytest.raises(EmptySubset):
+            SubsetRef.full(0)
+
+
+def _outcome(build):
+    """build()'s value, or its exception as (type, args, fields) so two paths compare."""
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), exc.args, vars(exc)
+
+
+def _member_by_member(members, n):
+    return tuple(SubsetRef.of(m, n) for m in members)
+
+
+_INDEX = st.integers(min_value=-3, max_value=45)
+_MEMBER = st.one_of(
+    st.sets(_INDEX, min_size=1, max_size=8).map(sorted),           # the fast path
+    st.lists(_INDEX, max_size=8),                                   # unsorted, duplicates, empty
+    st.builds(lambda i: [i], _INDEX),                               # singletons
+    st.builds(lambda a, k: list(range(a, a + k)),                   # large members
+              st.integers(min_value=-2, max_value=40), st.integers(min_value=1, max_value=400)),
+)
+_INT_TYPES = st.sampled_from([int, np.int64, np.int32, np.intp])
+
+
+class TestBatchedSubsets:
+    """``metric._subsets_from_lists`` against ``SubsetRef.of`` member by member."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(_MEMBER, _INT_TYPES), max_size=12),
+           st.one_of(st.none(), st.integers(min_value=1, max_value=45)))
+    def test_matches_member_by_member(self, typed_members, n):
+        members = [[cast(i) for i in m] for m, cast in typed_members]
+        want = _outcome(lambda: _member_by_member(members, n))
+        got = _outcome(lambda: metric._subsets_from_lists(members, n))
+        assert got == want
+        if isinstance(want, tuple) and want and isinstance(want[0], SubsetRef):
+            assert all(type(i) is int for s in got for i in s.indices)
+
+    @pytest.mark.parametrize("members", [
+        lambda: [[0, 2], [2 ** 70]],            # beyond int64: member-by-member path
+        lambda: [[1.0, 0.0], [3.5]],            # floats truncate as int() does
+        lambda: [[0], [float("nan")]],          # int(nan) raises ValueError
+        lambda: [[0], [None]],                  # TypeError from int(None)
+        lambda: [[1], (i for i in (2, 0))],     # an unsized member
+        lambda: [[], [-1]],                     # the first failing member wins
+        lambda: [[5, -1], [99]],                # negative before out of range
+    ])
+    @pytest.mark.parametrize("n", [None, 4])
+    def test_odd_inputs_match(self, members, n):
+        want = _outcome(lambda: _member_by_member(members(), n))
+        assert _outcome(lambda: metric._subsets_from_lists(members(), n)) == want
+
+    def test_runs_of_an_array(self):
+        flat = np.array([0, 3, 7, 2, 2, 1, 9], dtype=np.intp)
+        got = metric._subsets_from_runs(flat, np.array([3, 3, 1]), 10)
+        assert got == (SubsetRef((0, 3, 7)), SubsetRef((1, 2)), SubsetRef((9,)))
+        assert metric._subsets_from_runs(flat[:0], np.array([], dtype=np.intp)) == ()
+        with pytest.raises(EmptySubset):
+            metric._subsets_from_runs(flat, np.array([3, 0, 4]))
+        with pytest.raises(IndexOutOfRange) as err:
+            metric._subsets_from_runs(flat, np.array([3, 4]), 9)
+        assert (err.value.index, err.value.n) == (9, 9)
+
 
 # ---------------------------------------------------------------------------
 # matrix-backed spaces

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from ghbounds.serialize import (certificate_report_json, cover_from_json,
                                 relation_to_json, space_from_json,
                                 space_to_json, subset_from_json,
                                 subset_to_json)
+from ghbounds import serialize
 from ghbounds.errors import TriangleViolation
 from ghbounds.metric import EuclideanPointSet, SubsetRef
 
@@ -151,3 +154,42 @@ class TestFiles:
         text = path.read_text()
         assert text.endswith("\n")
         assert load_json(path) == payload
+
+    def test_floats_reload_bit_exactly(self, tmp_path):
+        path = tmp_path / "f.json"
+        values = [-0.0, 5e-324, 1e-05, 0.1 * 3, math.sqrt(2), -1.7976931348623157e308]
+        dump_json({"v": values}, path)
+        back = load_json(path)["v"]
+        assert [struct.pack("<d", v) for v in back] == [struct.pack("<d", v) for v in values]
+
+    def test_one_line_with_a_trailing_newline(self, tmp_path):
+        path = tmp_path / "c.json"
+        lat = gen_lattice_window(WindowSpec.square(3))
+        dump_json(cover_to_json(lat, gen_chess_families(lat), math.sqrt(2)), path)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("}\n") and text.count("\n") == 1
+
+    def test_cover_written_in_slices_equals_one_dumps(self, tmp_path):
+        # 6,561 points and about 3,280 members per family: both lists are
+        # longer than one slice
+        lat = gen_lattice_window(WindowSpec.square(80))
+        obj = cover_to_json(lat, gen_chess_families(lat), math.sqrt(2), c=0.0,
+                            target=SubsetRef.full(lat.n))
+        assert len(obj["space"]["pts"]) > serialize._DUMP_SLICE
+        path = tmp_path / "chess.json"
+        dump_json(obj, path)
+        assert path.read_bytes() == (json.dumps(obj) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("obj", [
+        {"a": [[1, 2], [3]] * 4, "b": {"c": list(range(9)), "d": []}, "e": {}},
+        {1: "int key", "x": [0.5] * 7},                 # non-string keys: encoded whole
+        [(1, 2)] * 5 + [{"k": "v\u00e9"}, None, True, float("inf")],
+        list(range(7)),
+        [],
+        "text",
+    ])
+    def test_every_slice_boundary_matches_dumps(self, tmp_path, obj):
+        path = tmp_path / "s.json"
+        with mock.patch.object(serialize, "_DUMP_SLICE", 2):
+            dump_json(obj, path)
+        assert path.read_bytes() == (json.dumps(obj) + "\n").encode("utf-8")
