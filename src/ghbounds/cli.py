@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import sys
@@ -30,13 +31,12 @@ from .constructions import (
 )
 from .correspondence import DEFAULT_NODE_BUDGET, exact_gh
 from .covers import (
-    check_cover,
     check_r_disjoint,
     check_uniform_bound,
     gh_lower_bound,
+    inspect_cover,
     make_certificate,
     model_space,
-    multiplicity,
 )
 from .errors import (
     GhBoundsError,
@@ -233,36 +233,29 @@ def cmd_verify_cover(args: argparse.Namespace) -> int:
     space, families, r_file, strict_file, target = cover_from_json(load_json(args.cover))
     r = args.r if args.r is not None else r_file
     strict = bool(args.strict or strict_file)
-    tgt = target if target is not None else SubsetRef.full(space.n)
-    fam_reports = []
-    all_ok = True
-    for fam in families:
-        rep = check_r_disjoint(space, fam, r, strict)
-        fam_reports.append({
-            "label": fam.label,
-            "members": len(fam.members),
-            "min_gap": None if math.isinf(rep.min_gap) else rep.min_gap,
-            "witness": list(rep.witness) if rep.witness else None,
-            "max_diam": check_uniform_bound(space, fam),
-            "disjoint_ok": rep.ok,
-        })
-        all_ok = all_ok and rep.ok
-    cov = check_cover(space, families, tgt)
-    mult = multiplicity(space, families, tgt)
-    all_ok = all_ok and cov.ok
+    found = inspect_cover(space, families, r, strict, target)
+    fam_reports = [{
+        "label": fam.label,
+        "members": fam.members,
+        "min_gap": None if math.isinf(fam.disjoint.min_gap) else fam.disjoint.min_gap,
+        "witness": list(fam.disjoint.witness) if fam.disjoint.witness else None,
+        "max_diam": fam.max_diam,
+        "disjoint_ok": fam.disjoint.ok,
+    } for fam in found.families]
+    all_ok = all(fam.disjoint.ok for fam in found.families) and found.cover.ok
     outputs = {
         "k": len(families),
         "r": r,
         "strictness": "strict" if strict else "non-strict",
-        "C": max(f["max_diam"] for f in fam_reports),
+        "C": found.c,
         "families": fam_reports,
-        "cover_ok": cov.ok,
-        "uncovered": list(cov.uncovered[:20]),
-        "multiplicity": mult,
+        "cover_ok": found.cover.ok,
+        "uncovered": list(found.cover.uncovered[:20]),
+        "multiplicity": found.multiplicity,
         "ok": all_ok,
     }
     _say(f"verify-cover: {'OK' if all_ok else 'FAILED'} "
-         f"(k={len(families)}, r={r!r}, C={outputs['C']!r}, multiplicity={mult})")
+         f"(k={len(families)}, r={r!r}, C={outputs['C']!r}, multiplicity={found.multiplicity})")
     _emit(_report("verify-cover", {"cover": args.cover, "r": r, "strict": strict},
                   outputs, t0), args.out)
     return EXIT_OK if all_ok else EXIT_VALIDATION
@@ -478,6 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command makes hundreds of thousands of small lists (JSON rows, member
+    # tuples) and frees them by reference counting; the cyclic collector
+    # would only scan them over and over. It is paused for the command and
+    # left as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (TooManyFamilies, TrivialStabilizer) as exc:
@@ -489,6 +488,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _say(f"validation: {exc}")
         return EXIT_VALIDATION
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

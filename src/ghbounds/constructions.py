@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covers import SubsetFamily
+from .covers import SubsetFamily, _family_from_runs
 from .errors import (
     DeltaNotDividingOne,
     EmptyWindow,
@@ -139,7 +139,7 @@ def _keyed_families(labels: tuple[str, ...], color: np.ndarray,
     edges = np.append(np.flatnonzero(new), order.size)
     counts = np.diff(edges)
     cuts = np.searchsorted(color[order[edges[:-1]]], np.arange(len(labels) + 1))
-    return tuple(SubsetFamily(label, _subsets_from_runs(order[edges[lo]:edges[hi]], counts[lo:hi]))
+    return tuple(_family_from_runs(label, order[edges[lo]:edges[hi]], counts[lo:hi])
                  for label, lo, hi in zip(labels, cuts[:-1], cuts[1:]))
 
 

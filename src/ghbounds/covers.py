@@ -6,10 +6,22 @@ to any model space whose asymptotic dimension is at least k and whose
 scaling stabilizer is nontrivial. Model-space facts are axioms in a
 read-only registry; they are not computable from finite windows.
 
+Every check of a cover is measured in one inspection pass,
+``inspect_cover``: each family's min gap and witness, each family's largest
+member diameter, and the target's coverage and multiplicity from one
+``bincount``. ``make_certificate`` raises on what it finds and the CLI's
+``verify-cover`` reports it. The pass reads each family as one int64 index
+array plus member offsets, built once and kept on the family.
+
 On planar sets the family gap search sorts the members' bounding boxes
 along the family's longer axis and sweeps them, measuring only pairs whose
 boxes come within the best gap so far; it returns the same bits and the
-same witness as the all-pairs scan that matrix spaces use.
+same witness as the all-pairs scan that matrix spaces use. The largest
+diameter measures only the points that can attain it: a point whose
+distance to the farthest corner of its member's bounding box is below a
+distance already measured between two extreme points of some member is
+dropped, and the pairs of the rest are scanned in batches. By monotone
+rounding the result is the same bits as the block scan of ``diam``.
 """
 
 from __future__ import annotations
@@ -18,13 +30,15 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .correspondence import Correspondence, pushforward
 from .errors import (
     EmptyFamilyList,
+    IndexOutOfRange,
     NotACorrespondence,
     NotCovering,
     NotDisjoint,
@@ -38,10 +52,11 @@ from .metric import (
     MetricLike,
     SubsetRef,
     _batches,
+    _checked_runs,
     _euclid,
+    _int_runs,
     _ragged,
     as_subset,
-    diam,
     scale_points,
     set_distance,
 )
@@ -67,6 +82,42 @@ class SubsetFamily:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, offsets), read-only int64: member k is flat[offsets[k]:offsets[k + 1]]."""
+        counts = np.fromiter(map(len, self.members), dtype=np.int64, count=len(self.members))
+        flat = np.fromiter(itertools.chain.from_iterable(mem.indices for mem in self.members),
+                           dtype=np.int64, count=int(counts.sum()))
+        return _index_arrays(flat, counts)
+
+
+def _index_arrays(flat: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    flat = flat.astype(np.int64, copy=False).view()
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    flat.setflags(write=False)
+    offsets.setflags(write=False)
+    return flat, offsets
+
+
+def _family_from_runs(label: str, flat: np.ndarray, counts: np.ndarray,
+                      n: int | None = None) -> SubsetFamily:
+    """The family of ``_subsets_from_runs(flat, counts, n)``, keeping flat when it fits."""
+    members, exact = _checked_runs(flat, counts, n)
+    fam = SubsetFamily(label, members)
+    if exact:
+        fam.__dict__["_index"] = _index_arrays(flat, counts)
+    return fam
+
+
+def _family_from_lists(label: str, members: Sequence[Iterable[int]],
+                       n: int | None = None) -> SubsetFamily:
+    """``SubsetFamily.of(label, members, n)``, validated in one pass where members are int64."""
+    runs = _int_runs(members)
+    if runs is None:
+        return SubsetFamily.of(label, members, n)
+    return _family_from_runs(label, *runs, n)
+
 
 @dataclass(frozen=True)
 class DisjointnessReport:
@@ -81,6 +132,32 @@ class DisjointnessReport:
 class CoverReport:
     ok: bool
     uncovered: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class FamilyInspection:
+    label: str
+    members: int
+    disjoint: DisjointnessReport
+    max_diam: float
+
+
+@dataclass(frozen=True)
+class CoverInspection:
+    """Everything ``inspect_cover`` measured; it judges nothing by itself."""
+
+    families: tuple[FamilyInspection, ...]
+    target: SubsetRef
+    cover: CoverReport
+    multiplicity: int
+
+    @property
+    def c(self) -> float:
+        return max((f.max_diam for f in self.families), default=0.0)
+
+    @property
+    def min_gap(self) -> float:
+        return min((f.disjoint.min_gap for f in self.families), default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -151,6 +228,8 @@ _SWEEP_PAIRS = 4096
 _SWEEP_ROWS = 256
 # member points gathered at once to build bounding boxes
 _BOX_POINTS = 16384
+# within-member point pairs per diameter batch
+_DIAM_PAIRS = 65536
 # the sweep window reaches past the threshold by thousands of ulps of its
 # coordinates, and by at least a gap whose square does not underflow, so
 # rounding never drops a pair whose box gap is at most the threshold
@@ -175,19 +254,18 @@ def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[
     return best, witness
 
 
-def _member_boxes(space: EuclideanPointSet,
-                  members: Sequence[SubsetRef]) -> tuple[np.ndarray, np.ndarray]:
+def _member_boxes(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[np.ndarray, np.ndarray]:
     """Low and high corners of every member's bounding box, as (2, m) arrays.
 
     Members are gathered in groups of a few thousand points, so a family
     over a large net never holds a copy of all its points at once.
     """
-    sizes = np.fromiter((len(mem) for mem in members), dtype=np.intp, count=len(members))
+    flat, offsets = fam._index
+    sizes = np.diff(offsets)
     lo, hi = np.empty((2, sizes.size)), np.empty((2, sizes.size))
     for grp in _batches(sizes, _BOX_POINTS):
-        idx = np.fromiter(itertools.chain.from_iterable(mem.indices for mem in members[grp]),
-                          dtype=np.intp, count=int(sizes[grp].sum()))
-        starts = np.cumsum(sizes[grp]) - sizes[grp]
+        idx = flat[offsets[grp.start]:offsets[grp.stop]]
+        starts = offsets[grp] - offsets[grp.start]
         for c in range(2):
             col = space.points[idx, c]
             lo[c, grp] = np.minimum.reduceat(col, starts)
@@ -209,14 +287,15 @@ def _sweep_min_gap(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[float, 
     """
     members = fam.members
     m = len(members)
-    lo, hi = _member_boxes(space, members)
+    lo, hi = _member_boxes(space, fam)
     k = int(np.argmax(hi.max(axis=1) - lo.min(axis=1)))
     order = np.argsort(lo[k], kind="stable")
     # sweep axis k and cross axis j, in sweep order; along k, lo never
     # decreases, so a pair's box gap on k is key[u] - hik[t] or 0
     key, hik, loj, hij = lo[k, order], hi[k, order], lo[1 - k, order], hi[1 - k, order]
     # any point-to-point distance between two members bounds the minimum
-    first = space.points[[members[i].indices[0] for i in order.tolist()]]
+    flat, offsets = fam._index
+    first = space.points[flat[offsets[:-1][order]]]
     ub = float(_euclid(first[1:, 0] - first[:-1, 0], first[1:, 1] - first[:-1, 1]).min())
 
     best, witness = math.inf, (-1, -1)
@@ -266,30 +345,122 @@ def check_r_disjoint(space: MetricLike, fam: SubsetFamily, r: float,
 
 
 def check_uniform_bound(space: MetricLike, fam: SubsetFamily) -> float:
-    """Largest member diameter (the measured uniform bound C)."""
-    return max((diam(space, mem) for mem in fam.members), default=0.0)
+    """Largest member diameter (the measured uniform bound C).
+
+    The same bits as ``max(diam(space, m) for m in fam.members)``, 0 for an
+    empty family, measured for the whole family at once.
+    """
+    flat, offsets = fam._index
+    if flat.size and flat.max() >= space.n:  # diam's error, for the first member past the ambient
+        tops = np.maximum.reduceat(flat, offsets[:-1])
+        raise IndexOutOfRange(int(tops[np.argmax(tops >= space.n)]), space.n)
+    sizes = np.diff(offsets)
+    multi = np.flatnonzero(sizes > 1)  # singletons have diameter 0
+    if not multi.size:
+        return 0.0
+    starts, sizes = offsets[multi], sizes[multi]
+    if not isinstance(space, EuclideanPointSet):
+        # the entries of diam's block scan: every ordered pair of a member
+        pos, owner = _ragged(starts, sizes)
+        idx, first = flat[pos], np.cumsum(sizes) - sizes
+        return _pair_max(lambda i, j: space.matrix[idx[i], idx[j]], first[owner], sizes[owner])
+    idx, owner = _diam_candidates(space.points, flat, starts, sizes)
+    x, y = space.points[idx, 0], space.points[idx, 1]
+    rows = np.arange(idx.size)
+    end = np.searchsorted(owner, owner, side="right")
+    return _pair_max(lambda i, j: _euclid(x[i] - x[j], y[i] - y[j]), rows + 1, end - rows - 1)
+
+
+def _diam_candidates(points: np.ndarray, flat: np.ndarray, starts: np.ndarray,
+                     sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points of members flat[starts[k]:starts[k] + sizes[k]] that can attain the largest diameter.
+
+    Returns their indices and their members' positions k, grouped by member.
+    Members are gathered in groups of at most _BOX_POINTS points, as for
+    bounding boxes. In each group, the member with the longest box diagonal
+    gives a lower bound lb: the largest distance between two of its extreme
+    points (min and max of x, y, x+y, x-y). The block scan computes that
+    same distance, so the family's largest diameter is at least lb. A point
+    is dropped when its distance to the farthest corner of its member's
+    bounding box is strictly below lb. Rounding is monotone, so each of its
+    computed distances within the member is at most that corner distance:
+    no pair with a dropped point reaches lb.
+    """
+    lb = 0.0
+    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    a, b = np.triu_indices(8, 1)
+    for grp in _batches(sizes, _BOX_POINTS):
+        pos, own = _ragged(starts[grp], sizes[grp])
+        p = points[flat[pos]]
+        seg = np.cumsum(sizes[grp]) - sizes[grp]
+        lo, hi = np.minimum.reduceat(p, seg), np.maximum.reduceat(p, seg)
+        k = int(np.argmax(_euclid(*(hi - lo).T)))
+        q = p[seg[k]:seg[k] + sizes[grp][k]]
+        proj = np.column_stack((q, q[:, 0] + q[:, 1], q[:, 0] - q[:, 1]))
+        ext = q[np.concatenate((proj.argmin(axis=0), proj.argmax(axis=0)))]
+        lb = max(lb, float(_euclid(ext[a, 0] - ext[b, 0], ext[a, 1] - ext[b, 1]).max()))
+        far = _euclid(np.maximum(p[:, 0] - lo[own, 0], hi[own, 0] - p[:, 0]),
+                      np.maximum(p[:, 1] - lo[own, 1], hi[own, 1] - p[:, 1]))
+        keep = far >= lb
+        kept.append((flat[pos[keep]], own[keep] + grp.start, far[keep]))
+    idx, owner, far = (np.concatenate(col) for col in zip(*kept))
+    keep = far >= lb  # lb has grown since earlier groups were filtered
+    return idx[keep], owner[keep]
+
+
+def _pair_max(dist: Callable[[np.ndarray, np.ndarray], np.ndarray],
+              begin: np.ndarray, counts: np.ndarray) -> float:
+    """Largest dist(i, j) over rows i and j in [begin[i], begin[i] + counts[i]); 0.0 if none.
+
+    Pairs are numbered row after row and generated _DIAM_PAIRS at a time,
+    so no batch holds more, however long a row is.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    worst = 0.0
+    for g0 in range(0, total, _DIAM_PAIRS):
+        g = np.arange(g0, min(g0 + _DIAM_PAIRS, total))
+        i = np.searchsorted(ends, g, side="right")
+        worst = max(worst, float(dist(i, begin[i] + (g - (ends[i] - counts[i]))).max()))
+    return worst
 
 
 def check_cover(space: MetricLike, families: Sequence[SubsetFamily],
                 target: SubsetRef | Iterable[int]) -> CoverReport:
-    tgt = as_subset(target, space.n)
-    t = np.array(tgt.indices, dtype=np.intp)
-    uncovered = tuple(t[_member_counts(space.n, families)[t] == 0].tolist())
-    return CoverReport(ok=not uncovered, uncovered=uncovered)
+    return _coverage(space.n, families, as_subset(target, space.n))[0]
 
 
 def multiplicity(space: MetricLike, families: Sequence[SubsetFamily],
                  target: SubsetRef | Iterable[int]) -> int:
     """Largest number of members containing a single target point."""
-    tgt = as_subset(target, space.n)
-    return int(_member_counts(space.n, families)[np.array(tgt.indices, dtype=np.intp)].max())
+    return _coverage(space.n, families, as_subset(target, space.n))[1]
 
 
-def _member_counts(n: int, families: Sequence[SubsetFamily]) -> np.ndarray:
-    """How many members contain each point; at least n entries."""
-    flat = np.fromiter(itertools.chain.from_iterable(
-        mem.indices for fam in families for mem in fam.members), dtype=np.intp)
-    return np.bincount(flat, minlength=n)
+def _coverage(n: int, families: Sequence[SubsetFamily], tgt: SubsetRef) -> tuple[CoverReport, int]:
+    """The uncovered target points and the most members on one target point, from one bincount."""
+    flat = np.concatenate([np.empty(0, dtype=np.int64)] + [fam._index[0] for fam in families])
+    t = np.fromiter(tgt.indices, dtype=np.intp, count=len(tgt))
+    counts = np.bincount(flat, minlength=n)[t]
+    uncovered = tuple(t[counts == 0].tolist())
+    return CoverReport(ok=not uncovered, uncovered=uncovered), int(counts.max())
+
+
+def inspect_cover(space: MetricLike, families: Sequence[SubsetFamily], r: float,
+                  strict: bool = False, target: SubsetRef | Iterable[int] | None = None,
+                  tolerance: float = DEFAULT_TOL) -> CoverInspection:
+    """Measure every certificate condition once, raising on none of them.
+
+    Per family: the min gap and its witness against r (``check_r_disjoint``)
+    and the largest member diameter (``check_uniform_bound``). For the
+    target (default: every point): the uncovered points and the largest
+    number of members containing one point, from one ``bincount``.
+    """
+    fams = tuple(families)
+    tgt = as_subset(target, space.n) if target is not None else SubsetRef.full(space.n)
+    measured = tuple(FamilyInspection(fam.label, len(fam),
+                                      check_r_disjoint(space, fam, r, strict, tolerance),
+                                      check_uniform_bound(space, fam)) for fam in fams)
+    return CoverInspection(measured, tgt, *_coverage(space.n, fams, tgt))
 
 
 def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: float,
@@ -298,7 +469,8 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
     """Run disjointness, boundedness, and coverage checks; package the result.
 
     C is set to the measured maximum member diameter. Raises a structured
-    error naming the violated condition and its witness.
+    error naming the violated condition and its witness: a duplicated
+    member first, then the first family whose gap fails, then coverage.
     """
     fams = tuple(families)
     if not fams:
@@ -309,23 +481,15 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
             if mem.indices in seen:
                 raise NotDisjoint(fam.label, (seen[mem.indices], pos), 0.0, r)
             seen[mem.indices] = pos
-    tgt = as_subset(target, space.n) if target is not None else SubsetRef.full(space.n)
-
-    min_gap = math.inf
-    for fam in fams:
-        rep = check_r_disjoint(space, fam, r, strict, tolerance)
-        if not rep.ok:
-            assert rep.witness is not None
-            raise NotDisjoint(fam.label, rep.witness, rep.min_gap, r)
-        min_gap = min(min_gap, rep.min_gap)
-
-    cov = check_cover(space, fams, tgt)
-    if not cov.ok:
-        raise NotCovering(cov.uncovered)
-
-    c = max(check_uniform_bound(space, fam) for fam in fams)
-    return CoverCertificate(space=space, families=fams, r=r, c=c, strict=strict,
-                            target=tgt, min_gap=min_gap, tolerance=tolerance)
+    found = inspect_cover(space, fams, r, strict, target, tolerance)
+    for fam in found.families:
+        if not fam.disjoint.ok:
+            assert fam.disjoint.witness is not None
+            raise NotDisjoint(fam.label, fam.disjoint.witness, fam.disjoint.min_gap, r)
+    if not found.cover.ok:
+        raise NotCovering(found.cover.uncovered)
+    return CoverCertificate(space=space, families=fams, r=r, c=found.c, strict=strict,
+                            target=found.target, min_gap=found.min_gap, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +565,8 @@ def pushforward_family(rel: Correspondence, fam: SubsetFamily,
         raise NotACorrespondence("family pushforward requires a correspondence")
     images = SubsetFamily(fam.label, tuple(pushforward(rel, mem) for mem in fam.members))
     gap, _ = _family_min_gap(target_space, images)
-    max_diam = max((diam(target_space, mem) for mem in images.members), default=0.0)
-    return images, PushforwardReport(max_diam=max_diam, min_gap=gap)
+    return images, PushforwardReport(max_diam=check_uniform_bound(target_space, images),
+                                     min_gap=gap)
 
 
 def scale_family(pts: EuclideanPointSet, fams: Sequence[SubsetFamily],

@@ -109,6 +109,15 @@ def _subsets_from_runs(flat: np.ndarray, counts: np.ndarray,
     first failing member's exception. Runs that are not strictly increasing
     go through ``SubsetRef.of`` to be sorted and deduplicated.
     """
+    return _checked_runs(flat, counts, n)[0]
+
+
+def _checked_runs(flat: np.ndarray, counts: np.ndarray,
+                  n: int | None = None) -> tuple[tuple[SubsetRef, ...], bool]:
+    """``_subsets_from_runs``, and whether every run already rose strictly.
+
+    When it did, flat and counts hold the subsets exactly as they are.
+    """
     ends = np.cumsum(counts)
     starts = ends - counts
     bad = counts == 0
@@ -131,23 +140,34 @@ def _subsets_from_runs(flat: np.ndarray, counts: np.ndarray,
     for k in set(unsorted.tolist()):
         s, e = bounds[k]
         subs[k] = SubsetRef.of(vals[s:e])
-    return tuple(subs)
+    return tuple(subs), not unsorted.size
 
 
-def _subsets_from_lists(members: Sequence[Iterable[int]],
-                        n: int | None = None) -> tuple[SubsetRef, ...]:
-    """``tuple(SubsetRef.of(m, n) for m in members)``, validated in one pass.
+def _int_runs(members: Sequence[Iterable[int]]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Members as one int64 array of their entries and the count of each, or None.
 
-    Members that do not convert to int64 as a whole (non-numbers, integers
-    beyond 64 bits, unsized iterables) take the member-by-member path.
+    None when the members do not convert to int64 as a whole (non-numbers,
+    integers beyond 64 bits, unsized iterables).
     """
     try:
         counts = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
         flat = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64,
                            count=int(counts.sum()))
     except (TypeError, ValueError, OverflowError):
+        return None
+    return flat, counts
+
+
+def _subsets_from_lists(members: Sequence[Iterable[int]],
+                        n: int | None = None) -> tuple[SubsetRef, ...]:
+    """``tuple(SubsetRef.of(m, n) for m in members)``, validated in one pass.
+
+    Members that ``_int_runs`` cannot convert take the member-by-member path.
+    """
+    runs = _int_runs(members)
+    if runs is None:
         return tuple(SubsetRef.of(m, n) for m in members)
-    return _subsets_from_runs(flat, counts, n)
+    return _subsets_from_runs(*runs, n)
 
 
 @dataclass(frozen=True, eq=False)

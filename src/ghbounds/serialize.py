@@ -16,6 +16,7 @@ json.tool`` pretty-prints them.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -23,7 +24,8 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .correspondence import Correspondence, GhResult, Relation
-from .covers import BoundResult, CoverCertificate, ModelSpaceDescriptor, SubsetFamily
+from .covers import (BoundResult, CoverCertificate, ModelSpaceDescriptor, SubsetFamily,
+                     _family_from_lists)
 from .metric import (
     EuclideanPointSet,
     FiniteMetricSpace,
@@ -50,10 +52,29 @@ def space_from_json(obj: dict[str, Any]) -> MetricLike:
     kind = obj.get("kind")
     if kind == "points2d":
         labels = tuple(obj["labels"]) if obj.get("labels") is not None else None
-        return EuclideanPointSet(np.asarray(obj["pts"], dtype=np.float64), labels)
+        return EuclideanPointSet(_points_from_rows(obj["pts"]), labels)
     if kind == "matrix":
         return build_space(np.asarray(obj["d"], dtype=np.float64))
     raise ValueError(f"unknown space kind {kind!r}")
+
+
+def _points_from_rows(pts: Any) -> np.ndarray:
+    """``np.asarray(pts, dtype=np.float64)`` for JSON rows [[x, y], ...], without nesting.
+
+    A list of lists, each of length 2, is read by one ``np.fromiter`` over
+    the flattened pairs; anything else goes through ``np.asarray``, whose
+    shape ``EuclideanPointSet`` checks, as do rows it cannot read.
+    """
+    if (type(pts) is list and set(map(type, pts)) == {list}
+            and list(map(len, pts)).count(2) == len(pts)):
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(pts), dtype=np.float64,
+                               count=2 * len(pts))
+        except (TypeError, ValueError):  # None, say, which asarray reads as nan
+            pass
+        else:
+            return flat.reshape(-1, 2)
+    return np.asarray(pts, dtype=np.float64)
 
 
 def subset_to_json(s: SubsetRef) -> list[int]:
@@ -73,11 +94,13 @@ def relation_from_json(obj: dict[str, Any]) -> Relation:
 
 
 def family_to_json(fam: SubsetFamily) -> dict[str, Any]:
+    # the member tuples share their int objects with the lists made here;
+    # lists from the family's index array would each hold new ones
     return {"label": fam.label, "members": [subset_to_json(m) for m in fam.members]}
 
 
 def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
-    return SubsetFamily(str(obj["label"]), _subsets_from_lists(obj["members"], n))
+    return _family_from_lists(str(obj["label"]), obj["members"], n)
 
 
 def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -11,13 +12,14 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import ghbounds
 from conftest import run_cli, run_cli_report
-from ghbounds import __version__, exact_gh
+from ghbounds import __version__, cli, exact_gh, gen_lattice_window
 from ghbounds.serialize import (cover_from_json, dump_json, load_json,
                                 space_from_json, space_to_json)
 from ghbounds.svgfig import count_pieces
@@ -243,6 +245,77 @@ class TestVerifyCover:
         assert failing and all(f["witness"] is not None for f in failing)
 
 
+# Outputs of verify-cover and lower-bound on one cover file of every generator,
+# pinned from the release that measured each check separately: per family
+# (min_gap, witness, max_diam), then the cover fields, then lower-bound's
+# model, bound and C.
+PINNED_COVERS = {
+    "chess": (["chess", "--window", "0,8,0,8"],
+              [[SQRT2, [0, 5], 0.0], [SQRT2, [0, 4], 0.0]],
+              0.0, "R2", 0.7071067811865476),
+    "brick": (["brick", "--window", "0,20,0,20", "--r", "1"],
+              [[1.7677669529663689, [0, 3], 3.8890872965260113],
+               [1.7677669529663689, [0, 2], 3.8890872965260113],
+               [1.7677669529663689, [0, 2], 3.8890872965260113]],
+              3.8890872965260113, "R3", 0.5),
+    "interval": (["interval", "--window", "0,30,0,0", "--r", "1"],
+                 [[3.25, [0, 1], 2.75], [3.25, [0, 1], 2.75]],
+                 2.75, "R2", 0.5),
+    "comb-cover": (["comb-cover", "--window", "0,6,-3,3", "--delta", "0.25"],
+                   [[1.0307764064044151, [0, 1], 2.0], [1.0307764064044151, [0, 2], 2.0]],
+                   2.0, "R2", 0.5),
+}
+
+
+class TestPinnedCoverOutputs:
+    @pytest.mark.parametrize("name", sorted(PINNED_COVERS))
+    def test_every_generator(self, name, tmp_path):
+        gen, families, c, model, bound = PINNED_COVERS[name]
+        cover = tmp_path / "cover.json"
+        assert run_cli(["gen", *gen, "--out", str(cover)]) == 0
+        rc, report = run_cli_report(["verify-cover", "--cover", str(cover)], tmp_path / "v.json")
+        outs = report["outputs"]
+        assert rc == 0
+        assert [[f["min_gap"], f["witness"], f["max_diam"]] for f in outs["families"]] == families
+        assert (outs["C"], outs["cover_ok"], outs["uncovered"], outs["multiplicity"],
+                outs["ok"]) == (c, True, [], 1, True)
+        rc, report = run_cli_report(["lower-bound", "--cover", str(cover), "--model", model],
+                                    tmp_path / "b.json")
+        assert rc == 0
+        assert (report["outputs"]["bound"], report["outputs"]["C"]) == (bound, c)
+
+    @pytest.mark.parametrize("case, edit, extra, families, cover, error", [
+        ("uncovered", lambda obj: obj["families"][0]["members"].pop(3), [],
+         [[SQRT2, [0, 4], True], [SQRT2, [0, 4], True]], (False, [6], 1),
+         "validation: 1 target indices uncovered, first: (6,)"),
+        ("closer than r", lambda obj: None, ["--r", "2"],
+         [[SQRT2, [0, 5], False], [SQRT2, [0, 4], False]], (True, [], 1),
+         "validation: family 'red': members 0 and 5 are at gap 1.4142135623730951, "
+         "not r-disjoint for r=2.0"),
+        ("duplicated member",
+         lambda obj: obj["families"][0]["members"].insert(5, obj["families"][0]["members"][2]), [],
+         [[0.0, [2, 5], False], [SQRT2, [0, 4], True]], (True, [], 2),
+         "validation: family 'red': members 2 and 5 are at gap 0.0, "
+         "not r-disjoint for r=1.4142135623730951"),
+    ])
+    def test_failing_covers(self, case, edit, extra, families, cover, error, tmp_path, capsys):
+        path = tmp_path / "chess.json"
+        assert run_cli(["gen", "chess", "--window", "0,8,0,8", "--out", str(path)]) == 0
+        obj = load_json(path)
+        edit(obj)
+        dump_json(obj, path)
+        rc, report = run_cli_report(["verify-cover", "--cover", str(path), *extra],
+                                    tmp_path / "v.json")
+        outs = report["outputs"]
+        assert rc == 2 and outs["ok"] is False
+        measured = [[f["min_gap"], f["witness"], f["disjoint_ok"]] for f in outs["families"]]
+        assert measured == families
+        assert (outs["cover_ok"], outs["uncovered"], outs["multiplicity"]) == cover
+        capsys.readouterr()
+        assert run_cli(["lower-bound", "--cover", str(path), *extra]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == error
+
+
 # ---------------------------------------------------------------------------
 # reproductions and the scale ladder
 
@@ -334,6 +407,44 @@ def _child_env() -> dict[str, str]:
 def _assert_version(proc: subprocess.CompletedProcess) -> None:
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"ghbounds {__version__}"
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector for the command and restores it."""
+
+    @pytest.fixture(autouse=True)
+    def keep_collector_state(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_paused_during_the_command_and_restored(self, enabled, tmp_path):
+        (gc.enable if enabled else gc.disable)()
+        during = []
+
+        def lattice(w):
+            during.append(gc.isenabled())
+            return gen_lattice_window(w)
+
+        with mock.patch.object(cli, "gen_lattice_window", lattice):
+            assert run_cli(["gen", "lattice", "--window", "0,2,0,2",
+                            "--out", str(tmp_path / "l.json")]) == 0
+        assert during == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored_after_a_validation_error(self, enabled, tmp_path):
+        (gc.enable if enabled else gc.disable)()
+        assert run_cli(["verify-cover", "--cover", str(tmp_path / "missing.json")]) == 2
+        assert gc.isenabled() is enabled
+
+    def test_restored_when_a_command_raises(self):
+        gc.enable()
+        with mock.patch.object(cli, "gen_lattice_window", side_effect=RuntimeError("boom")):
+            with pytest.raises(RuntimeError):
+                run_cli(["gen", "lattice", "--window", "0,2,0,2"])
+        assert gc.isenabled()
 
 
 class TestEntryPoint:

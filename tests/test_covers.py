@@ -14,12 +14,13 @@ from conftest import random_correspondence, random_space
 from ghbounds import (Correspondence, EuclideanPointSet, SubsetFamily,
                       WindowSpec, check_cover, check_r_disjoint,
                       check_uniform_bound, diam, distortion,
-                      gen_chess_families, gen_comb_cover, gen_comb_set,
+                      gen_brick_cover, gen_chess_families, gen_comb_cover, gen_comb_set,
                       gen_lattice_window, gh_lower_bound, induce_space,
                       make_certificate, model_space, multiplicity,
                       pushforward_family, scale_family, set_distance)
 from ghbounds import covers
-from ghbounds.errors import (EmptyFamilyList, NotCovering, NotDisjoint,
+from ghbounds.serialize import family_from_json
+from ghbounds.errors import (EmptyFamilyList, IndexOutOfRange, NotCovering, NotDisjoint,
                              TooManyFamilies, TrivialStabilizer,
                              UnknownModelSpace)
 
@@ -72,6 +73,47 @@ def _family_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, list[
 
 
 FAMILY_KINDS = ("integer", "half", "horizontal", "vertical", "collinear", "uniform", "mixed")
+
+
+def _diameter_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, list[list[int]]]:
+    """Distinct points and a partition of them into members, some singletons."""
+    n = int(rng.integers(1, 60))
+    if kind == "integer":
+        pts = rng.integers(0, 8, (n, 2)).astype(float)
+    elif kind == "quarter":
+        pts = rng.integers(-12, 13, (n, 2)) / 4.0
+    elif kind == "horizontal":
+        pts = np.column_stack([rng.integers(0, 60, n) / 4.0, np.full(n, 1.5)])
+    elif kind == "vertical":
+        pts = np.column_stack([np.full(n, -2.0), rng.uniform(-5.0, 5.0, n)])
+    elif kind == "sloped":  # x = t/3 rounds, so equal steps give near-equal distances
+        t = rng.integers(0, 40, n).astype(float)
+        pts = np.column_stack([t / 3.0, 2.0 * t - 5.0])
+    elif kind == "diagonal":  # min x, min y and min x+y are one point
+        t = rng.uniform(-3.0, 3.0, n)
+        pts = np.column_stack([t, t])
+    elif kind == "near-tie":  # distances that differ by a few ulps
+        pts = rng.integers(0, 4, (n, 2)) + rng.integers(-2, 3, (n, 2)) * 2.0 ** -50
+    elif kind == "circle":  # every point is on the hull: nothing can be dropped
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        pts = float(rng.uniform(0.5, 100.0)) * np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        pts = rng.uniform(-10.0, 10.0, (n, 2))
+    pts = np.unique(pts, axis=0)
+    n = pts.shape[0]
+    perm = rng.permutation(n)
+    solo = rng.random(n) < float(rng.choice([0.0, 0.3, 0.9]))
+    big = int(rng.integers(1, 5))
+    owner = rng.integers(0, big, n)
+    members = [[int(i)] for i in perm[solo[perm]]]
+    members += [perm[~solo[perm] & (owner[perm] == b)].tolist() for b in range(big)]
+    members = [mem for mem in members if mem]
+    rng.shuffle(members)
+    return pts, members
+
+
+DIAMETER_KINDS = ("integer", "quarter", "horizontal", "vertical", "sloped", "diagonal",
+                  "near-tie", "circle", "uniform")
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +235,42 @@ class TestBoundAndCover:
         fam = SubsetFamily.of("two", [[0, 1], [2, 3]], n=4)
         assert check_uniform_bound(pts, fam) == 3.0
 
+    @settings(max_examples=200)
+    @given(st.sampled_from(DIAMETER_KINDS), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans(), st.integers(min_value=1, max_value=3))
+    def test_batched_diameter_matches_diam(self, kind, seed, tiny_batches, batch):
+        # the pruned, batched planar scan and the matrix path's batched block
+        # entries against diam member by member; tiny batches split rows and
+        # groups, so the lower bound grows between groups
+        rng = np.random.default_rng(seed)
+        pts, members = _diameter_case(kind, rng)
+        planar = EuclideanPointSet(pts)
+        matrix = induce_space(planar)
+        fam = SubsetFamily.of("f", members, n=planar.n)
+        want = max(diam(matrix, mem) for mem in fam.members)
+        sizes = {name: batch if tiny_batches else getattr(covers, name)
+                 for name in ("_DIAM_PAIRS", "_BOX_POINTS")}
+        with mock.patch.multiple(covers, **sizes):
+            assert check_uniform_bound(planar, fam) == want
+            assert check_uniform_bound(matrix, fam) == want
+
+    def test_batched_diameter_on_a_brick(self):
+        # a rectangle of grid points: only its corners can attain the diameter
+        net = gen_lattice_window(WindowSpec(0.0, 30.0, 0.0, 20.0))
+        fam = SubsetFamily.of("brick", [range(net.n)], n=net.n)
+        assert check_uniform_bound(net, fam) == diam(net, range(net.n)) == math.hypot(30.0, 20.0)
+
+    def test_uniform_bound_keeps_the_range_error(self):
+        pts = EuclideanPointSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+        fam = SubsetFamily.of("f", [[0], [1, 5], [2, 7]])
+        with pytest.raises(IndexOutOfRange) as ei:
+            check_uniform_bound(pts, fam)
+        assert (ei.value.index, ei.value.n) == (5, 3)
+
+    def test_uniform_bound_of_no_members_is_zero(self):
+        lat, _, _ = chess_setup(2.0)
+        assert check_uniform_bound(lat, SubsetFamily("none", ())) == 0.0
+
     def test_cover_reports_exact_misses(self):
         lat, red, blue = chess_setup(2.0)
         both = check_cover(lat, (red, blue), range(lat.n))
@@ -226,6 +304,58 @@ class TestBoundAndCover:
         assert rep.uncovered == tuple(i for i in sorted(target.tolist()) if i not in covered)
         assert rep.ok == (not rep.uncovered)
         assert multiplicity(lat, families, target) == max(hits[i] for i in target.tolist())
+
+
+class TestFamilyIndex:
+    """A family's flat index array and offsets hold its members, however it was built."""
+
+    @staticmethod
+    def assert_holds_members(fam):
+        flat, offsets = fam._index
+        assert flat.dtype == np.int64 and not flat.flags.writeable
+        assert [tuple(flat[s:e].tolist()) for s, e in zip(offsets[:-1], offsets[1:])] \
+            == [mem.indices for mem in fam.members]
+
+    def test_generated_families(self):
+        lat, red, blue = chess_setup(4.0)
+        _, bricks = gen_brick_cover(WindowSpec(0.0, 9.0, 0.0, 9.0), 1.0)
+        for fam in (red, blue, *bricks):
+            assert "_index" in vars(fam)  # kept from the arrays that built it
+            self.assert_holds_members(fam)
+
+    def test_loaded_and_constructed_families(self):
+        members = [[3, 1], [2, 2, 0], [4], [5, 6]]  # unsorted and duplicated runs
+        loaded = family_from_json({"label": "f", "members": members}, n=7)
+        assert "_index" not in vars(loaded)  # rebuilt from the sorted members
+        assert loaded == SubsetFamily.of("f", members, n=7)
+        for fam in (loaded, family_from_json({"label": "g", "members": [[0, 2], [5]]}),
+                    SubsetFamily.of("h", [[1.0, 2.0], [0]]), SubsetFamily("none", ())):
+            self.assert_holds_members(fam)
+
+
+class TestInspectCover:
+    def test_measures_what_the_single_checks_measure(self):
+        net, bricks = gen_brick_cover(WindowSpec(0.0, 9.0, 0.0, 9.0), 1.0)
+        target = range(0, net.n, 3)
+        found = covers.inspect_cover(net, bricks, 2.0, target=target)
+        for fam, got in zip(bricks, found.families):
+            assert got.label == fam.label and got.members == len(fam)
+            assert got.disjoint == check_r_disjoint(net, fam, 2.0)
+            assert got.max_diam == check_uniform_bound(net, fam)
+        assert found.cover == check_cover(net, bricks, target)
+        assert found.multiplicity == multiplicity(net, bricks, target)
+        assert found.target.indices == tuple(target)
+
+    def test_reports_failures_without_raising(self):
+        lat, red, _ = chess_setup(4.0)
+        found = covers.inspect_cover(lat, (red, red), 2.0)
+        assert [f.disjoint.ok for f in found.families] == [False, False]
+        assert not found.cover.ok and found.multiplicity == 2
+        assert found.c == 0.0 and found.min_gap == SQRT2
+
+    def test_not_exported(self):
+        import ghbounds
+        assert "inspect_cover" not in ghbounds.__all__
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from ghbounds.serialize import (certificate_report_json, cover_from_json,
                                 relation_to_json, space_from_json,
                                 space_to_json, subset_from_json,
                                 subset_to_json)
-from ghbounds import serialize
+from ghbounds import cli, serialize
 from ghbounds.errors import TriangleViolation
 from ghbounds.metric import EuclideanPointSet, SubsetRef
 
@@ -63,6 +63,38 @@ class TestSpaceRoundTrip:
         text = json.dumps(space_to_json(pts))
         back = space_from_json(json.loads(text))
         assert np.array_equal(back.points, pts.points)
+
+
+class TestPointRows:
+    """points2d rows are read by one fromiter; the result is np.asarray's to the bit."""
+
+    def test_rows_read_like_asarray(self):
+        rng = np.random.default_rng(23)
+        rows = np.concatenate([rng.uniform(-1e3, 1e3, (200, 2)),
+                               [[-0.0, 5e-324], [0.1 * 3, 1e308], [-1e-300, 2.0 ** 60]]])
+        for pts in (rows.tolist(), rows[:1].tolist(), [[1, 2], [True, 3.5]]):
+            got = space_from_json({"kind": "points2d", "pts": pts}).points
+            want = np.asarray(pts, dtype=np.float64)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pts", [
+        [[0.0, 0.0], [1.0, 2.0, 3.0]],  # a point with three coordinates
+        [[0.0, 0.0, 1.0], [2.0]],  # ragged: the right number of values in all
+        [[0.0, 0.0], [1.0]],
+        [[0.0, 0.0], "12"],  # a string row of length 2
+        "12",
+        [[0.0, "x"], [1.0, 2.0]],
+        [],
+    ], ids=["three-coordinates", "ragged-compensating", "ragged", "string-row", "string",
+            "non-number", "empty"])
+    def test_malformed_rows_are_rejected_up_front(self, pts, tmp_path):
+        obj = {"kind": "points2d", "pts": pts}
+        with pytest.raises(ValueError):
+            space_from_json(obj)
+        path = tmp_path / "bad.json"
+        dump_json(obj, path)
+        assert cli.main(["hausdorff", "--space", str(path)]) == 2
 
 
 class TestSmallObjects:
