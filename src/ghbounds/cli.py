@@ -1,21 +1,24 @@
 """Command-line surface: generators, checkers, and solvers as reproducible
 experiments with JSON reports, CSV summaries, and SVG figures.
 
-Exit codes: 0 success, 2 validation failure, 3 theorem-gate failure
-(inapplicable hypothesis), 4 search budget exceeded.
+Exit codes: 0 success, 2 validation failure (bad input or a failed check),
+3 theorem gate (too many families for the model's dimension, or a trivial
+scaling stabilizer), 4 search budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .constructions import (
@@ -31,6 +34,7 @@ from .constructions import (
 )
 from .correspondence import DEFAULT_NODE_BUDGET, exact_gh
 from .covers import (
+    SubsetFamily,
     check_r_disjoint,
     check_uniform_bound,
     gh_lower_bound,
@@ -99,54 +103,63 @@ def _load_euclidean(path: str) -> EuclideanPointSet:
 
 # ---------------------------------------------------------------------------
 # gen
+#
+# A kind returns its space, its families (None for a point set), the r and C
+# a cover advertises, and a summary line. Generators are named in function
+# bodies, so they are looked up when called and a patched one is used.
+
+_Built = tuple[EuclideanPointSet, tuple[SubsetFamily, ...] | None, float, float, str]
+
+
+def _points(kind: str, pts: EuclideanPointSet, spacing: float | None = None) -> _Built:
+    at = "" if spacing is None else f" at spacing {spacing}"
+    return pts, None, 0.0, 0.0, f"{kind}: {pts.n} points{at}"
+
+
+def _chess(w: WindowSpec, args: argparse.Namespace) -> _Built:
+    pts = gen_lattice_window(w)
+    red, blue = gen_chess_families(pts)
+    return pts, (red, blue), SQRT2, 0.0, (
+        f"chess: {pts.n} points, {len(red)} red + {len(blue)} blue singletons, "
+        f"advertised r={SQRT2!r} (sqrt 2), C=0")
+
+
+def _comb_cover(w: WindowSpec, args: argparse.Namespace) -> _Built:
+    pts = gen_comb_set(w, args.delta)
+    red, blue = gen_comb_cover(pts, args.height)
+    return pts, (red, blue), 1.0, float(args.height), (
+        f"comb-cover: {pts.n} points, {len(red)} red + {len(blue)} blue pieces, "
+        f"advertised r=1, C={args.height}")
+
+
+def _tiled(w: WindowSpec, args: argparse.Namespace, make: Callable[..., Any],
+           pieces: str, c_per_tile: float) -> _Built:
+    """A brick or interval cover: both need --r, and the tile side defaults to 3r."""
+    if args.r is None:
+        raise ValueError(f"gen {args.kind} requires --r")
+    net, fams = make(w, args.r, args.tile, args.spacing)
+    c = (args.tile if args.tile is not None else 3.0 * args.r) * c_per_tile
+    return net, fams, args.r, c, (
+        f"{args.kind}: {net.n} points, {'+'.join(str(len(f)) for f in fams)} {pieces} "
+        f"in {len(fams)} families, advertised r={args.r}, C={c!r}")
+
+
+_GEN_KINDS: dict[str, Callable[[WindowSpec, argparse.Namespace], _Built]] = {
+    "lattice": lambda w, a: _points("lattice", gen_lattice_window(w)),
+    "net": lambda w, a: _points("net", gen_epsilon_net(w, a.eps), a.eps),
+    "chess": _chess,
+    "comb": lambda w, a: _points("comb", gen_comb_set(w, a.delta), a.delta),
+    "comb-cover": _comb_cover,
+    "brick": lambda w, a: _tiled(w, a, gen_brick_cover, "bricks", SQRT2),
+    "interval": lambda w, a: _tiled(w, a, gen_interval_cover, "intervals", 1.0),
+}
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    w = WindowSpec.parse(args.window)
-    kind = args.kind
-    if kind == "lattice":
-        pts = gen_lattice_window(w)
-        obj: dict[str, Any] = space_to_json(pts)
-        _say(f"lattice: {pts.n} points")
-    elif kind == "net":
-        pts = gen_epsilon_net(w, args.eps)
-        obj = space_to_json(pts)
-        _say(f"net: {pts.n} points at spacing {args.eps}")
-    elif kind == "chess":
-        pts = gen_lattice_window(w)
-        red, blue = gen_chess_families(pts)
-        obj = cover_to_json(pts, (red, blue), r=SQRT2, strict=False, c=0.0)
-        _say(f"chess: {pts.n} points, {len(red)} red + {len(blue)} blue singletons, "
-             f"advertised r={SQRT2!r} (sqrt 2), C=0")
-    elif kind == "comb":
-        pts = gen_comb_set(w, args.delta)
-        obj = space_to_json(pts)
-        _say(f"comb: {pts.n} points at spacing {args.delta}")
-    elif kind == "comb-cover":
-        pts = gen_comb_set(w, args.delta)
-        red, blue = gen_comb_cover(pts, args.height)
-        obj = cover_to_json(pts, (red, blue), r=1.0, strict=False, c=float(args.height))
-        _say(f"comb-cover: {pts.n} points, {len(red)} red + {len(blue)} blue pieces, "
-             f"advertised r=1, C={args.height}")
-    elif kind == "brick":
-        if args.r is None:
-            raise ValueError("gen brick requires --r")
-        net, fams = gen_brick_cover(w, args.r, args.tile, args.spacing)
-        tile = args.tile if args.tile is not None else 3.0 * args.r
-        obj = cover_to_json(net, fams, r=args.r, strict=False, c=tile * SQRT2)
-        _say(f"brick: {net.n} points, {'+'.join(str(len(f)) for f in fams)} bricks in 3 families, "
-             f"advertised r={args.r}, C={tile * SQRT2!r}")
-    elif kind == "interval":
-        if args.r is None:
-            raise ValueError("gen interval requires --r")
-        net, fams = gen_interval_cover(w, args.r, args.tile, args.spacing)
-        tile = args.tile if args.tile is not None else 3.0 * args.r
-        obj = cover_to_json(net, fams, r=args.r, strict=False, c=tile)
-        _say(f"interval: {net.n} points, {'+'.join(str(len(f)) for f in fams)} intervals "
-             f"in 2 families, advertised r={args.r}, C={tile}")
-    else:  # pragma: no cover - argparse choices forbid this
-        raise ValueError(f"unknown generator {kind!r}")
-    _emit(obj, args.out)
+    space, families, r, c, summary = _GEN_KINDS[args.kind](WindowSpec.parse(args.window), args)
+    _say(summary)
+    _emit(space_to_json(space) if families is None
+          else cover_to_json(space, families, r=r, strict=False, c=c), args.out)
     return EXIT_OK
 
 
@@ -273,6 +286,27 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
     _say(f"wrote {path}")
 
 
+@dataclass(frozen=True)
+class _Example:
+    """What one bundled reproduction fixes; the rest is one path."""
+
+    cover: str  # the gen kind that builds the space and its families
+    window: Callable[[float], WindowSpec]
+    spacing: str  # the option, eps or delta, that spaces the net; reported in the inputs
+    tolerance: Callable[[float, int], float]  # from that spacing and the window size
+    counts_key: str
+    title: str
+    dot_radius: float
+
+
+_EXAMPLES = {
+    "example1": _Example("chess", lambda n: WindowSpec(0.0, n, 0.0, n), "eps",
+                         lambda h, n: 1e-9, "lattice", "chess coloring of a lattice window", 0.18),
+    "example2": _Example("comb-cover", lambda n: WindowSpec(0.0, n, -n / 2.0, n / 2.0), "delta",
+                         lambda h, n: h + 2.0 / n, "comb", "two-family cover of a comb window", 0.05),
+}
+
+
 def cmd_reproduce(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     n = args.window
@@ -281,36 +315,18 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.example == "example1":
-        w = WindowSpec(0.0, float(n), 0.0, float(n))
-        lattice = gen_lattice_window(w)
-        net = gen_epsilon_net(w, args.eps)
-        families = gen_chess_families(lattice)
-        cert = make_certificate(lattice, families, SQRT2, strict=False)
-        result = gh_lower_bound(cert, model_space("R2"))
-        ambient, sub_l, sub_n = merge_point_sets(lattice, net)
-        value = hausdorff(ambient, sub_l, sub_n)
-        tolerance = 1e-9
-        svg_path = render_families_svg(lattice.points, families,
-                                       out_dir / "example1.svg", dot_radius=0.18,
-                                       title="chess coloring of a lattice window")
-        counts = {"lattice": lattice.n, "net": net.n}
-        delta_used: float | None = None
-    else:
-        w = WindowSpec(0.0, float(n), -n / 2.0, n / 2.0)
-        comb = gen_comb_set(w, args.delta)
-        net = gen_epsilon_net(w, args.delta)
-        families = gen_comb_cover(comb, args.height)
-        cert = make_certificate(comb, families, 1.0, strict=False)
-        result = gh_lower_bound(cert, model_space("R2"))
-        ambient, sub_c, sub_n = merge_point_sets(comb, net)
-        value = hausdorff(ambient, sub_c, sub_n)
-        tolerance = args.delta + 2.0 / n
-        svg_path = render_families_svg(comb.points, families,
-                                       out_dir / "example2.svg", dot_radius=0.05,
-                                       title="two-family cover of a comb window")
-        counts = {"comb": comb.n, "net": net.n}
-        delta_used = args.delta
+    spec = _EXAMPLES[args.example]
+    spacing = getattr(args, spec.spacing)
+    w = spec.window(float(n))
+    space, families, r, _, _ = _GEN_KINDS[spec.cover](w, args)
+    net = gen_epsilon_net(w, spacing)
+    cert = make_certificate(space, families, r, strict=False)
+    result = gh_lower_bound(cert, model_space("R2"))
+    ambient, sub_s, sub_n = merge_point_sets(space, net)
+    value = hausdorff(ambient, sub_s, sub_n)
+    tolerance = spec.tolerance(spacing, n)
+    svg_path = render_families_svg(space.points, families, out_dir / f"{args.example}.svg",
+                                   dot_radius=spec.dot_radius, title=spec.title)
 
     difference = abs(result.bound - value)
     outputs = {
@@ -321,12 +337,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         "agrees": difference <= tolerance,
         "certificate": certificate_report_json(cert),
         "trace": list(result.trace),
-        "counts": counts,
+        "counts": {spec.counts_key: space.n, "net": net.n},
         "svg": str(svg_path),
     }
-    inputs = {"example": args.example, "window": n,
-              "eps": args.eps if args.example == "example1" else None,
-              "delta": delta_used, "out_dir": str(out_dir)}
+    inputs = {"example": args.example, "window": n, "eps": None, "delta": None,
+              "out_dir": str(out_dir)}
+    inputs[spec.spacing] = spacing
     report = _report("reproduce", inputs, outputs, t0)
     report_path = out_dir / f"{args.example}-report.json"
     dump_json(report, report_path)
@@ -340,7 +356,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     _emit(report, args.out)
     if difference > tolerance:
         _say("stage equality-check failed: bound and Hausdorff value disagree")
-        return EXIT_GATE
+        return EXIT_VALIDATION
     return EXIT_OK
 
 
@@ -380,14 +396,16 @@ def cmd_scale_ladder(args: argparse.Namespace) -> int:
          f"at lambda={args.lam}")
     _emit(_report("scale-ladder", {"cover": args.cover, "lam": args.lam,
                                    "steps": args.steps}, outputs, t0), args.out)
-    return EXIT_OK if ok else EXIT_GATE
+    return EXIT_OK if ok else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ghbounds",
         description="Hausdorff/Gromov-Hausdorff distances, cover certificates, "
@@ -397,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate point sets and covers")
-    p.add_argument("kind", choices=["lattice", "net", "chess", "comb",
-                                    "comb-cover", "brick", "interval"])
+    p.add_argument("kind", choices=list(_GEN_KINDS))
     p.add_argument("--window", required=True, help="xmin,xmax,ymin,ymax")
     p.add_argument("--eps", type=float, default=0.1, help="net spacing")
     p.add_argument("--delta", type=float, default=0.05, help="comb sample spacing")
@@ -409,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", type=float, default=None,
                    help="ambient net spacing (default r/4)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("hausdorff", help="Hausdorff distance between subsets")
     p.add_argument("--space", default=None, help="ambient space JSON")
@@ -419,14 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="points2d JSON; merged with --space-b into one ambient")
     p.add_argument("--space-b", dest="space_b", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_hausdorff)
 
     p = sub.add_parser("gh-exact", help="exact Gromov-Hausdorff distance")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gh_exact)
 
     p = sub.add_parser("lower-bound", help="certified GH lower bound from a cover")
     p.add_argument("--cover", required=True)
@@ -436,14 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None, help="override the file's r")
     p.add_argument("--strict", action="store_true", help="require gaps strictly > r")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_lower_bound)
 
     p = sub.add_parser("verify-cover", help="run certificate checks and report")
     p.add_argument("--cover", required=True)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify_cover)
 
     p = sub.add_parser("reproduce", help="run a bundled end-to-end experiment")
     p.add_argument("example", choices=["example1", "example2"])
@@ -455,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", dest="out_dir", default=".")
     p.add_argument("--csv", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("scale-ladder", help="measure gap/diam across scales")
     p.add_argument("--cover", required=True)
@@ -463,14 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--csv", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_scale_ladder)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # A command makes hundreds of thousands of small lists (JSON rows, member
     # tuples) and frees them by reference counting; the cyclic collector
     # would only scan them over and over. It is paused for the command and
@@ -478,7 +487,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        # looked up by name when called, so a patched cmd_* is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (TooManyFamilies, TrivialStabilizer) as exc:
         _say(f"theorem gate: {exc}")
         return EXIT_GATE

@@ -10,7 +10,6 @@ epsilon scheduling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,12 +20,10 @@ from .errors import (
     EmptyRelation,
     IndexOutOfRange,
     NotACorrespondence,
-    SizeCapExceeded,
 )
-from .metric import (EuclideanPointSet, MetricLike, SubsetRef, as_subset, _euclid,
-                     _grid_nearest, _row_chunks)
+from .metric import (EuclideanPointSet, MetricLike, SubsetRef, as_subset, _grid_nearest,
+                     _row_chunks)
 
-ENUM_CELL_CAP = 25
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
@@ -79,16 +76,6 @@ class Correspondence:
     def of(pairs: Iterable[Sequence[int]], nx: int, ny: int) -> "Correspondence":
         return Correspondence(tuple((int(i), int(j)) for i, j in pairs), nx, ny)
 
-    def as_relation(self) -> Relation:
-        return Relation(self.pairs)
-
-
-def is_correspondence(rel: Relation, nx: int, ny: int) -> bool:
-    """True iff both projections of the relation are onto."""
-    rel.check_ranges(nx, ny)
-    return (len({i for i, _ in rel.pairs}) == nx
-            and len({j for _, j in rel.pairs}) == ny)
-
 
 # ---------------------------------------------------------------------------
 # distortion and pushforward
@@ -118,76 +105,6 @@ def pushforward(rel: Relation | Correspondence, u: SubsetRef | Iterable[int]) ->
     if not image:
         raise EmptyImage(f"subset {su.indices} meets no pair of the relation")
     return SubsetRef(tuple(sorted(image)))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive enumeration (oracle-grade, tiny sizes only)
-
-
-def _surjectivity_masks(nx: int, ny: int) -> tuple[list[int], list[int]]:
-    rows = [((1 << ny) - 1) << (i * ny) for i in range(nx)]
-    cols = [sum(1 << (i * ny + j) for i in range(nx)) for j in range(ny)]
-    return rows, cols
-
-
-def _valid_mask_chunks(nx: int, ny: int, chunk: int = 1 << 18) -> Iterator[np.ndarray]:
-    """Ascending bitmask scan of all subsets of X x Y with surjective projections."""
-    cells = nx * ny
-    if cells > ENUM_CELL_CAP:
-        raise SizeCapExceeded(cells, ENUM_CELL_CAP)
-    rows, cols = _surjectivity_masks(nx, ny)
-    total = 1 << cells
-    for start in range(0, total, chunk):
-        m = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        valid = np.ones(m.shape, dtype=bool)
-        for mask in rows:
-            valid &= (m & mask) != 0
-        for mask in cols:
-            valid &= (m & mask) != 0
-        if valid.any():
-            yield m[valid]
-
-
-def enumerate_correspondences(nx: int, ny: int) -> Iterator[Correspondence]:
-    """Yield every correspondence between index sets, in numeric bitmask order.
-
-    Scans all 2^(nx*ny) subsets; refuses nx*ny > ENUM_CELL_CAP.
-    """
-    for masks in _valid_mask_chunks(nx, ny):
-        for mask in masks.tolist():
-            pairs = []
-            m = mask
-            while m:
-                c = (m & -m).bit_length() - 1
-                pairs.append((c // ny, c % ny))
-                m &= m - 1
-            yield Correspondence(tuple(pairs), nx, ny)
-
-
-def count_correspondences(nx: int, ny: int) -> int:
-    return sum(int(masks.size) for masks in _valid_mask_chunks(nx, ny))
-
-
-def min_distortion_bruteforce(x: MetricLike, y: MetricLike) -> float:
-    """Minimum distortion over all correspondences by full enumeration.
-
-    Independent oracle for the branch-and-bound solver: no pruning, every
-    surjective subset of X x Y is scanned and its distortion evaluated.
-    """
-    nx, ny = x.n, y.n
-    cells = nx * ny
-    dx = np.asarray(x.block(range(nx), range(nx)))
-    dy = np.asarray(y.block(range(ny), range(ny)))
-    # discrepancy between cells c=(i,j) and c'=(i',j')
-    disc = np.abs(dx[:, None, :, None] - dy[None, :, None, :]).reshape(cells, cells)
-    shifts = np.arange(cells, dtype=np.int64)
-    best = math.inf
-    for masks in _valid_mask_chunks(nx, ny, chunk=1 << 16):
-        sel = ((masks[:, None] >> shifts[None, :]) & 1).astype(bool)
-        pair_sel = sel[:, :, None] & sel[:, None, :]
-        dis = (disc[None, :, :] * pair_sel).max(axis=(1, 2))
-        best = min(best, float(dis.min()))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +289,12 @@ def exact_gh(x: MetricLike, y: MetricLike, budget: int = DEFAULT_NODE_BUDGET) ->
 
 def gh_upper_bound_from_correspondence(x: MetricLike, y: MetricLike,
                                        rel: Correspondence) -> float:
-    """distortion(rel)/2: a certified upper bound on the GH distance."""
-    if not isinstance(rel, Correspondence) or not is_correspondence(rel.as_relation(), x.n, y.n):
+    """distortion(rel)/2: a certified upper bound on the GH distance.
+
+    rel must be a Correspondence sized x.n by y.n; its constructor has
+    already checked that both projections are onto.
+    """
+    if not isinstance(rel, Correspondence) or (rel.nx, rel.ny) != (x.n, y.n):
         raise NotACorrespondence("upper bound requires a correspondence")
     return distortion(x, y, rel) / 2.0
 
@@ -390,19 +311,3 @@ def nearest_point_correspondence(a: EuclideanPointSet, b: EuclideanPointSet) -> 
     pairs.update(zip(b_to_a.tolist(), range(b.n)))
     return Correspondence(tuple(sorted(pairs)), a.n, b.n)
 
-
-def ball_correspondence(a: EuclideanPointSet, b: EuclideanPointSet,
-                        r: float) -> Correspondence:
-    """Match every pair of points within planar distance ``r`` of each other.
-
-    When ``r`` is at least the Hausdorff distance between the two sets this
-    relation is a correspondence whose distortion is at most ``2 r``, so it
-    certifies an upper bound of ``r`` on the GH distance.  A smaller ``r``
-    leaves some point unmatched and raises :class:`NotACorrespondence`.
-    """
-    pairs: list[tuple[int, int]] = []
-    for chunk in _row_chunks(a.n, b.n):
-        pa = a.points[chunk]
-        ii, jj = np.nonzero(_euclid(pa[:, :1] - b.points[:, 0], pa[:, 1:] - b.points[:, 1]) <= r)
-        pairs.extend(zip((ii + chunk.start).tolist(), jj.tolist()))
-    return Correspondence(tuple(pairs), a.n, b.n)

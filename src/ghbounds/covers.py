@@ -57,7 +57,6 @@ from .metric import (
     _int_runs,
     _ragged,
     as_subset,
-    scale_points,
     set_distance,
 )
 
@@ -551,7 +550,7 @@ def gh_lower_bound(cert: CoverCertificate, model: ModelSpaceDescriptor) -> Bound
 
 
 # ---------------------------------------------------------------------------
-# proof-step machinery: pushforward and scaling of families
+# proof-step machinery: pushforward of families
 
 
 def pushforward_family(rel: Correspondence, fam: SubsetFamily,
@@ -568,11 +567,3 @@ def pushforward_family(rel: Correspondence, fam: SubsetFamily,
     return images, PushforwardReport(max_diam=check_uniform_bound(target_space, images),
                                      min_gap=gap)
 
-
-def scale_family(pts: EuclideanPointSet, fams: Sequence[SubsetFamily],
-                 lam: float) -> tuple[EuclideanPointSet, tuple[SubsetFamily, ...]]:
-    """Scale the ambient coordinates by lam; families carry over by index.
-
-    Gaps and diameters of every family scale by exactly lam (up to fp).
-    """
-    return scale_points(pts, lam), tuple(fams)

@@ -558,60 +558,3 @@ def scale_points(pts: EuclideanPointSet, lam: float) -> EuclideanPointSet:
         raise NonpositiveLambda(lam)
     return EuclideanPointSet(pts.points * lam, pts.labels)
 
-
-# ---------------------------------------------------------------------------
-# isometry testing
-
-
-def find_isometry(x: FiniteMetricSpace, y: FiniteMetricSpace,
-                  tolerance: float = DEFAULT_TOL) -> list[int] | None:
-    """Search for a distance-preserving bijection, within additive tolerance.
-
-    Returns the lexicographically smallest witness (as the image list of
-    x-indices in order), or None. Pruning: if a bijection matches pairwise
-    within tol, sorted distance rows match entrywise within tol, so candidate
-    images are restricted to rows with matching sorted profiles.
-    """
-    if x.n != y.n:
-        return None
-    n = x.n
-    if n == 1:
-        return [0]
-    dx, dy = x.matrix, y.matrix
-    if abs(dx.max() - dy.max()) > tolerance:
-        return None
-    if np.abs(np.sort(dx, axis=None) - np.sort(dy, axis=None)).max() > tolerance:
-        return None
-
-    rows_x = np.sort(dx, axis=1)
-    rows_y = np.sort(dy, axis=1)
-    candidates = [
-        [j for j in range(n) if np.abs(rows_x[i] - rows_y[j]).max() <= tolerance]
-        for i in range(n)
-    ]
-
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            if any(abs(dx[i, t] - dy[j, image[t]]) > tolerance for t in range(i)):
-                continue
-            image[i] = j
-            used[j] = True
-            if extend(i + 1):
-                return True
-            used[j] = False
-        image[i] = -1
-        return False
-
-    return image.copy() if extend(0) else None
-
-
-def is_isometric(x: FiniteMetricSpace, y: FiniteMetricSpace,
-                 tolerance: float = DEFAULT_TOL) -> bool:
-    return find_isometry(x, y, tolerance) is not None

@@ -1,9 +1,8 @@
-"""JSON wire formats for spaces, subsets, relations, families, and reports.
+"""JSON wire formats for spaces, subsets, families, and reports.
 
 Spaces:   {"kind": "matrix", "n": N, "d": [[...], ...]}
           {"kind": "points2d", "pts": [[x, y], ...], "labels": [...]?}
 Subsets:  sorted index arrays.
-Relation: {"pairs": [[i, j], ...]}.
 Family:   {"label": "red", "members": [[i, ...], ...]}.
 Cover:    {"kind": "cover", "space": ..., "families": [...], "r": ...,
            "strict": ..., "c": ...?, "target": ...?}
@@ -23,12 +22,11 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .correspondence import Correspondence, GhResult, Relation
+from .correspondence import GhResult
 from .covers import (BoundResult, CoverCertificate, ModelSpaceDescriptor, SubsetFamily,
                      _family_from_lists)
 from .metric import (
     EuclideanPointSet,
-    FiniteMetricSpace,
     MetricLike,
     SubsetRef,
     _subsets_from_lists,
@@ -83,14 +81,6 @@ def subset_to_json(s: SubsetRef) -> list[int]:
 
 def subset_from_json(obj: Sequence[int], n: int | None = None) -> SubsetRef:
     return _subsets_from_lists((obj,), n)[0]
-
-
-def relation_to_json(rel: Relation | Correspondence) -> dict[str, Any]:
-    return {"pairs": [[i, j] for i, j in rel.pairs]}
-
-
-def relation_from_json(obj: dict[str, Any]) -> Relation:
-    return Relation.of(obj["pairs"])
 
 
 def family_to_json(fam: SubsetFamily) -> dict[str, Any]:

@@ -1,0 +1,85 @@
+"""Exhaustive enumeration of correspondences: the independent oracle the tests
+compare the exact GH solver against.
+
+Every subset of X x Y whose projections are both onto is scanned by bitmask,
+with no pruning, so sizes are capped at ENUM_CELL_CAP cells.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterator
+
+import numpy as np
+
+from ghbounds.correspondence import Correspondence
+from ghbounds.errors import SizeCapExceeded
+from ghbounds.metric import MetricLike
+
+ENUM_CELL_CAP = 25
+
+
+def _surjectivity_masks(nx: int, ny: int) -> tuple[list[int], list[int]]:
+    rows = [((1 << ny) - 1) << (i * ny) for i in range(nx)]
+    cols = [sum(1 << (i * ny + j) for i in range(nx)) for j in range(ny)]
+    return rows, cols
+
+
+def _valid_mask_chunks(nx: int, ny: int, chunk: int = 1 << 18) -> Iterator[np.ndarray]:
+    """Ascending bitmask scan of all subsets of X x Y with surjective projections."""
+    cells = nx * ny
+    if cells > ENUM_CELL_CAP:
+        raise SizeCapExceeded(cells, ENUM_CELL_CAP)
+    rows, cols = _surjectivity_masks(nx, ny)
+    total = 1 << cells
+    for start in range(0, total, chunk):
+        m = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        valid = np.ones(m.shape, dtype=bool)
+        for mask in rows:
+            valid &= (m & mask) != 0
+        for mask in cols:
+            valid &= (m & mask) != 0
+        if valid.any():
+            yield m[valid]
+
+
+def enumerate_correspondences(nx: int, ny: int) -> Iterator[Correspondence]:
+    """Yield every correspondence between index sets, in numeric bitmask order.
+
+    Scans all 2^(nx*ny) subsets; refuses nx*ny > ENUM_CELL_CAP.
+    """
+    for masks in _valid_mask_chunks(nx, ny):
+        for mask in masks.tolist():
+            pairs = []
+            m = mask
+            while m:
+                c = (m & -m).bit_length() - 1
+                pairs.append((c // ny, c % ny))
+                m &= m - 1
+            yield Correspondence(tuple(pairs), nx, ny)
+
+
+def count_correspondences(nx: int, ny: int) -> int:
+    return sum(int(masks.size) for masks in _valid_mask_chunks(nx, ny))
+
+
+def min_distortion_bruteforce(x: MetricLike, y: MetricLike) -> float:
+    """Minimum distortion over all correspondences by full enumeration.
+
+    Independent oracle for the branch-and-bound solver: no pruning, every
+    surjective subset of X x Y is scanned and its distortion evaluated.
+    """
+    nx, ny = x.n, y.n
+    cells = nx * ny
+    dx = np.asarray(x.block(range(nx), range(nx)))
+    dy = np.asarray(y.block(range(ny), range(ny)))
+    # discrepancy between cells c=(i,j) and c'=(i',j')
+    disc = np.abs(dx[:, None, :, None] - dy[None, :, None, :]).reshape(cells, cells)
+    shifts = np.arange(cells, dtype=np.int64)
+    best = math.inf
+    for masks in _valid_mask_chunks(nx, ny, chunk=1 << 16):
+        sel = ((masks[:, None] >> shifts[None, :]) & 1).astype(bool)
+        pair_sel = sel[:, :, None] & sel[:, None, :]
+        dis = (disc[None, :, :] * pair_sel).max(axis=(1, 2))
+        best = min(best, float(dis.min()))
+    return best

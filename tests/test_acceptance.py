@@ -22,9 +22,10 @@ from ghbounds import (WindowSpec, build_space, check_r_disjoint, diam,
                       exact_gh, gen_brick_cover, gen_chess_families,
                       gen_comb_cover, gen_comb_set, gen_epsilon_net,
                       gen_lattice_window, hausdorff, make_certificate,
-                      merge_point_sets, min_distortion_bruteforce,
-                      multiplicity, pushforward, set_distance)
+                      merge_point_sets, multiplicity, pushforward,
+                      set_distance)
 from ghbounds.errors import TriangleViolation
+from oracles import min_distortion_bruteforce
 
 SQRT2 = math.sqrt(2.0)
 HALF_DIAGONAL = 0.7071067811865476  # sqrt(2)/2 to the last float digit

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import hashlib
 import json
 import math
 import os
@@ -360,6 +361,76 @@ class TestReproduce:
         assert run_cli(["reproduce", "example1", "--window", "3",
                         "--out-dir", str(tmp_path)]) == 2
 
+    def test_disagreement_is_a_failed_check(self, tmp_path):
+        with mock.patch.object(cli, "hausdorff", lambda space, a, b: 0.0):
+            assert run_cli(["reproduce", "example1", "--window", "4",
+                            "--out-dir", str(tmp_path)]) == 2
+        report = json.loads((tmp_path / "example1-report.json").read_text())
+        assert report["outputs"]["agrees"] is False
+
+
+# Every gen kind and both reproductions at tiny windows: SHA-256 of each file
+# written (the reproduce report without runtime_ms) and gen's summary line.
+PINNED_GEN = {
+    "lattice": (["--window", "0,6,0,6"],
+                "710295699fff48e3a4b2f2d1b3c0b30985449c9a2174f4237ec9cec73de9fab1",
+                "lattice: 49 points"),
+    "net": (["--window", "0,2,0,2", "--eps", "0.25"],
+            "e787886f1e9f557f5b4e0b42ccef1e99014d835785b2e4d77e9479301db00448",
+            "net: 81 points at spacing 0.25"),
+    "chess": (["--window", "0,6,0,6"],
+              "3467dc2ef98009fab5e170d215544be7b798f1a04fab23139cb04b1ddb9eac5f",
+              "chess: 49 points, 25 red + 24 blue singletons, "
+              "advertised r=1.4142135623730951 (sqrt 2), C=0"),
+    "comb": (["--window", "0,4,-2,2", "--delta", "0.25"],
+             "13b8ce3bdb4b264233e390d765c0075dfc8a5c153eda4da117b81a98e4086cd7",
+             "comb: 97 points at spacing 0.25"),
+    "comb-cover": (["--window", "0,4,-2,2", "--delta", "0.25"],
+                   "fc878b59e13a7359388fc0d1b9b0182968333bd4616f8789ef4e5a089a31a95f",
+                   "comb-cover: 97 points, 7 red + 8 blue pieces, advertised r=1, C=2.0"),
+    "brick": (["--window", "0,6,0,6", "--r", "1"],
+              "a7a6f250d8a725216b6481dfa6eecaf2e8fa3bfb6a5c6d816b47e61d7872fbdb",
+              "brick: 625 points, 3+3+3 bricks in 3 families, advertised r=1.0, "
+              "C=4.242640687119286"),
+    "interval": (["--window", "0,6,0,0", "--r", "1"],
+                 "eac52d6296bf8f0160b4e654aee3941fee559fc4f611cf8a8d38e24af2427e4c",
+                 "interval: 25 points, 2+1 intervals in 2 families, advertised r=1.0, C=3.0"),
+}
+PINNED_REPRODUCE = {  # report, CSV, SVG
+    "example1": ("452d14913307d9095b05a2f0e5a7f0ae22733c2df631e5e4bc5aadba51f8b6eb",
+                 "eb5d991fdf9f895fce5f11db3fe901537c7c7966d9e54c4cb9f0636b817c036a",
+                 "e060fb4acd4120a52b85c9e6d72513ee4993dc66ae7f6830a284abb858fd4abf"),
+    "example2": ("7a3289df7840cbb89cbac5cc90cdd89f54516392e88e79d870bc574572542148",
+                 "f97d12579738171e1ed5974c44c8c9a782f8d72bdd1c27d5ba436c46e2a0c5f8",
+                 "027282430370956aef77830195b08654e749a25b1ce11a9e6f5c52b20518c71f"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("kind", sorted(PINNED_GEN))
+    def test_gen(self, kind, tmp_path, capsys):
+        args, digest, line = PINNED_GEN[kind]
+        out = tmp_path / f"{kind}.json"
+        assert run_cli(["gen", kind, *args, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [line, f"wrote {out}"]
+        assert _sha256(out.read_bytes()) == digest
+
+    @pytest.mark.parametrize("example", sorted(PINNED_REPRODUCE))
+    def test_reproduce(self, example, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative paths, so the report is the same bytes
+        assert run_cli(["reproduce", example, "--window", "4", "--out-dir", "out",
+                        "--csv", f"out/{example}.csv"]) == 0
+        report = json.loads(Path(f"out/{example}-report.json").read_text())
+        del report["runtime_ms"]
+        got = (_sha256(json.dumps(report).encode()),
+               _sha256(Path(f"out/{example}.csv").read_bytes()),
+               _sha256(Path(f"out/{example}.svg").read_bytes()))
+        assert got == PINNED_REPRODUCE[example]
+
 
 class TestScaleLadder:
     def test_chess_ladder(self, chess_cover, tmp_path):
@@ -379,6 +450,12 @@ class TestScaleLadder:
             rows = list(csv.reader(fh))
         assert rows[0] == ["m", "lambda_pow", "gap", "diam"]
         assert len(rows) == 6
+
+    def test_ratio_mismatch_is_a_failed_check(self, chess_cover, tmp_path):
+        with mock.patch.object(cli, "scale_points", lambda pts, lam: pts):
+            rc, report = run_cli_report(["scale-ladder", "--cover", str(chess_cover),
+                                         "--steps", "2"], tmp_path / "l.json")
+        assert rc == 2 and report["outputs"]["ok"] is False
 
     def test_contracting_lambda_is_rejected(self, chess_cover):
         assert run_cli(["scale-ladder", "--cover", str(chess_cover),
@@ -475,3 +552,18 @@ class TestEntryPoint:
             env=_child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kind"] == "points2d"
+
+
+class TestScripts:
+    """The scripts import public names; running them catches a moved or deleted one."""
+
+    @pytest.mark.parametrize("script, args", [
+        ("brick_sweep.py", ["--window", "10", "--rs", "1,2"]),
+        ("reproduce_all.py", ["--window", "4", "--out-dir", "{tmp}"]),
+    ])
+    def test_runs(self, script, args, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "scripts" / script
+        proc = subprocess.run(
+            [sys.executable, str(path), *(a.format(tmp=tmp_path) for a in args)],
+            capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr

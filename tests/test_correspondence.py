@@ -1,4 +1,4 @@
-"""Correspondences, distortion, enumeration oracle, and the exact solver."""
+"""Correspondences, distortion, the enumeration oracle, and the exact solver."""
 
 from __future__ import annotations
 
@@ -10,15 +10,14 @@ import pytest
 
 from conftest import random_correspondence, random_metric_matrix, random_space
 from ghbounds import (Correspondence, EuclideanPointSet, Relation, WindowSpec,
-                      ball_correspondence,
-                      build_space, count_correspondences, diam, distortion,
-                      enumerate_correspondences, exact_gh, gen_epsilon_net,
+                      build_space, diam, distortion, exact_gh, gen_epsilon_net,
                       gen_lattice_window, gh_upper_bound_from_correspondence,
-                      hausdorff, is_correspondence, merge_point_sets,
-                      min_distortion_bruteforce, nearest_point_correspondence,
+                      hausdorff, merge_point_sets, nearest_point_correspondence,
                       pushforward, scale)
 from ghbounds.errors import (EmptyImage, EmptyRelation, IndexOutOfRange,
                              NotACorrespondence, SizeCapExceeded)
+from oracles import (count_correspondences, enumerate_correspondences,
+                     min_distortion_bruteforce)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +43,6 @@ class TestCorrespondence:
     def test_accepts_full_product(self):
         c = Correspondence.of([(i, j) for i in range(2) for j in range(3)], 2, 3)
         assert len(c.pairs) == 6
-        assert is_correspondence(c.as_relation(), 2, 3)
 
     def test_rejects_unmatched_x(self):
         with pytest.raises(NotACorrespondence, match="x-index 1"):
@@ -53,11 +51,6 @@ class TestCorrespondence:
     def test_rejects_unmatched_y(self):
         with pytest.raises(NotACorrespondence, match="y-index 1"):
             Correspondence.of([(0, 0), (1, 0)], 2, 2)
-
-    def test_is_correspondence_predicate(self):
-        bijection = Relation.of([(0, 0), (1, 1)])
-        assert is_correspondence(bijection, 2, 2)
-        assert not is_correspondence(bijection, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +135,8 @@ class TestEnumeration:
 
     def test_every_enumerated_relation_is_a_correspondence(self):
         for c in enumerate_correspondences(2, 3):
-            assert is_correspondence(c.as_relation(), 2, 3)
+            assert {i for i, _ in c.pairs} == {0, 1}
+            assert {j for _, j in c.pairs} == {0, 1, 2}
 
     def test_refuses_oversized_grids(self):
         with pytest.raises(SizeCapExceeded):
@@ -267,26 +261,31 @@ class TestUpperBounds:
         lat = gen_lattice_window(w)
         net = gen_epsilon_net(w, 0.5)
         rel = nearest_point_correspondence(lat, net)
-        assert is_correspondence(rel.as_relation(), lat.n, net.n)
+        assert {i for i, _ in rel.pairs} == set(range(lat.n))
+        assert {j for _, j in rel.pairs} == set(range(net.n))
         # every lattice point is also a net point, so (i, that point) appears
         for i in range(lat.n):
             js = [j for a, j in rel.pairs if a == i]
             assert any(np.array_equal(net.points[j], lat.points[i]) for j in js)
 
-    def test_ball_matching_at_hausdorff_radius(self):
+    def test_nearest_point_matching_bounds_by_hausdorff(self):
+        # the paper's upper bound d_GH <= d_H, certified by a correspondence
         w = WindowSpec(0.0, 4.0, 0.0, 4.0)
         lat = gen_lattice_window(w)
         net = gen_epsilon_net(w, 0.1)
         merged, sa, sb = merge_point_sets(lat, net)
         dh = hausdorff(merged, sa, sb)
-        rel = ball_correspondence(lat, net, dh + 1e-12)
-        ub = gh_upper_bound_from_correspondence(lat, net, rel)
-        assert ub >= dh - 1e-12
+        ub = gh_upper_bound_from_correspondence(lat, net, nearest_point_correspondence(lat, net))
+        assert dh == 0.7071067811865476
+        assert ub == 0.6363961030678928
         assert ub <= dh + 1e-9
 
-    def test_ball_matching_below_radius_is_rejected(self):
-        w = WindowSpec(0.0, 4.0, 0.0, 4.0)
-        lat = gen_lattice_window(w)
-        net = gen_epsilon_net(w, 0.1)
+    def test_requires_a_correspondence_between_the_two_spaces(self):
+        x = build_space([[0.0, 1.0], [1.0, 0.0]])
+        bijection = Correspondence.of([(0, 0), (1, 1)], 2, 2)
+        assert gh_upper_bound_from_correspondence(x, x, bijection) == 0.0
+        for a, b in ((build_space([[0.0]]), x), (x, random_space(np.random.default_rng(14), 3))):
+            with pytest.raises(NotACorrespondence):
+                gh_upper_bound_from_correspondence(a, b, bijection)
         with pytest.raises(NotACorrespondence):
-            ball_correspondence(lat, net, 0.5)
+            gh_upper_bound_from_correspondence(x, x, Relation.of(bijection.pairs))

@@ -17,7 +17,7 @@ from ghbounds import (Correspondence, EuclideanPointSet, SubsetFamily,
                       gen_brick_cover, gen_chess_families, gen_comb_cover, gen_comb_set,
                       gen_lattice_window, gh_lower_bound, induce_space,
                       make_certificate, model_space, multiplicity,
-                      pushforward_family, scale_family, set_distance)
+                      pushforward_family, scale_points, set_distance)
 from ghbounds import covers
 from ghbounds.serialize import family_from_json
 from ghbounds.errors import (EmptyFamilyList, IndexOutOfRange, NotCovering, NotDisjoint,
@@ -537,24 +537,22 @@ class TestPushforwardFamily:
 class TestScaleFamily:
     def test_unit_scale_is_identity(self):
         lat, red, blue = chess_setup(3.0)
-        scaled, fams = scale_family(lat, (red, blue), 1.0)
+        scaled = scale_points(lat, 1.0)
         assert np.array_equal(scaled.points, lat.points)
-        assert fams == (red, blue)
 
     def test_doubling_doubles_gap_and_diameter(self):
         comb = gen_comb_set(WindowSpec(0.0, 4.0, -2.0, 2.0), 0.25)
         families = gen_comb_cover(comb, 2.0)
         gap0 = min(check_r_disjoint(comb, f, 0.0).min_gap for f in families)
         diam0 = max(check_uniform_bound(comb, f) for f in families)
-        scaled, fams = scale_family(comb, families, 2.0)
-        gap1 = min(check_r_disjoint(scaled, f, 0.0).min_gap for f in fams)
-        diam1 = max(check_uniform_bound(scaled, f) for f in fams)
+        scaled = scale_points(comb, 2.0)
+        gap1 = min(check_r_disjoint(scaled, f, 0.0).min_gap for f in families)
+        diam1 = max(check_uniform_bound(scaled, f) for f in families)
         assert gap1 == pytest.approx(2.0 * gap0, rel=1e-12)
         assert diam1 == pytest.approx(2.0 * diam0, rel=1e-12)
 
     def test_two_steps_compose(self):
         lat, red, blue = chess_setup(3.0)
-        once, fams = scale_family(lat, (red, blue), 2.0)
-        twice, fams = scale_family(once, fams, 2.0)
-        gap = check_r_disjoint(twice, fams[0], 0.0).min_gap
+        twice = scale_points(scale_points(lat, 2.0), 2.0)
+        gap = check_r_disjoint(twice, red, 0.0).min_gap
         assert gap == pytest.approx(4.0 * SQRT2, rel=1e-12)

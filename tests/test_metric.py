@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_metric_matrix, random_space
-from ghbounds import (DEFAULT_TOL, EuclideanPointSet, FiniteMetricSpace,
+from ghbounds import (EuclideanPointSet, FiniteMetricSpace,
                       SubsetRef, WindowSpec, as_subset, build_space, diam,
-                      directed_hausdorff, find_isometry, gen_epsilon_net,
+                      directed_hausdorff, gen_epsilon_net,
                       gen_lattice_window, hausdorff, induce_space,
-                      is_isometric, merge_point_sets, nearest_point_correspondence,
+                      merge_point_sets, nearest_point_correspondence,
                       neighborhood, scale, scale_points, set_distance)
 from ghbounds import metric
 from ghbounds.errors import (DuplicatePoint, EmptySubset, IndexOutOfRange,
@@ -399,43 +399,3 @@ class TestScaling:
         with pytest.raises(NonpositiveLambda):
             scale_points(EuclideanPointSet(np.zeros((1, 2))), -2.0)
 
-
-# ---------------------------------------------------------------------------
-# isometry search
-
-class TestIsometry:
-    def test_permuted_metric_is_isometric(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            m = random_metric_matrix(rng, n)
-            perm = rng.permutation(n)
-            x = build_space(m)
-            y = build_space(m[np.ix_(perm, perm)])
-            image = find_isometry(x, y)
-            assert image is not None
-            blk = np.abs(x.matrix - y.matrix[np.ix_(image, image)])
-            assert blk.max() <= DEFAULT_TOL
-
-    def test_different_scales_are_not(self):
-        rng = np.random.default_rng(9)
-        x = random_space(rng, 6)
-        for lam in (0.5, 2.0):
-            assert not is_isometric(x, scale(x, lam))
-
-    def test_size_mismatch(self):
-        a = build_space([[0.0, 1.0], [1.0, 0.0]])
-        b = build_space([[0.0]])
-        assert find_isometry(a, b) is None
-
-    def test_rotated_window_is_isometric(self):
-        pts = np.array([[x, y] for x in range(3) for y in range(3)], dtype=float)
-        rot = np.column_stack([-pts[:, 1], pts[:, 0]])  # quarter turn
-        x = induce_space(EuclideanPointSet(pts))
-        y = induce_space(EuclideanPointSet(rot))
-        assert is_isometric(x, y)
-
-    def test_witness_is_lexicographically_least(self):
-        # two points at equal distance: both bijections work, expect identity
-        x = build_space([[0.0, 1.0], [1.0, 0.0]])
-        assert find_isometry(x, x) == [0, 1]

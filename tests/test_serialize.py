@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import random_metric_matrix
-from ghbounds import (Correspondence, Relation, SubsetFamily, WindowSpec,
+from ghbounds import (SubsetFamily, WindowSpec,
                       build_space, exact_gh, gen_chess_families,
                       gen_lattice_window, make_certificate, model_space)
 from ghbounds.serialize import (certificate_report_json, cover_from_json,
                                 cover_to_json, dump_json, family_from_json,
                                 family_to_json, gh_result_to_json, load_json,
-                                model_from_json, relation_from_json,
-                                relation_to_json, space_from_json,
+                                model_from_json, space_from_json,
                                 space_to_json, subset_from_json,
                                 subset_to_json)
 from ghbounds import cli, serialize
@@ -102,15 +101,6 @@ class TestSmallObjects:
         s = SubsetRef.of([4, 1])
         assert subset_to_json(s) == [1, 4]
         assert subset_from_json([1, 4], n=5) == s
-
-    def test_relation(self):
-        rel = Relation.of([(0, 1), (1, 0)])
-        assert relation_to_json(rel) == {"pairs": [[0, 1], [1, 0]]}
-        assert relation_from_json({"pairs": [[1, 0], [0, 1]]}) == rel
-
-    def test_correspondence_serializes_as_relation(self):
-        c = Correspondence.of([(0, 0), (1, 1)], 2, 2)
-        assert relation_to_json(c) == {"pairs": [[0, 0], [1, 1]]}
 
     def test_family(self):
         fam = SubsetFamily.of("f", [[0], [2, 3]], n=4)
