@@ -16,6 +16,15 @@ a query whose search would cover a quarter of the grid scans every target
 as one block instead. Candidate distances use the same expression as
 ``EuclideanPointSet.block``, so every minimum, maximum and argmin (ties to
 the smallest index) is bitwise equal to the block scan's.
+
+A planar directed Hausdorff distance needs only the largest nearest
+distance, so it bounds whole cells of queries instead of solving each one.
+Queries that are also targets are dropped (their distance is 0.0). The rest
+go in a uniform grid of about eight per cell; a cell whose tight box has
+centre c and half-diagonal rho holds no distance above d(c) + rho, widened
+by the rounding allowance. The cell with the largest bound is solved first,
+then only the cells whose bound exceeds the maximum found, so the value is
+the full scan's to the bit.
 """
 
 from __future__ import annotations
@@ -235,6 +244,9 @@ MetricLike = Union[FiniteMetricSpace, EuclideanPointSet]
 
 def _check_distinct(pts: np.ndarray) -> None:
     # exact duplicates only; nearby-but-distinct doubles are legitimate points
+    x, y = pts[:, 0], pts[:, 1]
+    if ((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] > y[:-1]))).all():
+        return  # rows already strictly increasing in (x, y) order are distinct
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     s = pts[order]
     same = np.nonzero((s[1:] == s[:-1]).all(axis=1))[0]
@@ -310,22 +322,68 @@ def _scan_nearest(block, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarr
     return dist, pos
 
 
-def _grid_nearest(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest row of p for every row of q, on a uniform grid over p.
+def _cell_grid(lo: np.ndarray, hi: np.ndarray, cells: float) -> tuple[float, int, int]:
+    """Side and shape (nx, ny) of a uniform grid of about `cells` cells over [lo, hi].
 
-    Returns the distances and the positions in p; ties go to the smallest
-    position. The cell side keeps the cell count at most about 3 |p|, also
-    for collinear points; a single point gets one cell. Each query searches
-    a growing square of cells around its cell; a query whose square would
-    cover a quarter of the grid scans all of p as one block instead.
+    The count stays at most about 3 * cells, also for collinear points; a
+    single point gets one cell.
     """
-    m = p.shape[0]
-    lo, hi = p.min(axis=0), p.max(axis=0)
     sx, sy = (hi - lo).tolist()
-    h = max(math.sqrt(sx) * math.sqrt(sy / m), max(sx, sy) / m)
+    h = max(math.sqrt(sx) * math.sqrt(sy / cells), max(sx, sy) / cells)
     if not 0.0 < h < math.inf:
         h, sx, sy = 1.0, 0.0, 0.0
-    nx, ny = int(sx // h) + 1, int(sy // h) + 1
+    return h, int(sx // h) + 1, int(sy // h) + 1
+
+
+class _TargetGrid:
+    """The rows of p on a uniform grid of about one point per cell.
+
+    Built once per target set and searched any number of times by
+    ``_grid_search``; the CSR buckets are sorted on the first search that
+    needs them.
+    """
+
+    def __init__(self, p: np.ndarray):
+        self.p = p
+        self.lo, self.hi = p.min(axis=0), p.max(axis=0)
+        self.h, self.nx, self.ny = _cell_grid(self.lo, self.hi, p.shape[0])
+        self._csr = None
+
+    def cell_of(self, v: np.ndarray) -> np.ndarray:
+        shape = np.array([self.nx, self.ny])
+        return np.minimum(np.maximum(np.floor((v - self.lo) / self.h), 0), shape - 1).astype(np.intp)
+
+    def buckets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sort order, cell offsets and sorted rows of p.
+
+        CSR buckets: targets stably sorted by row-major cell id, so the
+        cells [x0, x1) of grid row y are the run offs[y*nx + x0]:offs[y*nx + x1].
+        """
+        if self._csr is None:
+            nx, ny = self.nx, self.ny
+            cid = self.cell_of(self.p) @ np.array([1, nx])
+            order = np.argsort(cid, kind="stable")
+            offs = np.zeros(nx * ny + 1, dtype=np.intp)
+            np.cumsum(np.bincount(cid, minlength=nx * ny), out=offs[1:])
+            self._csr = order, offs, self.p[order]
+        return self._csr
+
+
+def _grid_nearest(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest row of p for every row of q; see ``_grid_search``."""
+    return _grid_search(_TargetGrid(p), q)
+
+
+def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest row of grid.p for every row of q.
+
+    Returns the distances and the positions in p; ties go to the smallest
+    position. Each query searches a growing square of cells around its
+    cell; a query whose square would cover a quarter of the grid scans all
+    of p as one block instead.
+    """
+    p, m = grid.p, grid.p.shape[0]
+    lo, hi, h, nx, ny = grid.lo, grid.hi, grid.h, grid.nx, grid.ny
 
     def scan(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _scan_nearest(lambda rows: _euclid(qs[rows, :1] - p[:, 0], qs[rows, 1:] - p[:, 1]),
@@ -344,12 +402,9 @@ def _grid_nearest(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     shape = np.array([nx, ny])
     top = lo + shape * h
 
-    def cell_of(v: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(np.floor((v - lo) / h), 0), shape - 1).astype(np.intp)
-
     best = np.empty(q.shape[0])
     bpos = np.empty(q.shape[0], dtype=np.intp)
-    center = cell_of(q)
+    center = grid.cell_of(q)
     outside = np.maximum(np.maximum(lo - q, q - hi), 0.0)
     cover = max(nx, ny) - 1  # a square of this radius covers the grid
     outer = (np.minimum(np.ceil(_euclid(outside[:, 0], outside[:, 1]) / h), cover) + 1).astype(np.intp)
@@ -365,13 +420,7 @@ def _grid_nearest(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         if not active.size:
             return best, bpos
         if offs is None:
-            # CSR buckets: targets stably sorted by row-major cell id, so the
-            # cells [x0, x1) of grid row y are the run offs[y*nx + x0]:offs[y*nx + x1]
-            cid = cell_of(p) @ np.array([1, nx])
-            order = np.argsort(cid, kind="stable")
-            offs = np.zeros(nx * ny + 1, dtype=np.intp)
-            np.cumsum(np.bincount(cid, minlength=nx * ny), out=offs[1:])
-            ps = p[order]
+            order, offs, ps = grid.buckets()
             best[active] = math.inf
             # absolute rounding allowance: cell edges and cell assignment err
             # by a few ulps of the largest grid coordinate
@@ -430,6 +479,57 @@ def _grid_nearest(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         b_a, inner, outer, active = b_a[left], outer[left], outer[left], active[left]
         need = np.where(b_a < math.inf, np.ceil(np.minimum(b_a / h, cover)) + 1, 2 * outer + 1)
         outer = np.minimum(np.maximum(need.astype(np.intp), outer + 1), cover)
+
+
+# queries per cell of the bucketing that bounds a directed Hausdorff scan
+_QUERY_CELL = 8
+
+
+def _cell_bounds(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid) -> np.ndarray:
+    """An upper bound on every computed nearest distance in each run qs[starts[k]:starts[k+1]].
+
+    With c and rho the centre and half-diagonal of the run's tight box, each
+    query lies within rho of c, so by the triangle inequality its distance
+    is at most d(c) + rho. The factor and the term in _GRID_SLACK cover the
+    rounding of c, rho and every computed distance.
+    """
+    blo = np.minimum.reduceat(qs, starts, axis=0)
+    bhi = np.maximum.reduceat(qs, starts, axis=0)
+    half = 0.5 * (bhi - blo)
+    rho = _euclid(half[:, 0], half[:, 1])
+    scale = float(np.abs(np.concatenate([blo, bhi, targets.lo[None], targets.hi[None]])).max())
+    d_c = _grid_search(targets, 0.5 * (blo + bhi))[0]
+    return (d_c + rho) * (1.0 + 2.0 * _GRID_SLACK) + _GRID_SLACK * scale
+
+
+def _grid_max_nearest(q: np.ndarray, p: np.ndarray) -> float:
+    """The largest nearest distance from a row of q to p: ``_grid_nearest(q, p)[0].max()``.
+
+    The queries go in a uniform grid of about _QUERY_CELL per cell, and each
+    occupied cell gets an upper bound. The cell with the largest bound is
+    solved exactly first, then, in one call, every cell whose bound exceeds
+    that maximum. A skipped query's distance is at most its cell's bound,
+    which is at most a solved query's distance, so the value is the same.
+    """
+    targets = _TargetGrid(p)
+    qlo, qhi = q.min(axis=0), q.max(axis=0)
+    h, nx, _ = _cell_grid(qlo, qhi, q.shape[0] / _QUERY_CELL)
+    # any grouping gives sound bounds: a rounding past the last column only merges two cells
+    cells = np.floor((q - qlo) / h).astype(np.intp) @ np.array([1, nx])
+    order = np.argsort(cells)
+    cells = cells[order]
+    qs = q[order]
+    starts = np.flatnonzero(np.concatenate([[True], cells[1:] != cells[:-1]]))
+    sizes = np.diff(np.append(starts, q.shape[0]))
+    ub = _cell_bounds(qs, starts, targets)
+    seed = int(np.argmax(ub))
+    cmax = float(_grid_search(targets, qs[starts[seed]:starts[seed] + sizes[seed]])[0].max())
+    keep = ub > cmax
+    keep[seed] = False
+    if keep.any():
+        rows, _ = _ragged(starts[keep], sizes[keep])
+        cmax = max(cmax, float(_grid_search(targets, qs[rows])[0].max()))
+    return cmax
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +632,9 @@ def directed_hausdorff(space: MetricLike, a: "SubsetRef | Iterable[int]",
     sa, sb = as_subset(a, space.n), as_subset(b, space.n)
     ia = np.fromiter(sa.indices, dtype=np.intp)
     ib = np.fromiter(sb.indices, dtype=np.intp)
+    if isinstance(space, EuclideanPointSet):
+        ia = ia[~np.isin(ia, ib, assume_unique=True)]  # a point of b is at distance 0.0 from b
+        return _grid_max_nearest(space.points[ia], space.points[ib]) if ia.size else 0.0
     return float(_nearest(space, ia, ib)[0].max())
 
 

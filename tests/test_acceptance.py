@@ -13,17 +13,14 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import (acceptance_line, random_metric_matrix, random_space,
                       random_correspondence, random_subset, run_cli,
                       run_cli_report)
 from ghbounds import (WindowSpec, build_space, check_r_disjoint, diam,
                       exact_gh, gen_brick_cover, gen_chess_families,
-                      gen_comb_cover, gen_comb_set, gen_epsilon_net,
-                      gen_lattice_window, hausdorff, make_certificate,
-                      merge_point_sets, multiplicity, pushforward,
-                      set_distance)
+                      gen_lattice_window, make_certificate, multiplicity,
+                      pushforward, set_distance)
 from ghbounds.errors import TriangleViolation
 from oracles import min_distortion_bruteforce
 

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from math import comb
 
 import numpy as np
 import pytest
 
-from conftest import random_correspondence, random_metric_matrix, random_space
+from conftest import random_correspondence, random_space
 from ghbounds import (Correspondence, EuclideanPointSet, Relation, WindowSpec,
                       build_space, diam, distortion, exact_gh, gen_epsilon_net,
                       gen_lattice_window, gh_upper_bound_from_correspondence,

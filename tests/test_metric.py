@@ -204,6 +204,38 @@ class TestEuclideanPointSet:
         with pytest.raises(DuplicatePoint):
             EuclideanPointSet(np.array([[0.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("kind", ["sorted", "reversed", "duplicated", "signed zeros", "shuffled"])
+    def test_duplicate_check_matches_the_sort(self, kind):
+        # the strictly-increasing fast path against the lexsort-only check
+        rng = np.random.default_rng(3)
+        pts = np.unique(rng.integers(-6, 7, (300, 2)).astype(float), axis=0)
+        pts[pts == 0.0] = -0.0
+        if kind == "reversed":
+            pts = pts[::-1]
+        elif kind == "duplicated":
+            pts = np.insert(pts, 50, pts[49], axis=0)
+        elif kind == "signed zeros":  # (0.0, 0.0) right after (-0.0, -0.0), which it equals
+            k = int(np.flatnonzero((pts == 0.0).all(axis=1))[0])
+            pts = np.insert(pts, k + 1, [0.0, 0.0], axis=0)
+        elif kind == "shuffled":
+            pts = np.vstack([pts, pts[:1]])[rng.permutation(len(pts) + 1)]
+
+        def by_sort(p):
+            order = np.lexsort((p[:, 1], p[:, 0]))
+            same = np.nonzero((p[order][1:] == p[order][:-1]).all(axis=1))[0]
+            if same.size:
+                a, b = int(order[same[0]]), int(order[same[0] + 1])
+                return min(a, b), max(a, b)
+            return None
+
+        try:
+            metric._check_distinct(pts)
+            got = None
+        except DuplicatePoint as e:
+            got = (e.i, e.j)
+        assert got == by_sort(pts)
+        assert (got is None) == (kind in ("sorted", "reversed"))
+
     def test_induce_space_agrees(self):
         rng = np.random.default_rng(2)
         pts = EuclideanPointSet(rng.uniform(-5, 5, size=(8, 2)))
@@ -368,6 +400,128 @@ class TestGridNearest:
                 d = np.sqrt(dx * dx + dy * dy)
                 assert np.array_equal(pos[rows], d.argmin(axis=1))
                 assert np.array_equal(dist[rows], d.min(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# the cell-bounded directed Hausdorff scan against the block scan
+
+def _pruning_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Queries and targets of one case, with 500 or more queries unless the kind says otherwise."""
+    if kind == "comb":  # vertical lines at tenths against a net: many ties at the maximum
+        lines = np.array([[x, 0.1 * y] for x in range(8) for y in range(-40, 41)])
+        step = float(rng.choice([0.2, 0.25, 0.3]))
+        net = np.array([[step * x, step * y] for x in range(int(7 / step) + 1)
+                        for y in range(-int(4 / step), int(4 / step) + 1)])
+        return lines, net
+    if kind == "integer":  # sparse integer points: exact ties
+        pts = rng.permutation(np.array([[x, y] for x in range(-40, 41) for y in range(-40, 41)]))
+        return pts[:600].astype(float), pts[600:750].astype(float)
+    if kind == "clustered":
+        centres = rng.uniform(-50, 50, (4, 2))
+        target = (centres[:, None, :] + rng.normal(0.0, 0.5, (4, 40, 2))).reshape(-1, 2)
+        return rng.uniform(-60, 60, (700, 2)), target
+    if kind == "collinear":  # every query cell is a segment
+        t = rng.uniform(-20, 20, 600)
+        slope = float(rng.choice([0.0, 1.0, 3.0]))
+        q = np.column_stack([t, slope * t]) if rng.random() < 0.5 else np.column_stack([slope * t, t])
+        return q, rng.uniform(-20, 20, (200, 2))
+    if kind == "far":  # queries 1e6 outside the target's bounding box
+        return 1e6 + rng.uniform(0.0, 30.0, (600, 2)), rng.uniform(0.0, 1.0, (150, 2))
+    if kind == "one cell":  # too few queries for more than one cell
+        return rng.uniform(0.0, 1.0, (int(rng.integers(1, 5)), 2)), rng.uniform(-2, 2, (300, 2))
+    # signed zeros: queries on the y axis at x = -0.0, targets on the x axis at y = -0.0
+    ys = rng.permutation(550) / 8.0
+    q = np.vstack([np.column_stack([np.full(ys.size, -0.0), ys]), rng.uniform(-5, 5, (50, 2))])
+    xs = np.unique(rng.integers(-60, 61, 120)) / 8.0
+    return q, np.column_stack([xs, np.full(xs.size, -0.0)])
+
+
+PRUNING_KINDS = ("comb", "integer", "clustered", "collinear", "far", "one cell", "signed zeros")
+
+
+class TestBoundedDirectedHausdorff:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", PRUNING_KINDS)
+    def test_matches_the_block_scan(self, kind, seed):
+        q, t = _pruning_case(kind, np.random.default_rng(seed))
+        # one ambient without np.unique, which would merge -0.0 into 0.0
+        t = t[~(t[:, None, :] == q[None, :, :]).all(axis=2).any(axis=1)]
+        grid = EuclideanPointSet(np.vstack([q, t]))
+        block = induce_space(grid)  # matrix-backed: the chunked block path
+        a, b = range(len(q)), range(len(q), grid.n)
+        assert directed_hausdorff(grid, a, b) == directed_hausdorff(block, a, b)
+        assert directed_hausdorff(grid, b, a) == directed_hausdorff(block, b, a)
+        assert metric._grid_max_nearest(q, t) == float(metric._grid_nearest(q, t)[0].max())
+        # queries that are also targets, some or all of them
+        shared = [*a[::2], *b[::3]]
+        assert directed_hausdorff(grid, shared, b) == directed_hausdorff(block, shared, b)
+        assert directed_hausdorff(grid, b[::3], b) == directed_hausdorff(block, b[::3], b) == 0.0
+
+    def test_pruning_skips_most_queries_on_the_comb(self):
+        # net against comb: most query cells are bounded below the maximum
+        lines = np.array([[x, 0.1 * y] for x in range(8) for y in range(-40, 41)])
+        net = np.array([[0.1 * x, 0.1 * y] for x in range(71) for y in range(-40, 41) if x % 10])
+        solved = []
+        search = metric._grid_search
+
+        def spy(grid, qs):
+            solved.append(len(qs))
+            return search(grid, qs)
+
+        with mock.patch.object(metric, "_grid_search", spy):
+            got = metric._grid_max_nearest(net, lines)
+        assert got == float(metric._grid_nearest(net, lines)[0].max())
+        assert sum(solved) < len(net) / 2
+
+    @pytest.mark.parametrize("kind", ["rays", "rays far out", "comb", "collinear", "far"])
+    def test_cell_bound_covers_every_computed_distance(self, kind):
+        # any grouping of queries into runs works; rays through the target
+        # make the triangle inequality tight, so rounding decides, and far
+        # out the rounding of each centre is large against the distances
+        rng = np.random.default_rng(11)
+        if kind.startswith("rays"):
+            t = rng.uniform(-3, 3, (1, 2)) + (1e6 if kind == "rays far out" else 0.0)
+            angle = rng.uniform(0.0, 2 * math.pi, 300)
+            along = rng.uniform(1.0, 2.0, (300, 4))
+            ray = np.column_stack([np.cos(angle), np.sin(angle)])
+            q = (t + along[:, :, None] * ray[:, None, :]).reshape(-1, 2)  # four per ray, consecutive
+            starts = np.arange(0, len(q), 4)
+        else:
+            q, t = _pruning_case(kind, rng)
+            q = q[rng.permutation(len(q))]
+            starts = np.flatnonzero(np.concatenate([[True], rng.random(len(q) - 1) < 0.2]))
+        ub = metric._cell_bounds(q, starts, metric._TargetGrid(t))
+        dist = metric._grid_nearest(q, t)[0]
+        owner = np.searchsorted(starts, np.arange(len(q)), side="right") - 1
+        assert (dist <= ub[owner]).all()
+
+    def test_a_bound_that_ties_the_maximum_is_not_solved(self):
+        # with the seed cell holding the maximum and every other cell bounded
+        # by exactly that value, only the seed cell's queries are solved
+        rng = np.random.default_rng(5)
+        q, t = rng.uniform(0, 10, (400, 2)), rng.uniform(0, 10, (100, 2))
+        whole = float(metric._grid_nearest(q, t)[0].max())
+        seed_size, solved = [], []
+
+        def tied(qs, starts, targets):
+            dx, dy = qs[:, :1] - t[:, 0], qs[:, 1:] - t[:, 1]
+            cell_max = np.maximum.reduceat(np.sqrt(dx * dx + dy * dy).min(axis=1), starts)
+            seed = int(np.argmax(cell_max))
+            seed_size.append(int(np.diff(np.append(starts, len(qs)))[seed]))
+            ub = np.full(starts.size, whole)
+            ub[seed] = 2 * whole
+            return ub
+
+        search = metric._grid_search
+
+        def spy(grid, qs):
+            solved.append(len(qs))
+            return search(grid, qs)
+
+        with mock.patch.object(metric, "_cell_bounds", tied), \
+                mock.patch.object(metric, "_grid_search", spy):
+            assert metric._grid_max_nearest(q, t) == whole
+        assert solved == seed_size
 
 
 # ---------------------------------------------------------------------------
