@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Time the JSON file boundary, each step in a fresh process.
+
+Two cases on the square window [0, W]^2:
+
+  brick   the r=1 brick cover (a quarter-spaced net: few distinct coordinates)
+  random  as many uniform random points, (4W + 1)^2 (every coordinate distinct)
+
+For each case a child process runs ``gen ... --out`` (generate, then
+``dump_json``), and another runs ``load_json`` on the file written. The
+random points go through the same ``gen`` path: the child builds them, then
+swaps the net generator for one that returns them and runs ``gen net``.
+Each child reports the seconds of its step and its own peak RSS from
+``resource.getrusage``; the table gives every run and the median per step.
+
+    PYTHONPATH=src python scripts/json_boundary.py --window 100 --repeats 5
+"""
+
+from __future__ import annotations
+
+import argparse
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from ghbounds import EuclideanPointSet, cli
+from ghbounds.serialize import load_json
+
+
+def _child(case: str, step: str, window: float, path: str) -> None:
+    """Run one step and print "seconds peak_mb"."""
+    if step == "load":
+        t0 = time.perf_counter()
+        load_json(path)
+    elif case == "brick":
+        t0 = time.perf_counter()
+        cli.main(["gen", "brick", "--window", f"0,{window},0,{window}", "--r", "1",
+                  "--out", path])
+    else:
+        n = (int(4 * window) + 1) ** 2
+        pts = EuclideanPointSet(np.random.default_rng(0).uniform(0.0, window, (n, 2)))
+        with mock.patch.object(cli, "gen_epsilon_net", lambda w, eps: pts):
+            t0 = time.perf_counter()
+            cli.main(["gen", "net", "--window", f"0,{window},0,{window}", "--out", path])
+    seconds = time.perf_counter() - t0
+    print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--window", type=float, default=100.0, help="side W of the square window")
+    ap.add_argument("--repeats", type=int, default=3, help="runs of each step")
+    ap.add_argument("--child", nargs=4, metavar=("CASE", "STEP", "WINDOW", "PATH"),
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        case, step, window, path = args.child
+        _child(case, step, float(window), path)
+        return
+
+    print(f"{'case':>7} {'step':>5} {'run':>4} {'seconds':>9} {'peak_mb':>8}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in ("brick", "random"):
+            path = str(Path(tmp) / f"{case}.json")
+            runs: dict[str, list[tuple[float, float]]] = {"dump": [], "load": []}
+            for k in range(args.repeats):
+                for step in ("dump", "load"):
+                    proc = subprocess.run(
+                        [sys.executable, __file__, "--child", case, step, str(args.window), path],
+                        capture_output=True, text=True, check=True)
+                    seconds, peak = map(float, proc.stdout.split()[-2:])
+                    runs[step].append((seconds, peak))
+                    print(f"{case:>7} {step:>5} {k:>4} {seconds:>9.4f} {peak:>8.1f}")
+            for step, rows in runs.items():
+                print(f"{case:>7} {step:>5} {'p50':>4} "
+                      f"{statistics.median(s for s, _ in rows):>9.4f} "
+                      f"{statistics.median(p for _, p in rows):>8.1f}")
+
+
+if __name__ == "__main__":
+    main()

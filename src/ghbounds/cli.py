@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from . import __version__
 from .constructions import (
     WindowSpec,
@@ -50,15 +52,14 @@ from .errors import (
 )
 from .metric import EuclideanPointSet, SubsetRef, directed_hausdorff, hausdorff, scale_points
 from .serialize import (
+    _document,
     certificate_report_json,
     cover_from_json,
-    cover_to_json,
     dump_json,
     gh_result_to_json,
     load_json,
     model_from_json,
     space_from_json,
-    space_to_json,
     subset_from_json,
 )
 from .svgfig import render_families_svg
@@ -80,7 +81,7 @@ def _emit(obj: Any, out: str | None) -> None:
         dump_json(obj, out)
         _say(f"wrote {out}")
     else:
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(obj, indent=2, default=np.ndarray.tolist))
 
 
 def _report(command: str, inputs: dict[str, Any], outputs: dict[str, Any],
@@ -158,8 +159,8 @@ _GEN_KINDS: dict[str, Callable[[WindowSpec, argparse.Namespace], _Built]] = {
 def cmd_gen(args: argparse.Namespace) -> int:
     space, families, r, c, summary = _GEN_KINDS[args.kind](WindowSpec.parse(args.window), args)
     _say(summary)
-    _emit(space_to_json(space) if families is None
-          else cover_to_json(space, families, r=r, strict=False, c=c), args.out)
+    # the document keeps the point array, which dump_json writes without a list per point
+    _emit(_document(np.asarray, space, families, r, c=c), args.out)
     return EXIT_OK
 
 

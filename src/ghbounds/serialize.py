@@ -11,14 +11,23 @@ Floats pass through json untouched, so distances print in Python's
 shortest round-trip form (e.g. 0.7071067811865476) and reload bit-exactly.
 Files are written as single-line JSON by the C encoder; ``python -m
 json.tool`` pretty-prints them.
+
+``dump_json`` also takes documents that hold a 2-D float64 array, as
+``gen`` hands it the point array, and writes the bytes of ``json.dumps``
+of its ``tolist()``. It works _DUMP_SLICE rows at a time. A slice whose
+distinct values (by bit pattern, so -0.0 and 0.0 stay apart) number at
+most half its cells is written by formatting each distinct value once and
+joining the rows by index; the brick net's 160,801 points hold 401
+distinct coordinates. Any other slice goes through the C encoder whole.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,17 +42,44 @@ from .metric import (
     build_space,
 )
 
-# list items per C-encoder call in dump_json
+# list items, or array rows, per slice in dump_json
 _DUMP_SLICE = 4096
 
 
-def space_to_json(space: MetricLike) -> dict[str, Any]:
+def _document(table: Callable[[np.ndarray], Any], space: MetricLike,
+              families: Sequence[SubsetFamily] | None = None, r: float = 0.0,
+              strict: bool = False, c: float | None = None,
+              target: SubsetRef | None = None) -> dict[str, Any]:
+    """The wire layout of a space, or of a cover of it when families are given.
+
+    The space's point or distance array is stored as ``table(array)``:
+    ``np.ndarray.tolist`` gives plain JSON values, ``np.asarray`` keeps the
+    array for ``dump_json``.
+    """
     if isinstance(space, EuclideanPointSet):
-        obj: dict[str, Any] = {"kind": "points2d", "pts": space.points.tolist()}
+        obj: dict[str, Any] = {"kind": "points2d", "pts": table(space.points)}
         if space.labels is not None:
             obj["labels"] = list(space.labels)
+    else:
+        obj = {"kind": "matrix", "n": space.n, "d": table(space.matrix)}
+    if families is None:
         return obj
-    return {"kind": "matrix", "n": space.n, "d": space.matrix.tolist()}
+    obj = {
+        "kind": "cover",
+        "space": obj,
+        "families": [family_to_json(f) for f in families],
+        "r": r,
+        "strict": strict,
+    }
+    if c is not None:
+        obj["c"] = c
+    if target is not None:
+        obj["target"] = subset_to_json(target)
+    return obj
+
+
+def space_to_json(space: MetricLike) -> dict[str, Any]:
+    return _document(np.ndarray.tolist, space)
 
 
 def space_from_json(obj: dict[str, Any]) -> MetricLike:
@@ -96,18 +132,7 @@ def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
 def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,
                   strict: bool = False, c: float | None = None,
                   target: SubsetRef | None = None) -> dict[str, Any]:
-    obj: dict[str, Any] = {
-        "kind": "cover",
-        "space": space_to_json(space),
-        "families": [family_to_json(f) for f in families],
-        "r": r,
-        "strict": strict,
-    }
-    if c is not None:
-        obj["c"] = c
-    if target is not None:
-        obj["target"] = subset_to_json(target)
-    return obj
+    return _document(np.ndarray.tolist, space, families, r, strict, c, target)
 
 
 def cover_from_json(obj: dict[str, Any]) -> tuple[MetricLike, tuple[SubsetFamily, ...],
@@ -163,11 +188,30 @@ def load_json(path: str | Path) -> Any:
         return json.load(fh)
 
 
+def _rows_text(rows: np.ndarray) -> str:
+    """``json.dumps(rows.tolist())[1:-1]`` for a 2-D float64 array.
+
+    When the distinct bit patterns number at most half the cells, each is
+    formatted once and the rows are joined from those words by index.
+    """
+    keys, inverse = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
+    if not 0 < 2 * len(keys) <= inverse.size:
+        return json.dumps(rows.tolist())[1:-1]
+    words = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
+    m = rows.shape[1]
+    # column j's copy of each word carries the row's "[" (j = 0) and "]" (j = m - 1)
+    table = [("[" if j == 0 else "") + w + ("]" if j == m - 1 else "")
+             for j in range(m) for w in words]
+    cells = inverse.reshape(-1, m) + len(words) * np.arange(m)
+    return ", ".join(itemgetter(*cells.ravel().tolist())(table))
+
+
 def _encode(obj: Any) -> Iterator[str]:
     """The text of ``json.dumps(obj)``, in pieces of bounded size.
 
-    Dicts with string keys and lists longer than _DUMP_SLICE items are taken
-    apart; everything else goes through the C encoder in one call.
+    Dicts with string keys, lists longer than _DUMP_SLICE items and 2-D
+    float64 arrays (as their ``tolist()``) are taken apart _DUMP_SLICE items
+    or rows at a time; everything else goes through the C encoder in one call.
     """
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         yield "{"
@@ -175,6 +219,11 @@ def _encode(obj: Any) -> Iterator[str]:
             yield (", " if t else "") + json.dumps(k) + ": "
             yield from _encode(v)
         yield "}"
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 2:
+        yield "["
+        for s in range(0, len(obj), _DUMP_SLICE):
+            yield (", " if s else "") + _rows_text(obj[s:s + _DUMP_SLICE])
+        yield "]"
     elif isinstance(obj, (list, tuple)) and len(obj) > _DUMP_SLICE:
         yield "["
         for s in range(0, len(obj), _DUMP_SLICE):
@@ -187,8 +236,9 @@ def _encode(obj: Any) -> Iterator[str]:
 def dump_json(obj: Any, path: str | Path) -> None:
     """Write obj as single-line JSON plus a newline: the bytes of ``json.dumps(obj)``.
 
-    ``json.dumps`` without an indent runs the C encoder; large lists are
-    encoded a slice at a time so no whole-file string is built.
+    A 2-D float64 array in a dict value is written as its ``tolist()``.
+    ``json.dumps`` without an indent runs the C encoder; large lists and
+    arrays are encoded a slice at a time so no whole-file string is built.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_encode(obj))

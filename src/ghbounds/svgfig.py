@@ -18,21 +18,31 @@ from .covers import SubsetFamily
 
 _FILL = {"red": "#d62728", "blue": "#1f77b4", "green": "#2ca02c"}
 _MARGIN = 1.0
+_SLOT = "slot"  # placeholder element for a piece's dots
+
+
+def _g_words(values: np.ndarray) -> list[str]:
+    """``f"{v:g}"`` for each value, formatting each distinct bit pattern once."""
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    words = [f"{v:g}" for v in keys.view(np.float64).tolist()]
+    return [words[k] for k in inverse.tolist()]
 
 
 def render_families_svg(points: np.ndarray, families: Sequence[SubsetFamily],
                         path: str | Path, dot_radius: float = 0.12,
                         title: str | None = None) -> Path:
-    """Write an SVG of the point set colored by family; returns the path."""
+    """Write an SVG of the point set colored by family; returns the path.
+
+    ElementTree writes the skeleton (root, title, frame, family and piece
+    groups), so it escapes the labels and the title; each piece's dots are
+    then spliced in as one text block.
+    """
     pts = np.asarray(points, dtype=np.float64)
     xmin, ymin = pts.min(axis=0) - _MARGIN
     xmax, ymax = pts.max(axis=0) + _MARGIN
-
-    def sx(x: float) -> float:
-        return x - xmin
-
-    def sy(y: float) -> float:
-        return ymax - y
+    r = f"{dot_radius:g}"
+    dots = [f'<circle cx="{x}" cy="{y}" r="{r}" />'
+            for x, y in zip(_g_words(pts[:, 0] - xmin), _g_words(ymax - pts[:, 1]))]
 
     svg = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
@@ -46,19 +56,24 @@ def render_families_svg(points: np.ndarray, families: Sequence[SubsetFamily],
         "width": f"{xmax - xmin:g}", "height": f"{ymax - ymin:g}",
         "fill": "white",
     })
+    blocks = []
     for fam in families:
         fill = _FILL.get(fam.label, "#777777")
         layer = ET.SubElement(svg, "g", {"class": f"family {fam.label}", "fill": fill})
         for member in fam.members:
             piece = ET.SubElement(layer, "g", {"class": f"piece {fam.label}"})
-            for i in member.indices:
-                ET.SubElement(piece, "circle", {
-                    "cx": f"{sx(pts[i, 0]):g}",
-                    "cy": f"{sy(pts[i, 1]):g}",
-                    "r": f"{dot_radius:g}",
-                })
+            ET.SubElement(piece, _SLOT)
+            blocks.append("".join([dots[i] for i in member.indices]))
+    # ElementTree escapes every "<" in text and attributes, so the slot
+    # markup appears only where a slot element was written
+    parts = ET.tostring(svg, encoding="unicode").split(f"<{_SLOT} />")
     out = Path(path)
-    ET.ElementTree(svg).write(out, encoding="unicode", xml_declaration=True)
+    with open(out, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        fh.write("<?xml version='1.0' encoding='utf-8'?>\n")
+        for part, block in zip(parts, blocks):
+            fh.write(part)
+            fh.write(block)
+        fh.write(parts[-1])
     return out
 
 

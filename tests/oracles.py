@@ -1,18 +1,24 @@
-"""Exhaustive enumeration of correspondences: the independent oracle the tests
-compare the exact GH solver against.
+"""Independent oracles the tests compare the program against.
 
-Every subset of X x Y whose projections are both onto is scanned by bitmask,
-with no pruning, so sizes are capped at ENUM_CELL_CAP cells.
+Exhaustive enumeration of correspondences, for the exact GH solver: every
+subset of X x Y whose projections are both onto is scanned by bitmask, with
+no pruning, so sizes are capped at ENUM_CELL_CAP cells.
+
+The SVG figure built as one ElementTree element per dot, for the text
+writer in ``ghbounds.svgfig``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ghbounds.correspondence import Correspondence
+from ghbounds.covers import SubsetFamily
 from ghbounds.errors import SizeCapExceeded
 from ghbounds.metric import MetricLike
 
@@ -83,3 +89,43 @@ def min_distortion_bruteforce(x: MetricLike, y: MetricLike) -> float:
         dis = (disc[None, :, :] * pair_sel).max(axis=(1, 2))
         best = min(best, float(dis.min()))
     return best
+
+
+def render_families_svg_et(points: np.ndarray, families: Sequence[SubsetFamily],
+                           path: str | Path, dot_radius: float = 0.12,
+                           title: str | None = None) -> Path:
+    """``svgfig.render_families_svg`` as a whole ElementTree, one element per dot.
+
+    Each coordinate is formatted from its numpy scalar. Written as UTF-8, so
+    the declaration reads ``encoding='utf-8'`` whatever the locale.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    xmin, ymin = pts.min(axis=0) - 1.0
+    xmax, ymax = pts.max(axis=0) + 1.0
+    svg = ET.Element("svg", {
+        "xmlns": "http://www.w3.org/2000/svg",
+        "viewBox": f"0 0 {xmax - xmin:g} {ymax - ymin:g}",
+        "width": "640",
+    })
+    if title is not None:
+        ET.SubElement(svg, "title").text = title
+    ET.SubElement(svg, "rect", {
+        "x": "0", "y": "0",
+        "width": f"{xmax - xmin:g}", "height": f"{ymax - ymin:g}",
+        "fill": "white",
+    })
+    fills = {"red": "#d62728", "blue": "#1f77b4", "green": "#2ca02c"}
+    for fam in families:
+        layer = ET.SubElement(svg, "g", {"class": f"family {fam.label}",
+                                         "fill": fills.get(fam.label, "#777777")})
+        for member in fam.members:
+            piece = ET.SubElement(layer, "g", {"class": f"piece {fam.label}"})
+            for i in member.indices:
+                ET.SubElement(piece, "circle", {
+                    "cx": f"{pts[i, 0] - xmin:g}",
+                    "cy": f"{ymax - pts[i, 1]:g}",
+                    "r": f"{dot_radius:g}",
+                })
+    out = Path(path)
+    ET.ElementTree(svg).write(out, encoding="utf-8", xml_declaration=True)
+    return out

@@ -396,6 +396,16 @@ PINNED_GEN = {
                  "eac52d6296bf8f0160b4e654aee3941fee559fc4f611cf8a8d38e24af2427e4c",
                  "interval: 25 points, 2+1 intervals in 2 families, advertised r=1.0, C=3.0"),
 }
+# SHA-256 of gen's stdout (indented JSON) for the same arguments, without --out
+PINNED_GEN_STDOUT = {
+    "lattice": "4960b67239434de64ff9afc436fc88ef27bcedaaac9d3be948a0a7f4a559c9ed",
+    "net": "a7d88ba8ff96f2949b676107c5d895d2ca5149121a08ca915ec47849a5867b68",
+    "chess": "307317ab2754873a870022770d07cdadcc6569615b992f722ccd08c502ff5c01",
+    "comb": "6863503ada7ffe9dedb0c23bdae03c962c2ec984b83183c8181a843cc11f606c",
+    "comb-cover": "6ab37207296bb112724cbf64c1a41eaefefd1de5f9b527ef1d52c87da866b0cf",
+    "brick": "3ef9623d4a67997d4f7d14c8ca664f231b1e3b78037dfe575f2d6e7519ead26e",
+    "interval": "cbaf49ef50fcd8c223b6526c7f7facefadb708f3559ad469fc7966df1ae0a36c",
+}
 PINNED_REPRODUCE = {  # report, CSV, SVG
     "example1": ("452d14913307d9095b05a2f0e5a7f0ae22733c2df631e5e4bc5aadba51f8b6eb",
                  "eb5d991fdf9f895fce5f11db3fe901537c7c7966d9e54c4cb9f0636b817c036a",
@@ -418,6 +428,14 @@ class TestPinnedOutputs:
         assert run_cli(["gen", kind, *args, "--out", str(out)]) == 0
         assert capsys.readouterr().err.splitlines() == [line, f"wrote {out}"]
         assert _sha256(out.read_bytes()) == digest
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_GEN))
+    def test_gen_stdout(self, kind, capsys):
+        args, _, line = PINNED_GEN[kind]
+        assert run_cli(["gen", kind, *args]) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [line]
+        assert _sha256(out.encode()) == PINNED_GEN_STDOUT[kind]
 
     @pytest.mark.parametrize("example", sorted(PINNED_REPRODUCE))
     def test_reproduce(self, example, tmp_path, monkeypatch):
@@ -560,6 +578,7 @@ class TestScripts:
     @pytest.mark.parametrize("script, args", [
         ("brick_sweep.py", ["--window", "10", "--rs", "1,2"]),
         ("reproduce_all.py", ["--window", "4", "--out-dir", "{tmp}"]),
+        ("json_boundary.py", ["--window", "4", "--repeats", "1"]),
     ])
     def test_runs(self, script, args, tmp_path):
         path = Path(__file__).resolve().parents[1] / "scripts" / script

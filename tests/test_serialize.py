@@ -9,10 +9,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import random_metric_matrix
 from ghbounds import (SubsetFamily, WindowSpec,
-                      build_space, exact_gh, gen_chess_families,
+                      build_space, exact_gh, gen_chess_families, gen_epsilon_net,
                       gen_lattice_window, make_certificate, model_space)
 from ghbounds.serialize import (certificate_report_json, cover_from_json,
                                 cover_to_json, dump_json, family_from_json,
@@ -215,3 +216,74 @@ class TestFiles:
         with mock.patch.object(serialize, "_DUMP_SLICE", 2):
             dump_json(obj, path)
         assert path.read_bytes() == (json.dumps(obj) + "\n").encode("utf-8")
+
+
+# values the encoder must keep apart or format exactly; -0.0 and 0.0 differ only in bits
+SPECIAL = [-0.0, 0.0, 5e-324, 1e-7, 1e16, 1e22, 1.7976931348623157e308,
+           -1.7976931348623157e308, 0.1 * 3, -2.5]
+
+
+@st.composite
+def _float_tables(draw) -> np.ndarray:
+    rows, cols = draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["quarter", "uniform", "special", "constant", "mixed"]))
+    if kind == "quarter":
+        a = rng.integers(-8, 9, (rows, cols)) * 0.25
+    elif kind == "uniform":
+        a = rng.uniform(-1e3, 1e3, (rows, cols))
+    elif kind == "special":
+        a = rng.choice(SPECIAL, (rows, cols))
+    elif kind == "constant":
+        a = np.full((rows, cols), draw(st.sampled_from(SPECIAL)))
+    else:  # a quarter grid in some rows, random values in the others
+        a = rng.integers(-2, 3, (rows, cols)) * 0.25
+        noisy = rng.random(rows) < 0.5
+        a[noisy] = rng.uniform(-1.0, 1.0, (int(noisy.sum()), cols))
+    return np.asfortranarray(a) if draw(st.booleans()) else a
+
+
+class TestArrayEncoder:
+    """dump_json of a document holding float64 arrays is json.dumps of its tolist() form."""
+
+    @staticmethod
+    def _check(tmp_path, a: np.ndarray, extra: np.ndarray, slice_rows: int | None) -> None:
+        doc = {"kind": "cover", "space": {"kind": "points2d", "pts": a, "labels": ["p"]},
+               "d": extra, "r": 1.0}
+        plain = {"kind": "cover", "space": {"kind": "points2d", "pts": a.tolist(),
+                                            "labels": ["p"]},
+                 "d": extra.tolist(), "r": 1.0}
+        path = tmp_path / "a.json"
+        with mock.patch.object(serialize, "_DUMP_SLICE", slice_rows or serialize._DUMP_SLICE):
+            dump_json(doc, path)
+        assert path.read_bytes() == (json.dumps(plain) + "\n").encode("utf-8")
+
+    @given(a=_float_tables(), extra=_float_tables(),
+           slice_rows=st.one_of(st.none(), st.integers(1, 3)))
+    @example(a=np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]), extra=np.zeros((1, 1)),
+             slice_rows=None)
+    @example(a=np.array([[-0.0, 0.0], [0.0, -0.0], [1.5, -0.0]]), extra=np.full((4, 2), 1e22),
+             slice_rows=2)
+    @example(a=np.array([[5e-324, 1e-7, 1e16]]), extra=np.array([[1e22, 1e22]]),
+             slice_rows=1)
+    # a slice of repeats, then a slice of distinct values, then repeats again
+    @example(a=np.array([[0.25, 0.25], [0.5, 0.25], [0.1, 0.2], [0.3, 0.4], [1.0, 1.0]]),
+             extra=np.array([[1.7976931348623157e308], [-1.7976931348623157e308]]),
+             slice_rows=2)
+    def test_matches_dumps_of_lists(self, tmp_path_factory, a, extra, slice_rows):
+        self._check(tmp_path_factory.mktemp("enc"), a, extra, slice_rows)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (1, 1), (5, 1)])
+    def test_degenerate_shapes(self, tmp_path, shape):
+        self._check(tmp_path, np.full(shape, -0.0), np.zeros((2, 2)), 2)
+
+    def test_brick_net_file_is_unchanged(self, tmp_path):
+        # quarter-spaced net: each 4,096-row slice has few distinct values
+        net = gen_epsilon_net(WindowSpec.square(20), 0.25)
+        assert net.n > serialize._DUMP_SLICE
+        self._check(tmp_path, net.points, np.zeros((0, 2)), None)
+
+    def test_other_arrays_are_refused_like_dumps(self, tmp_path):
+        for bad in (np.zeros(3), np.zeros((2, 2), dtype=np.int64)):
+            with pytest.raises(TypeError):
+                dump_json({"a": bad}, tmp_path / "x.json")
