@@ -23,7 +23,7 @@ from .errors import (
     NonIntegerPoint,
     TooManyPoints,
 )
-from .metric import EuclideanPointSet, SubsetRef, _subsets_from_runs, as_subset
+from .metric import EuclideanPointSet, SubsetRef, _subsets_from_runs
 
 POINT_CAP = 1_000_000
 _GRID_TOL = 1e-9
@@ -181,32 +181,33 @@ def gen_comb_set(w: WindowSpec, delta: float) -> EuclideanPointSet:
     return EuclideanPointSet(pts)
 
 
-def _comb_piece_key(x: float, y: float, h: float) -> tuple:
-    """Assign a sample to its unique cover piece.
+def _comb_piece_keys(pts: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+    """Assign every sample to its unique cover piece: the piece's colour and key arrays.
 
     Crossing piece P_n owns the vertical stretch |y| <= h/2 of line n plus the
-    axis bar [n-1/2, n+1/2) (half-open, so bar samples split cleanly).
-    Off-axis stretches S_(n,k) own (h/2 + k*h, h/2 + (k+1)*h] of line n, above
-    and mirrored below; at a shared boundary the piece nearer the axis wins.
-    Sort order of the keys fixes member order inside each family.
+    axis bar [n-1/2, n+1/2) (half-open, so bar samples split cleanly); its
+    key is (n, 0, 0, 0). Off-axis stretches S_(n,k) own (h/2 + k*h,
+    h/2 + (k+1)*h] of line n, above (side 1) and mirrored below (side -1),
+    with key (n, 1, k, side); at a shared boundary the piece nearer the axis
+    wins. Sort order of the keys fixes member order inside each family.
     """
-    if abs(y) <= _GRID_TOL:
-        n = math.floor(x + 0.5 + _GRID_TOL)
-        return (n, 0, 0, 0)
-    n = round(x)
-    if abs(x - n) > _GRID_TOL:
-        raise NonIntegerPoint(-1, (x, y))
-    a = abs(y)
-    if a <= h / 2 + _GRID_TOL:
-        return (n, 0, 0, 0)
-    k = math.ceil((a - h / 2) / h - _GRID_TOL) - 1
-    side = 1 if y > 0 else -1
-    return (n, 1, k, side)
-
-
-def _piece_color(key: tuple) -> int:
-    n, kind, k, _side = key
-    return n % 2 if kind == 0 else (n + k + 1) % 2
+    x, y = pts[:, 0], pts[:, 1]
+    on_axis = np.abs(y) <= _GRID_TOL
+    line = np.rint(x)  # rounds half to even, as round() does
+    bad = np.flatnonzero(~on_axis & (np.abs(x - line) > _GRID_TOL))
+    if bad.size:
+        i = int(bad[0])
+        raise NonIntegerPoint(i, (float(x[i]), float(y[i])))
+    # n and k + 1 stay integer-valued floats, which no coordinate overflows;
+    # as keys they order and group as n and k do
+    n = np.where(on_axis, np.floor(x + 0.5 + _GRID_TOL), line)
+    a = np.abs(y)
+    stretch = ~on_axis & (a > h / 2 + _GRID_TOL)
+    k1 = np.where(stretch, np.ceil((a - h / 2) / h - _GRID_TOL), 0.0)
+    side = np.where(stretch, np.where(y > 0, 1, -1), 0)
+    # the parity of n, or of n + k + 1 on a stretch; fmod is exact
+    color = (np.abs(np.fmod(n, 2.0)) + np.abs(np.fmod(k1, 2.0))).astype(np.int64) % 2
+    return color, n, stretch.astype(np.int64), k1, side
 
 
 def gen_comb_cover(comb: EuclideanPointSet, h: float = 2.0) -> tuple[SubsetFamily, SubsetFamily]:
@@ -221,18 +222,8 @@ def gen_comb_cover(comb: EuclideanPointSet, h: float = 2.0) -> tuple[SubsetFamil
     """
     if h < MIN_PIECE_HEIGHT - 1e-12:
         raise HTooSmall(h, MIN_PIECE_HEIGHT)
-    groups: dict[tuple, list[int]] = {}
-    for idx, (x, y) in enumerate(comb.points):
-        try:
-            key = _comb_piece_key(float(x), float(y), h)
-        except NonIntegerPoint:
-            raise NonIntegerPoint(idx, (float(x), float(y))) from None
-        groups.setdefault(key, []).append(idx)
-    members: dict[int, list[SubsetRef]] = {0: [], 1: []}
-    for key in sorted(groups):
-        members[_piece_color(key)].append(as_subset(groups[key]))
-    return (SubsetFamily("red", tuple(members[0])),
-            SubsetFamily("blue", tuple(members[1])))
+    red, blue = _keyed_families(("red", "blue"), *_comb_piece_keys(comb.points, h))
+    return red, blue
 
 
 _BRICK_LABELS = ("red", "blue", "green")

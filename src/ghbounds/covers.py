@@ -10,8 +10,14 @@ Every check of a cover is measured in one inspection pass,
 ``inspect_cover``: each family's min gap and witness, each family's largest
 member diameter, and the target's coverage and multiplicity from one
 ``bincount``. ``make_certificate`` raises on what it finds and the CLI's
-``verify-cover`` reports it. The pass reads each family as one int64 index
-array plus member offsets, built once and kept on the family.
+``verify-cover`` reports it.
+
+A family is one read-only int64 index array plus member offsets.
+Generated and loaded families hold only those arrays; the tuple of
+``SubsetRef`` members is built on first read of ``members``. The checks
+never read it: the duplicate-member check compares only members that start
+at the same index, and the gap search fetches only the members it passes to
+``set_distance``.
 
 On planar sets the family gap search sorts the members' bounding boxes
 along the family's longer axis and sweeps them, measuring only pairs whose
@@ -29,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -56,12 +62,13 @@ from .metric import (
     _euclid,
     _int_runs,
     _ragged,
+    _subsets_at,
+    _trusted_subset,
     as_subset,
     set_distance,
 )
 
 
-@dataclass(frozen=True)
 class SubsetFamily:
     """A labeled list of nonempty subsets of one ambient space.
 
@@ -69,17 +76,35 @@ class SubsetFamily:
     a gap of 0 and therefore fail every disjointness check, so certificates
     cannot contain them. Pushforward images, however, may legitimately
     coincide and are kept as-is.
+
+    A family holds its members as one read-only int64 index array plus
+    member offsets (``_index``); generated and loaded families are built
+    from those arrays alone. ``members``, the tuple of ``SubsetRef``, is
+    built on first read and kept. Equality and hashing are by (label,
+    members), and families are immutable.
     """
 
     label: str
-    members: tuple[SubsetRef, ...]
+
+    def __init__(self, label: str, members: tuple[SubsetRef, ...]) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "members", members)
 
     @staticmethod
     def of(label: str, members: Iterable[Iterable[int]], n: int | None = None) -> "SubsetFamily":
         return SubsetFamily(label, tuple(as_subset(m, n) for m in members))
 
-    def __len__(self) -> int:
-        return len(self.members)
+    @staticmethod
+    def _from_index(label: str, flat: np.ndarray, counts: np.ndarray) -> "SubsetFamily":
+        """The family whose member k is the run of counts[k] entries of flat, trusted to rise."""
+        fam = object.__new__(SubsetFamily)
+        object.__setattr__(fam, "label", label)
+        object.__setattr__(fam, "_index", _index_arrays(flat, counts))
+        return fam
+
+    @cached_property
+    def members(self) -> tuple[SubsetRef, ...]:
+        return _subsets_at(*self._index)
 
     @cached_property
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -88,6 +113,38 @@ class SubsetFamily:
         flat = np.fromiter(itertools.chain.from_iterable(mem.indices for mem in self.members),
                            dtype=np.int64, count=int(counts.sum()))
         return _index_arrays(flat, counts)
+
+    def _member(self, k: int) -> SubsetRef:
+        """Member k, without building the others."""
+        if "members" in self.__dict__:
+            return self.members[k]
+        flat, offsets = self._index
+        return _trusted_subset(tuple(flat[offsets[k]:offsets[k + 1]].tolist()))
+
+    def __len__(self) -> int:
+        return self._index[1].size - 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubsetFamily):
+            return NotImplemented
+        if self.label != other.label:
+            return False
+        if "members" in self.__dict__ and "members" in other.__dict__:
+            return self.members == other.members
+        # members are nonempty and strictly increasing, so equal arrays mean equal members
+        return all(np.array_equal(x, y) for x, y in zip(self._index, other._index))
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.members))
+
+    def __repr__(self) -> str:
+        return f"SubsetFamily(label={self.label!r}, members={self.members!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _index_arrays(flat: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,12 +158,8 @@ def _index_arrays(flat: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
 
 def _family_from_runs(label: str, flat: np.ndarray, counts: np.ndarray,
                       n: int | None = None) -> SubsetFamily:
-    """The family of ``_subsets_from_runs(flat, counts, n)``, keeping flat when it fits."""
-    members, exact = _checked_runs(flat, counts, n)
-    fam = SubsetFamily(label, members)
-    if exact:
-        fam.__dict__["_index"] = _index_arrays(flat, counts)
-    return fam
+    """``SubsetFamily(label, _subsets_from_runs(flat, counts, n))``, kept as arrays."""
+    return SubsetFamily._from_index(label, *_checked_runs(flat, counts, n))
 
 
 def _family_from_lists(label: str, members: Sequence[Iterable[int]],
@@ -238,16 +291,17 @@ _SWEEP_FLOOR = 2.0 ** -500
 
 def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[int, int] | None]:
     """Smallest gap between distinct members and its lexicographically first witness."""
-    m = len(fam.members)
+    m = len(fam)
     if m < 2:
         return math.inf, None
     if isinstance(space, EuclideanPointSet):
         return _sweep_min_gap(space, fam)
+    members = [fam._member(k) for k in range(m)]
     best = math.inf
     witness: tuple[int, int] | None = None
     for a in range(m - 1):
         for b in range(a + 1, m):
-            d = set_distance(space, fam.members[a], fam.members[b])
+            d = set_distance(space, members[a], members[b])
             if d < best:
                 best, witness = d, (a, b)
     return best, witness
@@ -284,8 +338,7 @@ def _sweep_min_gap(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[float, 
     only on pairs whose box gap could still beat the best (gap, a, b), in
     ascending (box gap, a, b) order.
     """
-    members = fam.members
-    m = len(members)
+    m = len(fam)
     lo, hi = _member_boxes(space, fam)
     k = int(np.argmax(hi.max(axis=1) - lo.min(axis=1)))
     order = np.argsort(lo[k], kind="stable")
@@ -326,7 +379,7 @@ def _sweep_min_gap(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[float, 
         for gi, ai, bi in zip(g[sel].tolist(), a[sel].tolist(), b[sel].tolist()):
             if not (gi < best or (gi == best and (ai, bi) < witness)):
                 break
-            dist = set_distance(space, members[ai], members[bi])
+            dist = set_distance(space, fam._member(ai), fam._member(bi))
             if dist < best or (dist == best and (ai, bi) < witness):
                 best, witness = dist, (ai, bi)
     return best, witness
@@ -438,7 +491,9 @@ def multiplicity(space: MetricLike, families: Sequence[SubsetFamily],
 def _coverage(n: int, families: Sequence[SubsetFamily], tgt: SubsetRef) -> tuple[CoverReport, int]:
     """The uncovered target points and the most members on one target point, from one bincount."""
     flat = np.concatenate([np.empty(0, dtype=np.int64)] + [fam._index[0] for fam in families])
-    t = np.fromiter(tgt.indices, dtype=np.intp, count=len(tgt))
+    # a target of n points in [0, n), sorted and distinct, is every point
+    t = (np.arange(n) if len(tgt) == n
+         else np.fromiter(tgt.indices, dtype=np.intp, count=len(tgt)))
     counts = np.bincount(flat, minlength=n)[t]
     uncovered = tuple(t[counts == 0].tolist())
     return CoverReport(ok=not uncovered, uncovered=uncovered), int(counts.max())
@@ -462,6 +517,27 @@ def inspect_cover(space: MetricLike, families: Sequence[SubsetFamily], r: float,
     return CoverInspection(measured, tgt, *_coverage(space.n, fams, tgt))
 
 
+def _duplicate_members(fam: SubsetFamily) -> tuple[int, int] | None:
+    """The first member equal to an earlier one, as (earlier, later) positions, or None.
+
+    Only members that start at the same index can be equal, so only those
+    are compared, in position order.
+    """
+    flat, offsets = fam._index
+    first = flat[offsets[:-1]]
+    order = np.argsort(first, kind="stable")
+    shared = np.zeros(first.size, dtype=bool)
+    same = first[order[1:]] == first[order[:-1]]
+    shared[order[1:][same]] = shared[order[:-1][same]] = True
+    seen: dict[tuple[int, ...], int] = {}
+    for pos in np.flatnonzero(shared).tolist():
+        mem = fam._member(pos).indices
+        if mem in seen:
+            return seen[mem], pos
+        seen[mem] = pos
+    return None
+
+
 def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: float,
                      strict: bool = False, target: SubsetRef | Iterable[int] | None = None,
                      tolerance: float = DEFAULT_TOL) -> CoverCertificate:
@@ -475,11 +551,9 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
     if not fams:
         raise EmptyFamilyList("certificate needs at least one family")
     for fam in fams:
-        seen: dict[tuple[int, ...], int] = {}
-        for pos, mem in enumerate(fam.members):
-            if mem.indices in seen:
-                raise NotDisjoint(fam.label, (seen[mem.indices], pos), 0.0, r)
-            seen[mem.indices] = pos
+        pair = _duplicate_members(fam)
+        if pair is not None:
+            raise NotDisjoint(fam.label, pair, 0.0, r)
     found = inspect_cover(space, fams, r, strict, target, tolerance)
     for fam in found.families:
         if not fam.disjoint.ok:

@@ -109,24 +109,40 @@ def _trusted_subset(indices: tuple[int, ...]) -> SubsetRef:
     return s
 
 
+def _run_lists(flat: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
+    """Each run flat[offsets[k]:offsets[k + 1]] as a list of ints."""
+    vals, bounds = flat.tolist(), offsets.tolist()
+    return [vals[s:e] for s, e in zip(bounds, bounds[1:])]
+
+
+def _subsets_at(flat: np.ndarray, offsets: np.ndarray) -> tuple[SubsetRef, ...]:
+    """One SubsetRef per run flat[offsets[k]:offsets[k + 1]], each already nonempty and rising."""
+    return tuple(_trusted_subset(tuple(run)) for run in _run_lists(flat, offsets))
+
+
 def _subsets_from_runs(flat: np.ndarray, counts: np.ndarray,
                        n: int | None = None) -> tuple[SubsetRef, ...]:
     """One SubsetRef per consecutive run of flat, member k holding counts[k] entries.
 
     Validates the whole family in one vectorised pass and gives what
     ``SubsetRef.of(run, n)`` gives member by member: equal subsets, or the
-    first failing member's exception. Runs that are not strictly increasing
-    go through ``SubsetRef.of`` to be sorted and deduplicated.
+    first failing member's exception.
     """
-    return _checked_runs(flat, counts, n)[0]
+    flat, counts = _checked_runs(flat, counts, n)
+    return _subsets_at(flat, np.concatenate(([0], np.cumsum(counts))))
 
 
 def _checked_runs(flat: np.ndarray, counts: np.ndarray,
-                  n: int | None = None) -> tuple[tuple[SubsetRef, ...], bool]:
-    """``_subsets_from_runs``, and whether every run already rose strictly.
+                  n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of flat, member k holding counts[k] entries, as ``SubsetRef.of`` would keep them.
 
-    When it did, flat and counts hold the subsets exactly as they are.
+    Returns int64 entries and counts in which every run rises strictly; runs
+    that do not are sorted and deduplicated. Raises the first failing
+    member's ``SubsetRef.of(run, n)`` error: an empty run, a negative entry,
+    or an entry at or past n.
     """
+    flat = np.asarray(flat, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     ends = np.cumsum(counts)
     starts = ends - counts
     bad = counts == 0
@@ -135,21 +151,20 @@ def _checked_runs(flat: np.ndarray, counts: np.ndarray,
         bad[full] = np.minimum.reduceat(flat, starts[full]) < 0
         if n is not None:
             bad[full] |= np.maximum.reduceat(flat, starts[full]) >= n
-    vals = flat.tolist()
-    bounds = list(zip(starts.tolist(), ends.tolist()))
     if bad.any():
-        s, e = bounds[int(np.argmax(bad))]
-        SubsetRef.of(vals[s:e], n)  # raises that member's error
+        k = int(np.argmax(bad))
+        SubsetRef.of(flat[starts[k]:ends[k]].tolist(), n)  # raises that member's error
     # a position that does not rise above its predecessor, inside a run
-    flat_rise = np.ones(flat.size, dtype=bool)
-    flat_rise[1:] = flat[1:] > flat[:-1]
-    flat_rise[starts[full]] = True
-    unsorted = np.searchsorted(ends, np.flatnonzero(~flat_rise), side="right")
-    subs = [_trusted_subset(tuple(vals[s:e])) for s, e in bounds]
-    for k in set(unsorted.tolist()):
-        s, e = bounds[k]
-        subs[k] = SubsetRef.of(vals[s:e])
-    return tuple(subs), not unsorted.size
+    fall = flat[1:] <= flat[:-1]
+    fall[starts[full[1:]] - 1] = False
+    if not fall.any():
+        return flat, counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((flat, owner))  # runs stay in place, each sorted
+    flat = flat[order]
+    keep = np.ones(flat.size, dtype=bool)
+    keep[1:] = (flat[1:] != flat[:-1]) | (owner[1:] != owner[:-1])
+    return flat[keep], np.bincount(owner[keep], minlength=counts.size)
 
 
 def _int_runs(members: Sequence[Iterable[int]]) -> tuple[np.ndarray, np.ndarray] | None:

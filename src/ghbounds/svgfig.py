@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .covers import SubsetFamily
+from .metric import _run_lists
 
 _FILL = {"red": "#d62728", "blue": "#1f77b4", "green": "#2ca02c"}
 _MARGIN = 1.0
@@ -60,10 +61,10 @@ def render_families_svg(points: np.ndarray, families: Sequence[SubsetFamily],
     for fam in families:
         fill = _FILL.get(fam.label, "#777777")
         layer = ET.SubElement(svg, "g", {"class": f"family {fam.label}", "fill": fill})
-        for member in fam.members:
+        for run in _run_lists(*fam._index):
             piece = ET.SubElement(layer, "g", {"class": f"piece {fam.label}"})
             ET.SubElement(piece, _SLOT)
-            blocks.append("".join([dots[i] for i in member.indices]))
+            blocks.append("".join([dots[i] for i in run]))
     # ElementTree escapes every "<" in text and attributes, so the slot
     # markup appears only where a slot element was written
     parts = ET.tostring(svg, encoding="unicode").split(f"<{_SLOT} />")

@@ -64,6 +64,14 @@ def random_subset(rng: np.random.Generator, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # CLI helpers
 
+def outcome(build):
+    """build()'s value, or its exception as (type, args, fields) so two paths compare."""
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), exc.args, vars(exc)
+
+
 def run_cli(args: list[str]) -> int:
     """Invoke the command line entry point in-process."""
     return cli.main(args)

@@ -6,6 +6,10 @@ no pruning, so sizes are capped at ENUM_CELL_CAP cells.
 
 The SVG figure built as one ElementTree element per dot, for the text
 writer in ``ghbounds.svgfig``.
+
+The comb cover grouped point by point into a dict of pieces, for the
+array keys of ``ghbounds.constructions.gen_comb_cover``, and the duplicate
+member search as one dict over every member, for ``make_certificate``.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ghbounds.constructions import _GRID_TOL, MIN_PIECE_HEIGHT
 from ghbounds.correspondence import Correspondence
 from ghbounds.covers import SubsetFamily
-from ghbounds.errors import SizeCapExceeded
-from ghbounds.metric import MetricLike
+from ghbounds.errors import HTooSmall, NonIntegerPoint, SizeCapExceeded
+from ghbounds.metric import EuclideanPointSet, MetricLike, SubsetRef, as_subset
 
 ENUM_CELL_CAP = 25
 
@@ -129,3 +134,53 @@ def render_families_svg_et(points: np.ndarray, families: Sequence[SubsetFamily],
     out = Path(path)
     ET.ElementTree(svg).write(out, encoding="utf-8", xml_declaration=True)
     return out
+
+
+def _comb_piece_key(x: float, y: float, h: float) -> tuple:
+    """The cover piece of one comb sample, as (n, kind, k, side)."""
+    if abs(y) <= _GRID_TOL:
+        n = math.floor(x + 0.5 + _GRID_TOL)
+        return (n, 0, 0, 0)
+    n = round(x)
+    if abs(x - n) > _GRID_TOL:
+        raise NonIntegerPoint(-1, (x, y))
+    a = abs(y)
+    if a <= h / 2 + _GRID_TOL:
+        return (n, 0, 0, 0)
+    k = math.ceil((a - h / 2) / h - _GRID_TOL) - 1
+    side = 1 if y > 0 else -1
+    return (n, 1, k, side)
+
+
+def _piece_color(key: tuple) -> int:
+    n, kind, k, _side = key
+    return n % 2 if kind == 0 else (n + k + 1) % 2
+
+
+def gen_comb_cover_loop(comb: EuclideanPointSet,
+                        h: float = 2.0) -> tuple[SubsetFamily, SubsetFamily]:
+    """``gen_comb_cover`` point by point: a dict of index lists per piece key."""
+    if h < MIN_PIECE_HEIGHT - 1e-12:
+        raise HTooSmall(h, MIN_PIECE_HEIGHT)
+    groups: dict[tuple, list[int]] = {}
+    for idx, (x, y) in enumerate(comb.points):
+        try:
+            key = _comb_piece_key(float(x), float(y), h)
+        except NonIntegerPoint:
+            raise NonIntegerPoint(idx, (float(x), float(y))) from None
+        groups.setdefault(key, []).append(idx)
+    members: dict[int, list[SubsetRef]] = {0: [], 1: []}
+    for key in sorted(groups):
+        members[_piece_color(key)].append(as_subset(groups[key]))
+    return (SubsetFamily("red", tuple(members[0])),
+            SubsetFamily("blue", tuple(members[1])))
+
+
+def first_duplicate_member(fam: SubsetFamily) -> tuple[int, int] | None:
+    """The first member equal to an earlier one, as (earlier, later) positions, or None."""
+    seen: dict[tuple[int, ...], int] = {}
+    for pos, mem in enumerate(fam.members):
+        if mem.indices in seen:
+            return seen[mem.indices], pos
+        seen[mem.indices] = pos
+    return None

@@ -20,7 +20,7 @@ import pytest
 
 import ghbounds
 from conftest import run_cli, run_cli_report
-from ghbounds import __version__, cli, exact_gh, gen_lattice_window
+from ghbounds import __version__, cli, covers, exact_gh, gen_lattice_window
 from ghbounds.serialize import (cover_from_json, dump_json, load_json,
                                 space_from_json, space_to_json)
 from ghbounds.svgfig import count_pieces
@@ -502,6 +502,34 @@ def _child_env() -> dict[str, str]:
 def _assert_version(proc: subprocess.CompletedProcess) -> None:
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"ghbounds {__version__}"
+
+
+class TestMemberTuplesStayUnbuilt:
+    """The gen, verify-cover and lower-bound path never builds a family's member tuples."""
+
+    @pytest.mark.parametrize("gen_args, model", [
+        (["chess", "--window", "0,10,0,10"], "R2"),
+        (["brick", "--window", "0,12,0,12", "--r", "1"], "R3"),
+        (["comb-cover", "--window", "0,4,-3,3", "--delta", "0.25"], "R2"),
+    ])
+    def test_no_member_tuples(self, gen_args, model, tmp_path):
+        builds = []
+        real = covers._subsets_at
+
+        def counted(*args):
+            builds.append(args)
+            return real(*args)
+
+        cover = str(tmp_path / "cover.json")
+        with mock.patch.object(covers, "_subsets_at", counted):
+            assert run_cli(["gen", *gen_args, "--out", cover]) == 0
+            assert run_cli(["gen", *gen_args]) == 0
+            assert run_cli(["verify-cover", "--cover", cover]) == 0
+            assert run_cli(["lower-bound", "--cover", cover, "--model", model]) == 0
+            assert builds == []
+            # the counter sees a build when something reads the members
+            assert len(cover_from_json(load_json(cover))[1][0].members) > 0
+        assert len(builds) == 1
 
 
 class TestCollectorPause:

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import outcome
 from ghbounds import (EuclideanPointSet, SubsetFamily, SubsetRef, WindowSpec,
                       check_cover, check_r_disjoint, check_uniform_bound, gen_brick_cover, gen_chess_families,
                       gen_comb_cover, gen_comb_set, gen_epsilon_net,
                       gen_interval_cover, gen_lattice_window, hausdorff,
                       make_certificate, merge_point_sets, multiplicity)
+from ghbounds.constructions import MIN_PIECE_HEIGHT
 from ghbounds.errors import (DeltaNotDividingOne, EmptyWindow, HTooSmall,
                              LTooSmall, NonIntegerPoint, TooManyPoints)
+from oracles import gen_comb_cover_loop
 
 SQRT2 = math.sqrt(2.0)
 
@@ -255,6 +258,51 @@ class TestCombCover:
     def test_deterministic(self):
         again = gen_comb_cover(self.comb, 2.0)
         assert again == self.families
+
+
+_HEIGHTS = st.one_of(st.sampled_from([MIN_PIECE_HEIGHT, 1.8, 2.0, 2.5, 3.0, 1.5]),
+                     st.floats(MIN_PIECE_HEIGHT, 6.0))
+
+
+class TestCombCoverMatchesLoop:
+    """The array keys of ``gen_comb_cover`` against the point-by-point dict of pieces."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(-6, 6).map(lambda v: v / 2), st.integers(0, 16).map(lambda v: v / 2),
+           st.integers(-8, 2).map(lambda v: v / 2), st.integers(0, 16).map(lambda v: v / 2),
+           st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1, 0.05]), _HEIGHTS)
+    def test_windows(self, x0, w, y0, h_win, delta, h):
+        try:
+            comb = gen_comb_set(WindowSpec(x0, x0 + w, y0, y0 + h_win), delta)
+        except (EmptyWindow, ValueError):  # no sample in the window
+            return
+        want = outcome(lambda: gen_comb_cover_loop(comb, h))
+        got = outcome(lambda: gen_comb_cover(comb, h))
+        assert got == want
+        if isinstance(want, tuple) and isinstance(want[0], SubsetFamily):
+            assert [f.members for f in got] == [f.members for f in want]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-12, 12).map(lambda v: v / 4),
+                              st.integers(-20, 20).map(lambda v: v / 4)),
+                    min_size=1, max_size=30, unique=True), _HEIGHTS)
+    def test_off_line_points_fail_at_the_first(self, xy, h):
+        pts = EuclideanPointSet(np.array(xy, dtype=np.float64))
+        assert outcome(lambda: gen_comb_cover(pts, h)) == \
+            outcome(lambda: gen_comb_cover_loop(pts, h))
+
+    def test_line_numbers_beyond_int64(self):
+        lines = [2.0 ** 63, 2.0 ** 63 + 2048.0, 2.0 ** 53 + 2.0, -(2.0 ** 64), 1e19, 3.0]
+        pts = EuclideanPointSet(np.array([(x, y / 2) for x in lines for y in range(-13, 14)]))
+        for h in (MIN_PIECE_HEIGHT, 2.0, 2.5):
+            got, want = gen_comb_cover(pts, h), gen_comb_cover_loop(pts, h)
+            assert [f.members for f in got] == [f.members for f in want]
+
+    def test_first_offending_index(self):
+        pts = EuclideanPointSet(np.array([[0.3, 0.0], [1.0, 2.5], [0.5, 1.0], [1.5, -1.0]]))
+        with pytest.raises(NonIntegerPoint) as err:
+            gen_comb_cover(pts, 2.0)
+        assert (err.value.index, err.value.xy) == (2, (0.5, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_correspondence, random_space
+from conftest import outcome, random_correspondence, random_space
 from ghbounds import (Correspondence, EuclideanPointSet, SubsetFamily,
                       WindowSpec, check_cover, check_r_disjoint,
                       check_uniform_bound, diam, distortion,
@@ -19,10 +19,12 @@ from ghbounds import (Correspondence, EuclideanPointSet, SubsetFamily,
                       make_certificate, model_space, multiplicity,
                       pushforward_family, scale_points, set_distance)
 from ghbounds import covers
+from ghbounds.metric import SubsetRef
 from ghbounds.serialize import family_from_json
 from ghbounds.errors import (EmptyFamilyList, IndexOutOfRange, NotCovering, NotDisjoint,
                              TooManyFamilies, TrivialStabilizer,
                              UnknownModelSpace)
+from oracles import first_duplicate_member
 
 SQRT2 = math.sqrt(2.0)
 
@@ -320,17 +322,94 @@ class TestFamilyIndex:
         lat, red, blue = chess_setup(4.0)
         _, bricks = gen_brick_cover(WindowSpec(0.0, 9.0, 0.0, 9.0), 1.0)
         for fam in (red, blue, *bricks):
-            assert "_index" in vars(fam)  # kept from the arrays that built it
+            assert "_index" in vars(fam) and "members" not in vars(fam)  # arrays only
             self.assert_holds_members(fam)
 
     def test_loaded_and_constructed_families(self):
         members = [[3, 1], [2, 2, 0], [4], [5, 6]]  # unsorted and duplicated runs
         loaded = family_from_json({"label": "f", "members": members}, n=7)
-        assert "_index" not in vars(loaded)  # rebuilt from the sorted members
+        assert "members" not in vars(loaded)  # sorted and deduplicated as arrays
         assert loaded == SubsetFamily.of("f", members, n=7)
         for fam in (loaded, family_from_json({"label": "g", "members": [[0, 2], [5]]}),
                     SubsetFamily.of("h", [[1.0, 2.0], [0]]), SubsetFamily("none", ())):
             self.assert_holds_members(fam)
+
+
+_RUN = st.one_of(
+    st.sets(st.integers(0, 30), min_size=1, max_size=6).map(sorted),  # as loaded files hold them
+    st.lists(st.integers(-3, 34), max_size=6),  # unsorted, duplicated, empty, negative, too large
+    st.builds(lambda i: [i], st.integers(0, 30)),
+)
+_VALID_RUN = st.one_of(st.lists(st.integers(0, 4), min_size=1, max_size=3), _RUN.filter(bool).map(
+    lambda run: [abs(i) for i in run]))
+_LABELS = st.sampled_from(["red", "", "f\u00e9", 'a&b <c> "d"'])
+
+
+class TestArrayFamilies:
+    """Families built from index arrays against the member tuples of ``SubsetFamily.of``."""
+
+    @settings(max_examples=300)
+    @given(_LABELS, st.lists(_RUN, max_size=10), st.one_of(st.none(), st.integers(1, 35)))
+    def test_loaded_family_equals_of(self, label, members, n):
+        want = outcome(lambda: SubsetFamily.of(label, members, n))
+        got = outcome(lambda: family_from_json({"label": label, "members": members}, n))
+        if not isinstance(want, SubsetFamily):
+            assert got == want  # the same error, for the same first failing member
+            return
+        assert "members" not in vars(got)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(got._index, want._index))
+        assert got == want and want == got
+        assert "members" not in vars(got)  # equality reads the arrays
+        assert hash(got) == hash(want)
+        assert got.members == want.members
+        assert all(type(i) is int for mem in got.members for i in mem.indices)
+
+    @settings(max_examples=200)
+    @given(_LABELS, st.lists(_VALID_RUN, max_size=6), st.lists(_VALID_RUN, max_size=6))
+    def test_equality_is_by_label_and_members(self, label, one, two):
+        a = family_from_json({"label": label, "members": one})
+        b = family_from_json({"label": label, "members": two})
+        same = SubsetFamily.of(label, one).members == SubsetFamily.of(label, two).members
+        assert (a == b) == same
+        assert (a == SubsetFamily.of(label, two)) == same
+        assert a != family_from_json({"label": label + "x", "members": one})
+
+    def test_frozen(self):
+        fam = family_from_json({"label": "f", "members": [[0, 1]]})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.label = "g"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.members = ()
+        assert repr(fam) == repr(SubsetFamily.of("f", [[0, 1]]))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.sets(st.integers(0, 6), min_size=1, max_size=3).map(sorted),
+                              st.builds(lambda i: [i], st.integers(0, 40))), max_size=14))
+    def test_duplicate_witness_matches_dict_loop(self, members):
+        lat = gen_lattice_window(WindowSpec(0.0, 6.0, 0.0, 6.0))
+        fam = family_from_json({"label": "f", "members": members}, lat.n)
+        want = first_duplicate_member(SubsetFamily.of("f", members))
+        assert covers._duplicate_members(fam) == want
+        if want is not None:
+            with pytest.raises(NotDisjoint) as ei:
+                make_certificate(lat, (fam,), 1.0)
+            got = ei.value
+            assert (got.family, got.pair, got.gap, got.r) == ("f", want, 0.0, 1.0)
+
+    def test_full_target_matches_an_explicit_one(self):
+        net, bricks = gen_brick_cover(WindowSpec(0.0, 9.0, 0.0, 9.0), 1.0)
+        hits = np.zeros(net.n, dtype=int)
+        for fam in bricks[:2]:
+            for mem in fam.members:
+                hits[list(mem.indices)] += 1
+        found = covers.inspect_cover(net, bricks[:2], 2.0)
+        assert found == covers.inspect_cover(net, bricks[:2], 2.0, target=list(range(net.n)))
+        assert found.target == SubsetRef.full(net.n)
+        assert found.cover.uncovered == tuple(np.flatnonzero(hits == 0).tolist())
+        assert found.multiplicity == hits.max()
+        assert not found.cover.ok
 
 
 class TestInspectCover:

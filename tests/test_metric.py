@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_metric_matrix, random_space
+from conftest import outcome, random_metric_matrix, random_space
 from ghbounds import (EuclideanPointSet, FiniteMetricSpace,
                       SubsetRef, WindowSpec, as_subset, build_space, diam,
                       directed_hausdorff, gen_epsilon_net,
@@ -64,14 +64,6 @@ class TestSubsetRef:
             SubsetRef.full(0)
 
 
-def _outcome(build):
-    """build()'s value, or its exception as (type, args, fields) so two paths compare."""
-    try:
-        return build()
-    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
-        return type(exc), exc.args, vars(exc)
-
-
 def _member_by_member(members, n):
     return tuple(SubsetRef.of(m, n) for m in members)
 
@@ -95,8 +87,8 @@ class TestBatchedSubsets:
            st.one_of(st.none(), st.integers(min_value=1, max_value=45)))
     def test_matches_member_by_member(self, typed_members, n):
         members = [[cast(i) for i in m] for m, cast in typed_members]
-        want = _outcome(lambda: _member_by_member(members, n))
-        got = _outcome(lambda: metric._subsets_from_lists(members, n))
+        want = outcome(lambda: _member_by_member(members, n))
+        got = outcome(lambda: metric._subsets_from_lists(members, n))
         assert got == want
         if isinstance(want, tuple) and want and isinstance(want[0], SubsetRef):
             assert all(type(i) is int for s in got for i in s.indices)
@@ -112,8 +104,8 @@ class TestBatchedSubsets:
     ])
     @pytest.mark.parametrize("n", [None, 4])
     def test_odd_inputs_match(self, members, n):
-        want = _outcome(lambda: _member_by_member(members(), n))
-        assert _outcome(lambda: metric._subsets_from_lists(members(), n)) == want
+        want = outcome(lambda: _member_by_member(members(), n))
+        assert outcome(lambda: metric._subsets_from_lists(members(), n)) == want
 
     def test_runs_of_an_array(self):
         flat = np.array([0, 3, 7, 2, 2, 1, 9], dtype=np.intp)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import re
 import struct
 from unittest import mock
 
@@ -287,3 +290,47 @@ class TestArrayEncoder:
         for bad in (np.zeros(3), np.zeros((2, 2), dtype=np.int64)):
             with pytest.raises(TypeError):
                 dump_json({"a": bad}, tmp_path / "x.json")
+
+
+_FAMILY_MEMBERS = st.one_of(
+    st.lists(st.integers(0, 19).map(lambda i: [i]), max_size=9),  # singletons
+    st.lists(st.sets(st.integers(0, 19), min_size=1, max_size=9).map(sorted), max_size=6),
+    st.just([]),  # an empty family
+    st.builds(lambda k: [list(range(k))], st.integers(1, 20)),  # one member
+)
+
+
+class TestFamilyArrayEncoder:
+    """A gen document, holding each family's index arrays, against json.dumps of the lists."""
+
+    SPACE = EuclideanPointSet(np.column_stack((np.arange(20) * 0.5, np.arange(20) % 3 * 0.25)))
+
+    @given(st.lists(st.tuples(st.sampled_from(["red", "", "f\u00e9", 'a&b <c> "d"\n']),
+                              _FAMILY_MEMBERS), max_size=4),
+           st.one_of(st.none(), st.integers(1, 3)), st.booleans())
+    def test_matches_dumps_of_lists(self, tmp_path_factory, families, slice_items, loaded):
+        fams = tuple(family_from_json({"label": label, "members": members}) if loaded
+                     else SubsetFamily.of(label, members) for label, members in families)
+        doc = serialize._document(self.SPACE, fams, 1.5, c=2.0, arrays=True)
+        plain = cover_to_json(self.SPACE, fams, 1.5, c=2.0)
+        assert plain["families"] == [{"label": label, "members": [sorted(set(m)) for m in members]}
+                                     for label, members in families]
+        path = tmp_path_factory.mktemp("fam") / "c.json"
+        with mock.patch.object(serialize, "_DUMP_SLICE", slice_items or serialize._DUMP_SLICE):
+            dump_json(doc, path)
+        assert path.read_bytes() == (json.dumps(plain) + "\n").encode("utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(doc, None)
+        assert out.getvalue() == json.dumps(plain, indent=2) + "\n"
+
+    def test_long_member_is_written_in_slices(self, tmp_path):
+        fam = family_from_json({"label": "long", "members": [[0], list(range(1, 20)), [19]]})
+        doc = serialize._document(self.SPACE, (fam,), 1.0, arrays=True)
+        with mock.patch.object(serialize, "_DUMP_SLICE", 4):
+            pieces = list(serialize._members_text(doc["families"][0]["members"]))
+            dump_json(doc, tmp_path / "c.json")
+        assert max(len(re.findall(r"\d+", p)) for p in pieces) == 4  # entries per piece
+        assert "".join(pieces) == json.dumps([[0], list(range(1, 20)), [19]])
+        plain = cover_to_json(self.SPACE, (fam,), 1.0)
+        assert (tmp_path / "c.json").read_text() == json.dumps(plain) + "\n"
