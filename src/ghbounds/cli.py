@@ -14,12 +14,13 @@ import functools
 import gc
 import json
 import math
-import operator
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from . import __version__
 from .constructions import (
@@ -80,8 +81,7 @@ def _emit(obj: Any, out: str | None) -> None:
         dump_json(obj, out)
         _say(f"wrote {out}")
     else:
-        # documents from _document(..., arrays=True) hold arrays with a tolist()
-        print(json.dumps(obj, indent=2, default=operator.methodcaller("tolist")))
+        print(json.dumps(obj, indent=2, default=np.ndarray.tolist))
 
 
 def _report(command: str, inputs: dict[str, Any], outputs: dict[str, Any],
@@ -159,9 +159,8 @@ _GEN_KINDS: dict[str, Callable[[WindowSpec, argparse.Namespace], _Built]] = {
 def cmd_gen(args: argparse.Namespace) -> int:
     space, families, r, c, summary = _GEN_KINDS[args.kind](WindowSpec.parse(args.window), args)
     _say(summary)
-    # the document keeps the point and index arrays, which dump_json writes
-    # without a list per point or a tuple per member
-    _emit(_document(space, families, r, c=c, arrays=True), args.out)
+    # the document keeps the point array, which dump_json writes without a list per point
+    _emit(_document(np.asarray, space, families, r, c=c), args.out)
     return EXIT_OK
 
 

@@ -62,6 +62,7 @@ from .metric import (
     _euclid,
     _int_runs,
     _ragged,
+    _run_lists,
     _subsets_at,
     _trusted_subset,
     as_subset,
@@ -116,10 +117,12 @@ class SubsetFamily:
 
     def _member(self, k: int) -> SubsetRef:
         """Member k, without building the others."""
-        if "members" in self.__dict__:
-            return self.members[k]
         flat, offsets = self._index
         return _trusted_subset(tuple(flat[offsets[k]:offsets[k + 1]].tolist()))
+
+    def _runs(self) -> list[list[int]]:
+        """Each member's indices as a list of ints, without building the tuple of members."""
+        return _run_lists(*self._index)
 
     def __len__(self) -> int:
         return self._index[1].size - 1
@@ -127,12 +130,9 @@ class SubsetFamily:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubsetFamily):
             return NotImplemented
-        if self.label != other.label:
-            return False
-        if "members" in self.__dict__ and "members" in other.__dict__:
-            return self.members == other.members
         # members are nonempty and strictly increasing, so equal arrays mean equal members
-        return all(np.array_equal(x, y) for x, y in zip(self._index, other._index))
+        return self.label == other.label and all(
+            np.array_equal(x, y) for x, y in zip(self._index, other._index))
 
     def __hash__(self) -> int:
         return hash((self.label, self.members))

@@ -12,26 +12,22 @@ shortest round-trip form (e.g. 0.7071067811865476) and reload bit-exactly.
 Files are written as single-line JSON by the C encoder; ``python -m
 json.tool`` pretty-prints them.
 
-``dump_json`` also takes documents that hold a 2-D float64 array and
-family index arrays, as ``gen`` hands it the point array and each
-family's (flat, offsets) pair, and writes the bytes of ``json.dumps`` of
-their ``tolist()``. Points go _DUMP_SLICE rows at a time. A slice whose
+``dump_json`` also takes documents that hold a 2-D float64 array, as
+``gen`` hands it the point array, and writes the bytes of ``json.dumps``
+of its ``tolist()``. It works _DUMP_SLICE rows at a time. A slice whose
 distinct values (by bit pattern, so -0.0 and 0.0 stay apart) number at
 most half its cells is written by formatting each distinct value once and
 joining the rows by index; the brick net's 160,801 points hold 401
 distinct coordinates. Any other slice goes through the C encoder whole.
-Members are cut from the flat array as lists and handed to the C encoder
-as many at a time as fit in _DUMP_SLICE entries.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,8 +38,6 @@ from .metric import (
     EuclideanPointSet,
     MetricLike,
     SubsetRef,
-    _batches,
-    _run_lists,
     _subsets_from_lists,
     build_space,
 )
@@ -52,17 +46,16 @@ from .metric import (
 _DUMP_SLICE = 4096
 
 
-def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
-              r: float = 0.0, strict: bool = False, c: float | None = None,
-              target: SubsetRef | None = None, arrays: bool = False) -> dict[str, Any]:
+def _document(table: Callable[[np.ndarray], Any], space: MetricLike,
+              families: Sequence[SubsetFamily] | None = None, r: float = 0.0,
+              strict: bool = False, c: float | None = None,
+              target: SubsetRef | None = None) -> dict[str, Any]:
     """The wire layout of a space, or of a cover of it when families are given.
 
-    Plain JSON values by default. With ``arrays``, the space's point or
-    distance array and each family's index arrays are kept as they are, for
-    ``dump_json``; every array value in that document has a ``tolist()``
-    giving the plain value.
+    The space's point or distance array is stored as ``table(array)``:
+    ``np.ndarray.tolist`` gives plain JSON values, ``np.asarray`` keeps the
+    array for ``dump_json``.
     """
-    table = np.asarray if arrays else np.ndarray.tolist
     if isinstance(space, EuclideanPointSet):
         obj: dict[str, Any] = {"kind": "points2d", "pts": table(space.points)}
         if space.labels is not None:
@@ -74,8 +67,7 @@ def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
     obj = {
         "kind": "cover",
         "space": obj,
-        "families": [{"label": f.label, "members": _Members(*f._index)} if arrays
-                     else family_to_json(f) for f in families],
+        "families": [family_to_json(f) for f in families],
         "r": r,
         "strict": strict,
     }
@@ -86,19 +78,8 @@ def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
     return obj
 
 
-@dataclass(frozen=True)
-class _Members:
-    """A family's members as its index arrays: member k is flat[offsets[k]:offsets[k + 1]]."""
-
-    flat: np.ndarray
-    offsets: np.ndarray
-
-    def tolist(self) -> list[list[int]]:
-        return _run_lists(self.flat, self.offsets)
-
-
 def space_to_json(space: MetricLike) -> dict[str, Any]:
-    return _document(space)
+    return _document(np.ndarray.tolist, space)
 
 
 def space_from_json(obj: dict[str, Any]) -> MetricLike:
@@ -139,7 +120,7 @@ def subset_from_json(obj: Sequence[int], n: int | None = None) -> SubsetRef:
 
 
 def family_to_json(fam: SubsetFamily) -> dict[str, Any]:
-    return {"label": fam.label, "members": _Members(*fam._index).tolist()}
+    return {"label": fam.label, "members": fam._runs()}
 
 
 def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
@@ -149,7 +130,7 @@ def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
 def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,
                   strict: bool = False, c: float | None = None,
                   target: SubsetRef | None = None) -> dict[str, Any]:
-    return _document(space, families, r, strict, c, target)
+    return _document(np.ndarray.tolist, space, families, r, strict, c, target)
 
 
 def cover_from_json(obj: dict[str, Any]) -> tuple[MetricLike, tuple[SubsetFamily, ...],
@@ -223,34 +204,12 @@ def _rows_text(rows: np.ndarray) -> str:
     return ", ".join(itemgetter(*cells.ravel().tolist())(table))
 
 
-def _members_text(members: _Members) -> Iterator[str]:
-    """The text of ``json.dumps(members.tolist())``, at most _DUMP_SLICE entries per piece.
-
-    Consecutive members go through the C encoder together while their
-    entries fit in one slice; a longer member is written a slice at a time.
-    """
-    flat, offsets = members.flat, members.offsets
-    yield "["
-    if offsets.size > 1:
-        for t, grp in enumerate(_batches(np.diff(offsets), _DUMP_SLICE)):
-            lo, hi = int(offsets[grp.start]), int(offsets[grp.stop])
-            if t:
-                yield ", "
-            if hi - lo > _DUMP_SLICE:  # one member alone
-                yield from _encode(flat[lo:hi].tolist())
-            else:
-                runs = _run_lists(flat[lo:hi], offsets[grp.start:grp.stop + 1] - lo)
-                yield json.dumps(runs)[1:-1]
-    yield "]"
-
-
 def _encode(obj: Any) -> Iterator[str]:
     """The text of ``json.dumps(obj)``, in pieces of bounded size.
 
-    Dicts with string keys and lists of dicts are taken apart item by item;
-    lists longer than _DUMP_SLICE items, 2-D float64 arrays and family index
-    arrays (as their ``tolist()``) _DUMP_SLICE items, rows or entries at a
-    time. Everything else goes through the C encoder in one call.
+    Dicts with string keys, lists longer than _DUMP_SLICE items and 2-D
+    float64 arrays (as their ``tolist()``) are taken apart _DUMP_SLICE items
+    or rows at a time; everything else goes through the C encoder in one call.
     """
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         yield "{"
@@ -262,14 +221,6 @@ def _encode(obj: Any) -> Iterator[str]:
         yield "["
         for s in range(0, len(obj), _DUMP_SLICE):
             yield (", " if s else "") + _rows_text(obj[s:s + _DUMP_SLICE])
-        yield "]"
-    elif isinstance(obj, _Members):
-        yield from _members_text(obj)
-    elif isinstance(obj, (list, tuple)) and any(isinstance(v, dict) for v in obj):
-        yield "["  # a list of families
-        for t, v in enumerate(obj):
-            yield ", " if t else ""
-            yield from _encode(v)
         yield "]"
     elif isinstance(obj, (list, tuple)) and len(obj) > _DUMP_SLICE:
         yield "["
@@ -283,8 +234,7 @@ def _encode(obj: Any) -> Iterator[str]:
 def dump_json(obj: Any, path: str | Path) -> None:
     """Write obj as single-line JSON plus a newline: the bytes of ``json.dumps(obj)``.
 
-    A 2-D float64 array or a family's index arrays in a dict value is
-    written as its ``tolist()``.
+    A 2-D float64 array in a dict value is written as its ``tolist()``.
     ``json.dumps`` without an indent runs the C encoder; large lists and
     arrays are encoded a slice at a time so no whole-file string is built.
     """

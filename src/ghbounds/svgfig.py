@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .covers import SubsetFamily
-from .metric import _run_lists
 
 _FILL = {"red": "#d62728", "blue": "#1f77b4", "green": "#2ca02c"}
 _MARGIN = 1.0
@@ -61,7 +60,7 @@ def render_families_svg(points: np.ndarray, families: Sequence[SubsetFamily],
     for fam in families:
         fill = _FILL.get(fam.label, "#777777")
         layer = ET.SubElement(svg, "g", {"class": f"family {fam.label}", "fill": fill})
-        for run in _run_lists(*fam._index):
+        for run in fam._runs():
             piece = ET.SubElement(layer, "g", {"class": f"piece {fam.label}"})
             ET.SubElement(piece, _SLOT)
             blocks.append("".join([dots[i] for i in run]))

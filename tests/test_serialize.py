@@ -6,7 +6,6 @@ import contextlib
 import io
 import json
 import math
-import re
 import struct
 from unittest import mock
 
@@ -301,7 +300,7 @@ _FAMILY_MEMBERS = st.one_of(
 
 
 class TestFamilyArrayEncoder:
-    """A gen document, holding each family's index arrays, against json.dumps of the lists."""
+    """A gen document of a cover, whose member lists are cut from index arrays, against json.dumps."""
 
     SPACE = EuclideanPointSet(np.column_stack((np.arange(20) * 0.5, np.arange(20) % 3 * 0.25)))
 
@@ -311,7 +310,7 @@ class TestFamilyArrayEncoder:
     def test_matches_dumps_of_lists(self, tmp_path_factory, families, slice_items, loaded):
         fams = tuple(family_from_json({"label": label, "members": members}) if loaded
                      else SubsetFamily.of(label, members) for label, members in families)
-        doc = serialize._document(self.SPACE, fams, 1.5, c=2.0, arrays=True)
+        doc = serialize._document(np.asarray, self.SPACE, fams, 1.5, c=2.0)
         plain = cover_to_json(self.SPACE, fams, 1.5, c=2.0)
         assert plain["families"] == [{"label": label, "members": [sorted(set(m)) for m in members]}
                                      for label, members in families]
@@ -323,14 +322,3 @@ class TestFamilyArrayEncoder:
         with contextlib.redirect_stdout(out):
             cli._emit(doc, None)
         assert out.getvalue() == json.dumps(plain, indent=2) + "\n"
-
-    def test_long_member_is_written_in_slices(self, tmp_path):
-        fam = family_from_json({"label": "long", "members": [[0], list(range(1, 20)), [19]]})
-        doc = serialize._document(self.SPACE, (fam,), 1.0, arrays=True)
-        with mock.patch.object(serialize, "_DUMP_SLICE", 4):
-            pieces = list(serialize._members_text(doc["families"][0]["members"]))
-            dump_json(doc, tmp_path / "c.json")
-        assert max(len(re.findall(r"\d+", p)) for p in pieces) == 4  # entries per piece
-        assert "".join(pieces) == json.dumps([[0], list(range(1, 20)), [19]])
-        plain = cover_to_json(self.SPACE, (fam,), 1.0)
-        assert (tmp_path / "c.json").read_text() == json.dumps(plain) + "\n"
