@@ -91,7 +91,10 @@ def gen_lattice_window(w: WindowSpec) -> EuclideanPointSet:
         raise EmptyWindow("window contains no integer point")
     if xs.size * ys.size > POINT_CAP:
         raise TooManyPoints(int(xs.size * ys.size), POINT_CAP)
-    labels = tuple(f"({int(x)},{int(y)})" for x in xs for y in ys)
+    # each distinct coordinate is formatted once; a label is "(x," + "y)"
+    heads = [f"({int(x)}," for x in xs.tolist()]
+    tails = [f"{int(y)})" for y in ys.tolist()]
+    labels = tuple(head + tail for head in heads for tail in tails)
     return EuclideanPointSet(_cross_product_points(xs, ys), labels)
 
 

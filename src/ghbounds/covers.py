@@ -19,10 +19,13 @@ never read it: the duplicate-member check compares only members that start
 at the same index, and the gap search fetches only the members it passes to
 ``set_distance``.
 
-On planar sets the family gap search sorts the members' bounding boxes
-along the family's longer axis and sweeps them, measuring only pairs whose
-boxes come within the best gap so far; it returns the same bits and the
-same witness as the all-pairs scan that matrix spaces use. The largest
+On planar sets the family gap search measures only pairs whose bounding
+boxes come within a distance already measured between two members. Those
+pairs come from a sweep along the family's longer axis or from a bucket
+grid whose cells are as wide as the largest member plus that distance,
+whichever of the two counts fewer, and are made a few thousand at a time.
+It returns the same bits and the same witness as the all-pairs scan that
+matrix spaces use. The largest
 diameter measures only the points that can attain it: a point whose
 distance to the farthest corner of its member's bounding box is below a
 distance already measured between two extreme points of some member is
@@ -37,7 +40,7 @@ import math
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +60,7 @@ from .metric import (
     EuclideanPointSet,
     MetricLike,
     SubsetRef,
+    _TargetGrid,
     _batches,
     _checked_runs,
     _euclid,
@@ -274,28 +278,31 @@ class CoverCertificate:
 # checks
 
 
-# member pairs per sweep batch, which keeps about a dozen arrays per pair,
-# and the sweep rows whose windows one batch measures to fill it
-_SWEEP_PAIRS = 4096
-_SWEEP_ROWS = 256
+# member pairs per gap-search batch, which keeps about a dozen arrays per pair
+_GAP_PAIRS = 4096
 # member points gathered at once to build bounding boxes
 _BOX_POINTS = 16384
 # within-member point pairs per diameter batch
 _DIAM_PAIRS = 65536
-# the sweep window reaches past the threshold by thousands of ulps of its
-# coordinates, and by at least a gap whose square does not underflow, so
-# rounding never drops a pair whose box gap is at most the threshold
-_SWEEP_SLACK = 2.0 ** -40
-_SWEEP_FLOOR = 2.0 ** -500
+# sweep windows and grid cells reach past the threshold by thousands of ulps
+# of the coordinates, and by at least a gap whose square does not underflow,
+# so rounding never drops a pair whose box gap is at most the threshold
+_GAP_SLACK = 2.0 ** -40
+_GAP_FLOOR = 2.0 ** -500
 
 
 def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[int, int] | None]:
-    """Smallest gap between distinct members and its lexicographically first witness."""
+    """Smallest gap between distinct members and its lexicographically first witness.
+
+    Matrix spaces measure every pair with ``set_distance``. Planar sets
+    measure only candidate pairs (``_planar_min_gap``), with the same bits
+    and the same witness.
+    """
     m = len(fam)
     if m < 2:
         return math.inf, None
     if isinstance(space, EuclideanPointSet):
-        return _sweep_min_gap(space, fam)
+        return _planar_min_gap(space, fam)
     members = [fam._member(k) for k in range(m)]
     best = math.inf
     witness: tuple[int, int] | None = None
@@ -326,63 +333,121 @@ def _member_boxes(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[np.ndarr
     return lo, hi
 
 
-def _sweep_min_gap(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[float, tuple[int, int]]:
-    """The all-pairs minimum and witness of ``_family_min_gap``, by sort and sweep.
+class _Candidates(NamedTuple):
+    """Member pairs to measure: position i // runs with each of begin[i] + [0, counts[i]).
 
-    Members are sorted by the low edge of their bounding box along the
-    family's longer axis. Only pairs whose extents on that axis come within
-    the threshold -- the best gap so far, or a true distance between two
-    sweep-adjacent members if smaller -- are generated, in batches. Box gaps
-    use the distance expression of the points, so by monotone rounding they
-    never exceed the measured gap of any cross pair. ``set_distance`` runs
-    only on pairs whose box gap could still beat the best (gap, a, b), in
-    ascending (box gap, a, b) order.
+    Positions index the members in the order ``order``; each position has
+    ``runs`` consecutive runs of partners.
     """
-    m = len(fam)
+
+    order: np.ndarray
+    runs: int
+    begin: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def pairs(self) -> int:
+        return int(self.counts.sum())
+
+
+def _planar_min_gap(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[float, tuple[int, int]]:
+    """The all-pairs minimum and witness of ``_family_min_gap``, from candidate pairs.
+
+    The threshold ub is the smallest distance between the first points of
+    members adjacent in sweep order. Every pair whose bounding boxes come
+    within ub is a candidate, by one of two rules: the sweep
+    (``_sweep_candidates``) or the bucket grid (``_grid_candidates``).
+    Both are counted before any pair is made, and the one with fewer pairs
+    is measured (``_fewer_pairs``). Candidates are made in batches of
+    at most _GAP_PAIRS. Box gaps use the distance expression of the points,
+    so by monotone rounding they never exceed the measured gap of any cross
+    pair. ``set_distance`` runs only on pairs whose box gap could still beat
+    the best (gap, a, b), in ascending (box gap, a, b) order per batch.
+    """
     lo, hi = _member_boxes(space, fam)
     k = int(np.argmax(hi.max(axis=1) - lo.min(axis=1)))
     order = np.argsort(lo[k], kind="stable")
-    # sweep axis k and cross axis j, in sweep order; along k, lo never
-    # decreases, so a pair's box gap on k is key[u] - hik[t] or 0
-    key, hik, loj, hij = lo[k, order], hi[k, order], lo[1 - k, order], hi[1 - k, order]
     # any point-to-point distance between two members bounds the minimum
     flat, offsets = fam._index
     first = space.points[flat[offsets[:-1][order]]]
     ub = float(_euclid(first[1:, 0] - first[:-1, 0], first[1:, 1] - first[:-1, 1]).min())
+    del first
+    # unpacked, so the candidates of the rule not taken are freed before measuring
+    order, runs, begin, counts = _fewer_pairs(
+        _sweep_candidates(lo[k, order], hi[k, order], order, ub), _grid_candidates(lo, hi, ub))
 
+    lo, hi = lo[:, order], hi[:, order]
     best, witness = math.inf, (-1, -1)
-    t, u = 0, 1  # the next pair to generate, as sorted positions t < u
-    while t < m - 1:
-        stop = min(t + _SWEEP_ROWS, m - 1)
-        edge, thr = hik[t:stop], min(best, ub)
-        reach = edge + thr + (_SWEEP_SLACK * (np.abs(edge) + thr) + _SWEEP_FLOOR)
-        begin = np.arange(t + 1, stop + 1)
-        begin[0] = u
-        counts = np.maximum(np.searchsorted(key, reach, side="right") - begin, 0)
-        full = int(np.searchsorted(np.cumsum(counts), _SWEEP_PAIRS, side="right"))
-        if full:
-            begin, counts = begin[:full], counts[:full]
-            t0, t, u = t, t + full, t + full + 1
-        else:  # row t alone overflows a batch: take the next part of it
-            begin, counts = begin[:1], np.array([_SWEEP_PAIRS])
-            t0, u = t, u + _SWEEP_PAIRS
-        pu, pt = _ragged(begin, counts)
-        pt += t0
-        g = _euclid(np.maximum(key[pu] - hik[pt], 0.0),
-                    np.maximum(np.maximum(loj[pu] - hij[pt], loj[pt] - hij[pu]), 0.0))
-        a, b = np.minimum(order[pt], order[pu]), np.maximum(order[pt], order[pu])
-        del pu, pt  # only the kept candidates stay alive while measuring
+    for i, u in _pair_batches(begin, counts, _GAP_PAIRS):
+        t = i // runs
+        del i
+        g = _euclid(*(np.maximum(np.maximum(lo[c, u] - hi[c, t], lo[c, t] - hi[c, u]), 0.0)
+                      for c in range(2)))
+        near = np.flatnonzero(g <= min(best, ub))
+        g, t, u = g[near], t[near], u[near]
+        del near  # only the near candidates stay alive while measuring
+        a = np.minimum(order[t], order[u])
+        b = np.maximum(order[t], order[u])
         wa, wb = witness
-        keep = (g <= ub) & ((g < best) | ((g == best) & ((a < wa) | ((a == wa) & (b < wb)))))
+        keep = (g < best) | ((g == best) & ((a < wa) | ((a == wa) & (b < wb))))
         g, a, b = g[keep], a[keep], b[keep]
-        sel = np.lexsort((b, a, g))
-        for gi, ai, bi in zip(g[sel].tolist(), a[sel].tolist(), b[sel].tolist()):
+        # one candidate at a time: the loop mostly stops after the first few
+        for s in np.lexsort((b, a, g)):
+            gi, ai, bi = float(g[s]), int(a[s]), int(b[s])
             if not (gi < best or (gi == best and (ai, bi) < witness)):
                 break
             dist = set_distance(space, fam._member(ai), fam._member(bi))
             if dist < best or (dist == best and (ai, bi) < witness):
                 best, witness = dist, (ai, bi)
     return best, witness
+
+
+def _fewer_pairs(sweep: _Candidates, grid: _Candidates) -> _Candidates:
+    """The grid's candidates where they are fewer than the sweep's, else the sweep's."""
+    return grid if grid.pairs < sweep.pairs else sweep
+
+
+def _sweep_candidates(key: np.ndarray, edge: np.ndarray, order: np.ndarray,
+                      ub: float) -> _Candidates:
+    """Pairs whose extents on the sweep axis come within ub.
+
+    Members are in ``order``, sorted by the low edge ``key`` of their boxes
+    on the family's longer axis; ``edge`` is the high edge. Row t pairs
+    with every later member whose low edge is within ub of its high edge.
+    """
+    reach = edge + ub + (_GAP_SLACK * (np.abs(edge) + ub) + _GAP_FLOOR)
+    begin = np.arange(1, key.size + 1)
+    counts = np.maximum(np.searchsorted(key, reach, side="right") - begin, 0)
+    return _Candidates(order, 1, begin, counts)
+
+
+def _grid_candidates(lo: np.ndarray, hi: np.ndarray, ub: float) -> _Candidates:
+    """Pairs whose box low corners lie in one cell or in neighbouring cells of a bucket grid.
+
+    The cell side is at least the largest member extent plus ub, with
+    rounding slack, so two boxes within ub of each other have low corners
+    at most one cell apart on each axis. Members are bucketed by cell in
+    row-major order. Row p pairs with two runs: the later members of its
+    own cell and of the cell to its right, and the members of the three
+    cells above. So each pair is a candidate once.
+    """
+    extent = float((hi - lo).max())
+    scale = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
+    side = extent + ub + (_GAP_SLACK * (scale + extent + ub) + _GAP_FLOOR)
+    grid = _TargetGrid(lo.T, side)
+    order, offs, _ = grid.buckets()
+    nx, last = grid.nx, grid.nx * grid.ny
+    cell = np.repeat(np.arange(last), np.diff(offs))  # row-major id, in bucket order
+    cx = cell % nx
+    right = cx + 1 < nx
+    begin = np.empty(2 * order.size, dtype=np.intp)
+    counts = np.empty_like(begin)
+    begin[0::2] = np.arange(1, order.size + 1)
+    counts[0::2] = offs[cell + 1 + right] - begin[0::2]
+    # above the top row the indices clamp to the end: an empty run
+    begin[1::2] = offs[np.minimum(cell + nx - (cx > 0), last)]
+    counts[1::2] = offs[np.minimum(cell + nx + 1 + right, last)] - begin[1::2]
+    return _Candidates(order, 2, begin, counts)
 
 
 def check_r_disjoint(space: MetricLike, fam: SubsetFamily, r: float,
@@ -464,17 +529,32 @@ def _pair_max(dist: Callable[[np.ndarray, np.ndarray], np.ndarray],
               begin: np.ndarray, counts: np.ndarray) -> float:
     """Largest dist(i, j) over rows i and j in [begin[i], begin[i] + counts[i]); 0.0 if none.
 
-    Pairs are numbered row after row and generated _DIAM_PAIRS at a time,
-    so no batch holds more, however long a row is.
+    Pairs are made _DIAM_PAIRS at a time (``_pair_batches``).
+    """
+    worst = 0.0
+    for i, j in _pair_batches(begin, counts, _DIAM_PAIRS):
+        worst = max(worst, float(dist(i, j).max()))
+    return worst
+
+
+def _pair_batches(begin: np.ndarray, counts: np.ndarray,
+                  cap: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row i paired with each of begin[i] + [0, counts[i]), cap pairs at a time.
+
+    Pairs are numbered row after row; each batch is its rows and partners.
+    No batch holds more than cap pairs, however long a row is.
     """
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
-    worst = 0.0
-    for g0 in range(0, total, _DIAM_PAIRS):
-        g = np.arange(g0, min(g0 + _DIAM_PAIRS, total))
-        i = np.searchsorted(ends, g, side="right")
-        worst = max(worst, float(dist(i, begin[i] + (g - (ends[i] - counts[i]))).max()))
-    return worst
+    for g0 in range(0, total, cap):
+        g1 = min(g0 + cap, total)
+        # rows r0 .. r1 - 1 hold pairs g0 .. g1 - 1, each its share of them
+        r0, r1 = np.searchsorted(ends, [g0, g1 - 1], side="right") + [0, 1]
+        first = ends[r0:r1] - counts[r0:r1]  # the number of each row's first pair
+        share = np.minimum(ends[r0:r1], g1) - np.maximum(first, g0)
+        partner = np.repeat(begin[r0:r1] - first, share)
+        partner += np.arange(g0, g1)
+        yield np.repeat(np.arange(r0, r1), share), partner
 
 
 def check_cover(space: MetricLike, families: Sequence[SubsetFamily],

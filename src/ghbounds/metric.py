@@ -337,31 +337,34 @@ def _scan_nearest(block, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarr
     return dist, pos
 
 
-def _cell_grid(lo: np.ndarray, hi: np.ndarray, cells: float) -> tuple[float, int, int]:
+def _cell_grid(lo: np.ndarray, hi: np.ndarray, cells: float,
+               side: float = 0.0) -> tuple[float, int, int]:
     """Side and shape (nx, ny) of a uniform grid of about `cells` cells over [lo, hi].
 
     The count stays at most about 3 * cells, also for collinear points; a
-    single point gets one cell.
+    single point gets one cell. Cells are at least `side` wide; where the
+    side or the extent is not finite, one cell holds everything.
     """
     sx, sy = (hi - lo).tolist()
-    h = max(math.sqrt(sx) * math.sqrt(sy / cells), max(sx, sy) / cells)
+    h = max(math.sqrt(sx) * math.sqrt(sy / cells), max(sx, sy) / cells, side)
     if not 0.0 < h < math.inf:
         h, sx, sy = 1.0, 0.0, 0.0
     return h, int(sx // h) + 1, int(sy // h) + 1
 
 
 class _TargetGrid:
-    """The rows of p on a uniform grid of about one point per cell.
+    """The rows of p on a uniform grid of about one point per cell, cells at least `side` wide.
 
     Built once per target set and searched any number of times by
     ``_grid_search``; the CSR buckets are sorted on the first search that
-    needs them.
+    needs them. The planar family gap search in ``covers`` buckets member
+    box corners on it, with cells as wide as its pairs need.
     """
 
-    def __init__(self, p: np.ndarray):
+    def __init__(self, p: np.ndarray, side: float = 0.0):
         self.p = p
         self.lo, self.hi = p.min(axis=0), p.max(axis=0)
-        self.h, self.nx, self.ny = _cell_grid(self.lo, self.hi, p.shape[0])
+        self.h, self.nx, self.ny = _cell_grid(self.lo, self.hi, p.shape[0], side)
         self._csr = None
 
     def cell_of(self, v: np.ndarray) -> np.ndarray:

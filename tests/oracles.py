@@ -10,6 +10,10 @@ writer in ``ghbounds.svgfig``.
 The comb cover grouped point by point into a dict of pieces, for the
 array keys of ``ghbounds.constructions.gen_comb_cover``, and the duplicate
 member search as one dict over every member, for ``make_certificate``.
+
+The family min gap as one matrix of member gaps, reduced from the whole
+distance matrix, for the planar gap search on families too large for the
+pair-by-pair matrix scan.
 """
 
 from __future__ import annotations
@@ -184,3 +188,18 @@ def first_duplicate_member(fam: SubsetFamily) -> tuple[int, int] | None:
             return seen[mem.indices], pos
         seen[mem.indices] = pos
     return None
+
+
+def all_pairs_min_gap(matrix: np.ndarray, members: Sequence[Sequence[int]]) -> tuple[float, tuple[int, int]]:
+    """Smallest gap between two of at least two members and its lexicographically first witness.
+
+    The gap of members a and b is the least entry of the matrix block of
+    their points, the value ``set_distance`` takes on a matrix space.
+    """
+    idx = np.concatenate([np.asarray(mem, dtype=np.intp) for mem in members])
+    starts = np.cumsum([len(mem) for mem in members]) - [len(mem) for mem in members]
+    gaps = np.minimum.reduceat(np.minimum.reduceat(matrix[np.ix_(idx, idx)], starts, axis=0),
+                               starts, axis=1)
+    a, b = np.triu_indices(len(members), 1)  # pairs in lexicographic order
+    first = int(np.argmin(gaps[a, b]))
+    return float(gaps[a[first], b[first]]), (int(a[first]), int(b[first]))

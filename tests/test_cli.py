@@ -607,6 +607,7 @@ class TestScripts:
         ("brick_sweep.py", ["--window", "10", "--rs", "1,2"]),
         ("reproduce_all.py", ["--window", "4", "--out-dir", "{tmp}"]),
         ("json_boundary.py", ["--window", "4", "--repeats", "1"]),
+        ("scale_sweep.py", ["--sizes", "4,6"]),
     ])
     def test_runs(self, script, args, tmp_path):
         path = Path(__file__).resolve().parents[1] / "scripts" / script

@@ -73,6 +73,16 @@ class TestLattice:
         assert [tuple(p) for p in lat.points] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert lat.labels == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
 
+    @pytest.mark.parametrize("window", [
+        (-7.5, 3.0, -12.0, -4.2),           # negative, fractional edges
+        (-3.0, 0.0, -0.5, 0.5),             # zero beside negative values
+        (1e15, 1e15 + 4, -2.0 ** 53, -2.0 ** 53 + 6),  # large magnitudes, still exact
+        (-1e12 - 2, -1e12 + 2, 1e9, 1e9 + 3),
+    ])
+    def test_labels_match_per_point_formatting(self, window):
+        lat = gen_lattice_window(WindowSpec(*window))
+        assert lat.labels == tuple(f"({int(x)},{int(y)})" for x, y in lat.points)
+
     def test_refuses_oversized_windows(self):
         with pytest.raises(TooManyPoints):
             gen_lattice_window(WindowSpec.square(2000))

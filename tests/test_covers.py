@@ -24,7 +24,7 @@ from ghbounds.serialize import family_from_json
 from ghbounds.errors import (EmptyFamilyList, IndexOutOfRange, NotCovering, NotDisjoint,
                              TooManyFamilies, TrivialStabilizer,
                              UnknownModelSpace)
-from oracles import first_duplicate_member
+from oracles import all_pairs_min_gap, first_duplicate_member
 
 SQRT2 = math.sqrt(2.0)
 
@@ -38,7 +38,20 @@ def chess_setup(n: float = 6.0):
 def _family_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, list[list[int]]]:
     """Distinct points and members over them (members may overlap or repeat)."""
     n = int(rng.integers(2, 40))
-    if kind == "integer":  # many equal gaps
+    if kind == "dense":  # hundreds of singletons: the bucket grid's case
+        n = int(rng.integers(500, 700))
+        side = int(rng.integers(23, 40))
+        cells = rng.choice(side * side, size=min(n, side * side), replace=False)
+        pts = np.column_stack([cells // side, cells % side]) * rng.choice([0.5, 1.0, 3.0])
+    elif kind == "clusters":  # two far-apart clusters: most grid cells are empty
+        half = rng.integers(-8, 9, (n, 2)) / 2.0
+        pts = half + np.where(rng.random((n, 1)) < 0.5, 0.0, 1e4)
+    elif kind == "offset":  # quarter steps near 1e6: cell edges fall between rounded values
+        pts = 1e6 + rng.integers(-24, 25, (max(n, 20), 2)) / 4.0
+    elif kind == "diagonal":  # collinear on slope 1: one crowded diagonal of cells
+        t = rng.integers(-30, 30, max(n, 20)) / 2.0
+        pts = np.column_stack([t, t])
+    elif kind == "integer":  # many equal gaps
         pts = rng.integers(0, 7, (n, 2)).astype(float)
     elif kind == "half":
         pts = rng.integers(-6, 7, (n, 2)) / 2.0
@@ -60,6 +73,17 @@ def _family_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, list[
         solo = rng.random(n) < 0.5
         members = [[int(i)] for i in np.flatnonzero(solo)]
         members += [np.flatnonzero(~solo & (owner == b)).tolist() for b in range(big)]
+    elif kind == "long":  # one member spanning the points' widest axis, the rest singletons
+        axis = int(np.argmax(np.ptp(pts, axis=0)))
+        line = np.flatnonzero(rng.random(n) < 0.2).tolist() + [int(np.argmin(pts[:, axis])),
+                                                              int(np.argmax(pts[:, axis]))]
+        members = [sorted(set(line))] + [[i] for i in perm if i not in line]
+    elif kind in ("dense", "clusters", "offset", "diagonal"):
+        members = [[i] for i in perm]
+    elif kind == "repeated":  # every member twice, or overlapping its neighbour: gap 0
+        members = [[i] for i in perm]
+        members = ([m for m in members for _ in range(2)] if rng.random() < 0.5
+                   else [sorted({i, j}) for i, j in zip(perm, perm[1:] + perm[:1])])
     else:  # interleaved: random assignment, so member boxes overlap
         k = int(rng.integers(1, n + 1))
         owner = rng.integers(0, k, n)
@@ -74,7 +98,17 @@ def _family_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, list[
     return pts, members
 
 
-FAMILY_KINDS = ("integer", "half", "horizontal", "vertical", "collinear", "uniform", "mixed")
+def _all_pairs_gap(planar: EuclideanPointSet, fam: SubsetFamily,
+                   members: list[list[int]]) -> tuple[float, tuple[int, int] | None]:
+    """The matrix path's min gap and witness; one matrix reduction for large families."""
+    if len(fam) <= 60:
+        scan = check_r_disjoint(induce_space(planar), fam, 1.0)
+        return scan.min_gap, scan.witness
+    return all_pairs_min_gap(induce_space(planar).matrix, members)
+
+
+FAMILY_KINDS = ("integer", "half", "horizontal", "vertical", "collinear", "uniform", "mixed",
+                "dense", "long", "clusters", "offset", "diagonal", "repeated")
 
 
 def _diameter_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, list[list[int]]]:
@@ -179,20 +213,43 @@ class TestDisjointness:
     @given(st.sampled_from(FAMILY_KINDS), st.integers(min_value=0, max_value=2**32 - 1),
            st.booleans(), st.integers(min_value=1, max_value=3))
     def test_sweep_matches_all_pairs(self, kind, seed, tiny_batches, batch):
-        # the planar sort-and-sweep against the matrix path's all-pairs scan;
-        # tiny batches force many sweep steps, each with a fresh threshold
+        # the planar gap search by its rule, forced to the sweep and forced to
+        # the bucket grid, against the matrix path's all-pairs scan; tiny
+        # batches force many steps, each with a fresh best gap
         rng = np.random.default_rng(seed)
         pts, members = _family_case(kind, rng)
         planar = EuclideanPointSet(pts)
         fam = SubsetFamily.of("f", members, n=planar.n)
+        want = _all_pairs_gap(planar, fam, members)
+        if len(fam) >= 500:  # still hundreds of steps, in a fraction of the time
+            batch *= 16
         sizes = {name: batch if tiny_batches else getattr(covers, name)
-                 for name in ("_SWEEP_PAIRS", "_SWEEP_ROWS", "_BOX_POINTS")}
-        with mock.patch.multiple(covers, **sizes):
-            sweep = check_r_disjoint(planar, fam, 1.0)
-        scan = check_r_disjoint(induce_space(planar), fam, 1.0)
-        assert sweep.min_gap == scan.min_gap
-        assert sweep.witness == scan.witness
-        assert sweep.ok == scan.ok
+                 for name in ("_GAP_PAIRS", "_BOX_POINTS")}
+        for force in ({}, {"_fewer_pairs": lambda sweep, grid: sweep},
+                      {"_fewer_pairs": lambda sweep, grid: grid}):
+            with mock.patch.multiple(covers, **sizes, **force):
+                got = check_r_disjoint(planar, fam, 1.0)
+            assert (got.min_gap, got.witness) == want
+
+    def test_rule_takes_both_branches(self):
+        # dense singletons make fewer grid pairs; a member as wide as the
+        # family makes one grid cell, every pair, so the sweep is kept
+        real, chosen = covers._fewer_pairs, []
+
+        def spy(sweep, grid):
+            pick = real(sweep, grid)
+            chosen.append("grid" if pick is grid else "sweep")
+            return pick
+
+        for kind, want in (("dense", "grid"), ("long", "sweep")):
+            for seed in range(4):
+                pts, members = _family_case(kind, np.random.default_rng(seed))
+                planar = EuclideanPointSet(pts)
+                fam = SubsetFamily.of("f", members, n=planar.n)
+                with mock.patch.object(covers, "_fewer_pairs", spy):
+                    got = check_r_disjoint(planar, fam, 1.0)
+                assert chosen.pop() == want
+                assert (got.min_gap, got.witness) == _all_pairs_gap(planar, fam, members)
 
     def test_box_gap_rounds_like_the_point_distances(self):
         # box gaps must round like point distances: np.hypot puts the box gap
