@@ -350,7 +350,8 @@ class _Candidates(NamedTuple):
         return int(self.counts.sum())
 
 
-def _planar_min_gap(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[float, tuple[int, int]]:
+def _planar_min_gap(space: EuclideanPointSet,
+                    fam: SubsetFamily) -> tuple[float, tuple[int, int] | None]:
     """The all-pairs minimum and witness of ``_family_min_gap``, from candidate pairs.
 
     The threshold ub is the smallest distance between the first points of
@@ -363,6 +364,8 @@ def _planar_min_gap(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[float,
     so by monotone rounding they never exceed the measured gap of any cross
     pair. ``set_distance`` runs only on pairs whose box gap could still beat
     the best (gap, a, b), in ascending (box gap, a, b) order per batch.
+    When every gap is inf (coordinates whose differences overflow), the
+    witness is None, as in the all-pairs scan.
     """
     lo, hi = _member_boxes(space, fam)
     k = int(np.argmax(hi.max(axis=1) - lo.min(axis=1)))
@@ -399,7 +402,7 @@ def _planar_min_gap(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[float,
             dist = set_distance(space, fam._member(ai), fam._member(bi))
             if dist < best or (dist == best and (ai, bi) < witness):
                 best, witness = dist, (ai, bi)
-    return best, witness
+    return best, (witness if best < math.inf else None)
 
 
 def _fewer_pairs(sweep: _Candidates, grid: _Candidates) -> _Candidates:

@@ -21,10 +21,14 @@ A planar directed Hausdorff distance needs only the largest nearest
 distance, so it bounds whole cells of queries instead of solving each one.
 Queries that are also targets are dropped (their distance is 0.0). The rest
 go in a uniform grid of about eight per cell; a cell whose tight box has
-centre c and half-diagonal rho holds no distance above d(c) + rho, widened
-by the rounding allowance. The cell with the largest bound is solved first,
-then only the cells whose bound exceeds the maximum found, so the value is
-the full scan's to the bit.
+centre c and half-diagonal rho holds no distance above ub = d(c) + rho,
+widened by the rounding allowance. The cell with the largest bound is
+solved first, then only the cells whose bound exceeds the maximum found, so
+the value is the full scan's to the bit. Those cells are solved as cells,
+not query by query: every query's nearest target lies within ub of it, so
+within R = ub + rho of c, widened again. One gather of the target-grid rows
+around each disc, filtered to the disc, gives every query of the cell its
+candidates, and the pairs are measured in batches.
 """
 
 from __future__ import annotations
@@ -356,9 +360,10 @@ class _TargetGrid:
     """The rows of p on a uniform grid of about one point per cell, cells at least `side` wide.
 
     Built once per target set and searched any number of times by
-    ``_grid_search``; the CSR buckets are sorted on the first search that
-    needs them. The planar family gap search in ``covers`` buckets member
-    box corners on it, with cells as wide as its pairs need.
+    ``_grid_search`` and ``_disc_gather``; the CSR buckets are sorted on
+    the first search that needs them. The planar family gap search in
+    ``covers`` buckets member box corners on it, with cells as wide as its
+    pairs need.
     """
 
     def __init__(self, p: np.ndarray, side: float = 0.0):
@@ -501,6 +506,28 @@ def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 # queries per cell of the bucketing that bounds a directed Hausdorff scan
 _QUERY_CELL = 8
+# absolute rounding allowance of a cell bound or reach: a distance whose
+# square is subnormal is computed only to about 2**-537
+_GRID_FLOOR = 2.0 ** -500
+
+
+def _widen(d: np.ndarray, scale: float) -> np.ndarray:
+    """d plus the allowance for rounding at coordinates of magnitude up to scale."""
+    return d * (1.0 + 2.0 * _GRID_SLACK) + (_GRID_SLACK * scale + _GRID_FLOOR)
+
+
+def _cell_boxes(qs: np.ndarray, starts: np.ndarray,
+                targets: _TargetGrid) -> tuple[np.ndarray, np.ndarray, float]:
+    """Centre and half-diagonal of each run's tight box, and the largest coordinate magnitude.
+
+    Run k is qs[starts[k]:starts[k+1]]; the magnitude is over the runs and
+    the bounding box of the targets.
+    """
+    blo = np.minimum.reduceat(qs, starts, axis=0)
+    bhi = np.maximum.reduceat(qs, starts, axis=0)
+    half = 0.5 * (bhi - blo)
+    scale = float(np.abs(np.concatenate([blo, bhi, targets.lo[None], targets.hi[None]])).max())
+    return 0.5 * (blo + bhi), _euclid(half[:, 0], half[:, 1]), scale
 
 
 def _cell_bounds(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid) -> np.ndarray:
@@ -508,26 +535,116 @@ def _cell_bounds(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid) -> np
 
     With c and rho the centre and half-diagonal of the run's tight box, each
     query lies within rho of c, so by the triangle inequality its distance
-    is at most d(c) + rho. The factor and the term in _GRID_SLACK cover the
-    rounding of c, rho and every computed distance.
+    is at most d(c) + rho. ``_widen`` covers the rounding of c, rho and
+    every computed distance, subnormal squares included.
     """
-    blo = np.minimum.reduceat(qs, starts, axis=0)
-    bhi = np.maximum.reduceat(qs, starts, axis=0)
-    half = 0.5 * (bhi - blo)
-    rho = _euclid(half[:, 0], half[:, 1])
-    scale = float(np.abs(np.concatenate([blo, bhi, targets.lo[None], targets.hi[None]])).max())
-    d_c = _grid_search(targets, 0.5 * (blo + bhi))[0]
-    return (d_c + rho) * (1.0 + 2.0 * _GRID_SLACK) + _GRID_SLACK * scale
+    centre, rho, scale = _cell_boxes(qs, starts, targets)
+    return _widen(_grid_search(targets, centre)[0] + rho, scale)
+
+
+def _cell_discs(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid,
+                ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and reach of a disc around each run that holds its queries' nearest targets.
+
+    Every computed nearest distance of run k is at most ub[k], and every
+    query lies within rho of the centre c of the run's tight box, so its
+    nearest target lies within ub[k] + rho of c; ``_widen`` covers the
+    rounding of c, rho and the distances to c.
+    """
+    centre, rho, scale = _cell_boxes(qs, starts, targets)
+    return centre, _widen(ub + rho, scale)
+
+
+def _disc_squares(grid: _TargetGrid, centre: np.ndarray,
+                  reach: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cells [x0, x1) x [y0, y1) of grid that hold every target within reach[k] of centre[k].
+
+    Cell assignment rounds monotonically, so a target between the two
+    corners of a disc's box is bucketed between their cells.
+    """
+    x0, y0 = grid.cell_of(centre - reach[:, None]).T
+    x1, y1 = grid.cell_of(centre + reach[:, None]).T + 1
+    return x0, y0, x1, y1
+
+
+def _disc_gather(grid: _TargetGrid, centre: np.ndarray,
+                 reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The targets within reach[k] of centre[k], for every k: bucket positions and their k.
+
+    Gathers the grid rows of each disc's square of cells, then drops the
+    targets whose computed distance to the centre exceeds the reach.
+    Positions index ``grid.buckets()``'s sorted rows, grouped by k.
+    """
+    _, offs, ps = grid.buckets()
+    x0, y0, x1, y1 = _disc_squares(grid, centre, reach)
+    iy, owner = _ragged(y0, y1 - y0)
+    base = iy * grid.nx
+    s0 = offs[base + x0[owner]]
+    cand, run = _ragged(s0, offs[base + x1[owner]] - s0)
+    k = owner[run]
+    ck = centre[k]
+    near = _euclid(ps[cand, 0] - ck[:, 0], ps[cand, 1] - ck[:, 1]) <= reach[k]
+    return cand[near], k[near]
+
+
+def _solve_cells(grid: _TargetGrid, qs: np.ndarray, starts: np.ndarray,
+                 centre: np.ndarray, reach: np.ndarray) -> float:
+    """The largest nearest distance from the queries of the runs qs[starts[k]:starts[k+1]].
+
+    Every query of run k has its computed nearest target within reach[k]
+    of centre[k], so each run measures all its queries against its
+    ``_disc_gather`` and takes the minimum per query. Runs are gathered in
+    batches of about _GATHER targets in their squares of cells, counted
+    from prefix sums of the buckets; (query, target) pairs are made in
+    batches of at most _GATHER (a query with more candidates goes alone),
+    which may split a run.
+    """
+    _, offs, ps = grid.buckets()
+    x0, y0, x1, y1 = _disc_squares(grid, centre, reach)
+    tally = np.zeros((grid.ny + 1, grid.nx + 1), dtype=np.intp)
+    tally[1:, 1:] = np.diff(offs).reshape(grid.ny, grid.nx).cumsum(axis=0).cumsum(axis=1)
+    square = tally[y1, x1] - tally[y0, x1] - tally[y1, x0] + tally[y0, x0]
+    bounds = np.append(starts, qs.shape[0])
+    sizes = np.diff(bounds)
+    worst = 0.0
+    for b1 in _batches(square + (y1 - y0), _GATHER):
+        cand, k = _disc_gather(grid, centre[b1], reach[b1])
+        n_cand = np.bincount(k, minlength=b1.stop - b1.start)
+        px, py = ps[cand, 0], ps[cand, 1]
+        # per query of these runs: its coordinates, and its run's candidates
+        rows = slice(bounds[b1.start], bounds[b1.stop])
+        qx, qy = qs[rows, 0], qs[rows, 1]
+        first = np.repeat(np.cumsum(n_cand) - n_cand, sizes[b1])
+        weights = np.repeat(n_cand, sizes[b1])
+        for b2 in _batches(weights, _GATHER):
+            w = weights[b2]
+            at = np.cumsum(w) - w
+            pos = np.arange(int(at[-1] + w[-1])) - np.repeat(at - first[b2], w)
+            # _euclid's expression in place; sqrt is monotone, so the root of
+            # the largest smallest square is the largest smallest distance
+            dx = np.repeat(qx[b2], w)
+            dx -= px[pos]
+            dy = np.repeat(qy[b2], w)
+            dy -= py[pos]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            worst = max(worst, float(np.minimum.reduceat(dx, at).max()))
+    return math.sqrt(worst)
 
 
 def _grid_max_nearest(q: np.ndarray, p: np.ndarray) -> float:
     """The largest nearest distance from a row of q to p: ``_grid_nearest(q, p)[0].max()``.
 
     The queries go in a uniform grid of about _QUERY_CELL per cell, and each
-    occupied cell gets an upper bound. The cell with the largest bound is
-    solved exactly first, then, in one call, every cell whose bound exceeds
-    that maximum. A skipped query's distance is at most its cell's bound,
-    which is at most a solved query's distance, so the value is the same.
+    occupied cell gets an upper bound ub. The cell with the largest bound is
+    solved exactly first, then every cell whose bound exceeds that maximum.
+    A skipped query's distance is at most its cell's bound, which is at most
+    a solved query's distance, so the value is the same. A kept cell with
+    centre c and half-diagonal rho is solved as a whole: each of its queries
+    has its nearest target within ub of itself and so within R = ub + rho
+    of c, widened for rounding, so its queries are measured against the
+    targets of that disc only (``_solve_cells``).
     """
     targets = _TargetGrid(p)
     qlo, qhi = q.min(axis=0), q.max(axis=0)
@@ -546,7 +663,9 @@ def _grid_max_nearest(q: np.ndarray, p: np.ndarray) -> float:
     keep[seed] = False
     if keep.any():
         rows, _ = _ragged(starts[keep], sizes[keep])
-        cmax = max(cmax, float(_grid_search(targets, qs[rows])[0].max()))
+        kept = np.cumsum(sizes[keep]) - sizes[keep]
+        qk = qs[rows]
+        cmax = max(cmax, _solve_cells(targets, qk, kept, *_cell_discs(qk, kept, targets, ub[keep])))
     return cmax
 
 

@@ -170,6 +170,15 @@ class TestDisjointness:
         rep = check_r_disjoint(lat, solo, 1e9)
         assert rep.ok and rep.min_gap == math.inf and rep.witness is None
 
+    def test_overflowing_gaps_have_no_witness(self):
+        # every difference overflows, so every gap is inf: no pair attains it
+        pts = EuclideanPointSet(np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308]]))
+        fam = SubsetFamily("far", tuple(SubsetRef((i,)) for i in range(3)))
+        with np.errstate(over="ignore"):
+            reps = [check_r_disjoint(space, fam, 1.0) for space in (pts, induce_space(pts))]
+        for rep in reps:
+            assert rep.ok and rep.min_gap == math.inf and rep.witness is None
+
     def test_chess_gap_is_the_diagonal(self):
         lat, red, blue = chess_setup()
         for fam in (red, blue):

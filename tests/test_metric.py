@@ -398,7 +398,7 @@ class TestGridNearest:
 # the cell-bounded directed Hausdorff scan against the block scan
 
 def _pruning_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Queries and targets of one case, with 500 or more queries unless the kind says otherwise."""
+    """Queries and targets of one case, with 400 or more queries unless the kind says otherwise."""
     if kind == "comb":  # vertical lines at tenths against a net: many ties at the maximum
         lines = np.array([[x, 0.1 * y] for x in range(8) for y in range(-40, 41)])
         step = float(rng.choice([0.2, 0.25, 0.3]))
@@ -421,6 +421,9 @@ def _pruning_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.n
         return 1e6 + rng.uniform(0.0, 30.0, (600, 2)), rng.uniform(0.0, 1.0, (150, 2))
     if kind == "one cell":  # too few queries for more than one cell
         return rng.uniform(0.0, 1.0, (int(rng.integers(1, 5)), 2)), rng.uniform(-2, 2, (300, 2))
+    if kind == "tiny scale":  # squared differences are subnormal: rounding is absolute
+        scale = 10.0 ** -rng.uniform(160.0, 162.0)
+        return rng.uniform(0, 1, (400, 2)) * scale, rng.uniform(0, 1, (400, 2)) * scale
     # signed zeros: queries on the y axis at x = -0.0, targets on the x axis at y = -0.0
     ys = rng.permutation(550) / 8.0
     q = np.vstack([np.column_stack([np.full(ys.size, -0.0), ys]), rng.uniform(-5, 5, (50, 2))])
@@ -428,7 +431,27 @@ def _pruning_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.n
     return q, np.column_stack([xs, np.full(xs.size, -0.0)])
 
 
-PRUNING_KINDS = ("comb", "integer", "clustered", "collinear", "far", "one cell", "signed zeros")
+PRUNING_KINDS = ("comb", "integer", "clustered", "collinear", "far", "one cell", "signed zeros",
+                 "tiny scale")
+
+
+def _grouped_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Queries, the starts of their runs and targets; any grouping of queries into runs works.
+
+    Rays through the one target make the triangle inequality tight, so
+    rounding decides, and far out the rounding of each centre is large
+    against the distances.
+    """
+    if kind.startswith("rays"):
+        t = rng.uniform(-3, 3, (1, 2)) + (1e6 if kind == "rays far out" else 0.0)
+        angle = rng.uniform(0.0, 2 * math.pi, 300)
+        along = rng.uniform(1.0, 2.0, (300, 4))
+        ray = np.column_stack([np.cos(angle), np.sin(angle)])
+        q = (t + along[:, :, None] * ray[:, None, :]).reshape(-1, 2)  # four per ray, consecutive
+        return q, np.arange(0, len(q), 4), t
+    q, t = _pruning_case(kind, rng)
+    q = q[rng.permutation(len(q))]
+    return q, np.flatnonzero(np.concatenate([[True], rng.random(len(q) - 1) < 0.2])), t
 
 
 class TestBoundedDirectedHausdorff:
@@ -441,51 +464,68 @@ class TestBoundedDirectedHausdorff:
         grid = EuclideanPointSet(np.vstack([q, t]))
         block = induce_space(grid)  # matrix-backed: the chunked block path
         a, b = range(len(q)), range(len(q), grid.n)
-        assert directed_hausdorff(grid, a, b) == directed_hausdorff(block, a, b)
-        assert directed_hausdorff(grid, b, a) == directed_hausdorff(block, b, a)
-        assert metric._grid_max_nearest(q, t) == float(metric._grid_nearest(q, t)[0].max())
-        # queries that are also targets, some or all of them
-        shared = [*a[::2], *b[::3]]
-        assert directed_hausdorff(grid, shared, b) == directed_hausdorff(block, shared, b)
-        assert directed_hausdorff(grid, b[::3], b) == directed_hausdorff(block, b[::3], b) == 0.0
+        # also with batches of a few pairs, whose edges split the query cells
+        for gather in (metric._GATHER, 7):
+            with mock.patch.object(metric, "_GATHER", gather):
+                assert directed_hausdorff(grid, a, b) == directed_hausdorff(block, a, b)
+                assert directed_hausdorff(grid, b, a) == directed_hausdorff(block, b, a)
+                assert metric._grid_max_nearest(q, t) == float(metric._grid_nearest(q, t)[0].max())
+                # queries that are also targets, some or all of them
+                shared = [*a[::2], *b[::3]]
+                assert directed_hausdorff(grid, shared, b) == directed_hausdorff(block, shared, b)
+                assert directed_hausdorff(grid, b[::3], b) == directed_hausdorff(block, b[::3], b) == 0.0
+
+    def test_subnormal_squares_match_the_block_scan(self):
+        # squares this small are subnormal: the bounds must cover absolute rounding
+        rng = np.random.default_rng(210)
+        q = rng.uniform(0, 1, (400, 2)) * 1e-160
+        p = rng.uniform(0, 1, (400, 2)) * 1e-160
+        grid = EuclideanPointSet(np.vstack([q, p]))
+        a, b = range(400), range(400, 800)
+        assert directed_hausdorff(grid, a, b) == directed_hausdorff(induce_space(grid), a, b)
 
     def test_pruning_skips_most_queries_on_the_comb(self):
         # net against comb: most query cells are bounded below the maximum
         lines = np.array([[x, 0.1 * y] for x in range(8) for y in range(-40, 41)])
         net = np.array([[0.1 * x, 0.1 * y] for x in range(71) for y in range(-40, 41) if x % 10])
         solved = []
-        search = metric._grid_search
+        search, solve = metric._grid_search, metric._solve_cells
 
         def spy(grid, qs):
             solved.append(len(qs))
             return search(grid, qs)
 
-        with mock.patch.object(metric, "_grid_search", spy):
+        def spy_cells(grid, qs, *args):
+            solved.append(len(qs))
+            return solve(grid, qs, *args)
+
+        with mock.patch.object(metric, "_grid_search", spy), \
+                mock.patch.object(metric, "_solve_cells", spy_cells):
             got = metric._grid_max_nearest(net, lines)
         assert got == float(metric._grid_nearest(net, lines)[0].max())
+        # centre searches, the seed cell and the kept cells' queries
         assert sum(solved) < len(net) / 2
 
-    @pytest.mark.parametrize("kind", ["rays", "rays far out", "comb", "collinear", "far"])
+    @pytest.mark.parametrize("kind", ["rays", "rays far out", "comb", "collinear", "far", "tiny scale"])
     def test_cell_bound_covers_every_computed_distance(self, kind):
-        # any grouping of queries into runs works; rays through the target
-        # make the triangle inequality tight, so rounding decides, and far
-        # out the rounding of each centre is large against the distances
-        rng = np.random.default_rng(11)
-        if kind.startswith("rays"):
-            t = rng.uniform(-3, 3, (1, 2)) + (1e6 if kind == "rays far out" else 0.0)
-            angle = rng.uniform(0.0, 2 * math.pi, 300)
-            along = rng.uniform(1.0, 2.0, (300, 4))
-            ray = np.column_stack([np.cos(angle), np.sin(angle)])
-            q = (t + along[:, :, None] * ray[:, None, :]).reshape(-1, 2)  # four per ray, consecutive
-            starts = np.arange(0, len(q), 4)
-        else:
-            q, t = _pruning_case(kind, rng)
-            q = q[rng.permutation(len(q))]
-            starts = np.flatnonzero(np.concatenate([[True], rng.random(len(q) - 1) < 0.2]))
+        q, starts, t = _grouped_case(kind, np.random.default_rng(11))
         ub = metric._cell_bounds(q, starts, metric._TargetGrid(t))
         dist = metric._grid_nearest(q, t)[0]
         owner = np.searchsorted(starts, np.arange(len(q)), side="right") - 1
         assert (dist <= ub[owner]).all()
+
+    @pytest.mark.parametrize("kind", ["rays", "rays far out", "comb", "tiny scale"])
+    def test_disc_holds_every_computed_nearest_target(self, kind):
+        # the gather and the disc filter of each run keep its queries' nearest targets
+        q, starts, t = _grouped_case(kind, np.random.default_rng(11))
+        grid = metric._TargetGrid(t)
+        centre, reach = metric._cell_discs(q, starts, grid, metric._cell_bounds(q, starts, grid))
+        cand, k = metric._disc_gather(grid, centre, reach)
+        order = grid.buckets()[0]
+        kept = set(zip(k.tolist(), order[cand].tolist()))
+        owner = np.searchsorted(starts, np.arange(len(q)), side="right") - 1
+        nearest = metric._grid_nearest(q, t)[1]
+        assert all(pair in kept for pair in zip(owner.tolist(), nearest.tolist()))
 
     def test_a_bound_that_ties_the_maximum_is_not_solved(self):
         # with the seed cell holding the maximum and every other cell bounded
