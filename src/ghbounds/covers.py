@@ -60,6 +60,7 @@ from .metric import (
     EuclideanPointSet,
     MetricLike,
     SubsetRef,
+    _GRID_FLOOR,
     _TargetGrid,
     _batches,
     _checked_runs,
@@ -285,10 +286,10 @@ _BOX_POINTS = 16384
 # within-member point pairs per diameter batch
 _DIAM_PAIRS = 65536
 # sweep windows and grid cells reach past the threshold by thousands of ulps
-# of the coordinates, and by at least a gap whose square does not underflow,
-# so rounding never drops a pair whose box gap is at most the threshold
+# of the coordinates, and by at least a gap whose square does not underflow
+# (_GRID_FLOOR), so rounding never drops a pair whose box gap is at most the
+# threshold
 _GAP_SLACK = 2.0 ** -40
-_GAP_FLOOR = 2.0 ** -500
 
 
 def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[int, int] | None]:
@@ -418,7 +419,7 @@ def _sweep_candidates(key: np.ndarray, edge: np.ndarray, order: np.ndarray,
     on the family's longer axis; ``edge`` is the high edge. Row t pairs
     with every later member whose low edge is within ub of its high edge.
     """
-    reach = edge + ub + (_GAP_SLACK * (np.abs(edge) + ub) + _GAP_FLOOR)
+    reach = edge + ub + (_GAP_SLACK * (np.abs(edge) + ub) + _GRID_FLOOR)
     begin = np.arange(1, key.size + 1)
     counts = np.maximum(np.searchsorted(key, reach, side="right") - begin, 0)
     return _Candidates(order, 1, begin, counts)
@@ -436,7 +437,7 @@ def _grid_candidates(lo: np.ndarray, hi: np.ndarray, ub: float) -> _Candidates:
     """
     extent = float((hi - lo).max())
     scale = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
-    side = extent + ub + (_GAP_SLACK * (scale + extent + ub) + _GAP_FLOOR)
+    side = extent + ub + (_GAP_SLACK * (scale + extent + ub) + _GRID_FLOOR)
     grid = _TargetGrid(lo.T, side)
     order, offs, _ = grid.buckets()
     nx, last = grid.nx, grid.nx * grid.ny

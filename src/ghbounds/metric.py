@@ -312,6 +312,9 @@ def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
 # relative allowance for rounding in cell assignment, cell edges and
 # distances; thousands of ulps, so the stopping test stays conservative
 _GRID_SLACK = 2.0 ** -40
+# absolute allowance of the same: a distance whose square is subnormal is
+# computed only to about 2**-537 (also the planar family gap search's)
+_GRID_FLOOR = 2.0 ** -500
 # a ring gather keeps about a dozen arrays per candidate (and per cell run),
 # so one gather holds a sixteenth of a distance block's cells
 _GATHER = _BLOCK_CELLS // 16
@@ -506,9 +509,6 @@ def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 # queries per cell of the bucketing that bounds a directed Hausdorff scan
 _QUERY_CELL = 8
-# absolute rounding allowance of a cell bound or reach: a distance whose
-# square is subnormal is computed only to about 2**-537
-_GRID_FLOOR = 2.0 ** -500
 
 
 def _widen(d: np.ndarray, scale: float) -> np.ndarray:
@@ -521,13 +521,15 @@ def _cell_boxes(qs: np.ndarray, starts: np.ndarray,
     """Centre and half-diagonal of each run's tight box, and the largest coordinate magnitude.
 
     Run k is qs[starts[k]:starts[k+1]]; the magnitude is over the runs and
-    the bounding box of the targets.
+    the bounding box of the targets. The corners are halved before they are
+    added, so a centre stays finite where their sum would overflow (near
+    +-1e308); the half-diagonal may then be inf, which only widens.
     """
     blo = np.minimum.reduceat(qs, starts, axis=0)
     bhi = np.maximum.reduceat(qs, starts, axis=0)
     half = 0.5 * (bhi - blo)
     scale = float(np.abs(np.concatenate([blo, bhi, targets.lo[None], targets.hi[None]])).max())
-    return 0.5 * (blo + bhi), _euclid(half[:, 0], half[:, 1]), scale
+    return 0.5 * blo + 0.5 * bhi, _euclid(half[:, 0], half[:, 1]), scale
 
 
 def _cell_bounds(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid) -> np.ndarray:
@@ -567,16 +569,16 @@ def _disc_squares(grid: _TargetGrid, centre: np.ndarray,
     return x0, y0, x1, y1
 
 
-def _disc_gather(grid: _TargetGrid, centre: np.ndarray,
-                 reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _disc_gather(grid: _TargetGrid, centre: np.ndarray, reach: np.ndarray,
+                 squares: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The targets within reach[k] of centre[k], for every k: bucket positions and their k.
 
-    Gathers the grid rows of each disc's square of cells, then drops the
-    targets whose computed distance to the centre exceeds the reach.
-    Positions index ``grid.buckets()``'s sorted rows, grouped by k.
+    Gathers the grid rows of each disc's square of cells (``_disc_squares``),
+    then drops the targets whose computed distance to the centre exceeds
+    the reach. Positions index ``grid.buckets()``'s sorted rows, grouped by k.
     """
     _, offs, ps = grid.buckets()
-    x0, y0, x1, y1 = _disc_squares(grid, centre, reach)
+    x0, y0, x1, y1 = squares
     iy, owner = _ragged(y0, y1 - y0)
     base = iy * grid.nx
     s0 = offs[base + x0[owner]]
@@ -600,7 +602,8 @@ def _solve_cells(grid: _TargetGrid, qs: np.ndarray, starts: np.ndarray,
     which may split a run.
     """
     _, offs, ps = grid.buckets()
-    x0, y0, x1, y1 = _disc_squares(grid, centre, reach)
+    squares = _disc_squares(grid, centre, reach)
+    x0, y0, x1, y1 = squares
     tally = np.zeros((grid.ny + 1, grid.nx + 1), dtype=np.intp)
     tally[1:, 1:] = np.diff(offs).reshape(grid.ny, grid.nx).cumsum(axis=0).cumsum(axis=1)
     square = tally[y1, x1] - tally[y0, x1] - tally[y1, x0] + tally[y0, x0]
@@ -608,7 +611,7 @@ def _solve_cells(grid: _TargetGrid, qs: np.ndarray, starts: np.ndarray,
     sizes = np.diff(bounds)
     worst = 0.0
     for b1 in _batches(square + (y1 - y0), _GATHER):
-        cand, k = _disc_gather(grid, centre[b1], reach[b1])
+        cand, k = _disc_gather(grid, centre[b1], reach[b1], tuple(c[b1] for c in squares))
         n_cand = np.bincount(k, minlength=b1.stop - b1.start)
         px, py = ps[cand, 0], ps[cand, 1]
         # per query of these runs: its coordinates, and its run's candidates
@@ -648,9 +651,10 @@ def _grid_max_nearest(q: np.ndarray, p: np.ndarray) -> float:
     """
     targets = _TargetGrid(p)
     qlo, qhi = q.min(axis=0), q.max(axis=0)
-    h, nx, _ = _cell_grid(qlo, qhi, q.shape[0] / _QUERY_CELL)
-    # any grouping gives sound bounds: a rounding past the last column only merges two cells
-    cells = np.floor((q - qlo) / h).astype(np.intp) @ np.array([1, nx])
+    h, nx, ny = _cell_grid(qlo, qhi, q.shape[0] / _QUERY_CELL)
+    # any grouping gives sound bounds; the clip keeps an offset that rounds
+    # past the last cell, or overflows to inf near +-1e308, on the grid
+    cells = np.minimum(np.floor((q - qlo) / h), [nx - 1, ny - 1]).astype(np.intp) @ np.array([1, nx])
     order = np.argsort(cells)
     cells = cells[order]
     qs = q[order]

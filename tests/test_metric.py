@@ -421,6 +421,10 @@ def _pruning_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.n
         return 1e6 + rng.uniform(0.0, 30.0, (600, 2)), rng.uniform(0.0, 1.0, (150, 2))
     if kind == "one cell":  # too few queries for more than one cell
         return rng.uniform(0.0, 1.0, (int(rng.integers(1, 5)), 2)), rng.uniform(-2, 2, (300, 2))
+    if kind == "largest float":  # a column at x = 1e308: corner sums overflow, and the
+        # rounding allowance there keeps every cell, so 240 queries keep it quick
+        ys = rng.permutation(np.arange(-150.0, 150.0))
+        return np.column_stack([np.full(240, 1e308), ys[:240]]), np.column_stack([np.full(60, 1e308), ys[240:]])
     if kind == "tiny scale":  # squared differences are subnormal: rounding is absolute
         scale = 10.0 ** -rng.uniform(160.0, 162.0)
         return rng.uniform(0, 1, (400, 2)) * scale, rng.uniform(0, 1, (400, 2)) * scale
@@ -432,7 +436,7 @@ def _pruning_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.n
 
 
 PRUNING_KINDS = ("comb", "integer", "clustered", "collinear", "far", "one cell", "signed zeros",
-                 "tiny scale")
+                 "tiny scale", "largest float")
 
 
 def _grouped_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -484,6 +488,18 @@ class TestBoundedDirectedHausdorff:
         a, b = range(400), range(400, 800)
         assert directed_hausdorff(grid, a, b) == directed_hausdorff(induce_space(grid), a, b)
 
+    def test_overflowing_extents_match_the_block_scan(self):
+        # points at x = +-1e308: box extents and distances overflow, so
+        # bounds and reaches are inf
+        ys = np.arange(100.0)
+        grid = EuclideanPointSet(np.column_stack([np.where(ys % 2 == 0, 1e308, -1e308), ys]))
+        with np.errstate(over="ignore"):
+            block = induce_space(grid)
+            for a, b in ((range(1, 100), [0]), (range(0, 100, 3), range(1, 100, 3))):
+                for gather in (metric._GATHER, 7):
+                    with mock.patch.object(metric, "_GATHER", gather):
+                        assert directed_hausdorff(grid, a, b) == directed_hausdorff(block, a, b)
+
     def test_pruning_skips_most_queries_on_the_comb(self):
         # net against comb: most query cells are bounded below the maximum
         lines = np.array([[x, 0.1 * y] for x in range(8) for y in range(-40, 41)])
@@ -520,7 +536,7 @@ class TestBoundedDirectedHausdorff:
         q, starts, t = _grouped_case(kind, np.random.default_rng(11))
         grid = metric._TargetGrid(t)
         centre, reach = metric._cell_discs(q, starts, grid, metric._cell_bounds(q, starts, grid))
-        cand, k = metric._disc_gather(grid, centre, reach)
+        cand, k = metric._disc_gather(grid, centre, reach, metric._disc_squares(grid, centre, reach))
         order = grid.buckets()[0]
         kept = set(zip(k.tolist(), order[cand].tolist()))
         owner = np.searchsorted(starts, np.arange(len(q)), side="right") - 1
@@ -544,15 +560,21 @@ class TestBoundedDirectedHausdorff:
             ub[seed] = 2 * whole
             return ub
 
-        search = metric._grid_search
+        search, solve = metric._grid_search, metric._solve_cells
 
         def spy(grid, qs):
             solved.append(len(qs))
             return search(grid, qs)
 
+        def spy_cells(grid, qs, *args):
+            solved.append(len(qs))
+            return solve(grid, qs, *args)
+
         with mock.patch.object(metric, "_cell_bounds", tied), \
-                mock.patch.object(metric, "_grid_search", spy):
+                mock.patch.object(metric, "_grid_search", spy), \
+                mock.patch.object(metric, "_solve_cells", spy_cells):
             assert metric._grid_max_nearest(q, t) == whole
+        # the seed cell's queries only: no kept cell reaches _solve_cells
         assert solved == seed_size
 
 
