@@ -21,10 +21,12 @@ A planar directed Hausdorff distance needs only the largest nearest
 distance, so it bounds whole cells of queries instead of solving each one.
 Queries that are also targets are dropped (their distance is 0.0). The rest
 go in a uniform grid of about eight per cell; a cell whose tight box has
-centre c and half-diagonal rho holds no distance above ub = d(c) + rho,
-widened by the rounding allowance. The cell with the largest bound is
-solved first, then only the cells whose bound exceeds the maximum found, so
-the value is the full scan's to the bit. Those cells are solved as cells,
+centre c and half-diagonal rho holds no distance above ub = d + rho,
+widened by the rounding allowance, where d is c's distance to the nearest
+target in the 5 x 5 square of target cells around it (to the nearest
+target at all where that square is empty). The cell with the largest bound
+is solved first, then only the cells whose bound exceeds the maximum found,
+so the value is the full scan's to the bit. Those cells are solved as cells,
 not query by query: every query's nearest target lies within ub of it, so
 within R = ub + rho of c, widened again. One gather of the target-grid rows
 around each disc, filtered to the disc, gives every query of the cell its
@@ -363,7 +365,7 @@ class _TargetGrid:
     """The rows of p on a uniform grid of about one point per cell, cells at least `side` wide.
 
     Built once per target set and searched any number of times by
-    ``_grid_search`` and ``_disc_gather``; the CSR buckets are sorted on
+    ``_grid_search`` and ``_square_gather``; the CSR buckets are sorted on
     the first search that needs them. The planar family gap search in
     ``covers`` buckets member box corners on it, with cells as wide as its
     pairs need.
@@ -480,8 +482,7 @@ def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
                     continue
                 qh, n_h = active[b1][b2][hits], per_q[b2][hits]
                 who = np.repeat(np.arange(qh.size), n_h)
-                qw = q[qh][who]
-                d = _euclid(qw[:, 0] - ps[cand, 0], qw[:, 1] - ps[cand, 1])
+                d = _euclid(q[qh, 0][who] - ps[cand, 0], q[qh, 1][who] - ps[cand, 1])
                 starts = np.cumsum(n_h) - n_h
                 dmin = np.minimum.reduceat(d, starts)
                 pmin = np.minimum.reduceat(np.where(d == dmin[who], order[cand], m), starts)
@@ -509,6 +510,9 @@ def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 # queries per cell of the bucketing that bounds a directed Hausdorff scan
 _QUERY_CELL = 8
+# a query cell's bound measures its centre against the targets this many
+# target cells out on each side of its own: a 5 x 5 square
+_BOUND_CELLS = 2
 
 
 def _widen(d: np.ndarray, scale: float) -> np.ndarray:
@@ -532,16 +536,52 @@ def _cell_boxes(qs: np.ndarray, starts: np.ndarray,
     return 0.5 * blo + 0.5 * bhi, _euclid(half[:, 0], half[:, 1]), scale
 
 
+def _square_gather(grid: _TargetGrid, squares: tuple[np.ndarray, ...]
+                   ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The targets in each square of cells [x0, x1) x [y0, y1) of grid, in batches.
+
+    Yields a slice of the squares, their targets' positions in
+    ``grid.buckets()``'s sorted rows, grouped by square, and the square of
+    each from the slice's start. A batch holds about _GATHER targets and
+    grid rows, counted from prefix sums of the buckets, or one square.
+    """
+    _, offs, _ = grid.buckets()
+    x0, y0, x1, y1 = squares
+    tally = np.zeros((grid.ny + 1, grid.nx + 1), dtype=np.intp)
+    tally[1:, 1:] = np.diff(offs).reshape(grid.ny, grid.nx).cumsum(axis=0).cumsum(axis=1)
+    square = tally[y1, x1] - tally[y0, x1] - tally[y1, x0] + tally[y0, x0]
+    for b in _batches(square + (y1 - y0), _GATHER):
+        iy, owner = _ragged(y0[b], y1[b] - y0[b])
+        base = iy * grid.nx
+        s0 = offs[base + x0[b][owner]]
+        cand, run = _ragged(s0, offs[base + x1[b][owner]] - s0)
+        yield b, cand, owner[run]
+
+
 def _cell_bounds(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid) -> np.ndarray:
     """An upper bound on every computed nearest distance in each run qs[starts[k]:starts[k+1]].
 
     With c and rho the centre and half-diagonal of the run's tight box, each
     query lies within rho of c, so by the triangle inequality its distance
-    is at most d(c) + rho. ``_widen`` covers the rounding of c, rho and
-    every computed distance, subnormal squares included.
+    is at most d + rho, where d is the computed distance from c to any
+    target: here the nearest in the 5 x 5 square of target cells around c,
+    or the nearest of all where that square is empty. ``_widen`` covers the
+    rounding of c, rho and every computed distance, subnormal squares
+    included.
     """
     centre, rho, scale = _cell_boxes(qs, starts, targets)
-    return _widen(_grid_search(targets, centre)[0] + rho, scale)
+    ps = targets.buckets()[2]
+    c = targets.cell_of(centre)
+    c0, c1 = np.maximum(c - _BOUND_CELLS, 0), np.minimum(c + _BOUND_CELLS + 1, [targets.nx, targets.ny])
+    d = np.full(starts.size, math.inf)
+    for b, cand, k in _square_gather(targets, (*c0.T, *c1.T)):
+        at = np.flatnonzero(np.diff(k, prepend=-1))
+        dist = _euclid(ps[cand, 0] - centre[b, 0][k], ps[cand, 1] - centre[b, 1][k])
+        d[b][k[at]] = np.minimum.reduceat(dist, at)
+    empty = d == math.inf
+    if empty.any():
+        d[empty] = _grid_search(targets, centre[empty])[0]
+    return _widen(d + rho, scale)
 
 
 def _cell_discs(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid,
@@ -557,36 +597,21 @@ def _cell_discs(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid,
     return centre, _widen(ub + rho, scale)
 
 
-def _disc_squares(grid: _TargetGrid, centre: np.ndarray,
-                  reach: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cells [x0, x1) x [y0, y1) of grid that hold every target within reach[k] of centre[k].
+def _disc_gather(grid: _TargetGrid, centre: np.ndarray,
+                 reach: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The targets within reach[k] of centre[k], for every k, in the batches of ``_square_gather``.
 
-    Cell assignment rounds monotonically, so a target between the two
-    corners of a disc's box is bucketed between their cells.
+    Gathers the square of cells between those of each disc's box corners
+    (cell assignment rounds monotonically, so a target in the box is
+    bucketed between them), then drops the targets whose computed distance
+    to the centre exceeds the reach.
     """
+    ps = grid.buckets()[2]
     x0, y0 = grid.cell_of(centre - reach[:, None]).T
     x1, y1 = grid.cell_of(centre + reach[:, None]).T + 1
-    return x0, y0, x1, y1
-
-
-def _disc_gather(grid: _TargetGrid, centre: np.ndarray, reach: np.ndarray,
-                 squares: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The targets within reach[k] of centre[k], for every k: bucket positions and their k.
-
-    Gathers the grid rows of each disc's square of cells (``_disc_squares``),
-    then drops the targets whose computed distance to the centre exceeds
-    the reach. Positions index ``grid.buckets()``'s sorted rows, grouped by k.
-    """
-    _, offs, ps = grid.buckets()
-    x0, y0, x1, y1 = squares
-    iy, owner = _ragged(y0, y1 - y0)
-    base = iy * grid.nx
-    s0 = offs[base + x0[owner]]
-    cand, run = _ragged(s0, offs[base + x1[owner]] - s0)
-    k = owner[run]
-    ck = centre[k]
-    near = _euclid(ps[cand, 0] - ck[:, 0], ps[cand, 1] - ck[:, 1]) <= reach[k]
-    return cand[near], k[near]
+    for b, cand, k in _square_gather(grid, (x0, y0, x1, y1)):
+        near = _euclid(ps[cand, 0] - centre[b, 0][k], ps[cand, 1] - centre[b, 1][k]) <= reach[b][k]
+        yield b, cand[near], k[near]
 
 
 def _solve_cells(grid: _TargetGrid, qs: np.ndarray, starts: np.ndarray,
@@ -596,22 +621,15 @@ def _solve_cells(grid: _TargetGrid, qs: np.ndarray, starts: np.ndarray,
     Every query of run k has its computed nearest target within reach[k]
     of centre[k], so each run measures all its queries against its
     ``_disc_gather`` and takes the minimum per query. Runs are gathered in
-    batches of about _GATHER targets in their squares of cells, counted
-    from prefix sums of the buckets; (query, target) pairs are made in
-    batches of at most _GATHER (a query with more candidates goes alone),
-    which may split a run.
+    that function's batches; (query, target) pairs are made in batches of
+    at most _GATHER (a query with more candidates goes alone), which may
+    split a run.
     """
-    _, offs, ps = grid.buckets()
-    squares = _disc_squares(grid, centre, reach)
-    x0, y0, x1, y1 = squares
-    tally = np.zeros((grid.ny + 1, grid.nx + 1), dtype=np.intp)
-    tally[1:, 1:] = np.diff(offs).reshape(grid.ny, grid.nx).cumsum(axis=0).cumsum(axis=1)
-    square = tally[y1, x1] - tally[y0, x1] - tally[y1, x0] + tally[y0, x0]
+    ps = grid.buckets()[2]
     bounds = np.append(starts, qs.shape[0])
     sizes = np.diff(bounds)
     worst = 0.0
-    for b1 in _batches(square + (y1 - y0), _GATHER):
-        cand, k = _disc_gather(grid, centre[b1], reach[b1], tuple(c[b1] for c in squares))
+    for b1, cand, k in _disc_gather(grid, centre, reach):
         n_cand = np.bincount(k, minlength=b1.stop - b1.start)
         px, py = ps[cand, 0], ps[cand, 1]
         # per query of these runs: its coordinates, and its run's candidates
@@ -640,14 +658,16 @@ def _grid_max_nearest(q: np.ndarray, p: np.ndarray) -> float:
     """The largest nearest distance from a row of q to p: ``_grid_nearest(q, p)[0].max()``.
 
     The queries go in a uniform grid of about _QUERY_CELL per cell, and each
-    occupied cell gets an upper bound ub. The cell with the largest bound is
-    solved exactly first, then every cell whose bound exceeds that maximum.
-    A skipped query's distance is at most its cell's bound, which is at most
-    a solved query's distance, so the value is the same. A kept cell with
-    centre c and half-diagonal rho is solved as a whole: each of its queries
-    has its nearest target within ub of itself and so within R = ub + rho
-    of c, widened for rounding, so its queries are measured against the
-    targets of that disc only (``_solve_cells``).
+    occupied cell gets an upper bound ub from the nearest target in the 5 x 5
+    square of target cells around its centre, with the exact ring search
+    only where that square is empty. The cell with the largest bound is
+    solved exactly first, then every cell whose bound exceeds it. A skipped
+    query's distance is at most its cell's bound, which is at most a solved
+    query's distance, so the value is the same. A kept cell with centre c
+    and half-diagonal rho is solved as a whole: each of its queries has its
+    nearest target within ub of itself and so within R = ub + rho of c,
+    widened for rounding, so its queries are measured against the targets
+    of that disc only (``_solve_cells``).
     """
     targets = _TargetGrid(p)
     qlo, qhi = q.min(axis=0), q.max(axis=0)

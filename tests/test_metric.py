@@ -458,6 +458,25 @@ def _grouped_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.n
     return q, np.flatnonzero(np.concatenate([[True], rng.random(len(q) - 1) < 0.2])), t
 
 
+def _bounded_runs(q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, metric._TargetGrid]:
+    """The query runs, their starts and the target grid that ``_grid_max_nearest`` bounds."""
+    seen, bounds = [], metric._cell_bounds
+
+    def spy(qs, starts, targets):
+        seen.append((qs, starts, targets))
+        return bounds(qs, starts, targets)
+
+    with mock.patch.object(metric, "_cell_bounds", spy):
+        metric._grid_max_nearest(q, t)
+    return seen[0]
+
+
+def _exact_centre_bounds(qs: np.ndarray, starts: np.ndarray, grid: metric._TargetGrid) -> np.ndarray:
+    """Each run's bound from its centre's exact nearest distance."""
+    centre, rho, scale = metric._cell_boxes(qs, starts, grid)
+    return metric._widen(metric._grid_search(grid, centre)[0] + rho, scale)
+
+
 class TestBoundedDirectedHausdorff:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", PRUNING_KINDS)
@@ -519,16 +538,65 @@ class TestBoundedDirectedHausdorff:
                 mock.patch.object(metric, "_solve_cells", spy_cells):
             got = metric._grid_max_nearest(net, lines)
         assert got == float(metric._grid_nearest(net, lines)[0].max())
-        # centre searches, the seed cell and the kept cells' queries
+        # the seed cell and the kept cells' queries, and any cell centre with
+        # no target in its square of cells (the other centres' bounds are
+        # square gathers, which measure no query)
         assert sum(solved) < len(net) / 2
 
-    @pytest.mark.parametrize("kind", ["rays", "rays far out", "comb", "collinear", "far", "tiny scale"])
+    @pytest.mark.parametrize("kind", ["rays", "rays far out", "comb", "collinear", "far", "tiny scale",
+                                      "integer", "clustered", "signed zeros", "largest float"])
     def test_cell_bound_covers_every_computed_distance(self, kind):
         q, starts, t = _grouped_case(kind, np.random.default_rng(11))
         ub = metric._cell_bounds(q, starts, metric._TargetGrid(t))
         dist = metric._grid_nearest(q, t)[0]
         owner = np.searchsorted(starts, np.arange(len(q)), side="right") - 1
         assert (dist <= ub[owner]).all()
+        # batches of one or two squares give the same bounds
+        with mock.patch.object(metric, "_GATHER", 7):
+            assert np.array_equal(metric._cell_bounds(q, starts, metric._TargetGrid(t)), ub)
+
+    @pytest.mark.parametrize("kind", PRUNING_KINDS)
+    def test_cell_bound_is_at_least_the_exact_centre_bound(self, kind):
+        # a target in the centre's square is no nearer than its nearest one
+        q, starts, t = _grouped_case(kind, np.random.default_rng(12))
+        grid = metric._TargetGrid(t)
+        exact = _exact_centre_bounds(q, starts, grid)
+        for gather in (metric._GATHER, 7):
+            with mock.patch.object(metric, "_GATHER", gather):
+                assert (metric._cell_bounds(q, starts, grid) >= exact).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_comb_bound_keeps_the_exact_centre_bounds_cells(self, seed):
+        lines, net = _pruning_case("comb", np.random.default_rng(seed))
+        searched, search = [], metric._grid_search
+
+        def spy(grid, qs):
+            searched.append(len(qs))
+            return search(grid, qs)
+
+        # lines -> net keeps every cell; net -> lines, as in the comb experiment, prunes
+        for q, t in ((lines, net), (net, lines)):
+            qs, starts, grid = _bounded_runs(q, t)
+            with mock.patch.object(metric, "_grid_search", spy):
+                ub = metric._cell_bounds(qs, starts, grid)
+            whole = float(metric._grid_nearest(q, t)[0].max())
+            assert np.array_equal(ub > whole, _exact_centre_bounds(qs, starts, grid) > whole)
+        # every centre's square of cells holds a target: no exact search
+        assert searched == []
+
+    def test_cell_bound_takes_both_branches_on_clusters(self):
+        # centres far from the four clusters have empty squares of cells
+        q, t = _pruning_case("clustered", np.random.default_rng(0))
+        qs, starts, grid = _bounded_runs(q, t)
+        searched, search = [], metric._grid_search
+
+        def spy(grid, qs):
+            searched.append(len(qs))
+            return search(grid, qs)
+
+        with mock.patch.object(metric, "_grid_search", spy):
+            metric._cell_bounds(qs, starts, grid)
+        assert len(searched) == 1 and 0 < searched[0] < starts.size
 
     @pytest.mark.parametrize("kind", ["rays", "rays far out", "comb", "tiny scale"])
     def test_disc_holds_every_computed_nearest_target(self, kind):
@@ -536,12 +604,15 @@ class TestBoundedDirectedHausdorff:
         q, starts, t = _grouped_case(kind, np.random.default_rng(11))
         grid = metric._TargetGrid(t)
         centre, reach = metric._cell_discs(q, starts, grid, metric._cell_bounds(q, starts, grid))
-        cand, k = metric._disc_gather(grid, centre, reach, metric._disc_squares(grid, centre, reach))
         order = grid.buckets()[0]
-        kept = set(zip(k.tolist(), order[cand].tolist()))
         owner = np.searchsorted(starts, np.arange(len(q)), side="right") - 1
         nearest = metric._grid_nearest(q, t)[1]
-        assert all(pair in kept for pair in zip(owner.tolist(), nearest.tolist()))
+        # also with batches of a few targets, one or two runs each
+        for gather in (metric._GATHER, 7):
+            with mock.patch.object(metric, "_GATHER", gather):
+                kept = {(b.start + k, int(order[c])) for b, cand, ks in metric._disc_gather(grid, centre, reach)
+                        for c, k in zip(cand, ks.tolist())}
+            assert all(pair in kept for pair in zip(owner.tolist(), nearest.tolist()))
 
     def test_a_bound_that_ties_the_maximum_is_not_solved(self):
         # with the seed cell holding the maximum and every other cell bounded
