@@ -50,7 +50,7 @@ from .errors import (
     TooManyFamilies,
     TrivialStabilizer,
 )
-from .metric import EuclideanPointSet, SubsetRef, directed_hausdorff, hausdorff, scale_points
+from .metric import EuclideanPointSet, SubsetRef, directed_hausdorff, planar_hausdorff, scale_points
 from .serialize import (
     _document,
     certificate_report_json,
@@ -323,8 +323,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     net = gen_epsilon_net(w, spacing)
     cert = make_certificate(space, families, r, strict=False)
     result = gh_lower_bound(cert, model_space("R2"))
-    ambient, sub_s, sub_n = merge_point_sets(space, net)
-    value = hausdorff(ambient, sub_s, sub_n)
+    value = planar_hausdorff(space, net)
     tolerance = spec.tolerance(spacing, n)
     svg_path = render_families_svg(space.points, families, out_dir / f"{args.example}.svg",
                                    dot_radius=spec.dot_radius, title=spec.title)

@@ -178,7 +178,8 @@ def gen_comb_set(w: WindowSpec, delta: float) -> EuclideanPointSet:
         rows.append(np.column_stack((np.full_like(line_y, x), line_y)))
     if not rows:
         raise EmptyWindow("window meets neither the axis nor a vertical line")
-    pts = np.unique(np.concatenate(rows), axis=0)
+    # complex128 rows sort and compare (x, y)-lexicographically
+    pts = np.unique(np.concatenate(rows).view(np.complex128)).view(np.float64).reshape(-1, 2)
     if pts.shape[0] > POINT_CAP:
         raise TooManyPoints(int(pts.shape[0]), POINT_CAP)
     return EuclideanPointSet(pts)

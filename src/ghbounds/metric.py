@@ -19,9 +19,10 @@ the smallest index) is bitwise equal to the block scan's.
 
 A planar directed Hausdorff distance needs only the largest nearest
 distance, so it bounds whole cells of queries instead of solving each one.
-Queries that are also targets are dropped (their distance is 0.0). The rest
-go in a uniform grid of about eight per cell; a cell whose tight box has
-centre c and half-diagonal rho holds no distance above ub = d + rho,
+Queries equal to a target are dropped (their distance is 0.0), so two
+planar sets need no merged ambient (``planar_hausdorff``). The rest go in
+a uniform grid of about eight per cell; a cell whose tight box has centre
+c and half-diagonal rho holds no distance above ub = d + rho,
 widened by the rounding allowance, where d is c's distance to the nearest
 target in the 5 x 5 square of target cells around it (to the nearest
 target at all where that square is empty). The cell with the largest bound
@@ -693,6 +694,22 @@ def _grid_max_nearest(q: np.ndarray, p: np.ndarray) -> float:
     return cmax
 
 
+def _planar_directed(q: np.ndarray, p: np.ndarray) -> float:
+    """The directed Hausdorff distance from the rows of q to the distinct rows of p.
+
+    Both are C-contiguous float64 (n, 2) arrays, viewed as complex128 without
+    a copy: NumPy sorts and compares complex values lexicographically, and
+    ``==`` treats -0.0 as 0.0, as ``_check_distinct`` does. So a query equal
+    to a target (at distance 0.0) is found by one searchsorted against p's
+    rows, which are sorted only when they are out of order, and dropped.
+    """
+    qc, pc = q.view(np.complex128)[:, 0], p.view(np.complex128)[:, 0]
+    if not (pc[1:] >= pc[:-1]).all():
+        pc = np.sort(pc)
+    q = q[pc[np.minimum(np.searchsorted(pc, qc), pc.size - 1)] != qc]
+    return _grid_max_nearest(q, p) if q.size else 0.0
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -794,8 +811,7 @@ def directed_hausdorff(space: MetricLike, a: "SubsetRef | Iterable[int]",
     ia = np.fromiter(sa.indices, dtype=np.intp)
     ib = np.fromiter(sb.indices, dtype=np.intp)
     if isinstance(space, EuclideanPointSet):
-        ia = ia[~np.isin(ia, ib, assume_unique=True)]  # a point of b is at distance 0.0 from b
-        return _grid_max_nearest(space.points[ia], space.points[ib]) if ia.size else 0.0
+        return _planar_directed(space.points[ia], space.points[ib])
     return float(_nearest(space, ia, ib)[0].max())
 
 
@@ -807,6 +823,15 @@ def hausdorff(space: MetricLike, a: "SubsetRef | Iterable[int]",
     and coincides with the enclosing-neighborhood infimum.
     """
     return max(directed_hausdorff(space, a, b), directed_hausdorff(space, b, a))
+
+
+def planar_hausdorff(x: EuclideanPointSet, y: EuclideanPointSet) -> float:
+    """Hausdorff distance between two planar sets, with the plane as their ambient.
+
+    Equal to ``hausdorff`` over ``merge_point_sets(x, y)``, to the bit,
+    without building the merged set.
+    """
+    return max(_planar_directed(x.points, y.points), _planar_directed(y.points, x.points))
 
 
 def scale(space: FiniteMetricSpace, lam: float) -> FiniteMetricSpace:

@@ -362,7 +362,7 @@ class TestReproduce:
                         "--out-dir", str(tmp_path)]) == 2
 
     def test_disagreement_is_a_failed_check(self, tmp_path):
-        with mock.patch.object(cli, "hausdorff", lambda space, a, b: 0.0):
+        with mock.patch.object(cli, "planar_hausdorff", lambda x, y: 0.0):
             assert run_cli(["reproduce", "example1", "--window", "4",
                             "--out-dir", str(tmp_path)]) == 2
         report = json.loads((tmp_path / "example1-report.json").read_text())

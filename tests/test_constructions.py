@@ -14,7 +14,7 @@ from ghbounds import (EuclideanPointSet, SubsetFamily, SubsetRef, WindowSpec,
                       gen_comb_cover, gen_comb_set, gen_epsilon_net,
                       gen_interval_cover, gen_lattice_window, hausdorff,
                       make_certificate, merge_point_sets, multiplicity)
-from ghbounds.constructions import MIN_PIECE_HEIGHT
+from ghbounds.constructions import MIN_PIECE_HEIGHT, _grid_coords
 from ghbounds.errors import (DeltaNotDividingOne, EmptyWindow, HTooSmall,
                              LTooSmall, NonIntegerPoint, TooManyPoints)
 from oracles import gen_comb_cover_loop
@@ -193,6 +193,23 @@ class TestCombSet:
         comb = gen_comb_set(WindowSpec(0.0, 2.0, -1.0, 1.0), 0.5)
         rows = [tuple(p) for p in comb.points]
         assert rows == sorted(rows)
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5, 0.2, 0.05])
+    @pytest.mark.parametrize("window", [(0.0, 12.0, -6.0, 6.0), (-3.0, 4.5, -7.25, -0.5),
+                                        (-2.5, 2.5, -4.0, 0.0), (-6.0, -1.0, -3.3, 1.7)])
+    def test_dedupe_matches_unique_rows(self, window, delta):
+        # the generator's rows rebuilt: the axis samples, then each vertical line
+        w = WindowSpec(*window)
+        rows = []
+        if w.ymin <= 0.0 <= w.ymax:
+            axis_x = _grid_coords(w.xmin, w.xmax, delta, pad_edges=False)
+            rows.append(np.column_stack((axis_x, np.zeros_like(axis_x))))
+        line_y = _grid_coords(w.ymin, w.ymax, delta, pad_edges=False)
+        for x in _grid_coords(w.xmin, w.xmax, 1.0, pad_edges=False):
+            rows.append(np.column_stack((np.full_like(line_y, x), line_y)))
+        want = np.unique(np.concatenate(rows), axis=0)
+        got = gen_comb_set(w, delta).points
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_axis_only_window(self):
         comb = gen_comb_set(WindowSpec(0.25, 0.75, -1.0, 1.0), 0.25)

@@ -17,6 +17,7 @@ from ghbounds import (EuclideanPointSet, FiniteMetricSpace,
                       merge_point_sets, nearest_point_correspondence,
                       neighborhood, scale, scale_points, set_distance)
 from ghbounds import metric
+from ghbounds.metric import planar_hausdorff
 from ghbounds.errors import (DuplicatePoint, EmptySubset, IndexOutOfRange,
                              NegativeEntry, NonpositiveLambda, NonzeroDiagonal,
                              NotSymmetric, TriangleViolation, ZeroOffDiagonal)
@@ -647,6 +648,93 @@ class TestBoundedDirectedHausdorff:
             assert metric._grid_max_nearest(q, t) == whole
         # the seed cell's queries only: no kept cell reaches _solve_cells
         assert solved == seed_size
+
+
+# ---------------------------------------------------------------------------
+# two planar sets without a merged ambient, against the merged one
+
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The first copy of each row (-0.0 and 0.0 equal), in a's order."""
+    _, first = np.unique(a, axis=0, return_index=True)
+    return a[np.sort(first)]
+
+
+def _bits(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def _assert_planar_matches_the_merge(x: np.ndarray, y: np.ndarray) -> None:
+    """planar_hausdorff and both _planar_directed directions equal the merged ambient's, by bits."""
+    xs, ys = EuclideanPointSet(x), EuclideanPointSet(y)
+    merged, sa, sb = merge_point_sets(xs, ys)
+    for gather in (metric._GATHER, 7):
+        with mock.patch.object(metric, "_GATHER", gather):
+            ab, ba = directed_hausdorff(merged, sa, sb), directed_hausdorff(merged, sb, sa)
+            assert _bits(metric._planar_directed(xs.points, ys.points)) == _bits(ab)
+            assert _bits(metric._planar_directed(ys.points, xs.points)) == _bits(ba)
+            assert _bits(planar_hausdorff(xs, ys)) == _bits(max(ab, ba))
+            # both paths drop shared queries; the exact scan of every query does not
+            assert _bits(ab) == _bits(metric._grid_nearest(xs.points, ys.points)[0].max())
+            assert _bits(ba) == _bits(metric._grid_nearest(ys.points, xs.points)[0].max())
+
+
+class TestPlanarHausdorff:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PLANAR_KINDS), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans())
+    def test_matches_the_merged_ambient(self, kind, seed, shuffle):
+        rng = np.random.default_rng(seed)
+        x, y = (_distinct_rows(a) for a in _planar_case(kind, rng))
+        if shuffle:  # unsorted targets take the sort before the search
+            x, y = x[rng.permutation(len(x))], y[rng.permutation(len(y))]
+        _assert_planar_matches_the_merge(x, y)
+
+    @pytest.mark.parametrize("kind", PRUNING_KINDS)
+    def test_pruning_cases_match_the_merged_ambient(self, kind):
+        q, t = _pruning_case(kind, np.random.default_rng(3))
+        # -0.0 equals 0.0: drop from t what q already holds, as the merge would
+        t = t[~(t[:, None, :] == q[None, :, :]).all(axis=2).any(axis=1)]
+        _assert_planar_matches_the_merge(q, t)
+
+    def test_one_set_inside_the_other(self):
+        rng = np.random.default_rng(11)
+        x = _distinct_rows(rng.integers(-20, 21, (300, 2)) / 4.0)
+        y = x[rng.permutation(len(x))[:40]]
+        assert metric._planar_directed(y, x) == 0.0
+        assert metric._planar_directed(x, x[::-1].copy()) == 0.0
+        _assert_planar_matches_the_merge(x, y)
+        _assert_planar_matches_the_merge(y, x)
+        _assert_planar_matches_the_merge(x, x[::-1].copy())
+        # only the queries outside the unsorted targets are measured
+        seen, inner = [], metric._grid_max_nearest
+        with mock.patch.object(metric, "_grid_max_nearest", lambda q, p: seen.append(len(q)) or inner(q, p)):
+            metric._planar_directed(x, y)
+        assert seen == [len(x) - len(y)]
+
+    def test_single_points(self):
+        one, other = np.array([[0.5, -2.0]]), np.array([[3.5, 2.0]])
+        assert planar_hausdorff(EuclideanPointSet(one), EuclideanPointSet(other)) == 5.0
+        _assert_planar_matches_the_merge(one, other)
+        _assert_planar_matches_the_merge(one, one.copy())
+        many = np.random.default_rng(12).uniform(-3, 3, (50, 2))
+        _assert_planar_matches_the_merge(one, many)
+        _assert_planar_matches_the_merge(many, np.vstack([many[7:8], one]))
+
+    def test_signed_zeros_are_one_point(self):
+        x = np.array([[-0.0, 1.0], [2.0, -0.0], [0.0, 3.0], [-0.0, -0.0], [4.0, 4.0]])
+        y = np.array([[0.0, 1.0], [2.0, 0.0], [-0.0, 3.0], [0.0, 0.0], [1.0, 1.0]])
+        assert metric._planar_directed(x[:4].copy(), y) == 0.0
+        assert metric._planar_directed(y[:4].copy(), x) == 0.0
+        _assert_planar_matches_the_merge(x, y)
+        _assert_planar_matches_the_merge(y[::-1].copy(), x)
+
+    def test_points_near_the_largest_float(self):
+        ys = np.arange(100.0)
+        x = np.column_stack([np.where(ys % 2 == 0, 1e308, -1e308), ys])
+        with np.errstate(over="ignore"):
+            _assert_planar_matches_the_merge(x, x[::3].copy())  # one direction 0.0
+            _assert_planar_matches_the_merge(x[1::2].copy(), x[::2].copy())  # both inf
+            _assert_planar_matches_the_merge(x[::2].copy(), np.array([[1e308, 0.5], [1.7e308, 99.0]]))
 
 
 # ---------------------------------------------------------------------------
