@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Time the JSON file boundary, each step in a fresh process.
 
-Two cases on the square window [0, W]^2:
+Two cases, each the r=1 brick cover of the square window [0, W]^2:
 
-  brick   the r=1 brick cover (a quarter-spaced net: few distinct coordinates)
-  random  as many uniform random points, (4W + 1)^2 (every coordinate distinct)
+  brick   of the quarter-spaced net (few distinct coordinates)
+  random  of as many uniform random points, (4W + 1)^2 (every coordinate distinct)
 
-For each case a child process runs ``gen ... --out`` (generate, then
-``dump_json``), and another runs ``load_json`` on the file written. The
-random points go through the same ``gen`` path: the child builds them, then
-swaps the net generator for one that returns them and runs ``gen net``.
-Each child reports the seconds of its step and its own peak RSS from
-``resource.getrusage``; the table gives every run and the median per step.
+For each case a child process runs ``gen brick ... --out`` (generate, then
+``dump_json``), and another runs ``load_cover``, the reader of
+``verify-cover`` and ``lower-bound``, on the file written. The random points
+go through the same ``gen`` path: the child builds them, then swaps the net
+generator for one that returns them. Each child reports the seconds of its
+step and its own peak RSS from ``resource.getrusage``; the table gives
+every run and the median per step.
 
     PYTHONPATH=src python scripts/json_boundary.py --window 100 --repeats 5
 """
@@ -30,25 +31,25 @@ from unittest import mock
 
 import numpy as np
 
-from ghbounds import EuclideanPointSet, cli
-from ghbounds.serialize import load_json
+from ghbounds import EuclideanPointSet, cli, constructions
+from ghbounds.serialize import load_cover
 
 
 def _child(case: str, step: str, window: float, path: str) -> None:
     """Run one step and print "seconds peak_mb"."""
+    gen = ["gen", "brick", "--window", f"0,{window},0,{window}", "--r", "1", "--out", path]
     if step == "load":
         t0 = time.perf_counter()
-        load_json(path)
+        load_cover(path)
     elif case == "brick":
         t0 = time.perf_counter()
-        cli.main(["gen", "brick", "--window", f"0,{window},0,{window}", "--r", "1",
-                  "--out", path])
+        cli.main(gen)
     else:
         n = (int(4 * window) + 1) ** 2
         pts = EuclideanPointSet(np.random.default_rng(0).uniform(0.0, window, (n, 2)))
-        with mock.patch.object(cli, "gen_epsilon_net", lambda w, eps: pts):
+        with mock.patch.object(constructions, "gen_epsilon_net", lambda w, eps: pts):
             t0 = time.perf_counter()
-            cli.main(["gen", "net", "--window", f"0,{window},0,{window}", "--out", path])
+            cli.main(gen)
     seconds = time.perf_counter() - t0
     print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 

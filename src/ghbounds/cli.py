@@ -54,9 +54,9 @@ from .metric import EuclideanPointSet, SubsetRef, directed_hausdorff, planar_hau
 from .serialize import (
     _document,
     certificate_report_json,
-    cover_from_json,
     dump_json,
     gh_result_to_json,
+    load_cover,
     load_json,
     model_from_json,
     space_from_json,
@@ -227,7 +227,7 @@ def _load_model(args: argparse.Namespace):
 
 def cmd_lower_bound(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    space, families, r_file, strict_file, target = cover_from_json(load_json(args.cover))
+    space, families, r_file, strict_file, target = load_cover(args.cover)
     r = args.r if args.r is not None else r_file
     strict = bool(args.strict or strict_file)
     cert = make_certificate(space, families, r, strict, target)
@@ -244,7 +244,7 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
 
 def cmd_verify_cover(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    space, families, r_file, strict_file, target = cover_from_json(load_json(args.cover))
+    space, families, r_file, strict_file, target = load_cover(args.cover)
     r = args.r if args.r is not None else r_file
     strict = bool(args.strict or strict_file)
     found = inspect_cover(space, families, r, strict, target)
@@ -364,7 +364,7 @@ def cmd_scale_ladder(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.lam <= 1.0:
         raise ValueError("--lam must be > 1 (an expanding scale)")
-    space, families, r_file, _strict, _target = cover_from_json(load_json(args.cover))
+    space, families, r_file, _strict, _target = load_cover(args.cover)
     if not isinstance(space, EuclideanPointSet):
         raise NonEuclideanAmbient("scale-ladder needs a points2d ambient space")
 

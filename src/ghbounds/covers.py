@@ -199,14 +199,32 @@ class FamilyInspection:
     max_diam: float
 
 
+class _Target:
+    """A target of ``target_size`` points: ``given_target``, or every point when that is None.
+
+    ``target`` is the SubsetRef, built on first read and kept, so a target of
+    every point is a count until something reads its indices.
+    """
+
+    target_size: int
+    given_target: SubsetRef | None
+
+    @cached_property
+    def target(self) -> SubsetRef:
+        if self.given_target is not None:
+            return self.given_target
+        return SubsetRef.full(self.target_size)
+
+
 @dataclass(frozen=True)
-class CoverInspection:
+class CoverInspection(_Target):
     """Everything ``inspect_cover`` measured; it judges nothing by itself."""
 
     families: tuple[FamilyInspection, ...]
-    target: SubsetRef
+    target_size: int
     cover: CoverReport
     multiplicity: int
+    given_target: SubsetRef | None = None
 
     @property
     def c(self) -> float:
@@ -258,7 +276,7 @@ def model_space(name: str) -> ModelSpaceDescriptor:
 
 
 @dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(_Target):
     """Verified package: families, separation r, diameter bound C, covered target."""
 
     space: MetricLike
@@ -266,9 +284,10 @@ class CoverCertificate:
     r: float
     c: float
     strict: bool
-    target: SubsetRef
+    target_size: int
     min_gap: float
     tolerance: float = DEFAULT_TOL
+    given_target: SubsetRef | None = None
 
     @property
     def k(self) -> int:
@@ -572,11 +591,15 @@ def multiplicity(space: MetricLike, families: Sequence[SubsetFamily],
     return _coverage(space.n, families, as_subset(target, space.n))[1]
 
 
-def _coverage(n: int, families: Sequence[SubsetFamily], tgt: SubsetRef) -> tuple[CoverReport, int]:
-    """The uncovered target points and the most members on one target point, from one bincount."""
+def _coverage(n: int, families: Sequence[SubsetFamily],
+              tgt: SubsetRef | None) -> tuple[CoverReport, int]:
+    """The uncovered target points and the most members on one, from one bincount.
+
+    A target of None is every point.
+    """
     flat = np.concatenate([np.empty(0, dtype=np.int64)] + [fam._index[0] for fam in families])
     # a target of n points in [0, n), sorted and distinct, is every point
-    t = (np.arange(n) if len(tgt) == n
+    t = (np.arange(n) if tgt is None or len(tgt) == n
          else np.fromiter(tgt.indices, dtype=np.intp, count=len(tgt)))
     counts = np.bincount(flat, minlength=n)[t]
     uncovered = tuple(t[counts == 0].tolist())
@@ -594,11 +617,14 @@ def inspect_cover(space: MetricLike, families: Sequence[SubsetFamily], r: float,
     number of members containing one point, from one ``bincount``.
     """
     fams = tuple(families)
-    tgt = as_subset(target, space.n) if target is not None else SubsetRef.full(space.n)
+    tgt = as_subset(target, space.n) if target is not None else None
+    if tgt is not None and len(tgt) == space.n:  # n points in [0, n) are every point
+        tgt = None
     measured = tuple(FamilyInspection(fam.label, len(fam),
                                       check_r_disjoint(space, fam, r, strict, tolerance),
                                       check_uniform_bound(space, fam)) for fam in fams)
-    return CoverInspection(measured, tgt, *_coverage(space.n, fams, tgt))
+    return CoverInspection(measured, space.n if tgt is None else len(tgt),
+                           *_coverage(space.n, fams, tgt), given_target=tgt)
 
 
 def _duplicate_members(fam: SubsetFamily) -> tuple[int, int] | None:
@@ -646,7 +672,8 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
     if not found.cover.ok:
         raise NotCovering(found.cover.uncovered)
     return CoverCertificate(space=space, families=fams, r=r, c=found.c, strict=strict,
-                            target=found.target, min_gap=found.min_gap, tolerance=tolerance)
+                            target_size=found.target_size, min_gap=found.min_gap,
+                            tolerance=tolerance, given_target=found.given_target)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +707,7 @@ def gh_lower_bound(cert: CoverCertificate, model: ModelSpaceDescriptor) -> Bound
     trace = (
         f"certificate: k={k} families, separation r={cert.r:.17g} [{mode}], "
         f"measured min gap {gap}, uniform diameter bound C={cert.c:.17g}, "
-        f"target of {len(cert.target)} points covered",
+        f"target of {cert.target_size} points covered",
         f"model space {model.name}: asymptotic dimension >= {n}, scaling stabilizer nontrivial",
         f"provenance: {model.provenance}",
         f"gate: k={k} <= n={n} and stabilizer nontrivial -- bound applies",

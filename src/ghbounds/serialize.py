@@ -19,6 +19,20 @@ distinct values (by bit pattern, so -0.0 and 0.0 stay apart) number at
 most half its cells is written by formatting each distinct value once and
 joining the rows by index; the brick net's 160,801 points hold 401
 distinct coordinates. Any other slice goes through the C encoder whole.
+
+``load_cover`` reads a cover file straight into arrays when its text has
+the layout ``dump_json`` writes for a planar cover: the keys in
+``_document``'s order, ", " and ": " separators, no indentation. Its point
+array and each family's member array are parsed by ``json.loads`` of their
+text with the inner brackets removed, about _READ_CHARS characters at a
+time, so json's grammar and float bits hold, no list is made per point or
+member, and json's lists stay small. Points per row and entries per member
+come from the "], [" separators, and the text with the number characters
+deleted must read as those rows and members. The labels, ``r``,
+``strict``, ``c`` and ``target`` come from json as well. Any other file
+(indented, reordered keys, a matrix space, a check that fails) is read by
+``cover_from_json(json.loads(text))``, so its values and errors are those
+of the plain path.
 """
 
 from __future__ import annotations
@@ -33,7 +47,7 @@ import numpy as np
 
 from .correspondence import GhResult
 from .covers import (BoundResult, CoverCertificate, ModelSpaceDescriptor, SubsetFamily,
-                     _family_from_lists)
+                     _family_from_lists, _family_from_runs)
 from .metric import (
     EuclideanPointSet,
     MetricLike,
@@ -143,6 +157,159 @@ def cover_from_json(obj: dict[str, Any]) -> tuple[MetricLike, tuple[SubsetFamily
     return space, families, float(obj["r"]), bool(obj.get("strict", False)), target
 
 
+def load_cover(path: str | Path) -> tuple[MetricLike, tuple[SubsetFamily, ...], float, bool,
+                                          SubsetRef | None]:
+    """``cover_from_json(load_json(path))``, read straight into arrays where the layout allows."""
+    return load_json(path, _cover_from_text)
+
+
+_DECODER = json.JSONDecoder()
+# what dump_json writes around a planar cover's arrays, in _document's key order
+_COVER_HEAD = '{"kind": "cover", "space": {"kind": "points2d", "pts": '
+_LABELS = ', "labels": '
+_FAMILIES = '}, "families": ['
+_LABEL = '{"label": '
+_MEMBERS = ', "members": '
+_TAIL_KEYS = frozenset({"r", "strict", "c", "target"})
+# what json writes in a number: digits, sign, point and exponent
+_NUMBER_CHARS = b"0123456789+-.eE"
+# characters of an array that one json.loads reads at a time
+_READ_CHARS = 1 << 16
+
+
+def _cover_from_text(text: str) -> tuple[MetricLike, tuple[SubsetFamily, ...], float, bool,
+                                          SubsetRef | None]:
+    """``cover_from_json(json.loads(text))``: its values, or its error.
+
+    Text in dump_json's layout is parsed by ``_cover_parts``; any other text,
+    or text whose arrays fail a check, goes to ``json.loads`` whole. The
+    parsed parts are then validated in ``cover_from_json``'s order by the
+    same checks: the point set, each family's runs, the target, r.
+    """
+    try:
+        parts = _cover_parts(text)
+    except (ValueError, OverflowError):  # JSON and encoding errors, an int beyond the dtype
+        parts = None
+    if parts is None:
+        return cover_from_json(json.loads(text))
+    points, labels, runs, tail = parts
+    space = EuclideanPointSet(points, tuple(labels) if labels is not None else None)
+    families = tuple(_family_from_runs(str(label), flat, counts, space.n)
+                     for label, flat, counts in runs)
+    target = subset_from_json(tail["target"], space.n) if tail.get("target") is not None else None
+    return space, families, float(tail["r"]), bool(tail.get("strict", False)), target
+
+
+def _cover_parts(text: str) -> tuple[np.ndarray, Any, list[tuple[Any, np.ndarray, np.ndarray]],
+                                     dict[str, Any]] | None:
+    """The point array, labels, each family's (label, entries, counts) and the keys after them.
+
+    None where the text departs from dump_json's layout of a planar cover.
+    Each literal piece of the layout is matched in place, the labels are
+    read by json's decoder where they stand, and each array ends at its
+    first "]]", which no number contains.
+    """
+    if not text.startswith(_COVER_HEAD + "[["):
+        return None
+    i = len(_COVER_HEAD)
+    end = text.find("]]", i) + 2
+    rows = _runs_at(text, i, end, np.float64, width=2)
+    if rows is None:
+        return None
+    if text.startswith(_LABELS, end):
+        labels, i = _DECODER.raw_decode(text, end + len(_LABELS))
+    else:
+        labels, i = None, end
+    if not text.startswith(_FAMILIES, i):
+        return None
+    i += len(_FAMILIES)
+    runs = []
+    while not text.startswith("]", i):
+        if runs:
+            if not text.startswith(", ", i):
+                return None
+            i += 2
+        if not text.startswith(_LABEL, i):
+            return None
+        label, i = _DECODER.raw_decode(text, i + len(_LABEL))
+        if not text.startswith(_MEMBERS, i):
+            return None
+        i += len(_MEMBERS)
+        end = i + 2 if text.startswith("[]", i) else text.find("]]", i) + 2
+        members = _runs_at(text, i, end, np.int64)
+        if members is None or not text.startswith("}", end):
+            return None
+        runs.append((label, *members))
+        i = end + 1
+    if not text.startswith(", ", i + 1):
+        return None
+    tail = json.loads("{" + text[i + 3:])
+    if not tail.keys() <= _TAIL_KEYS:  # a later "space", say, would replace the one read
+        return None
+    return rows[0].reshape(-1, 2), labels, runs, tail
+
+
+def _runs_at(text: str, i: int, end: int, dtype: type,
+             width: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+    """The array of number arrays text[i:end], which ends in "]", as its values and run lengths.
+
+    None unless the text reads "[]" or "[[v, ...], [v, ...], ...]" with
+    dump_json's separators, every run ``width`` long when that is given. It
+    is read a piece of about _READ_CHARS at a time, cut after a run's "]",
+    so json's lists stay small and no list is made per run; see
+    ``_piece_runs``.
+    """
+    if not (text.startswith("[", i) and end > i + 1):
+        return None
+    values, counts = [], []
+    start = i + 1
+    while start < end - 1:
+        cut = text.find("], [", start + _READ_CHARS, end)
+        stop = end - 1 if cut < 0 else cut + 1
+        piece = _piece_runs(text[start:stop], dtype, width)
+        if piece is None:
+            return None
+        values.append(piece[0])
+        counts.append(piece[1])
+        start = stop + 2
+    return (np.concatenate([np.empty(0, dtype=dtype)] + values),
+            np.concatenate([np.empty(0, dtype=np.intp)] + counts))
+
+
+def _piece_runs(piece: str, dtype: type,
+                width: int | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """Runs "[v, ...], [v, ...], ..." as a ``dtype`` array of their values and each run's length.
+
+    With the number characters deleted the piece must read as m runs
+    joined by "], [", each a "[" and "]" around ", " separators: exactly
+    m runs of ``width`` when that is given. The values are one
+    ``json.loads`` of the piece with its "], [" separators made ", ", so
+    json's grammar and float bits hold, and ``np.fromiter`` converts them as
+    ``cover_from_json`` does. A run's length is its commas plus one, and
+    the lengths must add up to the values read, so an empty run, which has
+    no value but counts one, fails.
+    """
+    raw = piece.encode("ascii")
+    skeleton = raw.translate(None, _NUMBER_CHARS)
+    m = skeleton.count(b"], [") + 1
+    if width is not None:
+        run = b"[" + b", " * (width - 1) + b"]"
+        if skeleton != (run + b", ") * (m - 1) + run:
+            return None
+        counts = np.full(m, width, dtype=np.intp)
+    else:
+        if skeleton.replace(b", ", b"") != b"[]" * m:
+            return None
+        # a run of c values reads "[" + ", " * (c - 1) + "]" and a ", " follows it
+        opens = np.flatnonzero(np.frombuffer(skeleton, dtype=np.uint8) == ord("["))
+        counts = np.diff(opens, append=len(skeleton) + 2) // 2 - 1
+    # any "]" or "[" left after the separators go would end json's list early
+    values = json.loads(raw.replace(b"], [", b", "))
+    if int(counts.sum()) != len(values):
+        return None
+    return np.fromiter(values, dtype=dtype, count=len(values)), counts
+
+
 def gh_result_to_json(res: GhResult) -> dict[str, Any]:
     return {
         "dgh": res.value,
@@ -162,7 +329,7 @@ def certificate_report_json(cert: CoverCertificate, model: ModelSpaceDescriptor 
         "strictness": "strict" if cert.strict else "non-strict",
         "min_gap": None if cert.min_gap == float("inf") else cert.min_gap,
         "families": [{"label": f.label, "members": len(f)} for f in cert.families],
-        "target_size": len(cert.target),
+        "target_size": cert.target_size,
     }
     if model is not None:
         obj["model"] = model.name
@@ -181,20 +348,26 @@ def model_from_json(obj: dict[str, Any]) -> ModelSpaceDescriptor:
     )
 
 
-def load_json(path: str | Path) -> Any:
+def load_json(path: str | Path, decode: Callable[[str], Any] = json.loads) -> Any:
+    """The JSON value in the file at path: ``decode`` of its text, ``json.loads`` by default."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return decode(fh.read())
 
 
 def _rows_text(rows: np.ndarray) -> str:
     """``json.dumps(rows.tolist())[1:-1]`` for a 2-D float64 array.
 
     When the distinct bit patterns number at most half the cells, each is
-    formatted once and the rows are joined from those words by index.
+    formatted once and the rows are joined from those words by index. A
+    sort of the bit patterns counts them, a quarter of the time of
+    ``np.unique`` with the inverse, which only a slice that is joined needs.
     """
-    keys, inverse = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
-    if not 0 < 2 * len(keys) <= inverse.size:
+    bits = rows.view(np.int64).ravel()
+    keys = np.sort(bits)
+    distinct = np.count_nonzero(keys[1:] != keys[:-1]) + 1
+    if 2 * distinct > bits.size:  # an empty slice too
         return json.dumps(rows.tolist())[1:-1]
+    keys, inverse = np.unique(bits, return_inverse=True)
     words = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
     m = rows.shape[1]
     # column j's copy of each word carries the row's "[" (j = 0) and "]" (j = m - 1)

@@ -20,8 +20,10 @@ import pytest
 
 import ghbounds
 from conftest import run_cli, run_cli_report
-from ghbounds import __version__, cli, covers, exact_gh, gen_lattice_window
-from ghbounds.serialize import (cover_from_json, dump_json, load_json,
+from ghbounds import __version__, cli, covers, exact_gh, gen_lattice_window, serialize
+from ghbounds.covers import make_certificate
+from ghbounds.metric import SubsetRef
+from ghbounds.serialize import (cover_from_json, dump_json, load_cover, load_json,
                                 space_from_json, space_to_json)
 from ghbounds.svgfig import count_pieces
 from ghbounds import build_space
@@ -530,6 +532,33 @@ class TestMemberTuplesStayUnbuilt:
             # the counter sees a build when something reads the members
             assert len(cover_from_json(load_json(cover))[1][0].members) > 0
         assert len(builds) == 1
+
+
+class TestFullTargetStaysUnbuilt:
+    """A cover read from its file and checked against every point builds no per-point objects."""
+
+    @pytest.mark.parametrize("gen_args, model", [
+        (["chess", "--window", "0,10,0,10"], "R2"),
+        (["brick", "--window", "0,12,0,12", "--r", "1"], "R3"),
+        (["comb-cover", "--window", "0,4,-3,3", "--delta", "0.25"], "R2"),
+    ])
+    def test_no_target_tuple_or_point_rows(self, gen_args, model, tmp_path):
+        cover = str(tmp_path / "cover.json")
+        with mock.patch.object(SubsetRef, "full", wraps=SubsetRef.full) as full, \
+                mock.patch.object(serialize, "_points_from_rows",
+                                  wraps=serialize._points_from_rows) as rows:
+            assert run_cli(["gen", *gen_args, "--out", cover]) == 0
+            assert run_cli(["verify-cover", "--cover", cover]) == 0
+            assert run_cli(["lower-bound", "--cover", cover, "--model", model]) == 0
+            space, families, r, strict, target = load_cover(cover)
+            cert = make_certificate(space, families, r, strict, target)
+            assert full.call_count == 0 and rows.call_count == 0
+            assert cert.target_size == space.n
+            # the tuple of every index is built on the first read of the target, once
+            assert cert.target == SubsetRef.of(range(space.n))
+            assert cert.target is cert.target
+            assert full.call_count == 1
+            assert rows.call_count == 0
 
 
 class TestCollectorPause:

@@ -6,7 +6,9 @@ import contextlib
 import io
 import json
 import math
+import re
 import struct
+from typing import Any, Callable
 from unittest import mock
 
 import numpy as np
@@ -322,3 +324,197 @@ class TestFamilyArrayEncoder:
         with contextlib.redirect_stdout(out):
             cli._emit(doc, None)
         assert out.getvalue() == json.dumps(plain, indent=2) + "\n"
+
+
+class TestRowsText:
+    """_rows_text is json.dumps of the rows' lists, on either side of the half-distinct rule."""
+
+    @staticmethod
+    def _slice(distinct: np.ndarray, cells: int, seed: int) -> np.ndarray:
+        """A (cells / 2, 2) slice holding exactly the given distinct values, in shuffled cells."""
+        rng = np.random.default_rng(seed)
+        flat = np.concatenate([distinct, rng.choice(distinct, cells - distinct.size)])
+        return rng.permutation(flat).reshape(-1, 2)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 4096])
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_at_and_past_the_half_distinct_boundary(self, rows, signed_zeros):
+        cells = 2 * rows
+        rng = np.random.default_rng(rows)
+        for distinct, joined in ((cells // 2, True), (cells // 2 + 1, False), (cells, False)):
+            values = rng.uniform(-1e3, 1e3, distinct)
+            if signed_zeros and distinct >= 2:
+                values[:2] = [-0.0, 0.0]  # distinct by bits
+            a = self._slice(values, cells, distinct)
+            with mock.patch("numpy.unique", wraps=np.unique) as unique:
+                text = serialize._rows_text(a)
+            assert text == json.dumps(a.tolist())[1:-1]
+            assert unique.called is joined
+
+    def test_all_distinct_and_signed_zero_slices(self):
+        rng = np.random.default_rng(5)
+        for a in (rng.uniform(-1.0, 1.0, (4096, 2)), np.array([[-0.0, 0.0]] * 9),
+                  np.array([[-0.0, -0.0], [0.0, 0.0], [-0.0, 0.0]]), np.zeros((0, 2))):
+            assert serialize._rows_text(a) == json.dumps(a.tolist())[1:-1]
+
+
+# coordinate tokens json reads, some of which numpy's text parsers read another way
+_COORDINATES = ["-0.0", "-0", "0", "5e-324", "1e+300", "1E5", "7", "-2.5e-3",
+                "123456789012345678901", "1" + "0" * 400, "1e400"]
+_ENTRIES = ["-0", "-1", "0", "99999", "1.0", "1" + "0" * 25]
+_PERTURBATIONS = ["none", "space", "indent", "reorder", "matrix", "coordinate", "entry",
+                  "ragged", "empty-member", "truncate", "label", "labels-null", "target",
+                  "late-space"]
+# gen arguments of every cover kind, on windows of side a by b
+_GEN_COVERS = {
+    "chess": lambda a, b: ["chess", "--window", f"0,{a},0,{b}"],
+    "comb-cover": lambda a, b: ["comb-cover", "--window", f"0,{a},-{b + 1},{b + 1}",
+                                "--delta", "0.5"],
+    "brick": lambda a, b: ["brick", "--window", f"0,{a},0,{b}", "--r", "1"],
+    "interval": lambda a, b: ["interval", "--window", f"0,{a},0,{b}", "--r", "1"],
+}
+_NUMBER = re.compile(r"-?[0-9][0-9.eE+-]*")
+
+
+def _perturb(text: str, how: str, rng: np.random.Generator) -> str:
+    """A cover file's text changed one way; most ways leave dump_json's layout."""
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    pts_start = text.index('"pts": ') + len('"pts": ')
+    pts_end = text.index("]]", pts_start) + 2
+    if how == "space":
+        at = pick([m.end() for m in re.finditer(r", |: ", text)])
+        return text[:at] + " " + text[at:]
+    if how in ("indent", "reorder", "matrix"):
+        obj = json.loads(text)
+        if how == "indent":
+            return json.dumps(obj, indent=int(rng.integers(0, 3)))
+        if how == "reorder":
+            obj["space"] = dict(reversed(obj["space"].items()))
+            return json.dumps(dict(reversed(obj.items())))
+        pts = np.array(obj["space"]["pts"])
+        d = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+        obj["space"] = {"kind": "matrix", "n": len(pts), "d": d.tolist()}
+        return json.dumps(obj)
+    if how in ("coordinate", "ragged"):
+        if how == "coordinate":
+            m = pick(list(_NUMBER.finditer(text, pts_start, pts_end)))
+            return text[:m.start()] + pick(_COORDINATES) + text[m.end():]
+        m = pick(list(re.finditer(r"\[([^\[\]]*), ([^\[\]]*)\]", text[:pts_end])))
+        row = pick([f"[{m[1]}]", f"[{m[1]}, {m[2]}, 0.5]", f"[{m[1]}, {m[2]}, 0.5], [0.5]"])
+        return text[:m.start()] + row + text[m.end():]
+    if how == "entry":
+        ms = [m for s in re.finditer(r'"members": ', text)
+              for m in _NUMBER.finditer(text, s.end(), text.index("}", s.end()))]
+        if not ms:
+            return text
+        m = pick(ms)
+        return text[:m.start()] + pick(_ENTRIES) + text[m.end():]
+    if how == "empty-member":
+        at = pick([m.end() - 1 for m in re.finditer(r'"members": \[', text)])
+        return text[:at + 1] + ("[]" if text[at + 1] == "]" else "[], ") + text[at + 1:]
+    if how == "truncate":
+        return text[:int(rng.integers(len(text)))]
+    if how == "label":
+        label = json.dumps('x"}, {"label": "y", "members": [[0]]}], "pts": [[0.0, 1.0]]')
+        return re.sub(r'(\{"label": )("(?:[^"\\]|\\.)*")', lambda m: m[1] + label, text, count=1)
+    if how in ("target", "late-space"):  # a key after the others: json keeps the last "space"
+        key = pick(['"target": [0]', '"target": [0, 3]', '"target": []']) if how == "target" \
+            else '"space": {"kind": "points2d", "pts": [[5.0, 5.0]]}'
+        return text.rstrip()[:-1] + ", " + key + "}\n"
+    if how == "labels-null":  # dump_json's layout with null labels, which mean none
+        rest = text[pts_end:]
+        if rest.startswith(', "labels": '):
+            rest = rest[rest.index("]") + 1:]
+        return text[:pts_end] + ', "labels": null' + rest
+    return text
+
+
+def _outcome(read: Callable[[], Any]) -> tuple:
+    """What a cover reader returns, points and matrices as bits, or its error's type and text."""
+    try:
+        space, families, r, strict, target = read()
+    except Exception as exc:  # both readers must fail alike
+        return type(exc), str(exc)
+    table = space.points if isinstance(space, EuclideanPointSet) else space.matrix
+    return (type(space), table.shape, table.view(np.int64).tolist(),
+            getattr(space, "labels", None),
+            [(fam.label, fam._index[0].tolist(), fam._index[1].tolist()) for fam in families],
+            struct.pack("<d", r), strict, target)
+
+
+_TWO = "[[0.0, 0.0], [1.0, 0.0]]"
+_FOUR = "[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]"
+_TAIL = ', "r": 1.0, "strict": false}\n'
+
+
+def _family(members: str, label: str = '"red"') -> str:
+    return '[{"label": %s, "members": %s}]' % (label, members)
+
+
+class TestLoadCover:
+    """load_cover against cover_from_json(load_json(...)): the same bits, or the same error."""
+
+    @pytest.mark.parametrize("pts, families, tail, fast", [
+        (_TWO, _family("[[0], [1]]"), _TAIL, True),
+        ("[[-0.0, 5e-324], [1E5, 1e+300], [7, 123456789012345678901]]", _family("[[0, 2], [1]]"),
+         _TAIL, True),
+        (_TWO, _family("[[0]]", json.dumps('"pts": [[0.0, 1.0]], "members": [[1]]')), _TAIL, True),
+        (_TWO, _family("[]"), _TAIL, True),
+        (_TWO, "[]", ', "r": 1.0, "target": [1]}\n', True),
+        ("[[1.0, 0.0], [1.0, 0.0]]", _family("[[0], [1]]"), _TAIL, True),  # a duplicate point
+        ("[[0.0, 0.0, 1.0], [2.0]]", _family("[[0]]"), _TAIL, False),  # ragged, four values
+        ("[[0.0, 0.0], [1.0]]", _family("[[0]]"), _TAIL, False),
+        (_TWO, _family("[[]]"), _TAIL, False),  # empty members
+        (_TWO, _family("[[0], []]"), _TAIL, False),
+        (_TWO, _family("[[], [1]]"), _TAIL, False),
+        # three spaces in one member and none in the other: a count from the brackets'
+        # positions would read members of 3 and 1 entries
+        (_FOUR, _family("[[0,   1], [2,3]]"), _TAIL, False),
+        (_TWO, _family("5[0]]"), _TAIL, False),  # not JSON
+        (_TWO, _family("[3[0]]"), _TAIL, False),
+        (_TWO, _family("[[0]1, [1]]"), _TAIL, False),
+        ("[[0.0, 0.0]1, [1.0, 0.0]]", _family("[[0], [1]]"), _TAIL, False),
+        (_TWO, _family("[[0] [1]]"), _TAIL, False),
+        (_TWO, _family("[[0], [1]]"), '}{"r": 1.0}\n', False),
+        ("[[0.0, 0.0],[1.0, 0.0]]", _family("[[0], [1]]"), _TAIL, False),
+        ("[[+1.0, 0.0], [1.0, 0.0]]", _family("[[0], [1]]"), _TAIL, False),  # json refuses these
+        ("[[.5, 0.0], [1.0, 0.0]]", _family("[[0], [1]]"), _TAIL, False),
+        ("[[01, 0.0], [1.0, 0.0]]", _family("[[0], [1]]"), _TAIL, False),
+    ])
+    def test_hand_written_files(self, tmp_path, pts, families, tail, fast):
+        path = tmp_path / "c.json"
+        path.write_text(serialize._COVER_HEAD + pts + serialize._FAMILIES[:-1] + families + tail,
+                        encoding="utf-8")
+        want = _outcome(lambda: cover_from_json(load_json(path)))
+        with mock.patch.object(serialize, "cover_from_json",
+                               wraps=serialize.cover_from_json) as plain, \
+                mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            got = _outcome(lambda: serialize.load_cover(path))
+        assert got == want
+        # a file off the array path is parsed whole, by json.loads of its text
+        assert (plain.call_count == 0
+                and path.read_text() not in [c.args[0] for c in loads.call_args_list]) is fast
+
+    @given(kind=st.sampled_from(sorted(_GEN_COVERS)), a=st.integers(0, 3), b=st.integers(0, 3),
+           how=st.sampled_from(_PERTURBATIONS), seed=st.integers(0, 2 ** 32 - 1),
+           read_chars=st.sampled_from([1, 40, None]))
+    @example(kind="chess", a=2, b=2, how="label", seed=0, read_chars=None)
+    @example(kind="brick", a=3, b=3, how="none", seed=0, read_chars=1)
+    def test_matches_the_plain_reader(self, tmp_path_factory, kind, a, b, how, seed, read_chars):
+        path = tmp_path_factory.mktemp("cover") / "c.json"
+        assert cli.main(["gen", *_GEN_COVERS[kind](a, b), "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        if how == "matrix" and text.count("], [") > 60:
+            how = "none"  # keep the triangle check of the matrix small
+        path.write_text(_perturb(text, how, np.random.default_rng(seed)), encoding="utf-8")
+        want = _outcome(lambda: cover_from_json(load_json(path)))
+        with mock.patch.object(serialize, "_READ_CHARS", read_chars or serialize._READ_CHARS), \
+                mock.patch.object(serialize, "cover_from_json",
+                                  wraps=serialize.cover_from_json) as plain:
+            got = _outcome(lambda: serialize.load_cover(path))
+        assert got == want
+        if how == "none":
+            assert plain.call_count == 0  # a file as gen writes it takes the array path
+            assert len(got) > 2
