@@ -32,7 +32,6 @@ from .constructions import (
     gen_epsilon_net,
     gen_interval_cover,
     gen_lattice_window,
-    merge_point_sets,
 )
 from .correspondence import DEFAULT_NODE_BUDGET, exact_gh
 from .covers import (
@@ -50,7 +49,8 @@ from .errors import (
     TooManyFamilies,
     TrivialStabilizer,
 )
-from .metric import EuclideanPointSet, SubsetRef, directed_hausdorff, planar_hausdorff, scale_points
+from .metric import (EuclideanPointSet, SubsetRef, _planar_directed, _unmatched, directed_hausdorff,
+                     planar_hausdorff, scale_points)
 from .serialize import (
     _document,
     certificate_report_json,
@@ -174,7 +174,10 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
         if not (args.space_a and args.space_b):
             raise ValueError("--space-a and --space-b must be given together")
         pa, pb = _load_euclidean(args.space_a), _load_euclidean(args.space_b)
-        ambient, sa, sb = merge_point_sets(pa, pb)
+        d_ab, d_ba = _planar_directed(pa.points, pb.points), _planar_directed(pb.points, pa.points)
+        # the ambient is the union of the two sets: a point of both counts once
+        n_ambient = pa.n + int(np.count_nonzero(_unmatched(pb.points, pa.points)))
+        n_a, n_b = pa.n, pb.n
         inputs: dict[str, Any] = {"space_a": args.space_a, "space_b": args.space_b,
                                   "merged": True}
     else:
@@ -185,17 +188,17 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
               if args.a else SubsetRef.full(ambient.n))
         sb = (subset_from_json(load_json(args.b), ambient.n)
               if args.b else SubsetRef.full(ambient.n))
+        d_ab, d_ba = directed_hausdorff(ambient, sa, sb), directed_hausdorff(ambient, sb, sa)
+        n_ambient, n_a, n_b = ambient.n, len(sa), len(sb)
         inputs = {"space": args.space, "a": args.a, "b": args.b, "merged": False}
-    d_ab = directed_hausdorff(ambient, sa, sb)
-    d_ba = directed_hausdorff(ambient, sb, sa)
     value = max(d_ab, d_ba)
     outputs = {
         "hausdorff": value,
         "directed_ab": d_ab,
         "directed_ba": d_ba,
-        "n_ambient": ambient.n,
-        "n_a": len(sa),
-        "n_b": len(sb),
+        "n_ambient": n_ambient,
+        "n_a": n_a,
+        "n_b": n_b,
     }
     _say(f"d_H = {value!r} (directed {d_ab!r} / {d_ba!r})")
     _emit(_report("hausdorff", inputs, outputs, t0), args.out)
@@ -319,8 +322,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     spec = _EXAMPLES[args.example]
     spacing = getattr(args, spec.spacing)
     w = spec.window(float(n))
-    space, families, r, _, _ = _GEN_KINDS[spec.cover](w, args)
+    # the net is the larger set: one past the point cap is refused before the cover is built
     net = gen_epsilon_net(w, spacing)
+    space, families, r, _, _ = _GEN_KINDS[spec.cover](w, args)
     cert = make_certificate(space, families, r, strict=False)
     result = gh_lower_bound(cert, model_space("R2"))
     value = planar_hausdorff(space, net)

@@ -23,7 +23,7 @@ from .errors import (
     NonIntegerPoint,
     TooManyPoints,
 )
-from .metric import EuclideanPointSet, SubsetRef, _subsets_from_runs
+from .metric import EuclideanPointSet
 
 POINT_CAP = 1_000_000
 _GRID_TOL = 1e-9
@@ -280,24 +280,3 @@ def gen_interval_cover(w: WindowSpec, r: float, L: float | None = None,
     red, blue = _keyed_families(("red", "blue"), k % 2, k)
     return net, (red, blue)
 
-
-def merge_point_sets(a: EuclideanPointSet, b: EuclideanPointSet,
-                     ) -> tuple[EuclideanPointSet, SubsetRef, SubsetRef]:
-    """One ambient set from two, collapsing bit-identical duplicates.
-
-    Returns the merged set (lexicographically sorted) plus each input's index
-    set inside it, so cross-set quantities (Hausdorff distance, set distance)
-    can be computed in a single space.
-    """
-    stacked = np.concatenate((a.points, b.points))
-    order = np.lexsort((stacked[:, 1], stacked[:, 0]))
-    rows = stacked[order]
-    new = np.ones(rows.shape[0], dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    # merged index of each sorted row; each input's points are distinct, so
-    # its indices in sorted-row order are already strictly increasing
-    rank = np.cumsum(new) - 1
-    from_a = order < a.n
-    (sub_a,) = _subsets_from_runs(rank[from_a], np.array([a.n]))
-    (sub_b,) = _subsets_from_runs(rank[~from_a], np.array([b.n]))
-    return EuclideanPointSet(rows[new]), sub_a, sub_b

@@ -100,11 +100,11 @@ def distortion(x: MetricLike, y: MetricLike, rel: Relation | Correspondence) -> 
 def pushforward(rel: Relation | Correspondence, u: SubsetRef | Iterable[int]) -> SubsetRef:
     """Image of a subset of X under the relation: { j : (i,j) in rel, i in u }."""
     su = as_subset(u)
-    members = set(su.indices)
-    image = {j for i, j in rel.pairs if i in members}
-    if not image:
+    pairs = np.array(rel.pairs, dtype=np.int64).reshape(-1, 2)
+    image = pairs[np.isin(pairs[:, 0], su.array), 1]
+    if not image.size:
         raise EmptyImage(f"subset {su.indices} meets no pair of the relation")
-    return SubsetRef(tuple(sorted(image)))
+    return SubsetRef(image)
 
 
 # ---------------------------------------------------------------------------

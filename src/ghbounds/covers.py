@@ -12,12 +12,11 @@ member diameter, and the target's coverage and multiplicity from one
 ``bincount``. ``make_certificate`` raises on what it finds and the CLI's
 ``verify-cover`` reports it.
 
-A family is one read-only int64 index array plus member offsets.
-Generated and loaded families hold only those arrays; the tuple of
-``SubsetRef`` members is built on first read of ``members``. The checks
-never read it: the duplicate-member check compares only members that start
-at the same index, and the gap search fetches only the members it passes to
-``set_distance``.
+A family is one read-only int64 index array plus member offsets, and
+holds nothing else; a member is a slice of that array. The checks never
+read ``members``, which makes one ``SubsetRef`` per member: the
+duplicate-member check compares only members that start at the same index,
+and the gap search slices only the members it passes to ``set_distance``.
 
 On planar sets the family gap search measures only pairs whose bounding
 boxes come within a distance already measured between two members. Those
@@ -38,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -65,16 +64,13 @@ from .metric import (
     _batches,
     _checked_runs,
     _euclid,
-    _int_runs,
     _ragged,
-    _run_lists,
-    _subsets_at,
-    _trusted_subset,
     as_subset,
     set_distance,
 )
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SubsetFamily:
     """A labeled list of nonempty subsets of one ambient space.
 
@@ -83,51 +79,42 @@ class SubsetFamily:
     cannot contain them. Pushforward images, however, may legitimately
     coincide and are kept as-is.
 
-    A family holds its members as one read-only int64 index array plus
-    member offsets (``_index``); generated and loaded families are built
-    from those arrays alone. ``members``, the tuple of ``SubsetRef``, is
-    built on first read and kept. Equality and hashing are by (label,
-    members), and families are immutable.
+    A family holds only its members' indices: ``_index`` is one read-only
+    int64 index array and the member offsets, and member k is
+    ``flat[offsets[k]:offsets[k + 1]]``. ``members`` is the tuple of
+    ``SubsetRef`` over those slices, made on each read. Equality and
+    hashing are by (label, members), and families are immutable.
     """
 
     label: str
+    _index: tuple[np.ndarray, np.ndarray]
 
-    def __init__(self, label: str, members: tuple[SubsetRef, ...]) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "members", members)
+    def __init__(self, label: str, members: Iterable[Iterable[int]], n: int | None = None) -> None:
+        """The family of ``SubsetRef(m, n)`` for each member m, validated in one pass.
+
+        Members that do not convert to int64 as a whole (non-numbers,
+        integers beyond 64 bits, unsized iterables) are built one by one, so
+        the error is the first failing member's either way.
+        """
+        members = list(members)
+        try:
+            counts = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
+            flat = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64,
+                               count=int(counts.sum()))
+        except (TypeError, ValueError, OverflowError):
+            # one by one, so the first failing member raises; then their arrays in one pass
+            self.__init__(label, [SubsetRef(m, n).array for m in members])
+            return
+        _set_index(self, label, flat, counts, n)
 
     @staticmethod
     def of(label: str, members: Iterable[Iterable[int]], n: int | None = None) -> "SubsetFamily":
-        return SubsetFamily(label, tuple(as_subset(m, n) for m in members))
+        return SubsetFamily(label, members, n)
 
-    @staticmethod
-    def _from_index(label: str, flat: np.ndarray, counts: np.ndarray) -> "SubsetFamily":
-        """The family whose member k is the run of counts[k] entries of flat, trusted to rise."""
-        fam = object.__new__(SubsetFamily)
-        object.__setattr__(fam, "label", label)
-        object.__setattr__(fam, "_index", _index_arrays(flat, counts))
-        return fam
-
-    @cached_property
+    @property
     def members(self) -> tuple[SubsetRef, ...]:
-        return _subsets_at(*self._index)
-
-    @cached_property
-    def _index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(flat, offsets), read-only int64: member k is flat[offsets[k]:offsets[k + 1]]."""
-        counts = np.fromiter(map(len, self.members), dtype=np.int64, count=len(self.members))
-        flat = np.fromiter(itertools.chain.from_iterable(mem.indices for mem in self.members),
-                           dtype=np.int64, count=int(counts.sum()))
-        return _index_arrays(flat, counts)
-
-    def _member(self, k: int) -> SubsetRef:
-        """Member k, without building the others."""
-        flat, offsets = self._index
-        return _trusted_subset(tuple(flat[offsets[k]:offsets[k + 1]].tolist()))
-
-    def _runs(self) -> list[list[int]]:
-        """Each member's indices as a list of ints, without building the tuple of members."""
-        return _run_lists(*self._index)
+        flat, bounds = self._index[0], self._index[1].tolist()
+        return tuple(SubsetRef(flat[s:e]) for s, e in zip(bounds, bounds[1:]))
 
     def __len__(self) -> int:
         return self._index[1].size - 1
@@ -140,40 +127,31 @@ class SubsetFamily:
             np.array_equal(x, y) for x, y in zip(self._index, other._index))
 
     def __hash__(self) -> int:
-        return hash((self.label, self.members))
+        return hash((self.label, *(a.tobytes() for a in self._index)))
 
     def __repr__(self) -> str:
         return f"SubsetFamily(label={self.label!r}, members={self.members!r})"
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _index_arrays(flat: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    flat = flat.astype(np.int64, copy=False).view()
+def _set_index(fam: SubsetFamily, label: str, flat: np.ndarray, counts: np.ndarray,
+               n: int | None) -> None:
+    """Set fam's label, and its members: the runs of counts[k] entries of flat, checked."""
+    flat, counts = _checked_runs(flat, counts, n)
+    flat = flat.view()
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     flat.setflags(write=False)
     offsets.setflags(write=False)
-    return flat, offsets
+    object.__setattr__(fam, "label", label)
+    object.__setattr__(fam, "_index", (flat, offsets))
 
 
 def _family_from_runs(label: str, flat: np.ndarray, counts: np.ndarray,
                       n: int | None = None) -> SubsetFamily:
-    """``SubsetFamily(label, _subsets_from_runs(flat, counts, n))``, kept as arrays."""
-    return SubsetFamily._from_index(label, *_checked_runs(flat, counts, n))
-
-
-def _family_from_lists(label: str, members: Sequence[Iterable[int]],
-                       n: int | None = None) -> SubsetFamily:
-    """``SubsetFamily.of(label, members, n)``, validated in one pass where members are int64."""
-    runs = _int_runs(members)
-    if runs is None:
-        return SubsetFamily.of(label, members, n)
-    return _family_from_runs(label, *runs, n)
+    """``SubsetFamily(label, runs, n)`` for the runs of counts[k] entries of flat."""
+    fam = object.__new__(SubsetFamily)
+    _set_index(fam, label, flat, counts, n)
+    return fam
 
 
 @dataclass(frozen=True)
@@ -323,7 +301,7 @@ def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[
         return math.inf, None
     if isinstance(space, EuclideanPointSet):
         return _planar_min_gap(space, fam)
-    members = [fam._member(k) for k in range(m)]
+    members = fam.members
     best = math.inf
     witness: tuple[int, int] | None = None
     for a in range(m - 1):
@@ -419,7 +397,8 @@ def _planar_min_gap(space: EuclideanPointSet,
             gi, ai, bi = float(g[s]), int(a[s]), int(b[s])
             if not (gi < best or (gi == best and (ai, bi) < witness)):
                 break
-            dist = set_distance(space, fam._member(ai), fam._member(bi))
+            dist = set_distance(space, flat[offsets[ai]:offsets[ai + 1]],
+                                flat[offsets[bi]:offsets[bi + 1]])
             if dist < best or (dist == best and (ai, bi) < witness):
                 best, witness = dist, (ai, bi)
     return best, (witness if best < math.inf else None)
@@ -598,9 +577,7 @@ def _coverage(n: int, families: Sequence[SubsetFamily],
     A target of None is every point.
     """
     flat = np.concatenate([np.empty(0, dtype=np.int64)] + [fam._index[0] for fam in families])
-    # a target of n points in [0, n), sorted and distinct, is every point
-    t = (np.arange(n) if tgt is None or len(tgt) == n
-         else np.fromiter(tgt.indices, dtype=np.intp, count=len(tgt)))
+    t = np.arange(n) if tgt is None else tgt.array
     counts = np.bincount(flat, minlength=n)[t]
     uncovered = tuple(t[counts == 0].tolist())
     return CoverReport(ok=not uncovered, uncovered=uncovered), int(counts.max())
@@ -639,9 +616,9 @@ def _duplicate_members(fam: SubsetFamily) -> tuple[int, int] | None:
     shared = np.zeros(first.size, dtype=bool)
     same = first[order[1:]] == first[order[:-1]]
     shared[order[1:][same]] = shared[order[:-1][same]] = True
-    seen: dict[tuple[int, ...], int] = {}
+    seen: dict[bytes, int] = {}
     for pos in np.flatnonzero(shared).tolist():
-        mem = fam._member(pos).indices
+        mem = flat[offsets[pos]:offsets[pos + 1]].tobytes()
         if mem in seen:
             return seen[mem], pos
         seen[mem] = pos

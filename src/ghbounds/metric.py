@@ -36,7 +36,6 @@ candidates, and the pairs are measured in batches.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
@@ -61,44 +60,83 @@ DEFAULT_TOL = 1e-9
 _BLOCK_CELLS = 4_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SubsetRef:
-    """A nonempty, sorted, duplicate-free tuple of indices into an ambient space."""
+    """A nonempty set of indices into an ambient space, held as ``array``.
 
-    indices: tuple[int, ...]
+    ``array`` is a read-only, strictly increasing int64 array; a family's
+    members are views of its one index array. ``indices`` is the same as a
+    tuple of ints. Equality and hashing go by the values, and a subset is
+    immutable.
+    """
 
-    def __post_init__(self):
-        if not self.indices:
+    array: np.ndarray
+
+    def __init__(self, values: Iterable[int], n: int | None = None) -> None:
+        """The distinct index values, sorted, each converted as ``int()`` converts it.
+
+        Raises EmptySubset for no index, then IndexOutOfRange(i, 0) for the
+        smallest i when it is negative, then IndexOutOfRange(i, n) for the
+        largest i when it is at or past n. An integer beyond int64 raises
+        OverflowError where neither applies.
+        """
+        if iter(values) is values:  # an iterator reads once; the overflow path reads again
+            values = list(values)
+        try:
+            if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "i":
+                a = values.astype(np.int64, copy=values.flags.writeable)
+            else:
+                a = np.fromiter(values, dtype=np.int64)
+        except OverflowError:  # past int64, so at or past any ambient's size
+            big = sorted(map(int, values))
+            if big[0] >= 0 and n is None:
+                raise
+            raise IndexOutOfRange(*((big[0], 0) if big[0] < 0 else (big[-1], n))) from None
+        if not (a[1:] > a[:-1]).all():
+            a = np.unique(a)
+        if not a.size:
             raise EmptySubset("subset must be nonempty")
-        if any(self.indices[t] >= self.indices[t + 1] for t in range(len(self.indices) - 1)):
-            raise ValueError("indices must be strictly increasing")
-        if self.indices[0] < 0:
-            raise IndexOutOfRange(self.indices[0], 0)
+        if a[0] < 0:
+            raise IndexOutOfRange(int(a[0]), 0)
+        a.setflags(write=False)
+        object.__setattr__(self, "array", a)
+        if n is not None:
+            self.check_ambient(n)
 
     @staticmethod
     def of(indices: Iterable[int], n: int | None = None) -> "SubsetRef":
-        s = SubsetRef(tuple(sorted(set(int(i) for i in indices))))
-        if n is not None:
-            s.check_ambient(n)
-        return s
+        return SubsetRef(indices, n)
 
     @staticmethod
     def full(n: int) -> "SubsetRef":
         """Every index of an n-point ambient, 0..n-1."""
-        return _trusted_subset(tuple(range(n))) if n > 0 else SubsetRef(())
+        return SubsetRef(np.arange(n))
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     def check_ambient(self, n: int) -> None:
-        if self.indices[-1] >= n:
-            raise IndexOutOfRange(self.indices[-1], n)
+        if self.array[-1] >= n:
+            raise IndexOutOfRange(int(self.array[-1]), n)
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.array.size
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
+        return iter(self.array.tolist())
 
     def __contains__(self, i: int) -> bool:
-        return i in set(self.indices)
+        k = int(np.searchsorted(self.array, i))
+        return k < self.array.size and bool(self.array[k] == i)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubsetRef):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash(self.array.tobytes())
 
 
 def as_subset(s: "SubsetRef | Iterable[int]", n: int | None = None) -> SubsetRef:
@@ -106,46 +144,16 @@ def as_subset(s: "SubsetRef | Iterable[int]", n: int | None = None) -> SubsetRef
         if n is not None:
             s.check_ambient(n)
         return s
-    return SubsetRef.of(s, n)
-
-
-def _trusted_subset(indices: tuple[int, ...]) -> SubsetRef:
-    """A SubsetRef of indices already known to be nonempty and strictly increasing."""
-    s = object.__new__(SubsetRef)
-    object.__setattr__(s, "indices", indices)
-    return s
-
-
-def _run_lists(flat: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
-    """Each run flat[offsets[k]:offsets[k + 1]] as a list of ints."""
-    vals, bounds = flat.tolist(), offsets.tolist()
-    return [vals[s:e] for s, e in zip(bounds, bounds[1:])]
-
-
-def _subsets_at(flat: np.ndarray, offsets: np.ndarray) -> tuple[SubsetRef, ...]:
-    """One SubsetRef per run flat[offsets[k]:offsets[k + 1]], each already nonempty and rising."""
-    return tuple(_trusted_subset(tuple(run)) for run in _run_lists(flat, offsets))
-
-
-def _subsets_from_runs(flat: np.ndarray, counts: np.ndarray,
-                       n: int | None = None) -> tuple[SubsetRef, ...]:
-    """One SubsetRef per consecutive run of flat, member k holding counts[k] entries.
-
-    Validates the whole family in one vectorised pass and gives what
-    ``SubsetRef.of(run, n)`` gives member by member: equal subsets, or the
-    first failing member's exception.
-    """
-    flat, counts = _checked_runs(flat, counts, n)
-    return _subsets_at(flat, np.concatenate(([0], np.cumsum(counts))))
+    return SubsetRef(s, n)
 
 
 def _checked_runs(flat: np.ndarray, counts: np.ndarray,
                   n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of flat, member k holding counts[k] entries, as ``SubsetRef.of`` would keep them.
+    """Runs of flat, member k holding counts[k] entries, as ``SubsetRef`` would keep them.
 
     Returns int64 entries and counts in which every run rises strictly; runs
     that do not are sorted and deduplicated. Raises the first failing
-    member's ``SubsetRef.of(run, n)`` error: an empty run, a negative entry,
+    member's ``SubsetRef(run, n)`` error: an empty run, a negative entry,
     or an entry at or past n.
     """
     flat = np.asarray(flat, dtype=np.int64)
@@ -160,7 +168,7 @@ def _checked_runs(flat: np.ndarray, counts: np.ndarray,
             bad[full] |= np.maximum.reduceat(flat, starts[full]) >= n
     if bad.any():
         k = int(np.argmax(bad))
-        SubsetRef.of(flat[starts[k]:ends[k]].tolist(), n)  # raises that member's error
+        SubsetRef(flat[starts[k]:ends[k]], n)  # raises that member's error
     # a position that does not rise above its predecessor, inside a run
     fall = flat[1:] <= flat[:-1]
     fall[starts[full[1:]] - 1] = False
@@ -172,33 +180,6 @@ def _checked_runs(flat: np.ndarray, counts: np.ndarray,
     keep = np.ones(flat.size, dtype=bool)
     keep[1:] = (flat[1:] != flat[:-1]) | (owner[1:] != owner[:-1])
     return flat[keep], np.bincount(owner[keep], minlength=counts.size)
-
-
-def _int_runs(members: Sequence[Iterable[int]]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Members as one int64 array of their entries and the count of each, or None.
-
-    None when the members do not convert to int64 as a whole (non-numbers,
-    integers beyond 64 bits, unsized iterables).
-    """
-    try:
-        counts = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
-        flat = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64,
-                           count=int(counts.sum()))
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return flat, counts
-
-
-def _subsets_from_lists(members: Sequence[Iterable[int]],
-                        n: int | None = None) -> tuple[SubsetRef, ...]:
-    """``tuple(SubsetRef.of(m, n) for m in members)``, validated in one pass.
-
-    Members that ``_int_runs`` cannot convert take the member-by-member path.
-    """
-    runs = _int_runs(members)
-    if runs is None:
-        return tuple(SubsetRef.of(m, n) for m in members)
-    return _subsets_from_runs(*runs, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -694,19 +675,28 @@ def _grid_max_nearest(q: np.ndarray, p: np.ndarray) -> float:
     return cmax
 
 
-def _planar_directed(q: np.ndarray, p: np.ndarray) -> float:
-    """The directed Hausdorff distance from the rows of q to the distinct rows of p.
+def _unmatched(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Whether each row of q differs from every row of p.
 
     Both are C-contiguous float64 (n, 2) arrays, viewed as complex128 without
     a copy: NumPy sorts and compares complex values lexicographically, and
-    ``==`` treats -0.0 as 0.0, as ``_check_distinct`` does. So a query equal
-    to a target (at distance 0.0) is found by one searchsorted against p's
-    rows, which are sorted only when they are out of order, and dropped.
+    ``==`` treats -0.0 as 0.0, as ``_check_distinct`` does. So the equal
+    rows are found by one searchsorted against p's rows, which are sorted
+    only when they are out of order.
     """
     qc, pc = q.view(np.complex128)[:, 0], p.view(np.complex128)[:, 0]
     if not (pc[1:] >= pc[:-1]).all():
         pc = np.sort(pc)
-    q = q[pc[np.minimum(np.searchsorted(pc, qc), pc.size - 1)] != qc]
+    return pc[np.minimum(np.searchsorted(pc, qc), pc.size - 1)] != qc
+
+
+def _planar_directed(q: np.ndarray, p: np.ndarray) -> float:
+    """The directed Hausdorff distance from the rows of q to the distinct rows of p.
+
+    A query equal to a target is at distance 0.0, so it is dropped
+    (``_unmatched``) before the search.
+    """
+    q = q[_unmatched(q, p)]
     return _grid_max_nearest(q, p) if q.size else 0.0
 
 
@@ -775,8 +765,7 @@ def induce_space(pts: EuclideanPointSet) -> FiniteMetricSpace:
 
 def diam(space: MetricLike, s: "SubsetRef | Iterable[int]") -> float:
     """Largest pairwise distance within the subset; 0 for singletons."""
-    sub = as_subset(s, space.n)
-    idx = np.fromiter(sub.indices, dtype=np.intp)
+    idx = as_subset(s, space.n).array
     if idx.size == 1:
         return 0.0
     worst = 0.0
@@ -788,9 +777,7 @@ def diam(space: MetricLike, s: "SubsetRef | Iterable[int]") -> float:
 def set_distance(space: MetricLike, a: "SubsetRef | Iterable[int]",
                  b: "SubsetRef | Iterable[int]") -> float:
     """min over cross pairs; 0 when the subsets share a point."""
-    sa, sb = as_subset(a, space.n), as_subset(b, space.n)
-    ia = np.fromiter(sa.indices, dtype=np.intp)
-    ib = np.fromiter(sb.indices, dtype=np.intp)
+    ia, ib = as_subset(a, space.n).array, as_subset(b, space.n).array
     return float(_nearest(space, ia, ib)[0].min())
 
 
@@ -798,18 +785,14 @@ def neighborhood(space: MetricLike, a: "SubsetRef | Iterable[int]", r: float) ->
     """Open r-neighborhood: indices at distance strictly below r from the subset."""
     if r <= 0:
         raise ValueError(f"neighborhood radius must be positive, got {r}")
-    sa = as_subset(a, space.n)
-    ia = np.fromiter(sa.indices, dtype=np.intp)
-    dist, _ = _nearest(space, np.arange(space.n, dtype=np.intp), ia)
-    return SubsetRef(tuple(np.flatnonzero(dist < r).tolist()))
+    dist, _ = _nearest(space, np.arange(space.n, dtype=np.intp), as_subset(a, space.n).array)
+    return SubsetRef(np.flatnonzero(dist < r))
 
 
 def directed_hausdorff(space: MetricLike, a: "SubsetRef | Iterable[int]",
                        b: "SubsetRef | Iterable[int]") -> float:
     """max over a of the distance to the nearest point of b."""
-    sa, sb = as_subset(a, space.n), as_subset(b, space.n)
-    ia = np.fromiter(sa.indices, dtype=np.intp)
-    ib = np.fromiter(sb.indices, dtype=np.intp)
+    ia, ib = as_subset(a, space.n).array, as_subset(b, space.n).array
     if isinstance(space, EuclideanPointSet):
         return _planar_directed(space.points[ia], space.points[ib])
     return float(_nearest(space, ia, ib)[0].max())
@@ -828,8 +811,8 @@ def hausdorff(space: MetricLike, a: "SubsetRef | Iterable[int]",
 def planar_hausdorff(x: EuclideanPointSet, y: EuclideanPointSet) -> float:
     """Hausdorff distance between two planar sets, with the plane as their ambient.
 
-    Equal to ``hausdorff`` over ``merge_point_sets(x, y)``, to the bit,
-    without building the merged set.
+    Equal to ``hausdorff`` over one ambient set that holds every point of
+    either (a point of both once), to the bit, without building that set.
     """
     return max(_planar_directed(x.points, y.points), _planar_directed(y.points, x.points))
 

@@ -47,14 +47,8 @@ import numpy as np
 
 from .correspondence import GhResult
 from .covers import (BoundResult, CoverCertificate, ModelSpaceDescriptor, SubsetFamily,
-                     _family_from_lists, _family_from_runs)
-from .metric import (
-    EuclideanPointSet,
-    MetricLike,
-    SubsetRef,
-    _subsets_from_lists,
-    build_space,
-)
+                     _family_from_runs)
+from .metric import EuclideanPointSet, MetricLike, SubsetRef, build_space
 
 # list items, or array rows, per slice in dump_json
 _DUMP_SLICE = 4096
@@ -130,15 +124,16 @@ def subset_to_json(s: SubsetRef) -> list[int]:
 
 
 def subset_from_json(obj: Sequence[int], n: int | None = None) -> SubsetRef:
-    return _subsets_from_lists((obj,), n)[0]
+    return SubsetRef(obj, n)
 
 
 def family_to_json(fam: SubsetFamily) -> dict[str, Any]:
-    return {"label": fam.label, "members": fam._runs()}
+    entries, bounds = fam._index[0].tolist(), fam._index[1].tolist()
+    return {"label": fam.label, "members": [entries[s:e] for s, e in zip(bounds, bounds[1:])]}
 
 
 def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
-    return _family_from_lists(str(obj["label"]), obj["members"], n)
+    return SubsetFamily.of(str(obj["label"]), obj["members"], n)
 
 
 def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,

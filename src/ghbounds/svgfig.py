@@ -60,10 +60,11 @@ def render_families_svg(points: np.ndarray, families: Sequence[SubsetFamily],
     for fam in families:
         fill = _FILL.get(fam.label, "#777777")
         layer = ET.SubElement(svg, "g", {"class": f"family {fam.label}", "fill": fill})
-        for run in fam._runs():
+        fam_dots, bounds = [dots[i] for i in fam._index[0].tolist()], fam._index[1].tolist()
+        for start, end in zip(bounds, bounds[1:]):
             piece = ET.SubElement(layer, "g", {"class": f"piece {fam.label}"})
             ET.SubElement(piece, _SLOT)
-            blocks.append("".join([dots[i] for i in run]))
+            blocks.append("".join(fam_dots[start:end]))
     # ElementTree escapes every "<" in text and attributes, so the slot
     # markup appears only where a slot element was written
     parts = ET.tostring(svg, encoding="unicode").split(f"<{_SLOT} />")

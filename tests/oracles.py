@@ -14,6 +14,10 @@ member search as one dict over every member, for ``make_certificate``.
 The family min gap as one matrix of member gaps, reduced from the whole
 distance matrix, for the planar gap search on families too large for the
 pair-by-pair matrix scan.
+
+One ambient set merged from two planar sets, for the distances that
+``metric.planar_hausdorff`` and ``hausdorff --space-a/--space-b`` measure
+without building it.
 """
 
 from __future__ import annotations
@@ -203,3 +207,22 @@ def all_pairs_min_gap(matrix: np.ndarray, members: Sequence[Sequence[int]]) -> t
     a, b = np.triu_indices(len(members), 1)  # pairs in lexicographic order
     first = int(np.argmin(gaps[a, b]))
     return float(gaps[a[first], b[first]]), (int(a[first]), int(b[first]))
+
+
+def merge_point_sets(a: EuclideanPointSet, b: EuclideanPointSet,
+                     ) -> tuple[EuclideanPointSet, SubsetRef, SubsetRef]:
+    """One ambient set from two, collapsing bit-identical duplicates.
+
+    Returns the merged set (lexicographically sorted) plus each input's index
+    set inside it, so cross-set quantities (Hausdorff distance, set distance)
+    can be computed in a single space.
+    """
+    stacked = np.concatenate((a.points, b.points))
+    order = np.lexsort((stacked[:, 1], stacked[:, 0]))
+    rows = stacked[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    # merged index of each sorted row
+    rank = np.cumsum(new) - 1
+    from_a = order < a.n
+    return EuclideanPointSet(rows[new]), SubsetRef(rank[from_a]), SubsetRef(rank[~from_a])

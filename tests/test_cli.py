@@ -20,8 +20,10 @@ import pytest
 
 import ghbounds
 from conftest import run_cli, run_cli_report
-from ghbounds import __version__, cli, covers, exact_gh, gen_lattice_window, serialize
-from ghbounds.covers import make_certificate
+from ghbounds import __version__, cli, exact_gh, gen_lattice_window, serialize
+from ghbounds.constructions import POINT_CAP
+from ghbounds.covers import SubsetFamily, make_certificate
+from ghbounds.errors import TooManyPoints
 from ghbounds.metric import SubsetRef
 from ghbounds.serialize import (cover_from_json, dump_json, load_cover, load_json,
                                 space_from_json, space_to_json)
@@ -96,6 +98,23 @@ class TestHausdorff:
         assert report["outputs"]["hausdorff"] == math.sqrt(0.5)
         assert report["outputs"]["directed_ab"] == 0.0  # lattice inside net
         assert report["inputs"]["merged"] is True
+
+    def test_two_space_outputs_pinned(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        dump_json({"kind": "points2d", "pts": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [4.0, 0.0]]}, a)
+        # (0, 0) is in both sets, and (-0.0, 1) is the same point as a's (0.0, 1)
+        dump_json({"kind": "points2d", "pts": [[0.0, 0.0], [-0.0, 1.0], [1.0, 1.0], [1.0, 3.0]]}, b)
+        rc, report = run_cli_report(["hausdorff", "--space-a", str(a), "--space-b", str(b)],
+                                    tmp_path / "h.json")
+        assert rc == 0
+        assert report["outputs"] == {
+            "hausdorff": math.sqrt(10.0),  # (4, 0) to (1, 1)
+            "directed_ab": math.sqrt(10.0),
+            "directed_ba": math.sqrt(5.0),  # (1, 3) to (0, 1)
+            "n_ambient": 6,
+            "n_a": 4,
+            "n_b": 4,
+        }
 
     def test_subset_form_with_defaults(self, tmp_path):
         space = tmp_path / "space.json"
@@ -363,6 +382,22 @@ class TestReproduce:
         assert run_cli(["reproduce", "example1", "--window", "3",
                         "--out-dir", str(tmp_path)]) == 2
 
+    def test_oversized_net_is_refused_before_the_cover(self, tmp_path, capsys):
+        cover = mock.Mock(side_effect=AssertionError("the cover was built"))
+        with mock.patch.dict(cli._GEN_KINDS, {"chess": cover}):
+            assert run_cli(["reproduce", "example1", "--window", "999",
+                            "--out-dir", str(tmp_path)]) == 2
+        cover.assert_not_called()
+        # 9,991 net coordinates on each axis at eps 0.1
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err == f"validation: {TooManyPoints(9991 ** 2, POINT_CAP)}"
+
+    def test_zero_spacing_is_refused_by_the_net(self, tmp_path, capsys):
+        assert run_cli(["reproduce", "example2", "--window", "4", "--delta", "0",
+                        "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            "validation: net spacing must be positive")
+
     def test_disagreement_is_a_failed_check(self, tmp_path):
         with mock.patch.object(cli, "planar_hausdorff", lambda x, y: 0.0):
             assert run_cli(["reproduce", "example1", "--window", "4",
@@ -515,23 +550,23 @@ class TestMemberTuplesStayUnbuilt:
         (["comb-cover", "--window", "0,4,-3,3", "--delta", "0.25"], "R2"),
     ])
     def test_no_member_tuples(self, gen_args, model, tmp_path):
-        builds = []
-        real = covers._subsets_at
+        reads = []
+        real = SubsetFamily.members
 
-        def counted(*args):
-            builds.append(args)
-            return real(*args)
+        def counted(fam):
+            reads.append(fam.label)
+            return real.fget(fam)
 
         cover = str(tmp_path / "cover.json")
-        with mock.patch.object(covers, "_subsets_at", counted):
+        with mock.patch.object(SubsetFamily, "members", property(counted)):
             assert run_cli(["gen", *gen_args, "--out", cover]) == 0
             assert run_cli(["gen", *gen_args]) == 0
             assert run_cli(["verify-cover", "--cover", cover]) == 0
             assert run_cli(["lower-bound", "--cover", cover, "--model", model]) == 0
-            assert builds == []
-            # the counter sees a build when something reads the members
+            assert reads == []
+            # the counter sees a read when something reads the members
             assert len(cover_from_json(load_json(cover))[1][0].members) > 0
-        assert len(builds) == 1
+        assert len(reads) == 1
 
 
 class TestFullTargetStaysUnbuilt:

@@ -13,11 +13,11 @@ from ghbounds import (EuclideanPointSet, SubsetFamily, SubsetRef, WindowSpec,
                       check_cover, check_r_disjoint, check_uniform_bound, gen_brick_cover, gen_chess_families,
                       gen_comb_cover, gen_comb_set, gen_epsilon_net,
                       gen_interval_cover, gen_lattice_window, hausdorff,
-                      make_certificate, merge_point_sets, multiplicity)
+                      make_certificate, multiplicity)
 from ghbounds.constructions import MIN_PIECE_HEIGHT, _grid_coords
 from ghbounds.errors import (DeltaNotDividingOne, EmptyWindow, HTooSmall,
                              LTooSmall, NonIntegerPoint, TooManyPoints)
-from oracles import gen_comb_cover_loop
+from oracles import gen_comb_cover_loop, merge_point_sets
 
 SQRT2 = math.sqrt(2.0)
 

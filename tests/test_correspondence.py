@@ -11,11 +11,11 @@ from conftest import random_correspondence, random_space
 from ghbounds import (Correspondence, EuclideanPointSet, Relation, WindowSpec,
                       build_space, diam, distortion, exact_gh, gen_epsilon_net,
                       gen_lattice_window, gh_upper_bound_from_correspondence,
-                      hausdorff, merge_point_sets, nearest_point_correspondence,
+                      hausdorff, nearest_point_correspondence,
                       pushforward, scale)
 from ghbounds.errors import (EmptyImage, EmptyRelation, IndexOutOfRange,
                              NotACorrespondence, SizeCapExceeded)
-from oracles import (count_correspondences, enumerate_correspondences,
+from oracles import (count_correspondences, enumerate_correspondences, merge_point_sets,
                      min_distortion_bruteforce)
 
 

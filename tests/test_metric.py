@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import outcome, random_metric_matrix, random_space
-from ghbounds import (EuclideanPointSet, FiniteMetricSpace,
+from oracles import merge_point_sets
+from ghbounds import (EuclideanPointSet, FiniteMetricSpace, SubsetFamily,
                       SubsetRef, WindowSpec, as_subset, build_space, diam,
                       directed_hausdorff, gen_epsilon_net,
                       gen_lattice_window, hausdorff, induce_space,
-                      merge_point_sets, nearest_point_correspondence,
+                      nearest_point_correspondence,
                       neighborhood, scale, scale_points, set_distance)
 from ghbounds import metric
+from ghbounds.covers import _family_from_runs
 from ghbounds.metric import planar_hausdorff
 from ghbounds.errors import (DuplicatePoint, EmptySubset, IndexOutOfRange,
                              NegativeEntry, NonpositiveLambda, NonzeroDiagonal,
@@ -58,6 +60,16 @@ class TestSubsetRef:
         assert as_subset([1, 0]).indices == (0, 1)
         assert as_subset(range(3)).indices == (0, 1, 2)
 
+    def test_beyond_int64(self):
+        with pytest.raises(OverflowError):
+            SubsetRef.of([2 ** 70])
+        with pytest.raises(IndexOutOfRange) as err:
+            SubsetRef.of([0, 2 ** 70], n=4)
+        assert (err.value.index, err.value.n) == (2 ** 70, 4)
+        with pytest.raises(IndexOutOfRange) as err:
+            SubsetRef.of(i for i in (2 ** 70, -2 ** 70))
+        assert (err.value.index, err.value.n) == (-2 ** 70, 0)
+
     def test_full(self):
         assert SubsetRef.full(5) == SubsetRef.of(range(5))
         assert SubsetRef.full(1).indices == (0,)
@@ -81,7 +93,7 @@ _INT_TYPES = st.sampled_from([int, np.int64, np.int32, np.intp])
 
 
 class TestBatchedSubsets:
-    """``metric._subsets_from_lists`` against ``SubsetRef.of`` member by member."""
+    """``SubsetFamily.of``'s members against ``SubsetRef.of`` member by member."""
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(_MEMBER, _INT_TYPES), max_size=12),
@@ -89,7 +101,7 @@ class TestBatchedSubsets:
     def test_matches_member_by_member(self, typed_members, n):
         members = [[cast(i) for i in m] for m, cast in typed_members]
         want = outcome(lambda: _member_by_member(members, n))
-        got = outcome(lambda: metric._subsets_from_lists(members, n))
+        got = outcome(lambda: SubsetFamily.of("f", members, n).members)
         assert got == want
         if isinstance(want, tuple) and want and isinstance(want[0], SubsetRef):
             assert all(type(i) is int for s in got for i in s.indices)
@@ -106,18 +118,53 @@ class TestBatchedSubsets:
     @pytest.mark.parametrize("n", [None, 4])
     def test_odd_inputs_match(self, members, n):
         want = outcome(lambda: _member_by_member(members(), n))
-        assert outcome(lambda: metric._subsets_from_lists(members(), n)) == want
+        assert outcome(lambda: SubsetFamily.of("f", members(), n).members) == want
 
     def test_runs_of_an_array(self):
         flat = np.array([0, 3, 7, 2, 2, 1, 9], dtype=np.intp)
-        got = metric._subsets_from_runs(flat, np.array([3, 3, 1]), 10)
+        got = _family_from_runs("f", flat, np.array([3, 3, 1]), 10).members
         assert got == (SubsetRef((0, 3, 7)), SubsetRef((1, 2)), SubsetRef((9,)))
-        assert metric._subsets_from_runs(flat[:0], np.array([], dtype=np.intp)) == ()
+        assert _family_from_runs("f", flat[:0], np.array([], dtype=np.intp)).members == ()
         with pytest.raises(EmptySubset):
-            metric._subsets_from_runs(flat, np.array([3, 0, 4]))
+            _family_from_runs("f", flat, np.array([3, 0, 4]))
         with pytest.raises(IndexOutOfRange) as err:
-            metric._subsets_from_runs(flat, np.array([3, 4]), 9)
+            _family_from_runs("f", flat, np.array([3, 4]), 9)
         assert (err.value.index, err.value.n) == (9, 9)
+
+
+_SUBSET = st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=8)
+
+
+class TestSubsetRefValues:
+    """``SubsetRef``'s value semantics against the sorted tuple of its distinct indices."""
+
+    @settings(max_examples=300)
+    @given(st.lists(_SUBSET, min_size=1, max_size=6),
+           st.lists(st.integers(min_value=-3, max_value=45), max_size=8))
+    def test_matches_sorted_tuples(self, runs, probes):
+        want = [tuple(sorted(set(run))) for run in runs]
+        fam = SubsetFamily.of("f", runs)
+        views = fam.members  # slices of the family's one index array
+        assert all(np.shares_memory(v.array, fam._index[0]) for v in views)
+        sources = [np.array(run) for run in runs]
+        built = [SubsetRef(src) for src in sources]
+        for src in sources:
+            src[:] = 0  # the subsets hold their own copies
+        for refs in (built, views, [SubsetRef.of(run) for run in runs]):
+            for s, w in zip(refs, want):
+                assert s.indices == w and tuple(s) == w and len(s) == len(w)
+                assert all(type(i) is int for i in s) and all(type(i) is int for i in s.indices)
+                assert [p in s for p in probes] == [p in w for p in probes]
+                assert s.array.dtype == np.int64 and not s.array.flags.writeable
+                with pytest.raises(ValueError):
+                    s.array[0] = 1  # read-only
+                assert s != w  # a subset never equals a tuple
+            for s, w in zip(refs, want):
+                for t, v in zip(built, want):
+                    assert (s == t) == (w == v)
+                    if w == v:
+                        assert hash(s) == hash(t)
+        assert len(set(built) | set(views)) == len(set(want))
 
 
 # ---------------------------------------------------------------------------
