@@ -14,6 +14,7 @@ import functools
 import gc
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -81,7 +82,8 @@ def _emit(obj: Any, out: str | None) -> None:
         dump_json(obj, out)
         _say(f"wrote {out}")
     else:
-        print(json.dumps(obj, indent=2, default=np.ndarray.tolist))
+        # gen's document holds its arrays, each with a tolist() giving the plain value
+        print(json.dumps(obj, indent=2, default=operator.methodcaller("tolist")))
 
 
 def _report(command: str, inputs: dict[str, Any], outputs: dict[str, Any],
@@ -159,8 +161,9 @@ _GEN_KINDS: dict[str, Callable[[WindowSpec, argparse.Namespace], _Built]] = {
 def cmd_gen(args: argparse.Namespace) -> int:
     space, families, r, c, summary = _GEN_KINDS[args.kind](WindowSpec.parse(args.window), args)
     _say(summary)
-    # the document keeps the point array, which dump_json writes without a list per point
-    _emit(_document(np.asarray, space, families, r, c=c), args.out)
+    # the document keeps the point and index arrays, which dump_json writes
+    # without a list per point, and without every member list at once
+    _emit(_document(space, families, r, c=c, arrays=True), args.out)
     return EXIT_OK
 
 

@@ -577,10 +577,13 @@ def _coverage(n: int, families: Sequence[SubsetFamily],
     A target of None is every point.
     """
     flat = np.concatenate([np.empty(0, dtype=np.int64)] + [fam._index[0] for fam in families])
-    t = np.arange(n) if tgt is None else tgt.array
-    counts = np.bincount(flat, minlength=n)[t]
-    uncovered = tuple(t[counts == 0].tolist())
-    return CoverReport(ok=not uncovered, uncovered=uncovered), int(counts.max())
+    counts = np.bincount(flat, minlength=n)
+    if tgt is None:
+        uncovered = np.flatnonzero(counts == 0)
+    else:
+        counts = counts[tgt.array]
+        uncovered = tgt.array[counts == 0]
+    return CoverReport(ok=not uncovered.size, uncovered=tuple(uncovered.tolist())), int(counts.max())
 
 
 def inspect_cover(space: MetricLike, families: Sequence[SubsetFamily], r: float,

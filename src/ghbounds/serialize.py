@@ -12,13 +12,17 @@ shortest round-trip form (e.g. 0.7071067811865476) and reload bit-exactly.
 Files are written as single-line JSON by the C encoder; ``python -m
 json.tool`` pretty-prints them.
 
-``dump_json`` also takes documents that hold a 2-D float64 array, as
-``gen`` hands it the point array, and writes the bytes of ``json.dumps``
-of its ``tolist()``. It works _DUMP_SLICE rows at a time. A slice whose
+``dump_json`` also takes the documents ``gen`` hands it, which hold the
+point array as a 2-D float64 array and each family's members as its index
+arrays (``_Members``), and writes the bytes of ``json.dumps`` of their
+``tolist()``. Points go _DUMP_SLICE rows at a time. A slice whose
 distinct values (by bit pattern, so -0.0 and 0.0 stay apart) number at
 most half its cells is written by formatting each distinct value once and
 joining the rows by index; the brick net's 160,801 points hold 401
 distinct coordinates. Any other slice goes through the C encoder whole.
+Members go through the C encoder as lists cut from the index array, at
+most _DUMP_SLICE entries at a time, so no family's member lists are held
+whole.
 
 ``load_cover`` reads a cover file straight into arrays when its text has
 the layout ``dump_json`` writes for a planar cover: the keys in
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
@@ -50,20 +55,34 @@ from .covers import (BoundResult, CoverCertificate, ModelSpaceDescriptor, Subset
                      _family_from_runs)
 from .metric import EuclideanPointSet, MetricLike, SubsetRef, build_space
 
-# list items, or array rows, per slice in dump_json
+# list items, array rows or member entries per slice in dump_json
 _DUMP_SLICE = 4096
 
 
-def _document(table: Callable[[np.ndarray], Any], space: MetricLike,
-              families: Sequence[SubsetFamily] | None = None, r: float = 0.0,
-              strict: bool = False, c: float | None = None,
-              target: SubsetRef | None = None) -> dict[str, Any]:
+@dataclass(frozen=True)
+class _Members:
+    """A family's members as its index arrays: member k is flat[offsets[k]:offsets[k + 1]]."""
+
+    flat: np.ndarray
+    offsets: np.ndarray
+
+    def tolist(self) -> list[list[int]]:
+        entries, bounds = self.flat.tolist(), self.offsets.tolist()
+        return [entries[s:e] for s, e in zip(bounds, bounds[1:])]
+
+
+def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
+              r: float = 0.0, strict: bool = False, c: float | None = None,
+              target: SubsetRef | None = None, arrays: bool = False) -> dict[str, Any]:
     """The wire layout of a space, or of a cover of it when families are given.
 
-    The space's point or distance array is stored as ``table(array)``:
-    ``np.ndarray.tolist`` gives plain JSON values, ``np.asarray`` keeps the
-    array for ``dump_json``.
+    Plain JSON values by default. With ``arrays``, the space's point or
+    distance array and each family's members (``_Members``) are kept as
+    arrays for ``dump_json``; each has a ``tolist()`` giving the plain value.
     """
+    def table(a: np.ndarray | _Members) -> Any:
+        return a if arrays else a.tolist()
+
     if isinstance(space, EuclideanPointSet):
         obj: dict[str, Any] = {"kind": "points2d", "pts": table(space.points)}
         if space.labels is not None:
@@ -75,7 +94,8 @@ def _document(table: Callable[[np.ndarray], Any], space: MetricLike,
     obj = {
         "kind": "cover",
         "space": obj,
-        "families": [family_to_json(f) for f in families],
+        "families": [{"label": f.label, "members": table(_Members(*f._index))}
+                     for f in families],
         "r": r,
         "strict": strict,
     }
@@ -87,7 +107,7 @@ def _document(table: Callable[[np.ndarray], Any], space: MetricLike,
 
 
 def space_to_json(space: MetricLike) -> dict[str, Any]:
-    return _document(np.ndarray.tolist, space)
+    return _document(space)
 
 
 def space_from_json(obj: dict[str, Any]) -> MetricLike:
@@ -128,8 +148,7 @@ def subset_from_json(obj: Sequence[int], n: int | None = None) -> SubsetRef:
 
 
 def family_to_json(fam: SubsetFamily) -> dict[str, Any]:
-    entries, bounds = fam._index[0].tolist(), fam._index[1].tolist()
-    return {"label": fam.label, "members": [entries[s:e] for s, e in zip(bounds, bounds[1:])]}
+    return {"label": fam.label, "members": _Members(*fam._index).tolist()}
 
 
 def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
@@ -139,7 +158,7 @@ def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
 def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,
                   strict: bool = False, c: float | None = None,
                   target: SubsetRef | None = None) -> dict[str, Any]:
-    return _document(np.ndarray.tolist, space, families, r, strict, c, target)
+    return _document(space, families, r, strict, c, target)
 
 
 def cover_from_json(obj: dict[str, Any]) -> tuple[MetricLike, tuple[SubsetFamily, ...],
@@ -245,14 +264,14 @@ def _cover_parts(text: str) -> tuple[np.ndarray, Any, list[tuple[Any, np.ndarray
 
 
 def _runs_at(text: str, i: int, end: int, dtype: type,
-             width: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+             width: int | None = None) -> tuple[np.ndarray, np.ndarray | None] | None:
     """The array of number arrays text[i:end], which ends in "]", as its values and run lengths.
 
     None unless the text reads "[]" or "[[v, ...], [v, ...], ...]" with
-    dump_json's separators, every run ``width`` long when that is given. It
-    is read a piece of about _READ_CHARS at a time, cut after a run's "]",
-    so json's lists stay small and no list is made per run; see
-    ``_piece_runs``.
+    dump_json's separators, every run ``width`` long when that is given;
+    the run lengths are then None. It is read a piece of about _READ_CHARS
+    at a time, cut after a run's "]", so json's lists stay small and no list
+    is made per run; see ``_piece_runs``.
     """
     if not (text.startswith("[", i) and end > i + 1):
         return None
@@ -267,22 +286,24 @@ def _runs_at(text: str, i: int, end: int, dtype: type,
         values.append(piece[0])
         counts.append(piece[1])
         start = stop + 2
-    return (np.concatenate([np.empty(0, dtype=dtype)] + values),
-            np.concatenate([np.empty(0, dtype=np.intp)] + counts))
+    flat = np.concatenate([np.empty(0, dtype=dtype)] + values)
+    if width is not None:
+        return flat, None
+    return flat, np.concatenate([np.empty(0, dtype=np.intp)] + counts)
 
 
 def _piece_runs(piece: str, dtype: type,
-                width: int | None) -> tuple[np.ndarray, np.ndarray] | None:
+                width: int | None) -> tuple[np.ndarray, np.ndarray | None] | None:
     """Runs "[v, ...], [v, ...], ..." as a ``dtype`` array of their values and each run's length.
 
     With the number characters deleted the piece must read as m runs
     joined by "], [", each a "[" and "]" around ", " separators: exactly
-    m runs of ``width`` when that is given. The values are one
-    ``json.loads`` of the piece with its "], [" separators made ", ", so
-    json's grammar and float bits hold, and ``np.fromiter`` converts them as
-    ``cover_from_json`` does. A run's length is its commas plus one, and
-    the lengths must add up to the values read, so an empty run, which has
-    no value but counts one, fails.
+    m runs of ``width`` when that is given, whose lengths are then None. The
+    values are one ``json.loads`` of the piece with its "], [" separators
+    made ", ", so json's grammar and float bits hold, and ``np.fromiter``
+    converts them as ``cover_from_json`` does. A run's length is its commas
+    plus one, and the lengths (m * width with a width) must add up to the
+    values read, so an empty run, which has no value but counts one, fails.
     """
     raw = piece.encode("ascii")
     skeleton = raw.translate(None, _NUMBER_CHARS)
@@ -291,16 +312,17 @@ def _piece_runs(piece: str, dtype: type,
         run = b"[" + b", " * (width - 1) + b"]"
         if skeleton != (run + b", ") * (m - 1) + run:
             return None
-        counts = np.full(m, width, dtype=np.intp)
+        counts, total = None, m * width
     else:
         if skeleton.replace(b", ", b"") != b"[]" * m:
             return None
         # a run of c values reads "[" + ", " * (c - 1) + "]" and a ", " follows it
         opens = np.flatnonzero(np.frombuffer(skeleton, dtype=np.uint8) == ord("["))
         counts = np.diff(opens, append=len(skeleton) + 2) // 2 - 1
+        total = int(counts.sum())
     # any "]" or "[" left after the separators go would end json's list early
     values = json.loads(raw.replace(b"], [", b", "))
-    if int(counts.sum()) != len(values):
+    if total != len(values):
         return None
     return np.fromiter(values, dtype=dtype, count=len(values)), counts
 
@@ -372,12 +394,39 @@ def _rows_text(rows: np.ndarray) -> str:
     return ", ".join(itemgetter(*cells.ravel().tolist())(table))
 
 
+def _members_text(members: _Members) -> Iterator[str]:
+    """The text of ``json.dumps(members.tolist())``, at most _DUMP_SLICE entries per piece.
+
+    Consecutive members are cut from the index array as lists and go
+    through the C encoder together while their entries fit in one slice.
+    Members are nonempty, so a slice holds at most _DUMP_SLICE members; a
+    longer member is written alone, by the list branch of ``_encode``.
+    """
+    flat, offsets = members.flat, members.offsets
+    yield "["
+    start = 0
+    while start < offsets.size - 1:
+        lo = int(offsets[start])
+        # the most members from start whose entries fit in a slice, at least one
+        stop = max(start + 1, int(np.searchsorted(offsets, lo + _DUMP_SLICE, side="right")) - 1)
+        hi = int(offsets[stop])
+        if start:
+            yield ", "
+        if hi - lo > _DUMP_SLICE:
+            yield from _encode(flat[lo:hi].tolist())
+        else:
+            yield json.dumps(_Members(flat[lo:hi], offsets[start:stop + 1] - lo).tolist())[1:-1]
+        start = stop
+    yield "]"
+
+
 def _encode(obj: Any) -> Iterator[str]:
     """The text of ``json.dumps(obj)``, in pieces of bounded size.
 
-    Dicts with string keys, lists longer than _DUMP_SLICE items and 2-D
-    float64 arrays (as their ``tolist()``) are taken apart _DUMP_SLICE items
-    or rows at a time; everything else goes through the C encoder in one call.
+    Dicts with string keys, lists of dicts, lists longer than _DUMP_SLICE
+    items, 2-D float64 arrays and ``_Members`` (as their ``tolist()``) are
+    taken apart, _DUMP_SLICE items, rows or entries at a time; everything
+    else goes through the C encoder in one call.
     """
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         yield "{"
@@ -389,6 +438,15 @@ def _encode(obj: Any) -> Iterator[str]:
         yield "["
         for s in range(0, len(obj), _DUMP_SLICE):
             yield (", " if s else "") + _rows_text(obj[s:s + _DUMP_SLICE])
+        yield "]"
+    elif isinstance(obj, _Members):
+        yield from _members_text(obj)
+    elif isinstance(obj, list) and obj and isinstance(obj[0], dict):  # a cover's families
+        yield "["
+        for t, v in enumerate(obj):
+            if t:
+                yield ", "
+            yield from _encode(v)
         yield "]"
     elif isinstance(obj, (list, tuple)) and len(obj) > _DUMP_SLICE:
         yield "["
@@ -402,7 +460,7 @@ def _encode(obj: Any) -> Iterator[str]:
 def dump_json(obj: Any, path: str | Path) -> None:
     """Write obj as single-line JSON plus a newline: the bytes of ``json.dumps(obj)``.
 
-    A 2-D float64 array in a dict value is written as its ``tolist()``.
+    A 2-D float64 array or ``_Members`` in a dict value is written as its ``tolist()``.
     ``json.dumps`` without an indent runs the C encoder; large lists and
     arrays are encoded a slice at a time so no whole-file string is built.
     """

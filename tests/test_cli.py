@@ -673,6 +673,7 @@ class TestScripts:
         ("json_boundary.py", ["--window", "4", "--repeats", "1"]),
         ("scale_sweep.py", ["--sizes", "4,6"]),
         ("scale_sweep.py", ["--comb", "4"]),
+        ("scale_sweep.py", ["--brick", "10"]),
     ])
     def test_runs(self, script, args, tmp_path):
         path = Path(__file__).resolve().parents[1] / "scripts" / script

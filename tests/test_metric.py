@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import outcome, random_metric_matrix, random_space
 from oracles import merge_point_sets
 from ghbounds import (EuclideanPointSet, FiniteMetricSpace, SubsetFamily,
                       SubsetRef, WindowSpec, as_subset, build_space, diam,
-                      directed_hausdorff, gen_epsilon_net,
+                      directed_hausdorff, gen_comb_set, gen_epsilon_net,
                       gen_lattice_window, hausdorff, induce_space,
                       nearest_point_correspondence,
                       neighborhood, scale, scale_points, set_distance)
@@ -782,6 +783,35 @@ class TestPlanarHausdorff:
             _assert_planar_matches_the_merge(x, x[::3].copy())  # one direction 0.0
             _assert_planar_matches_the_merge(x[1::2].copy(), x[::2].copy())  # both inf
             _assert_planar_matches_the_merge(x[::2].copy(), np.array([[1e308, 0.5], [1.7e308, 99.0]]))
+
+
+def _traced(fn):
+    """fn() and the tracemalloc peak in MB of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Chunked distance kernels keep a bounded heap, whatever the input size."""
+
+    def test_comb_hausdorff(self):
+        # the comb experiment at window 12: 3,361 comb points against a 58,081-point net
+        w = WindowSpec(0.0, 12.0, -6.0, 6.0)
+        comb, net = gen_comb_set(w, 0.05), gen_epsilon_net(w, 0.05)
+        value, peak = _traced(lambda: planar_hausdorff(comb, net))
+        assert value == 0.5
+        assert peak < 8.0
+
+    def test_planar_diam(self):
+        pts = EuclideanPointSet(np.random.default_rng(30).uniform(0.0, 1.0, (3000, 2)))
+        every = SubsetRef.full(pts.n)
+        value, peak = _traced(lambda: diam(pts, every))
+        assert peak < 16.0
+        assert value == diam(induce_space(pts), every)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 from typing import Any, Callable
 from unittest import mock
 
@@ -211,6 +212,7 @@ class TestFiles:
         {"a": [[1, 2], [3]] * 4, "b": {"c": list(range(9)), "d": []}, "e": {}},
         {1: "int key", "x": [0.5] * 7},                 # non-string keys: encoded whole
         [(1, 2)] * 5 + [{"k": "v\u00e9"}, None, True, float("inf")],
+        [{"k": [1, 2, 3]}, [4], {"k": {"j": None}, 5: 6}, {}, "x"],  # a list of dicts, by item
         list(range(7)),
         [],
         "text",
@@ -298,21 +300,27 @@ _FAMILY_MEMBERS = st.one_of(
     st.lists(st.sets(st.integers(0, 19), min_size=1, max_size=9).map(sorted), max_size=6),
     st.just([]),  # an empty family
     st.builds(lambda k: [list(range(k))], st.integers(1, 20)),  # one member
+    # many members of mixed lengths, so a slice cuts through the family
+    st.lists(st.sets(st.integers(0, 19), min_size=1, max_size=12).map(sorted), max_size=30),
 )
 
 
 class TestFamilyArrayEncoder:
-    """A gen document of a cover, whose member lists are cut from index arrays, against json.dumps."""
+    """A gen document of a cover, written from its families' index arrays, against json.dumps.
+
+    Slices of 1 to 8 entries cut through families, put several members in
+    one slice, and leave longer members alone.
+    """
 
     SPACE = EuclideanPointSet(np.column_stack((np.arange(20) * 0.5, np.arange(20) % 3 * 0.25)))
 
     @given(st.lists(st.tuples(st.sampled_from(["red", "", "f\u00e9", 'a&b <c> "d"\n']),
                               _FAMILY_MEMBERS), max_size=4),
-           st.one_of(st.none(), st.integers(1, 3)), st.booleans())
+           st.one_of(st.none(), st.integers(1, 8)), st.booleans())
     def test_matches_dumps_of_lists(self, tmp_path_factory, families, slice_items, loaded):
         fams = tuple(family_from_json({"label": label, "members": members}) if loaded
                      else SubsetFamily.of(label, members) for label, members in families)
-        doc = serialize._document(np.asarray, self.SPACE, fams, 1.5, c=2.0)
+        doc = serialize._document(self.SPACE, fams, 1.5, c=2.0, arrays=True)
         plain = cover_to_json(self.SPACE, fams, 1.5, c=2.0)
         assert plain["families"] == [{"label": label, "members": [sorted(set(m)) for m in members]}
                                      for label, members in families]
@@ -324,6 +332,35 @@ class TestFamilyArrayEncoder:
         with contextlib.redirect_stdout(out):
             cli._emit(doc, None)
         assert out.getvalue() == json.dumps(plain, indent=2) + "\n"
+
+    def test_pieces_hold_at_most_a_slice_of_entries(self):
+        fam = SubsetFamily.of("f", [[0, 1, 2], [3], [4, 5], [6, 7, 8, 9, 10, 11], [12], [13]])
+        with mock.patch.object(serialize, "_DUMP_SLICE", 4):
+            pieces = list(serialize._encode(serialize._Members(*fam._index)))
+        assert "".join(pieces) == json.dumps(family_to_json(fam)["members"])
+        # three members, then one member alone, written 4 entries at a time, then two
+        assert pieces == ["[", "[0, 1, 2], [3]", ", ", "[4, 5]", ", ", "[", "6, 7, 8, 9", ", 10, 11",
+                          "]", ", ", "[12], [13]", "]"]
+
+    def test_gen_document_never_holds_a_family_of_lists(self, tmp_path):
+        # 160,801 points in two families of about 80,400 singletons
+        lat = gen_lattice_window(WindowSpec.square(400))
+        families = gen_chess_families(lat)
+        tracemalloc.start()
+        try:
+            lists = family_to_json(families[0])
+            whole = tracemalloc.get_traced_memory()[0]
+            del lists
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            doc = serialize._document(lat, families, math.sqrt(2), c=0.0, arrays=True)
+            dump_json(doc, tmp_path / "chess.json")
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 2
+        assert json.loads((tmp_path / "chess.json").read_text()) == cover_to_json(
+            lat, families, math.sqrt(2), c=0.0)
 
 
 class TestRowsText:
