@@ -34,7 +34,7 @@ from .constructions import (
     gen_interval_cover,
     gen_lattice_window,
 )
-from .correspondence import DEFAULT_NODE_BUDGET, exact_gh
+from .correspondence import DEFAULT_NODE_BUDGET, _check_sides, exact_gh
 from .covers import (
     SubsetFamily,
     check_r_disjoint,
@@ -210,8 +210,13 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
 
 def cmd_gh_exact(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    x = space_from_json(load_json(args.x))
-    y = space_from_json(load_json(args.y))
+    docs = [load_json(args.x), load_json(args.y)]
+    # an oversized side is refused before a matrix's n^3 triangle check
+    for doc in docs:
+        rows = doc.get("pts" if doc.get("kind") == "points2d" else "d")
+        if isinstance(rows, list):
+            _check_sides(len(rows))
+    x, y = (space_from_json(doc) for doc in docs)
     res = exact_gh(x, y, budget=args.budget)
     outputs = gh_result_to_json(res)
     _say(f"d_GH = {res.value!r} (dis {res.dis!r}, {res.nodes} nodes, "

@@ -5,13 +5,18 @@ correspondences; the minimum is attained because there are finitely many.
 The solver decides feasibility of "some correspondence has distortion <= t"
 for thresholds t drawn from the finite discrepancy multiset
 { |d_X(i,i') - d_Y(j,j')| }, so the optimum is found exactly, without any
-epsilon scheduling.
+epsilon scheduling. Each decision is a search over two maps f: X -> Y and
+g: Y -> X with R = graph f + graph g^-1: every correspondence of distortion
+<= t contains such an R, whose distortion is no larger (Kalton & Ostrovskii,
+Forum Math. 11, 1999: 2 d_GH = inf over f, g of max(dis f, dis g, codis(f, g))).
+Variables are chosen fewest values first (Haralick & Elliott, Artificial
+Intelligence 14, 1980), and the node budget counts the values tried.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -141,83 +146,58 @@ class _Budget:
         self.spent += 1
 
 
-def _compat_tables(dx: np.ndarray, dy: np.ndarray, t: float) -> tuple[list[list[list[int]]], list[int]]:
-    """Bitmask tables for threshold t.
+def _check_sides(*sides: int) -> None:
+    if max(sides) > 62:
+        raise ValueError("solver is sized for small spaces (at most 62 points per side)")
 
-    cross[i][i2][j] = mask of j2 with |dx[i,i2] - dy[j,j2]| <= t;
-    row_ok[j] = mask of j2 with dy[j,j2] <= t (same-x-point constraint).
+
+def _tables(diff: np.ndarray, t: float) -> list[int]:
+    """Row c = i*ny + j: the cells compatible with cell (i, j) at threshold t.
+
+    diff[c, c2] is |d_X(i,i2) - d_Y(j,j2)|. Each row is a bitmask over two
+    copies of the cells, the low one for the domains of f and the high one,
+    shifted up by nx*ny bits, for the domains of g.
     """
-    nx, ny = dx.shape[0], dy.shape[0]
-    ok = np.abs(dx[:, :, None, None] - dy[None, None, :, :]) <= t
-    weights = (1 << np.arange(ny, dtype=np.int64))
-    masks = (ok.astype(np.int64) * weights[None, None, None, :]).sum(axis=-1)
-    cross = [[[int(masks[i, i2, j]) for j in range(ny)] for i2 in range(nx)] for i in range(nx)]
-    row_ok = [int(m) for m in ((dy <= t).astype(np.int64) * weights[None, :]).sum(axis=-1)]
-    return cross, row_ok
+    ok = diff <= t
+    bits = np.packbits(np.concatenate([ok, ok], axis=1), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
+def _feasible(table: list[int], variables: list[int], domains: int, chosen: int,
+              budget: _Budget) -> int | None:
+    """Cell mask of a correspondence with dis <= t that contains ``chosen``, or None.
 
-
-def _feasible(nx: int, ny: int, cross, row_ok, force_in: list[int],
-              forbid: list[int], budget: _Budget) -> list[int] | None:
-    """Search for per-row selections forming a correspondence with dis <= t.
-
-    force_in/forbid are per-row cell masks. Returns row masks of a witness,
-    or None. Rows are processed in order; choosing S for a row propagates
-    compatible-cell masks to later rows and prunes on empty rows or
-    unreachable coverage.
+    Each variable is the mask of its domain's bits in ``domains``: f(i) is
+    row i of the low copy, g(j) column j of the high one. Giving a variable
+    the value of cell c puts c in the relation and ANDs ``table[c]`` into
+    every domain. The next variable is the one with the fewest values left;
+    an empty domain fails the branch.
     """
-    full = (1 << ny) - 1
-    allowed0 = [full & ~forbid[i] for i in range(nx)]
-    witness = [0] * nx
+    cells = len(table)
 
-    def try_candidate(s: int, level: int, allowed: list[int], covered: int) -> bool:
-        budget.spend()
-        if any(s & ~row_ok[j] for j in _iter_bits(s)):
-            return False
-        new_allowed = list(allowed)
-        future = 0
-        for i2 in range(level + 1, nx):
-            a = allowed[i2]
-            table = cross[level][i2]
-            for j in _iter_bits(s):
-                a &= table[j]
-            if a == 0 or (force_in[i2] & ~a):
-                return False
-            new_allowed[i2] = a
-            future |= a
-        cov = covered | s
-        if (cov | future) != full:
-            return False
-        witness[level] = s
-        return rec(level + 1, new_allowed, cov)
+    def rec(domains: int, free: list[int], chosen: int) -> int | None:
+        var, fewest = None, cells + 1
+        for v in free:
+            k = (domains & v).bit_count()
+            if k == 0:
+                return None
+            if k < fewest:
+                var, fewest = v, k
+        if var is None:
+            return chosen
+        rest = [v for v in free if v != var]
+        values = domains & var
+        while values:
+            low = values & -values
+            values ^= low
+            c = (low.bit_length() - 1) % cells
+            budget.spend()
+            found = rec(domains & table[c], rest, chosen | (1 << c))
+            if found is not None:
+                return found
+        return None
 
-    def rec(level: int, allowed: list[int], covered: int) -> bool:
-        if level == nx:
-            return covered == full
-        base = allowed[level]
-        must = force_in[level]
-        if must & ~base:
-            return False
-        free = base & ~must
-        sub = free
-        while True:
-            s = must | sub
-            if s and try_candidate(s, level, allowed, covered):
-                return True
-            if sub == 0:
-                return False
-            sub = (sub - 1) & free
-
-    return list(witness) if rec(0, allowed0, 0) else None
-
-
-def _rows_to_pairs(rows: list[int], ny: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i, mask in enumerate(rows) for j in _iter_bits(mask))
+    return rec(domains, variables, chosen)
 
 
 def exact_gh(x: MetricLike, y: MetricLike, budget: int = DEFAULT_NODE_BUDGET) -> GhResult:
@@ -225,61 +205,64 @@ def exact_gh(x: MetricLike, y: MetricLike, budget: int = DEFAULT_NODE_BUDGET) ->
 
     Binary-searches the sorted discrepancy multiset for the least feasible
     distortion threshold, then constructs the lexicographically smallest
-    optimal correspondence cell by cell. If the node budget runs out before
+    optimal correspondence cell by cell. Each probe searches for the two
+    maps f and g of the module docstring; ``nodes`` counts the values given
+    to f(i) or g(j), and ``budget`` bounds it. If the budget runs out before
     the search is settled, the best correspondence found so far is returned
     with optimal=False and half its own distortion as the value.
     """
     nx, ny = x.n, y.n
-    if ny > 62 or nx > 62:
-        raise ValueError("solver is sized for small spaces (at most 62 points per side)")
+    _check_sides(nx, ny)
     dx = np.asarray(x.block(range(nx), range(nx)), dtype=np.float64)
     dy = np.asarray(y.block(range(ny), range(ny)), dtype=np.float64)
-    thresholds = np.unique(np.abs(dx[:, :, None, None] - dy[None, None, :, :]))
+    cells = nx * ny
+    diff = np.abs(dx[:, None, :, None] - dy[None, :, None, :]).reshape(cells, cells)
+    thresholds = np.unique(diff)
     tracker = _Budget(budget)
 
+    rows = [((1 << ny) - 1) << (i * ny) for i in range(nx)]
+    cols = [sum(1 << (i * ny + j) for i in range(nx)) for j in range(ny)]
+    variables = rows + [col << cells for col in cols]
+    everything = (1 << 2 * cells) - 1
+
     # the full product is always a correspondence; its distortion is max(thresholds)
-    best_rows = [(1 << ny) - 1] * nx
+    best_cells = (1 << cells) - 1
     best_t = float(thresholds[-1])
 
     lo, hi = 0, len(thresholds) - 1
-    no_force = [0] * nx
     proven = False
     try:
         while lo < hi:
             mid = (lo + hi) // 2
             t = float(thresholds[mid])
-            cross, row_ok = _compat_tables(dx, dy, t)
-            rows = _feasible(nx, ny, cross, row_ok, no_force, no_force, tracker)
-            if rows is not None:
-                hi = mid
-                if t < best_t:
-                    best_t, best_rows = t, rows
+            found = _feasible(_tables(diff, t), variables, everything, 0, tracker)
+            if found is not None:
+                hi, best_t, best_cells = mid, t, found
             else:
                 lo = mid + 1
         proven = True
         t_star = float(thresholds[hi])
 
-        # lexicographically smallest optimal correspondence, cell by cell
-        cross, row_ok = _compat_tables(dx, dy, t_star)
-        force_in = [0] * nx
-        forbid = [0] * nx
-        chosen_cols = 0
-        for c in range(nx * ny):
-            if all(force_in[i] for i in range(nx)) and chosen_cols == (1 << ny) - 1:
+        # lexicographically smallest optimal correspondence, cell by cell: a
+        # forced cell prunes every domain, a forbidden (i, j) leaves f(i)'s and g(j)'s
+        table = _tables(diff, t_star)
+        forced, domains = 0, everything
+        for c in range(cells):
+            if all(forced & m for m in rows) and all(forced & m for m in cols):
                 break
-            i, j = divmod(c, ny)
-            trial = list(force_in)
-            trial[i] |= 1 << j
-            if _feasible(nx, ny, cross, row_ok, trial, forbid, tracker) is not None:
-                force_in = trial
-                chosen_cols |= 1 << j
+            trial, pruned = forced | (1 << c), domains & table[c]
+            # the forced cells must be pairwise compatible
+            if (pruned & trial == trial
+                    and _feasible(table, variables, pruned, trial, tracker) is not None):
+                forced, domains = trial, pruned
             else:
-                forbid[i] |= 1 << j
-        best_rows, best_t = force_in, t_star
+                domains &= ~((1 << c) | (1 << (c + cells)))
+        best_cells, best_t = forced, t_star
     except _OutOfBudget:
         pass
 
-    corr = Correspondence(_rows_to_pairs(best_rows, ny), nx, ny)
+    corr = Correspondence(tuple(divmod(c, ny) for c in range(cells) if best_cells >> c & 1),
+                          nx, ny)
     if not proven:
         # the witness of the last feasible probe may do better than its threshold
         best_t = distortion(x, y, corr)

@@ -4,6 +4,10 @@ Exhaustive enumeration of correspondences, for the exact GH solver: every
 subset of X x Y whose projections are both onto is scanned by bitmask, with
 no pruning, so sizes are capped at ENUM_CELL_CAP cells.
 
+The exact GH solver's former search, which chose each row's whole column
+subset in turn, for the search over two maps: the same bisection and
+cell-by-cell witness loop, so both give the same value and witness.
+
 The SVG figure built as one ElementTree element per dot, for the text
 writer in ``ghbounds.svgfig``.
 
@@ -30,7 +34,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ghbounds.constructions import _GRID_TOL, MIN_PIECE_HEIGHT
-from ghbounds.correspondence import Correspondence
+from ghbounds.correspondence import (Correspondence, GhResult, _Budget, _OutOfBudget,
+                                     distortion)
 from ghbounds.covers import SubsetFamily
 from ghbounds.errors import HTooSmall, NonIntegerPoint, SizeCapExceeded
 from ghbounds.metric import EuclideanPointSet, MetricLike, SubsetRef, as_subset
@@ -102,6 +107,140 @@ def min_distortion_bruteforce(x: MetricLike, y: MetricLike) -> float:
         dis = (disc[None, :, :] * pair_sel).max(axis=(1, 2))
         best = min(best, float(dis.min()))
     return best
+
+
+def _compat_tables(dx: np.ndarray, dy: np.ndarray, t: float) -> tuple[list[list[list[int]]], list[int]]:
+    """Bitmask tables for threshold t.
+
+    cross[i][i2][j] = mask of j2 with |dx[i,i2] - dy[j,j2]| <= t;
+    row_ok[j] = mask of j2 with dy[j,j2] <= t (same-x-point constraint).
+    """
+    nx, ny = dx.shape[0], dy.shape[0]
+    ok = np.abs(dx[:, :, None, None] - dy[None, None, :, :]) <= t
+    weights = (1 << np.arange(ny, dtype=np.int64))
+    masks = (ok.astype(np.int64) * weights[None, None, None, :]).sum(axis=-1)
+    cross = [[[int(masks[i, i2, j]) for j in range(ny)] for i2 in range(nx)] for i in range(nx)]
+    row_ok = [int(m) for m in ((dy <= t).astype(np.int64) * weights[None, :]).sum(axis=-1)]
+    return cross, row_ok
+
+
+def _iter_bits(mask: int) -> Iterator[int]:
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _row_subsets_feasible(nx: int, ny: int, cross, row_ok, force_in: list[int],
+                          forbid: list[int], budget: _Budget) -> list[int] | None:
+    """Search for per-row selections forming a correspondence with dis <= t.
+
+    force_in/forbid are per-row cell masks. Returns row masks of a witness,
+    or None. Rows are processed in order; choosing S for a row propagates
+    compatible-cell masks to later rows and prunes on empty rows or
+    unreachable coverage.
+    """
+    full = (1 << ny) - 1
+    allowed0 = [full & ~forbid[i] for i in range(nx)]
+    witness = [0] * nx
+
+    def try_candidate(s: int, level: int, allowed: list[int], covered: int) -> bool:
+        budget.spend()
+        if any(s & ~row_ok[j] for j in _iter_bits(s)):
+            return False
+        new_allowed = list(allowed)
+        future = 0
+        for i2 in range(level + 1, nx):
+            a = allowed[i2]
+            table = cross[level][i2]
+            for j in _iter_bits(s):
+                a &= table[j]
+            if a == 0 or (force_in[i2] & ~a):
+                return False
+            new_allowed[i2] = a
+            future |= a
+        cov = covered | s
+        if (cov | future) != full:
+            return False
+        witness[level] = s
+        return rec(level + 1, new_allowed, cov)
+
+    def rec(level: int, allowed: list[int], covered: int) -> bool:
+        if level == nx:
+            return covered == full
+        base = allowed[level]
+        must = force_in[level]
+        if must & ~base:
+            return False
+        free = base & ~must
+        sub = free
+        while True:
+            s = must | sub
+            if s and try_candidate(s, level, allowed, covered):
+                return True
+            if sub == 0:
+                return False
+            sub = (sub - 1) & free
+
+    return list(witness) if rec(0, allowed0, 0) else None
+
+
+def exact_gh_row_subsets(x: MetricLike, y: MetricLike, budget: int = 2_000_000) -> GhResult:
+    """``exact_gh`` by the row-subset search: bisection, then the witness cell by cell."""
+    nx, ny = x.n, y.n
+    dx = np.asarray(x.block(range(nx), range(nx)), dtype=np.float64)
+    dy = np.asarray(y.block(range(ny), range(ny)), dtype=np.float64)
+    thresholds = np.unique(np.abs(dx[:, :, None, None] - dy[None, None, :, :]))
+    tracker = _Budget(budget)
+
+    # the full product is always a correspondence; its distortion is max(thresholds)
+    best_rows = [(1 << ny) - 1] * nx
+    best_t = float(thresholds[-1])
+
+    lo, hi = 0, len(thresholds) - 1
+    no_force = [0] * nx
+    proven = False
+    try:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            t = float(thresholds[mid])
+            cross, row_ok = _compat_tables(dx, dy, t)
+            rows = _row_subsets_feasible(nx, ny, cross, row_ok, no_force, no_force, tracker)
+            if rows is not None:
+                hi = mid
+                if t < best_t:
+                    best_t, best_rows = t, rows
+            else:
+                lo = mid + 1
+        proven = True
+        t_star = float(thresholds[hi])
+
+        # lexicographically smallest optimal correspondence, cell by cell
+        cross, row_ok = _compat_tables(dx, dy, t_star)
+        force_in = [0] * nx
+        forbid = [0] * nx
+        chosen_cols = 0
+        for c in range(nx * ny):
+            if all(force_in[i] for i in range(nx)) and chosen_cols == (1 << ny) - 1:
+                break
+            i, j = divmod(c, ny)
+            trial = list(force_in)
+            trial[i] |= 1 << j
+            if _row_subsets_feasible(nx, ny, cross, row_ok, trial, forbid, tracker) is not None:
+                force_in = trial
+                chosen_cols |= 1 << j
+            else:
+                forbid[i] |= 1 << j
+        best_rows, best_t = force_in, t_star
+    except _OutOfBudget:
+        pass
+
+    pairs = tuple((i, j) for i, mask in enumerate(best_rows) for j in _iter_bits(mask))
+    corr = Correspondence(pairs, nx, ny)
+    if not proven:
+        # the witness of the last feasible probe may do better than its threshold
+        best_t = distortion(x, y, corr)
+    return GhResult(value=best_t / 2.0, correspondence=corr,
+                    nodes=tracker.spent, optimal=proven)
 
 
 def render_families_svg_et(points: np.ndarray, families: Sequence[SubsetFamily],

@@ -177,6 +177,16 @@ class TestGhExact:
         exact = exact_gh(space_from_json(load_json(x)), space_from_json(load_json(y)))
         assert report["outputs"]["dgh"] >= exact.value
 
+    def test_refuses_an_oversized_side_before_building_it(self, tmp_path, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(serialize, "build_space", built.append)
+        x, _ = self.write_pair(tmp_path)
+        big = tmp_path / "big.json"
+        dump_json({"kind": "matrix", "n": 63, "d": np.ones((63, 63)).tolist()}, big)
+        assert run_cli(["gh-exact", "--x", str(x), "--y", str(big)]) == 2
+        assert built == []
+        assert "at most 62 points per side" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # bounds and verification

@@ -15,8 +15,8 @@ from ghbounds import (Correspondence, EuclideanPointSet, Relation, WindowSpec,
                       pushforward, scale)
 from ghbounds.errors import (EmptyImage, EmptyRelation, IndexOutOfRange,
                              NotACorrespondence, SizeCapExceeded)
-from oracles import (count_correspondences, enumerate_correspondences, merge_point_sets,
-                     min_distortion_bruteforce)
+from oracles import (count_correspondences, enumerate_correspondences,
+                     exact_gh_row_subsets, merge_point_sets, min_distortion_bruteforce)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ class TestExactGh:
         assert distortion(a, b, res.correspondence) == res.dis
 
     def test_budget_exit_reports_the_witness_distortion(self):
-        # the last feasible threshold here is 0.5268710617069374, but the
+        # the last feasible threshold here is 0.4337073272915658, but the
         # witness that probe returned has a smaller distortion
         rng = np.random.default_rng(0)
         n1, n2 = rng.integers(4, 8, 2)
@@ -222,8 +222,38 @@ class TestExactGh:
         res = exact_gh(x, y, budget=100)
         assert (x.n, y.n) == (7, 6)
         assert not res.optimal
-        assert res.dis == distortion(x, y, res.correspondence) == 0.5234692099615352
+        assert res.dis == distortion(x, y, res.correspondence) == 0.4318168208598113
         assert res.value >= exact_gh(x, y).value
+
+    @pytest.mark.parametrize("k, want", [(1, 0.15842961892571206),
+                                         (3, 0.17027722671572826),
+                                         (9, 0.17092751556101998)])
+    def test_proves_pool_pairs_at_the_default_budget(self, k, want):
+        # pairs of 12 and 12 random planar points, drawn as perfbench's
+        # gh-exact pool draws its shapes; the row-subset search spent its
+        # budget on each of them
+        shapes = np.random.default_rng([7, k])
+        nx, ny = (int(v) for v in shapes.choice((8, 10, 12), size=2))
+        x, y = (EuclideanPointSet(shapes.uniform(0.0, 1.0, (n, 2))) for n in (nx, ny))
+        res = exact_gh(x, y)
+        assert res.optimal and res.value == want
+        assert distortion(x, y, res.correspondence) == res.dis
+
+    def test_matches_the_row_subset_search(self):
+        # uniform points, and points on a 3x3 integer grid, where many
+        # distances tie and many correspondences are optimal
+        rng = np.random.default_rng(19)
+        for k in range(120):
+            nx, ny = (int(v) for v in rng.integers(1, 8, 2))
+            if k % 3 == 0:
+                x, y = (EuclideanPointSet(rng.uniform(0, 1, (n, 2))) for n in (nx, ny))
+            else:
+                x, y = (EuclideanPointSet(np.stack(np.divmod(rng.choice(9, n, replace=False),
+                                                             3), axis=1).astype(float))
+                        for n in (nx, ny))
+            got, want = exact_gh(x, y), exact_gh_row_subsets(x, y)
+            assert (got.value, got.correspondence.pairs, got.optimal) == \
+                (want.value, want.correspondence.pairs, want.optimal)
 
     def test_matches_oracle_on_mixed_sizes(self):
         rng = np.random.default_rng(11)
