@@ -213,7 +213,7 @@ def cmd_gh_exact(args: argparse.Namespace) -> int:
     docs = [load_json(args.x), load_json(args.y)]
     # an oversized side is refused before a matrix's n^3 triangle check
     for doc in docs:
-        rows = doc.get("pts" if doc.get("kind") == "points2d" else "d")
+        rows = doc.get("pts" if doc.get("kind") == "points2d" else "d") if isinstance(doc, dict) else None
         if isinstance(rows, list):
             _check_sides(len(rows))
     x, y = (space_from_json(doc) for doc in docs)

@@ -59,22 +59,45 @@ class WindowSpec:
         return WindowSpec(0.0, float(size), 0.0, float(size))
 
 
+def _grid_range(lo: float, hi: float, step: float,
+                pad_edges: bool) -> tuple[int, int, list[float], list[float]]:
+    """The multiples k*step, k0 <= k <= k1, inside [lo, hi], and the edges put before and after.
+
+    Tolerance-adjusted index bounds absorb division rounding. A window too
+    wide for its step to index in floats is refused as a ValueError.
+    """
+    k0, k1 = lo / step - _GRID_TOL, hi / step + _GRID_TOL
+    if not (math.isfinite(k0) and math.isfinite(k1)):
+        raise ValueError(f"spacing {step!r} is too fine for the range [{lo!r}, {hi!r}]")
+    k0, k1 = math.ceil(k0), math.floor(k1)
+    # the first and last coordinate without edges; with no multiple, lo comes first
+    first, last = (float(k0) * step, float(k1) * step) if k0 <= k1 else (math.inf, lo)
+    edge_tol = _GRID_TOL * max(1.0, abs(lo), abs(hi))
+    head = [lo] if pad_edges and first > lo + edge_tol else []
+    tail = [hi] if pad_edges and last < hi - edge_tol else []
+    return k0, k1, head, tail
+
+
+def _grid_size(lo: float, hi: float, step: float, pad_edges: bool) -> int:
+    """The length of ``_grid_coords(lo, hi, step, pad_edges)``, counted without building it."""
+    k0, k1, head, tail = _grid_range(lo, hi, step, pad_edges)
+    return max(k1 - k0 + 1, 0) + len(head) + len(tail)
+
+
 def _grid_coords(lo: float, hi: float, step: float, pad_edges: bool) -> np.ndarray:
     """Multiples of step inside [lo, hi], optionally with the exact edges added.
 
-    Tolerance-adjusted index bounds absorb division rounding; coordinates are
-    single products, so aligned grids share bit-identical values.
+    Coordinates are single products, so aligned grids share bit-identical
+    values. Generators count with ``_grid_size`` before they build.
     """
-    k0 = math.ceil(lo / step - _GRID_TOL)
-    k1 = math.floor(hi / step + _GRID_TOL)
+    k0, k1, head, tail = _grid_range(lo, hi, step, pad_edges)
     coords = np.arange(k0, k1 + 1, dtype=np.float64) * step
-    if pad_edges:
-        edge_tol = _GRID_TOL * max(1.0, abs(lo), abs(hi))
-        if coords.size == 0 or coords[0] > lo + edge_tol:
-            coords = np.concatenate(([lo], coords))
-        if coords[-1] < hi - edge_tol:
-            coords = np.concatenate((coords, [hi]))
-    return coords
+    return np.concatenate((head, coords, tail)) if head or tail else coords
+
+
+def _check_count(count: int, cap: int = POINT_CAP) -> None:
+    if count > cap:
+        raise TooManyPoints(count, cap)
 
 
 def _cross_product_points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -85,12 +108,12 @@ def _cross_product_points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def gen_lattice_window(w: WindowSpec) -> EuclideanPointSet:
     """All integer points in the closed window, in (x, y)-lexicographic order."""
+    nx, ny = _grid_size(w.xmin, w.xmax, 1.0, False), _grid_size(w.ymin, w.ymax, 1.0, False)
+    if nx == 0 or ny == 0:
+        raise EmptyWindow("window contains no integer point")
+    _check_count(nx * ny)
     xs = _grid_coords(w.xmin, w.xmax, 1.0, pad_edges=False)
     ys = _grid_coords(w.ymin, w.ymax, 1.0, pad_edges=False)
-    if xs.size == 0 or ys.size == 0:
-        raise EmptyWindow("window contains no integer point")
-    if xs.size * ys.size > POINT_CAP:
-        raise TooManyPoints(int(xs.size * ys.size), POINT_CAP)
     # each distinct coordinate is formatted once; a label is "(x," + "y)"
     heads = [f"({int(x)}," for x in xs.tolist()]
     tails = [f"{int(y)})" for y in ys.tolist()]
@@ -108,10 +131,9 @@ def gen_epsilon_net(w: WindowSpec, eps: float, cap: int = POINT_CAP) -> Euclidea
     """
     if eps <= 0:
         raise ValueError("net spacing must be positive")
+    _check_count(_grid_size(w.xmin, w.xmax, eps, True) * _grid_size(w.ymin, w.ymax, eps, True), cap)
     xs = _grid_coords(w.xmin, w.xmax, eps, pad_edges=True)
     ys = _grid_coords(w.ymin, w.ymax, eps, pad_edges=True)
-    if xs.size * ys.size > cap:
-        raise TooManyPoints(int(xs.size * ys.size), cap)
     return EuclideanPointSet(_cross_product_points(xs, ys))
 
 
@@ -168,8 +190,17 @@ def gen_comb_set(w: WindowSpec, delta: float) -> EuclideanPointSet:
     """
     if delta <= 0 or abs(1.0 / delta - round(1.0 / delta)) > _GRID_TOL:
         raise DeltaNotDividingOne(delta)
+    # the lines' samples, and the axis's off the lines: axis sample k*delta
+    # is line j's crossing exactly when k = j/delta, as delta divides 1
+    on_axis = w.ymin <= 0.0 <= w.ymax
+    j0, j1, _, _ = _grid_range(w.xmin, w.xmax, 1.0, False)
+    k0, k1, _, _ = _grid_range(w.xmin, w.xmax, delta, False) if on_axis else (0, -1, [], [])
+    per_unit = round(1.0 / delta)
+    crossings = max(min(j1, k1 // per_unit) - max(j0, -(-k0 // per_unit)) + 1, 0)
+    _check_count(max(j1 - j0 + 1, 0) * _grid_size(w.ymin, w.ymax, delta, False)
+                 + max(k1 - k0 + 1, 0) - crossings)
     rows = []
-    if w.ymin <= 0.0 <= w.ymax:
+    if on_axis:
         axis_x = _grid_coords(w.xmin, w.xmax, delta, pad_edges=False)
         rows.append(np.column_stack((axis_x, np.zeros_like(axis_x))))
     line_x = _grid_coords(w.xmin, w.xmax, 1.0, pad_edges=False)
@@ -180,8 +211,6 @@ def gen_comb_set(w: WindowSpec, delta: float) -> EuclideanPointSet:
         raise EmptyWindow("window meets neither the axis nor a vertical line")
     # complex128 rows sort and compare (x, y)-lexicographically
     pts = np.unique(np.concatenate(rows).view(np.complex128)).view(np.float64).reshape(-1, 2)
-    if pts.shape[0] > POINT_CAP:
-        raise TooManyPoints(int(pts.shape[0]), POINT_CAP)
     return EuclideanPointSet(pts)
 
 
@@ -274,7 +303,9 @@ def gen_interval_cover(w: WindowSpec, r: float, L: float | None = None,
         L = 3.0 * r
     if L < 2.0 * r - 1e-12:
         raise LTooSmall(L, r)
-    xs = _grid_coords(w.xmin, w.xmax, spacing if spacing is not None else r / 4.0, pad_edges=True)
+    step = spacing if spacing is not None else r / 4.0
+    _check_count(_grid_size(w.xmin, w.xmax, step, True))
+    xs = _grid_coords(w.xmin, w.xmax, step, pad_edges=True)
     net = EuclideanPointSet(np.column_stack((xs, np.zeros_like(xs))))
     k = np.floor(xs / L + _GRID_TOL).astype(np.int64)
     red, blue = _keyed_families(("red", "blue"), k % 2, k)

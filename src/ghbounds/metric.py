@@ -9,29 +9,24 @@ materialized). All set-level operations accept either backing.
 Nearest-point queries (directed Hausdorff, set distance, neighborhoods,
 nearest-point correspondences) all reduce over ``_nearest``. On a matrix
 space it scans distance blocks. On a planar set it buckets the targets in a
-uniform grid of about one point per cell, stored CSR-style, and searches
-growing rings of cells around each query until the best distance found is
-strictly below a rounding-safe lower bound on every cell not yet searched;
-a query whose search would cover a quarter of the grid scans every target
-as one block instead. Candidate distances use the same expression as
-``EuclideanPointSet.block``, so every minimum, maximum and argmin (ties to
-the smallest index) is bitwise equal to the block scan's.
+uniform grid of about one point per cell, stored CSR-style, and every
+gather of targets reads a square of cells (``_square_gather``). A query is
+bounded, then solved: ub is its distance to the nearest target in the
+square of cells just past its distance to the targets' bounding box, the
+square doubling until it holds one; its nearest target lies within ub,
+widened for rounding, so in that disc's box of cells, which the square
+usually holds already. A query whose square or box would cover a quarter
+of the grid scans every target as one block instead. Candidate distances
+use the same expression as ``EuclideanPointSet.block``, so every minimum,
+maximum and argmin (ties to the smallest index) is bitwise equal to the
+block scan's.
 
 A planar directed Hausdorff distance needs only the largest nearest
-distance, so it bounds whole cells of queries instead of solving each one.
-Queries equal to a target are dropped (their distance is 0.0), so two
-planar sets need no merged ambient (``planar_hausdorff``). The rest go in
-a uniform grid of about eight per cell; a cell whose tight box has centre
-c and half-diagonal rho holds no distance above ub = d + rho,
-widened by the rounding allowance, where d is c's distance to the nearest
-target in the 5 x 5 square of target cells around it (to the nearest
-target at all where that square is empty). The cell with the largest bound
-is solved first, then only the cells whose bound exceeds the maximum found,
-so the value is the full scan's to the bit. Those cells are solved as cells,
-not query by query: every query's nearest target lies within ub of it, so
-within R = ub + rho of c, widened again. One gather of the target-grid rows
-around each disc, filtered to the disc, gives every query of the cell its
-candidates, and the pairs are measured in batches.
+distance, so it bounds whole cells of queries the same way and solves only
+the cells whose bound exceeds the largest distance found
+(``_grid_max_nearest``). Queries equal to a target are dropped (their
+distance is 0.0), so two planar sets need no merged ambient
+(``planar_hausdorff``).
 """
 
 from __future__ import annotations
@@ -58,7 +53,7 @@ DEFAULT_TOL = 1e-9
 
 # cap on cells per distance block; aggregates chunk over rows beyond this.
 # One float64 block is 2 MiB, a core's L2 cache on common x86 parts, and a
-# ring or disc gather (_GATHER) keeps about a dozen arrays of a sixteenth of
+# gather of targets (_GATHER) keeps about a dozen arrays of a sixteenth of
 # that, so its working set fits there too. On the comb experiment, 2**18 to
 # 2**20 ran equally fast, smaller sizes slower, and larger ones only raise
 # the heap peak
@@ -291,8 +286,7 @@ def _batches(weights: np.ndarray, cap: int) -> Iterator[slice]:
 def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated ranges [start, start + count), and the range each element came from."""
     owner = np.repeat(np.arange(counts.size), counts)
-    first = np.cumsum(counts) - counts
-    return starts[owner] + (np.arange(owner.size) - first[owner]), owner
+    return np.arange(owner.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts), owner
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +298,8 @@ _GRID_SLACK = 2.0 ** -40
 # absolute allowance of the same: a distance whose square is subnormal is
 # computed only to about 2**-537 (also the planar family gap search's)
 _GRID_FLOOR = 2.0 ** -500
-# a ring gather keeps about a dozen arrays per candidate (and per cell run),
-# so one gather holds a sixteenth of a distance block's cells
+# a square or disc gather keeps about a dozen arrays per candidate (and per
+# grid row), so one gather holds a sixteenth of a distance block's cells
 _GATHER = _BLOCK_CELLS // 16
 
 
@@ -333,35 +327,30 @@ def _scan_nearest(block, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarr
     return dist, pos
 
 
-def _cell_grid(lo: np.ndarray, hi: np.ndarray, cells: float,
-               side: float = 0.0) -> tuple[float, int, int]:
-    """Side and shape (nx, ny) of a uniform grid of about `cells` cells over [lo, hi].
-
-    The count stays at most about 3 * cells, also for collinear points; a
-    single point gets one cell. Cells are at least `side` wide; where the
-    side or the extent is not finite, one cell holds everything.
-    """
-    sx, sy = (hi - lo).tolist()
-    h = max(math.sqrt(sx) * math.sqrt(sy / cells), max(sx, sy) / cells, side)
-    if not 0.0 < h < math.inf:
-        h, sx, sy = 1.0, 0.0, 0.0
-    return h, int(sx // h) + 1, int(sy // h) + 1
-
-
 class _TargetGrid:
-    """The rows of p on a uniform grid of about one point per cell, cells at least `side` wide.
+    """The rows of p on a uniform grid of about `per_cell` points per cell, cells at least `side` wide.
 
-    Built once per target set and searched any number of times by
-    ``_grid_search`` and ``_square_gather``; the CSR buckets are sorted on
-    the first search that needs them. The planar family gap search in
-    ``covers`` buckets member box corners on it, with cells as wide as its
-    pairs need.
+    Built once per target set; every planar gather reads its CSR buckets
+    through ``_square_gather``, and they are sorted on the first gather that
+    needs them. ``_grid_max_nearest`` groups its queries on one, and the
+    planar family gap search in ``covers`` buckets member box corners on
+    one, with cells as wide as its pairs need.
+
+    The grid spans the bounding box [lo, hi] of p in nx x ny square cells of
+    side h. Their count stays at most about three times the aim, also for
+    collinear points; a single point gets one cell, and so does everything
+    where the side or the extent is not finite.
     """
 
-    def __init__(self, p: np.ndarray, side: float = 0.0):
+    def __init__(self, p: np.ndarray, side: float = 0.0, per_cell: int = 1):
         self.p = p
         self.lo, self.hi = p.min(axis=0), p.max(axis=0)
-        self.h, self.nx, self.ny = _cell_grid(self.lo, self.hi, p.shape[0], side)
+        sx, sy = (self.hi - self.lo).tolist()
+        cells = p.shape[0] / per_cell
+        h = max(math.sqrt(sx) * math.sqrt(sy / cells), max(sx, sy) / cells, side)
+        if not 0.0 < h < math.inf:
+            h, sx, sy = 1.0, 0.0, 0.0
+        self.h, self.nx, self.ny = h, int(sx // h) + 1, int(sy // h) + 1
         self._csr = None
 
     def cell_of(self, v: np.ndarray) -> np.ndarray:
@@ -377,7 +366,8 @@ class _TargetGrid:
         if self._csr is None:
             nx, ny = self.nx, self.ny
             cid = self.cell_of(self.p) @ np.array([1, nx])
-            order = np.argsort(cid, kind="stable")
+            # cell ids in the smallest unsigned type: up to 2**16 cells, a radix sort
+            order = np.argsort(cid.astype(np.min_scalar_type(nx * ny - 1)), kind="stable")
             offs = np.zeros(nx * ny + 1, dtype=np.intp)
             np.cumsum(np.bincount(cid, minlength=nx * ny), out=offs[1:])
             self._csr = order, offs, self.p[order]
@@ -393,9 +383,15 @@ def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Exact nearest row of grid.p for every row of q.
 
     Returns the distances and the positions in p; ties go to the smallest
-    position. Each query searches a growing square of cells around its
-    cell; a query whose square would cover a quarter of the grid scans all
-    of p as one block instead.
+    position. Each query is bounded, then solved, as a directed Hausdorff
+    cell is. Bound: ub is the distance to the nearest target in the square
+    of cells just past the query's distance to the bounding box of p; the
+    square doubles until it holds a target. Solve: every nearest target
+    lies within ``_widen(ub)`` of the query, so in the box of cells that
+    ``_disc_gather`` gathers for that disc. Where the square holds that box,
+    its nearest target is the answer; otherwise it is the box's. A query
+    whose square or box covers a quarter of the grid scans all of p as one
+    block instead.
     """
     p, m = grid.p, grid.p.shape[0]
     lo, hi, h, nx, ny = grid.lo, grid.hi, grid.h, grid.nx, grid.ny
@@ -404,10 +400,9 @@ def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return _scan_nearest(lambda rows: _euclid(qs[rows, :1] - p[:, 0], qs[rows, 1:] - p[:, 1]),
                              qs.shape[0], m)
 
-    # A query starts at the square of cells just past its distance to the
-    # bounding box of p. Once its square covers a quarter of the grid, the
-    # whole grid as one block costs little more, so it scans all of p. When
-    # even a corner query's first square would, every query scans at once.
+    # Once a square covers a quarter of the grid, the whole grid as one
+    # block costs little more. When even a corner query's first square
+    # would, every query scans at once, before any bucket is sorted.
     (qx0, qy0), (qx1, qy1) = q.min(axis=0).tolist(), q.max(axis=0).tolist()
     (x0, y0), (x1, y1) = lo.tolist(), hi.tolist()
     apart = math.hypot(max(x0 - qx1, qx0 - x1, 0.0), max(y0 - qy1, qy0 - y1, 0.0))
@@ -415,84 +410,43 @@ def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if 4 * (min(r0, nx - 1) + 1) * (min(r0, ny - 1) + 1) >= nx * ny:
         return scan(q)
     shape = np.array([nx, ny])
-    top = lo + shape * h
-
     best = np.empty(q.shape[0])
     bpos = np.empty(q.shape[0], dtype=np.intp)
-    center = grid.cell_of(q)
+
+    # bound: a square whose targets are all at overflowing distance holds a
+    # target; its ub is inf, so its query's box covers the grid
+    c = grid.cell_of(q)
     outside = np.maximum(np.maximum(lo - q, q - hi), 0.0)
-    cover = max(nx, ny) - 1  # a square of this radius covers the grid
-    outer = (np.minimum(np.ceil(_euclid(outside[:, 0], outside[:, 1]) / h), cover) + 1).astype(np.intp)
-    inner = np.full(q.shape[0], -1, dtype=np.intp)
-    active = np.arange(q.shape[0])
-    offs = None
-    while True:
-        c, r = center[active], outer[:, None]
-        whole = 4 * (np.minimum(c + r, shape - 1) - np.maximum(c - r, 0) + 1).prod(axis=1) >= nx * ny
-        if whole.any():
-            best[active[whole]], bpos[active[whole]] = scan(q[active[whole]])
-            active, inner, outer, c = active[~whole], inner[~whole], outer[~whole], c[~whole]
-        if not active.size:
-            return best, bpos
-        if offs is None:
-            order, offs, ps = grid.buckets()
-            best[active] = math.inf
-            # absolute rounding allowance: cell edges and cell assignment err
-            # by a few ulps of the largest grid coordinate
-            slack = _GRID_SLACK * float(np.abs(np.concatenate([lo, top])).max())
+    r = (np.minimum(np.ceil(_euclid(outside[:, 0], outside[:, 1]) / h), max(nx, ny)) + 1).astype(np.intp)
+    radius = np.empty(q.shape[0], dtype=np.intp)  # of the square each query was bounded in
+    far = np.zeros(q.shape[0], dtype=bool)  # queries left to the block scan
+    todo = np.arange(q.shape[0])
+    while todo.size:
+        c0, c1 = np.maximum(c[todo] - r[:, None], 0), np.minimum(c[todo] + r[:, None] + 1, shape)
+        big = 4 * (c1 - c0).prod(axis=1) >= nx * ny
+        far[todo[big]] = True
+        todo, r, c0, c1 = todo[~big], r[~big], c0[~big], c1[~big]
+        if not todo.size:
+            break
+        d, pos, hit = _cells_nearest(grid, q[todo], c0, c1)
+        best[todo[hit]], bpos[todo[hit]], radius[todo[hit]] = d[hit], pos[hit], r[hit]
+        todo, r = todo[~hit], 2 * r[~hit]
 
-        cx, cy = c[:, 0], c[:, 1]
-        row0 = np.maximum(cy - outer, 0)
-        nrows = np.minimum(cy + outer, ny - 1) - row0 + 1
-        for b1 in _batches(2 * nrows, _GATHER):
-            # each grid row of the band [cy - outer, cy + outer] gives two
-            # x-runs: its cells left and right of the square already searched,
-            # or, outside that square, its whole width split in two
-            iy, owner = _ragged(row0[b1], nrows[b1])
-            ox, r_in, r_out = cx[b1][owner], inner[b1][owner], outer[b1][owner]
-            x0 = np.column_stack([ox - r_out, ox + r_in + 1])
-            x1 = np.column_stack([ox + r_in, ox + r_out])
-            inside = np.abs(iy - cy[b1][owner]) <= r_in
-            x1[inside, 0] -= 2 * r_in[inside] + 1
-            x0 = np.minimum(np.maximum(x0, 0), nx)
-            x1 = np.maximum(np.minimum(x1, nx - 1) + 1, x0)
-            base = (iy * nx)[:, None]
-            s0 = offs[base + x0].ravel()
-            counts = offs[base + x1].ravel() - s0
-            per_q = np.add.reduceat(counts.reshape(-1, 2).sum(axis=1), np.cumsum(nrows[b1]) - nrows[b1])
-            seg_end = 2 * np.cumsum(nrows[b1])
-            for b2 in _batches(per_q, _GATHER):
-                segs = slice(seg_end[b2.start] - 2 * int(nrows[b1][b2.start]), seg_end[b2.stop - 1])
-                cand, _ = _ragged(s0[segs], counts[segs])
-                hits = per_q[b2] > 0
-                if not hits.any():
-                    continue
-                qh, n_h = active[b1][b2][hits], per_q[b2][hits]
-                who = np.repeat(np.arange(qh.size), n_h)
-                d = _euclid(q[qh, 0][who] - ps[cand, 0], q[qh, 1][who] - ps[cand, 1])
-                starts = np.cumsum(n_h) - n_h
-                dmin = np.minimum.reduceat(d, starts)
-                pmin = np.minimum.reduceat(np.where(d == dmin[who], order[cand], m), starts)
-                bq = best[qh]
-                better = (dmin < bq) | ((dmin == bq) & (pmin < bpos[qh]))
-                best[qh[better]] = dmin[better]
-                bpos[qh[better]] = pmin[better]
-
-        # lower bound on the distance to any cell outside the searched square:
-        # the nearest grid slab beyond one of its four sides
-        qa, r = q[active], outer[:, None]
-        gap = np.minimum(
-            np.where(c + r + 1 < shape, lo + (c + r + 1) * h - qa, math.inf),
-            np.where(c - r > 0, qa - (lo + (c - r) * h), math.inf))
-        across = np.maximum(np.maximum(lo - qa, qa - top), 0.0)[:, ::-1]
-        lb = _euclid(np.maximum(gap, 0.0), across).min(axis=1)
-        b_a = best[active]
-        left = b_a >= lb * (1.0 - _GRID_SLACK) - slack
-        # cells beyond radius R lie at least (R - 1) h away: jump straight to
-        # the radius the best distance so far needs, or double without one
-        b_a, inner, outer, active = b_a[left], outer[left], outer[left], active[left]
-        need = np.where(b_a < math.inf, np.ceil(np.minimum(b_a / h, cover)) + 1, 2 * outer + 1)
-        outer = np.minimum(np.maximum(need.astype(np.intp), outer + 1), cover)
+    # solve the queries whose disc's box of cells leaves their square
+    near = np.flatnonzero(~far)
+    reach = _widen(best[near], float(np.abs([qx0, qy0, qx1, qy1, x0, y0, x1, y1]).max()))[:, None]
+    c0, c1 = grid.cell_of(q[near] - reach), grid.cell_of(q[near] + reach) + 1
+    r = radius[near, None]
+    out = ((c0 < c[near] - r) | (c1 > c[near] + r + 1)).any(axis=1)
+    near, c0, c1 = near[out], c0[out], c1[out]
+    big = 4 * (c1 - c0).prod(axis=1) >= nx * ny
+    far[near[big]] = True
+    if not big.all():
+        near = near[~big]
+        best[near], bpos[near], _ = _cells_nearest(grid, q[near], c0[~big], c1[~big])
+    if far.any():
+        best[far], bpos[far] = scan(q[far])
+    return best, bpos
 
 
 # queries per cell of the bucketing that bounds a directed Hausdorff scan
@@ -545,6 +499,28 @@ def _square_gather(grid: _TargetGrid, squares: tuple[np.ndarray, ...]
         yield b, cand, owner[run]
 
 
+def _cells_nearest(grid: _TargetGrid, q: np.ndarray, c0: np.ndarray,
+                   c1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nearest target to each row q[k] among the cells [c0[k], c1[k]) of grid.
+
+    Returns its distance (inf where the cells hold no target), its position
+    in grid.p (ties to the smallest) and whether the cells held a target.
+    """
+    order, _, ps = grid.buckets()
+    dist = np.full(q.shape[0], math.inf)
+    pos = np.zeros(q.shape[0], dtype=np.intp)
+    hit = np.zeros(q.shape[0], dtype=bool)
+    for b, cand, k in _square_gather(grid, (*c0.T, *c1.T)):
+        at = np.flatnonzero(np.diff(k, prepend=-1))
+        size = np.diff(at, append=k.size)
+        i = b.start + k[at]
+        d = _euclid(np.repeat(q[i, 0], size) - ps[cand, 0], np.repeat(q[i, 1], size) - ps[cand, 1])
+        dist[i] = np.minimum.reduceat(d, at)
+        pos[i] = np.minimum.reduceat(np.where(d == np.repeat(dist[i], size), order[cand], ps.shape[0]), at)
+        hit[i] = True
+    return dist, pos, hit
+
+
 def _cell_bounds(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid) -> np.ndarray:
     """An upper bound on every computed nearest distance in each run qs[starts[k]:starts[k+1]].
 
@@ -557,31 +533,12 @@ def _cell_bounds(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid) -> np
     included.
     """
     centre, rho, scale = _cell_boxes(qs, starts, targets)
-    ps = targets.buckets()[2]
     c = targets.cell_of(centre)
     c0, c1 = np.maximum(c - _BOUND_CELLS, 0), np.minimum(c + _BOUND_CELLS + 1, [targets.nx, targets.ny])
-    d = np.full(starts.size, math.inf)
-    for b, cand, k in _square_gather(targets, (*c0.T, *c1.T)):
-        at = np.flatnonzero(np.diff(k, prepend=-1))
-        dist = _euclid(ps[cand, 0] - centre[b, 0][k], ps[cand, 1] - centre[b, 1][k])
-        d[b][k[at]] = np.minimum.reduceat(dist, at)
-    empty = d == math.inf
-    if empty.any():
-        d[empty] = _grid_search(targets, centre[empty])[0]
+    d, _, hit = _cells_nearest(targets, centre, c0, c1)
+    if not hit.all():
+        d[~hit] = _grid_search(targets, centre[~hit])[0]
     return _widen(d + rho, scale)
-
-
-def _cell_discs(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid,
-                ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and reach of a disc around each run that holds its queries' nearest targets.
-
-    Every computed nearest distance of run k is at most ub[k], and every
-    query lies within rho of the centre c of the run's tight box, so its
-    nearest target lies within ub[k] + rho of c; ``_widen`` covers the
-    rounding of c, rho and the distances to c.
-    """
-    centre, rho, scale = _cell_boxes(qs, starts, targets)
-    return centre, _widen(ub + rho, scale)
 
 
 def _disc_gather(grid: _TargetGrid, centre: np.ndarray,
@@ -644,28 +601,20 @@ def _solve_cells(grid: _TargetGrid, qs: np.ndarray, starts: np.ndarray,
 def _grid_max_nearest(q: np.ndarray, p: np.ndarray) -> float:
     """The largest nearest distance from a row of q to p: ``_grid_nearest(q, p)[0].max()``.
 
-    The queries go in a uniform grid of about _QUERY_CELL per cell, and each
-    occupied cell gets an upper bound ub from the nearest target in the 5 x 5
-    square of target cells around its centre, with the exact ring search
-    only where that square is empty. The cell with the largest bound is
-    solved exactly first, then every cell whose bound exceeds it. A skipped
-    query's distance is at most its cell's bound, which is at most a solved
-    query's distance, so the value is the same. A kept cell with centre c
-    and half-diagonal rho is solved as a whole: each of its queries has its
-    nearest target within ub of itself and so within R = ub + rho of c,
-    widened for rounding, so its queries are measured against the targets
-    of that disc only (``_solve_cells``).
+    The queries go in a ``_TargetGrid`` of about _QUERY_CELL per cell, and
+    each occupied cell gets an upper bound ub from the nearest target in the
+    5 x 5 square of target cells around its centre (``_cell_bounds``). The
+    cell with the largest bound is solved exactly first, then every cell
+    whose bound exceeds it. A skipped query's distance is at most its cell's
+    bound, which is at most a solved query's distance, so the value is the
+    same. A kept cell with centre c and half-diagonal rho is solved as a
+    whole: each of its queries has its nearest target within ub of itself
+    and so within R = ub + rho of c, widened for rounding, so its queries
+    are measured against the targets of that disc only (``_solve_cells``).
     """
     targets = _TargetGrid(p)
-    qlo, qhi = q.min(axis=0), q.max(axis=0)
-    h, nx, ny = _cell_grid(qlo, qhi, q.shape[0] / _QUERY_CELL)
-    # any grouping gives sound bounds; the clip keeps an offset that rounds
-    # past the last cell, or overflows to inf near +-1e308, on the grid
-    cells = np.minimum(np.floor((q - qlo) / h), [nx - 1, ny - 1]).astype(np.intp) @ np.array([1, nx])
-    order = np.argsort(cells)
-    cells = cells[order]
-    qs = q[order]
-    starts = np.flatnonzero(np.concatenate([[True], cells[1:] != cells[:-1]]))
+    _, offs, qs = _TargetGrid(q, per_cell=_QUERY_CELL).buckets()
+    starts = offs[:-1][offs[1:] > offs[:-1]]
     sizes = np.diff(np.append(starts, q.shape[0]))
     ub = _cell_bounds(qs, starts, targets)
     seed = int(np.argmax(ub))
@@ -676,7 +625,8 @@ def _grid_max_nearest(q: np.ndarray, p: np.ndarray) -> float:
         rows, _ = _ragged(starts[keep], sizes[keep])
         kept = np.cumsum(sizes[keep]) - sizes[keep]
         qk = qs[rows]
-        cmax = max(cmax, _solve_cells(targets, qk, kept, *_cell_discs(qk, kept, targets, ub[keep])))
+        centre, rho, scale = _cell_boxes(qk, kept, targets)
+        cmax = max(cmax, _solve_cells(targets, qk, kept, centre, _widen(ub[keep] + rho, scale)))
     return cmax
 
 

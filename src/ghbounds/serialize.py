@@ -110,13 +110,28 @@ def space_to_json(space: MetricLike) -> dict[str, Any]:
     return _document(space)
 
 
+def _dict(obj: Any, what: str) -> dict[str, Any]:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _read(convert: Callable[[Any], Any], value: Any, what: str) -> Any:
+    """convert(value); a JSON value of the wrong type for it raises ValueError, not TypeError."""
+    try:
+        return convert(value)
+    except TypeError as exc:  # an int where an array should be, an array where a number should
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def space_from_json(obj: dict[str, Any]) -> MetricLike:
-    kind = obj.get("kind")
+    kind = _dict(obj, "a space").get("kind")
     if kind == "points2d":
-        labels = tuple(obj["labels"]) if obj.get("labels") is not None else None
-        return EuclideanPointSet(_points_from_rows(obj["pts"]), labels)
+        labels = obj.get("labels")
+        return EuclideanPointSet(_read(_points_from_rows, obj["pts"], "pts"),
+                                 _read(tuple, labels, "labels") if labels is not None else None)
     if kind == "matrix":
-        return build_space(np.asarray(obj["d"], dtype=np.float64))
+        return build_space(_read(lambda d: np.asarray(d, dtype=np.float64), obj["d"], "d"))
     raise ValueError(f"unknown space kind {kind!r}")
 
 
@@ -144,7 +159,7 @@ def subset_to_json(s: SubsetRef) -> list[int]:
 
 
 def subset_from_json(obj: Sequence[int], n: int | None = None) -> SubsetRef:
-    return SubsetRef(obj, n)
+    return _read(lambda s: SubsetRef(s, n), obj, "a subset")
 
 
 def family_to_json(fam: SubsetFamily) -> dict[str, Any]:
@@ -152,7 +167,7 @@ def family_to_json(fam: SubsetFamily) -> dict[str, Any]:
 
 
 def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
-    return SubsetFamily.of(str(obj["label"]), obj["members"], n)
+    return _read(lambda f: SubsetFamily.of(str(f["label"]), f["members"], n), obj, "a family")
 
 
 def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,
@@ -163,12 +178,12 @@ def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,
 
 def cover_from_json(obj: dict[str, Any]) -> tuple[MetricLike, tuple[SubsetFamily, ...],
                                                   float, bool, SubsetRef | None]:
-    if obj.get("kind") != "cover":
+    if _dict(obj, "a cover").get("kind") != "cover":
         raise ValueError(f"expected a cover file, got kind {obj.get('kind')!r}")
     space = space_from_json(obj["space"])
-    families = tuple(family_from_json(f, space.n) for f in obj["families"])
+    families = tuple(family_from_json(f, space.n) for f in _read(list, obj["families"], "families"))
     target = subset_from_json(obj["target"], space.n) if obj.get("target") is not None else None
-    return space, families, float(obj["r"]), bool(obj.get("strict", False)), target
+    return space, families, _read(float, obj["r"], "r"), bool(obj.get("strict", False)), target
 
 
 def load_cover(path: str | Path) -> tuple[MetricLike, tuple[SubsetFamily, ...], float, bool,
@@ -207,11 +222,11 @@ def _cover_from_text(text: str) -> tuple[MetricLike, tuple[SubsetFamily, ...], f
     if parts is None:
         return cover_from_json(json.loads(text))
     points, labels, runs, tail = parts
-    space = EuclideanPointSet(points, tuple(labels) if labels is not None else None)
+    space = EuclideanPointSet(points, _read(tuple, labels, "labels") if labels is not None else None)
     families = tuple(_family_from_runs(str(label), flat, counts, space.n)
                      for label, flat, counts in runs)
     target = subset_from_json(tail["target"], space.n) if tail.get("target") is not None else None
-    return space, families, float(tail["r"]), bool(tail.get("strict", False)), target
+    return space, families, _read(float, tail["r"], "r"), bool(tail.get("strict", False)), target
 
 
 def _cover_parts(text: str) -> tuple[np.ndarray, Any, list[tuple[Any, np.ndarray, np.ndarray]],
@@ -358,8 +373,8 @@ def certificate_report_json(cert: CoverCertificate, model: ModelSpaceDescriptor 
 
 def model_from_json(obj: dict[str, Any]) -> ModelSpaceDescriptor:
     return ModelSpaceDescriptor(
-        name=str(obj["name"]),
-        asdim_lower=int(obj["asdim_lower"]),
+        name=str(_dict(obj, "a model")["name"]),
+        asdim_lower=_read(int, obj["asdim_lower"], "asdim_lower"),
         stabilizer_nontrivial=bool(obj["stabilizer_nontrivial"]),
         provenance=str(obj.get("provenance", "user supplied")),
     )

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -72,6 +73,23 @@ class TestGen:
         assert run_cli(["gen", "lattice", "--window", "5,1,0,1"]) == 2
         assert run_cli(["gen", "lattice", "--window", "zero,1,0,1"]) == 2
         assert run_cli(["gen", "lattice", "--window", "0.2,0.8,0.2,0.8"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["lattice"], ["net"], ["comb"], ["chess"], ["interval", "--r", "1"],
+        ["brick", "--r", "1"], ["comb-cover"],
+    ])
+    def test_oversized_windows_are_refused_before_any_array(self, args, capsys):
+        # 10^15 points and more: counted from the axes, never allocated
+        tracemalloc.start()
+        try:
+            rc = run_cli(["gen", args[0], "--window", "0,1e15,-1,1", *args[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith(
+            "validation: generator would emit ")
+        assert peak < 1 << 20
 
     def test_gen_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -604,6 +622,45 @@ class TestFullTargetStaysUnbuilt:
             assert cert.target is cert.target
             assert full.call_count == 1
             assert rows.call_count == 0
+
+
+_SPACE = {"kind": "points2d", "pts": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
+
+
+def _cover_doc(**fields):
+    return {"kind": "cover", "space": _SPACE, "r": 0.5,
+            "families": [{"label": "a", "members": [[0], [1, 2]]}], **fields}
+
+
+class TestMalformedDocuments:
+    """Valid JSON of the wrong shape is refused as a validation error, not a traceback."""
+
+    # each file option, with the rest of a command line that reads it
+    COMMANDS = {
+        "--space": ["hausdorff"],
+        "--space-a": ["hausdorff", "--space-b", "{good}"],
+        "--x": ["gh-exact", "--y", "{good}"],
+        "--cover": ["verify-cover"],
+        "--model-file": ["lower-bound", "--cover", "{cover}"],
+    }
+
+    @pytest.mark.parametrize("option, doc", [
+        *((option, doc) for option in ("--space", "--cover", "--x", "--space-a", "--model-file")
+          for doc in ([1, 2], "x")),
+        ("--space", {"kind": "points2d", "pts": {"a": 1}}),
+        ("--cover", _cover_doc(families=[{"label": "a", "members": [0, 1]}])),
+        ("--cover", _cover_doc(target=5)),
+        ("--cover", _cover_doc(families=[5])),
+    ])
+    def test_exit_2(self, option, doc, tmp_path, capsys):
+        files = {"good": tmp_path / "good.json", "cover": tmp_path / "cover.json"}
+        files["good"].write_text(json.dumps(_SPACE))
+        files["cover"].write_text(json.dumps(_cover_doc()))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        command, *rest = self.COMMANDS[option]
+        assert run_cli([command, option, str(bad), *(a.format(**files) for a in rest)]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith("validation: ")
 
 
 class TestCollectorPause:

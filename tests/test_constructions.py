@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ghbounds import (EuclideanPointSet, SubsetFamily, SubsetRef, WindowSpec,
                       gen_comb_cover, gen_comb_set, gen_epsilon_net,
                       gen_interval_cover, gen_lattice_window, hausdorff,
                       make_certificate, multiplicity)
+from ghbounds import constructions
 from ghbounds.constructions import MIN_PIECE_HEIGHT, _grid_coords
 from ghbounds.errors import (DeltaNotDividingOne, EmptyWindow, HTooSmall,
                              LTooSmall, NonIntegerPoint, TooManyPoints)
@@ -129,6 +131,8 @@ class TestEpsilonNet:
             gen_epsilon_net(WindowSpec.square(1), 0.0)
         with pytest.raises(TooManyPoints):
             gen_epsilon_net(WindowSpec.square(10), 0.001)
+        with pytest.raises(ValueError, match="too fine"):  # 1 / 1e-320 is inf
+            gen_epsilon_net(WindowSpec.square(1), 1e-320)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +398,36 @@ class TestIntervalCover:
     def test_rejects_short_tiles(self):
         with pytest.raises(LTooSmall):
             gen_interval_cover(WindowSpec(0.0, 10.0, 0.0, 0.0), 2.0, L=3.0)
+
+
+_EDGE = st.integers(-6, 6).flatmap(
+    lambda k: st.sampled_from([k, k + 5e-10, k - 5e-10, k + 2e-9, k + 0.3]))
+
+
+class TestCountsBeforeBuilding:
+    """Each generator's cap check sees the number of points it then builds."""
+
+    @settings(max_examples=300)
+    @given(st.lists(_EDGE, min_size=2, max_size=2).map(sorted),
+           st.lists(_EDGE, min_size=2, max_size=2).map(sorted),
+           st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 1 / 3]))
+    def test_counted_size_is_the_built_size(self, xs, ys, step):
+        w = WindowSpec(*xs, *ys)
+        makers = [lambda: gen_lattice_window(w), lambda: gen_epsilon_net(w, step),
+                  lambda: gen_comb_set(w, step), lambda: gen_interval_cover(w, 4 * step)[0]]
+        for make in makers:
+            with mock.patch.object(constructions, "_check_count", wraps=constructions._check_count) as check:
+                try:
+                    n = make().n
+                except (EmptyWindow, ValueError):  # no point in the window
+                    continue
+            assert [c.args[0] for c in check.call_args_list] == [n]
+
+    def test_axes_are_counted_as_built(self):
+        for lo, hi in ((0.0, 1.0), (-7.5, 3.0), (0.0, 0.0), (0.1, 0.2), (1e15, 1e15 + 4)):
+            for step in (1.0, 0.3, 0.25, 1 / 3):
+                for pad in (False, True):
+                    assert constructions._grid_size(lo, hi, step, pad) == _grid_coords(lo, hi, step, pad).size
 
 
 def _dict_grouped(labels, color, *keys) -> tuple[SubsetFamily, ...]:

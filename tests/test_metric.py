@@ -386,6 +386,10 @@ def _planar_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
         return rng.integers(-span - 5, span + 6, (200, 2)).astype(float), target
     if kind == "single":
         return rng.uniform(-3, 3, (n, 2)), rng.integers(-2, 3, (1, 2)).astype(float)
+    if kind == "clustered":  # tight clusters of targets: most first squares are empty and double
+        centres = rng.uniform(-40, 40, (int(rng.integers(2, 5)), 2))
+        target = (centres[:, None, :] + rng.normal(0.0, 0.3, (len(centres), 30, 2))).reshape(-1, 2)
+        return rng.uniform(-50, 50, (200, 2)), target
     if kind == "far":  # queries well outside the target's bounding box
         far = rng.uniform(-1e3, 1e3, (n, 2))
         return np.vstack([far, far[:1] * 1e6]), rng.uniform(0.0, 1.0, (m, 2))
@@ -397,7 +401,8 @@ def _planar_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     return pts[list(lat.indices)], pts[list(net.indices)]
 
 
-PLANAR_KINDS = ("integer", "quarter", "edges", "collinear", "sparse", "single", "far", "merged")
+PLANAR_KINDS = ("integer", "quarter", "edges", "collinear", "sparse", "clustered", "single", "far",
+                "merged")
 
 
 class TestGridNearest:
@@ -428,6 +433,33 @@ class TestGridNearest:
             want = set(enumerate(d.argmin(axis=1).tolist()))
             want.update(zip(d.argmin(axis=0).tolist(), range(ts.n)))
             assert set(nearest_point_correspondence(qs, ts).pairs) == want
+
+    def test_clustered_queries_take_every_branch(self):
+        # some queries find a target in their first square, some only once it
+        # doubled, and some scan every target, in either phase
+        q, t = _planar_case("clustered", np.random.default_rng(0))
+        calls, scanned = [], []
+        cells, scan = metric._cells_nearest, metric._scan_nearest
+
+        def spy_cells(grid, qs, c0, c1):
+            out = cells(grid, qs, c0, c1)
+            calls.append((qs.copy(), out[2]))  # the queries, and whether their cells held a target
+            return out
+
+        def spy_scan(block, n_rows, n_cols):
+            scanned.append(n_rows)
+            return scan(block, n_rows, n_cols)
+
+        with mock.patch.object(metric, "_cells_nearest", spy_cells), \
+                mock.patch.object(metric, "_scan_nearest", spy_scan):
+            dist, pos = metric._grid_nearest(q, t)
+        first = {tuple(p) for p, hit in zip(*calls[0]) if hit}
+        missed = {tuple(p) for p, hit in zip(*calls[0]) if not hit}
+        later = {tuple(p) for qs, hits in calls[1:] for p, hit in zip(qs, hits) if hit}
+        assert first and missed & later and sum(scanned) > 0
+        dx, dy = q[:, :1] - t[:, 0], q[:, 1:] - t[:, 1]
+        d = np.sqrt(dx * dx + dy * dy)
+        assert np.array_equal(pos, d.argmin(axis=1)) and np.array_equal(dist, d.min(axis=1))
 
     def test_nearest_is_exact_on_the_comb_shape(self):
         # vertical lines and an axis against a fine net: many exact ties at 0.5
@@ -652,7 +684,9 @@ class TestBoundedDirectedHausdorff:
         # the gather and the disc filter of each run keep its queries' nearest targets
         q, starts, t = _grouped_case(kind, np.random.default_rng(11))
         grid = metric._TargetGrid(t)
-        centre, reach = metric._cell_discs(q, starts, grid, metric._cell_bounds(q, starts, grid))
+        # each query is within rho of its run's centre, and its nearest target within ub of it
+        centre, rho, scale = metric._cell_boxes(q, starts, grid)
+        reach = metric._widen(metric._cell_bounds(q, starts, grid) + rho, scale)
         order = grid.buckets()[0]
         owner = np.searchsorted(starts, np.arange(len(q)), side="right") - 1
         nearest = metric._grid_nearest(q, t)[1]
