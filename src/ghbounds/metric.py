@@ -293,7 +293,7 @@ def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
 # nearest points
 
 # relative allowance for rounding in cell assignment, cell edges and
-# distances; thousands of ulps, so the stopping test stays conservative
+# distances; thousands of ulps, so every bound and reach stays conservative
 _GRID_SLACK = 2.0 ** -40
 # absolute allowance of the same: a distance whose square is subnormal is
 # computed only to about 2**-537 (also the planar family gap search's)
