@@ -137,14 +137,15 @@ def gen_epsilon_net(w: WindowSpec, eps: float, cap: int = POINT_CAP) -> Euclidea
     return EuclideanPointSet(_cross_product_points(xs, ys))
 
 
-def _integer_coords(pts: np.ndarray) -> np.ndarray:
-    ij = np.rint(pts)
-    err = np.abs(pts - ij).max(axis=1)
-    bad = np.nonzero(err > _GRID_TOL)[0]
+def _integer_coords(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integer x and y columns of points that lie within _GRID_TOL of integers."""
+    x, y = pts[:, 0], pts[:, 1]
+    i, j = np.rint(x), np.rint(y)
+    bad = np.flatnonzero((np.abs(x - i) > _GRID_TOL) | (np.abs(y - j) > _GRID_TOL))
     if bad.size:
-        i = int(bad[0])
-        raise NonIntegerPoint(i, (float(pts[i, 0]), float(pts[i, 1])))
-    return ij.astype(np.int64)
+        k = int(bad[0])
+        raise NonIntegerPoint(k, (float(x[k]), float(y[k])))
+    return i.astype(np.int64), j.astype(np.int64)
 
 
 def _keyed_families(labels: tuple[str, ...], color: np.ndarray,
@@ -174,8 +175,8 @@ def gen_chess_families(lattice: EuclideanPointSet) -> tuple[SubsetFamily, Subset
     On any window containing a diagonal pair, each family's min gap is
     sqrt(2), realized by same-color diagonal neighbors.
     """
-    ij = _integer_coords(lattice.points)
-    parity = (ij[:, 0] + ij[:, 1]) % 2
+    i, j = _integer_coords(lattice.points)
+    parity = (i + j) % 2
     # each point is its own key, so every member is a singleton
     red, blue = _keyed_families(("red", "blue"), parity, np.arange(lattice.n))
     return red, blue
@@ -197,8 +198,11 @@ def gen_comb_set(w: WindowSpec, delta: float) -> EuclideanPointSet:
     k0, k1, _, _ = _grid_range(w.xmin, w.xmax, delta, False) if on_axis else (0, -1, [], [])
     per_unit = round(1.0 / delta)
     crossings = max(min(j1, k1 // per_unit) - max(j0, -(-k0 // per_unit)) + 1, 0)
-    _check_count(max(j1 - j0 + 1, 0) * _grid_size(w.ymin, w.ymax, delta, False)
-                 + max(k1 - k0 + 1, 0) - crossings)
+    count = (max(j1 - j0 + 1, 0) * _grid_size(w.ymin, w.ymax, delta, False)
+             + max(k1 - k0 + 1, 0) - crossings)
+    if count == 0:
+        raise EmptyWindow("window holds no sample of the axis or a vertical line")
+    _check_count(count)
     rows = []
     if on_axis:
         axis_x = _grid_coords(w.xmin, w.xmax, delta, pad_edges=False)
@@ -207,8 +211,6 @@ def gen_comb_set(w: WindowSpec, delta: float) -> EuclideanPointSet:
     line_y = _grid_coords(w.ymin, w.ymax, delta, pad_edges=False)
     for x in line_x:
         rows.append(np.column_stack((np.full_like(line_y, x), line_y)))
-    if not rows:
-        raise EmptyWindow("window meets neither the axis nor a vertical line")
     # complex128 rows sort and compare (x, y)-lexicographically
     pts = np.unique(np.concatenate(rows).view(np.complex128)).view(np.float64).reshape(-1, 2)
     return EuclideanPointSet(pts)

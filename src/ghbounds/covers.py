@@ -511,15 +511,18 @@ def _diam_candidates(points: np.ndarray, flat: np.ndarray, starts: np.ndarray,
     for grp in _batches(sizes, _BOX_POINTS):
         pos, own = _ragged(starts[grp], sizes[grp])
         p = points[flat[pos]]
+        px, py = p[:, 0], p[:, 1]
         seg = np.cumsum(sizes[grp]) - sizes[grp]
-        lo, hi = np.minimum.reduceat(p, seg), np.maximum.reduceat(p, seg)
-        k = int(np.argmax(_euclid(*(hi - lo).T)))
-        q = p[seg[k]:seg[k] + sizes[grp][k]]
-        proj = np.column_stack((q, q[:, 0] + q[:, 1], q[:, 0] - q[:, 1]))
-        ext = q[np.concatenate((proj.argmin(axis=0), proj.argmax(axis=0)))]
-        lb = max(lb, float(_euclid(ext[a, 0] - ext[b, 0], ext[a, 1] - ext[b, 1]).max()))
-        far = _euclid(np.maximum(p[:, 0] - lo[own, 0], hi[own, 0] - p[:, 0]),
-                      np.maximum(p[:, 1] - lo[own, 1], hi[own, 1] - p[:, 1]))
+        xlo, xhi = np.minimum.reduceat(px, seg), np.maximum.reduceat(px, seg)
+        ylo, yhi = np.minimum.reduceat(py, seg), np.maximum.reduceat(py, seg)
+        k = int(np.argmax(_euclid(xhi - xlo, yhi - ylo)))
+        qx, qy = px[seg[k]:seg[k] + sizes[grp][k]], py[seg[k]:seg[k] + sizes[grp][k]]
+        projs = (qx, qy, qx + qy, qx - qy)
+        ext = np.array([v.argmin() for v in projs] + [v.argmax() for v in projs])
+        ex, ey = qx[ext], qy[ext]
+        lb = max(lb, float(_euclid(ex[a] - ex[b], ey[a] - ey[b]).max()))
+        far = _euclid(np.maximum(px - xlo[own], xhi[own] - px),
+                      np.maximum(py - ylo[own], yhi[own] - py))
         keep = far >= lb
         kept.append((flat[pos[keep]], own[keep] + grp.start, far[keep]))
     idx, owner, far = (np.concatenate(col) for col in zip(*kept))

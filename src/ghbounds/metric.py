@@ -16,7 +16,9 @@ square of cells just past its distance to the targets' bounding box, the
 square doubling until it holds one; its nearest target lies within ub,
 widened for rounding, so in that disc's box of cells, which the square
 usually holds already. A query whose square or box would cover a quarter
-of the grid scans every target as one block instead. Candidate distances
+of the grid scans every target as one block instead, and so do all queries
+when queries times targets fit in one gather, before any grid is built.
+The grid kernels work per coordinate column. Candidate distances
 use the same expression as ``EuclideanPointSet.block``, so every minimum,
 maximum and argmin (ties to the smallest index) is bitwise equal to the
 block scan's.
@@ -250,9 +252,9 @@ def _check_distinct(pts: np.ndarray) -> None:
     x, y = pts[:, 0], pts[:, 1]
     if ((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] > y[:-1]))).all():
         return  # rows already strictly increasing in (x, y) order are distinct
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    s = pts[order]
-    same = np.nonzero((s[1:] == s[:-1]).all(axis=1))[0]
+    order = np.lexsort((y, x))
+    sx, sy = x[order], y[order]
+    same = np.flatnonzero((sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1]))
     if same.size:
         a, b = int(order[same[0]]), int(order[same[0] + 1])
         raise DuplicatePoint(min(a, b), max(a, b))
@@ -340,11 +342,17 @@ class _TargetGrid:
     side h. Their count stays at most about three times the aim, also for
     collinear points; a single point gets one cell, and so does everything
     where the side or the extent is not finite.
+
+    The box, the cell assignment (``cell_of``) and the bucketing work on the
+    x and y columns of p: NumPy reduces and broadcasts along the short axis
+    of an (n, 2) array many times slower than over two columns, for the same
+    operations element by element.
     """
 
     def __init__(self, p: np.ndarray, side: float = 0.0, per_cell: int = 1):
         self.p = p
-        self.lo, self.hi = p.min(axis=0), p.max(axis=0)
+        x, y = p[:, 0], p[:, 1]
+        self.lo, self.hi = np.array([x.min(), y.min()]), np.array([x.max(), y.max()])
         sx, sy = (self.hi - self.lo).tolist()
         cells = p.shape[0] / per_cell
         h = max(math.sqrt(sx) * math.sqrt(sy / cells), max(sx, sy) / cells, side)
@@ -353,9 +361,11 @@ class _TargetGrid:
         self.h, self.nx, self.ny = h, int(sx // h) + 1, int(sy // h) + 1
         self._csr = None
 
-    def cell_of(self, v: np.ndarray) -> np.ndarray:
-        shape = np.array([self.nx, self.ny])
-        return np.minimum(np.maximum(np.floor((v - self.lo) / self.h), 0), shape - 1).astype(np.intp)
+    def cell_of(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The column and row of the cell of each point (x[k], y[k]), clamped to the grid."""
+        (x0, y0), h = self.lo.tolist(), self.h
+        return (np.minimum(np.maximum(np.floor((x - x0) / h), 0), self.nx - 1).astype(np.intp),
+                np.minimum(np.maximum(np.floor((y - y0) / h), 0), self.ny - 1).astype(np.intp))
 
     def buckets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sort order, cell offsets and sorted rows of p.
@@ -365,7 +375,8 @@ class _TargetGrid:
         """
         if self._csr is None:
             nx, ny = self.nx, self.ny
-            cid = self.cell_of(self.p) @ np.array([1, nx])
+            cx, cy = self.cell_of(self.p[:, 0], self.p[:, 1])
+            cid = cx + nx * cy
             # cell ids in the smallest unsigned type: up to 2**16 cells, a radix sort
             order = np.argsort(cid.astype(np.min_scalar_type(nx * ny - 1)), kind="stable")
             offs = np.zeros(nx * ny + 1, dtype=np.intp)
@@ -375,8 +386,20 @@ class _TargetGrid:
 
 
 def _grid_nearest(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest row of p for every row of q; see ``_grid_search``."""
+    """Exact nearest row of p for every row of q; see ``_grid_search``.
+
+    When q x p is at most _GATHER cells, one block scan costs less than
+    building the grid, so no grid is built.
+    """
+    if q.shape[0] * p.shape[0] <= _GATHER:
+        return _block_nearest(q, p)
     return _grid_search(_TargetGrid(p), q)
+
+
+def _block_nearest(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest row of p for every row of q by scanning every target, chunked."""
+    return _scan_nearest(lambda rows: _euclid(q[rows, :1] - p[:, 0], q[rows, 1:] - p[:, 1]),
+                         q.shape[0], p.shape[0])
 
 
 def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,59 +416,63 @@ def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     whose square or box covers a quarter of the grid scans all of p as one
     block instead.
     """
-    p, m = grid.p, grid.p.shape[0]
-    lo, hi, h, nx, ny = grid.lo, grid.hi, grid.h, grid.nx, grid.ny
-
-    def scan(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _scan_nearest(lambda rows: _euclid(qs[rows, :1] - p[:, 0], qs[rows, 1:] - p[:, 1]),
-                             qs.shape[0], m)
+    h, nx, ny = grid.h, grid.nx, grid.ny
+    (x0, y0), (x1, y1) = grid.lo.tolist(), grid.hi.tolist()
+    qx, qy = q[:, 0], q[:, 1]
 
     # Once a square covers a quarter of the grid, the whole grid as one
     # block costs little more. When even a corner query's first square
     # would, every query scans at once, before any bucket is sorted.
-    (qx0, qy0), (qx1, qy1) = q.min(axis=0).tolist(), q.max(axis=0).tolist()
-    (x0, y0), (x1, y1) = lo.tolist(), hi.tolist()
+    qx0, qx1, qy0, qy1 = float(qx.min()), float(qx.max()), float(qy.min()), float(qy.max())
     apart = math.hypot(max(x0 - qx1, qx0 - x1, 0.0), max(y0 - qy1, qy0 - y1, 0.0))
     r0 = math.ceil(min(apart / h, nx + ny)) + 1
     if 4 * (min(r0, nx - 1) + 1) * (min(r0, ny - 1) + 1) >= nx * ny:
-        return scan(q)
-    shape = np.array([nx, ny])
+        return _block_nearest(q, grid.p)
     best = np.empty(q.shape[0])
     bpos = np.empty(q.shape[0], dtype=np.intp)
 
     # bound: a square whose targets are all at overflowing distance holds a
     # target; its ub is inf, so its query's box covers the grid
-    c = grid.cell_of(q)
-    outside = np.maximum(np.maximum(lo - q, q - hi), 0.0)
-    r = (np.minimum(np.ceil(_euclid(outside[:, 0], outside[:, 1]) / h), max(nx, ny)) + 1).astype(np.intp)
+    cx, cy = grid.cell_of(qx, qy)
+    outside = _euclid(np.maximum(np.maximum(x0 - qx, qx - x1), 0.0),
+                      np.maximum(np.maximum(y0 - qy, qy - y1), 0.0))
+    r = (np.minimum(np.ceil(outside / h), max(nx, ny)) + 1).astype(np.intp)
     radius = np.empty(q.shape[0], dtype=np.intp)  # of the square each query was bounded in
     far = np.zeros(q.shape[0], dtype=bool)  # queries left to the block scan
     todo = np.arange(q.shape[0])
     while todo.size:
-        c0, c1 = np.maximum(c[todo] - r[:, None], 0), np.minimum(c[todo] + r[:, None] + 1, shape)
-        big = 4 * (c1 - c0).prod(axis=1) >= nx * ny
+        tx, ty = cx[todo], cy[todo]
+        sx0, sy0 = np.maximum(tx - r, 0), np.maximum(ty - r, 0)
+        sx1, sy1 = np.minimum(tx + r + 1, nx), np.minimum(ty + r + 1, ny)
+        big = 4 * (sx1 - sx0) * (sy1 - sy0) >= nx * ny
         far[todo[big]] = True
-        todo, r, c0, c1 = todo[~big], r[~big], c0[~big], c1[~big]
+        keep = ~big
+        todo, r = todo[keep], r[keep]
         if not todo.size:
             break
-        d, pos, hit = _cells_nearest(grid, q[todo], c0, c1)
+        d, pos, hit = _cells_nearest(grid, q[todo], (sx0[keep], sy0[keep]), (sx1[keep], sy1[keep]))
         best[todo[hit]], bpos[todo[hit]], radius[todo[hit]] = d[hit], pos[hit], r[hit]
         todo, r = todo[~hit], 2 * r[~hit]
 
     # solve the queries whose disc's box of cells leaves their square
     near = np.flatnonzero(~far)
-    reach = _widen(best[near], float(np.abs([qx0, qy0, qx1, qy1, x0, y0, x1, y1]).max()))[:, None]
-    c0, c1 = grid.cell_of(q[near] - reach), grid.cell_of(q[near] + reach) + 1
-    r = radius[near, None]
-    out = ((c0 < c[near] - r) | (c1 > c[near] + r + 1)).any(axis=1)
-    near, c0, c1 = near[out], c0[out], c1[out]
-    big = 4 * (c1 - c0).prod(axis=1) >= nx * ny
+    reach = _widen(best[near], float(np.abs([qx0, qy0, qx1, qy1, x0, y0, x1, y1]).max()))
+    nqx, nqy = qx[near], qy[near]
+    ax0, ay0 = grid.cell_of(nqx - reach, nqy - reach)
+    ax1, ay1 = grid.cell_of(nqx + reach, nqy + reach)
+    ax1 += 1
+    ay1 += 1
+    r, kx, ky = radius[near], cx[near], cy[near]
+    out = (ax0 < kx - r) | (ay0 < ky - r) | (ax1 > kx + r + 1) | (ay1 > ky + r + 1)
+    near, ax0, ay0, ax1, ay1 = near[out], ax0[out], ay0[out], ax1[out], ay1[out]
+    big = 4 * (ax1 - ax0) * (ay1 - ay0) >= nx * ny
     far[near[big]] = True
     if not big.all():
-        near = near[~big]
-        best[near], bpos[near], _ = _cells_nearest(grid, q[near], c0[~big], c1[~big])
+        keep = ~big
+        best[near[keep]], bpos[near[keep]], _ = _cells_nearest(
+            grid, q[near[keep]], (ax0[keep], ay0[keep]), (ax1[keep], ay1[keep]))
     if far.any():
-        best[far], bpos[far] = scan(q[far])
+        best[far], bpos[far] = _block_nearest(q[far], grid.p)
     return best, bpos
 
 
@@ -470,11 +497,15 @@ def _cell_boxes(qs: np.ndarray, starts: np.ndarray,
     added, so a centre stays finite where their sum would overflow (near
     +-1e308); the half-diagonal may then be inf, which only widens.
     """
-    blo = np.minimum.reduceat(qs, starts, axis=0)
-    bhi = np.maximum.reduceat(qs, starts, axis=0)
-    half = 0.5 * (bhi - blo)
-    scale = float(np.abs(np.concatenate([blo, bhi, targets.lo[None], targets.hi[None]])).max())
-    return 0.5 * blo + 0.5 * bhi, _euclid(half[:, 0], half[:, 1]), scale
+    centre = np.empty((starts.size, 2))
+    half, scale = [], float(np.abs(np.concatenate([targets.lo, targets.hi])).max())
+    for c in range(2):
+        blo = np.minimum.reduceat(qs[:, c], starts)
+        bhi = np.maximum.reduceat(qs[:, c], starts)
+        half.append(0.5 * (bhi - blo))
+        scale = max(scale, float(np.abs(blo).max()), float(np.abs(bhi).max()))
+        centre[:, c] = 0.5 * blo + 0.5 * bhi
+    return centre, _euclid(*half), scale
 
 
 def _square_gather(grid: _TargetGrid, squares: tuple[np.ndarray, ...]
@@ -499,24 +530,28 @@ def _square_gather(grid: _TargetGrid, squares: tuple[np.ndarray, ...]
         yield b, cand, owner[run]
 
 
-def _cells_nearest(grid: _TargetGrid, q: np.ndarray, c0: np.ndarray,
-                   c1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cells_nearest(grid: _TargetGrid, q: np.ndarray, c0: tuple[np.ndarray, np.ndarray],
+                   c1: tuple[np.ndarray, np.ndarray], positions: bool = True
+                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """The nearest target to each row q[k] among the cells [c0[k], c1[k]) of grid.
 
-    Returns its distance (inf where the cells hold no target), its position
-    in grid.p (ties to the smallest) and whether the cells held a target.
+    c0 and c1 are (column, row) pairs of cell arrays. Returns the nearest
+    distance (inf where the cells hold no target), its position in grid.p
+    (ties to the smallest; None unless ``positions``) and whether the cells
+    held a target. The distances do not depend on ``positions``.
     """
     order, _, ps = grid.buckets()
     dist = np.full(q.shape[0], math.inf)
-    pos = np.zeros(q.shape[0], dtype=np.intp)
+    pos = np.zeros(q.shape[0], dtype=np.intp) if positions else None
     hit = np.zeros(q.shape[0], dtype=bool)
-    for b, cand, k in _square_gather(grid, (*c0.T, *c1.T)):
+    for b, cand, k in _square_gather(grid, (*c0, *c1)):
         at = np.flatnonzero(np.diff(k, prepend=-1))
         size = np.diff(at, append=k.size)
         i = b.start + k[at]
         d = _euclid(np.repeat(q[i, 0], size) - ps[cand, 0], np.repeat(q[i, 1], size) - ps[cand, 1])
         dist[i] = np.minimum.reduceat(d, at)
-        pos[i] = np.minimum.reduceat(np.where(d == np.repeat(dist[i], size), order[cand], ps.shape[0]), at)
+        if positions:
+            pos[i] = np.minimum.reduceat(np.where(d == np.repeat(dist[i], size), order[cand], ps.shape[0]), at)
         hit[i] = True
     return dist, pos, hit
 
@@ -533,9 +568,10 @@ def _cell_bounds(qs: np.ndarray, starts: np.ndarray, targets: _TargetGrid) -> np
     included.
     """
     centre, rho, scale = _cell_boxes(qs, starts, targets)
-    c = targets.cell_of(centre)
-    c0, c1 = np.maximum(c - _BOUND_CELLS, 0), np.minimum(c + _BOUND_CELLS + 1, [targets.nx, targets.ny])
-    d, _, hit = _cells_nearest(targets, centre, c0, c1)
+    cx, cy = targets.cell_of(centre[:, 0], centre[:, 1])
+    c0 = np.maximum(cx - _BOUND_CELLS, 0), np.maximum(cy - _BOUND_CELLS, 0)
+    c1 = np.minimum(cx + _BOUND_CELLS + 1, targets.nx), np.minimum(cy + _BOUND_CELLS + 1, targets.ny)
+    d, _, hit = _cells_nearest(targets, centre, c0, c1, positions=False)
     if not hit.all():
         d[~hit] = _grid_search(targets, centre[~hit])[0]
     return _widen(d + rho, scale)
@@ -551,9 +587,10 @@ def _disc_gather(grid: _TargetGrid, centre: np.ndarray,
     to the centre exceeds the reach.
     """
     ps = grid.buckets()[2]
-    x0, y0 = grid.cell_of(centre - reach[:, None]).T
-    x1, y1 = grid.cell_of(centre + reach[:, None]).T + 1
-    for b, cand, k in _square_gather(grid, (x0, y0, x1, y1)):
+    cx, cy = centre[:, 0], centre[:, 1]
+    x0, y0 = grid.cell_of(cx - reach, cy - reach)
+    x1, y1 = grid.cell_of(cx + reach, cy + reach)
+    for b, cand, k in _square_gather(grid, (x0, y0, x1 + 1, y1 + 1)):
         near = _euclid(ps[cand, 0] - centre[b, 0][k], ps[cand, 1] - centre[b, 1][k]) <= reach[b][k]
         yield b, cand[near], k[near]
 

@@ -38,8 +38,8 @@ def render_families_svg(points: np.ndarray, families: Sequence[SubsetFamily],
     then spliced in as one text block.
     """
     pts = np.asarray(points, dtype=np.float64)
-    xmin, ymin = pts.min(axis=0) - _MARGIN
-    xmax, ymax = pts.max(axis=0) + _MARGIN
+    xmin, ymin = pts[:, 0].min() - _MARGIN, pts[:, 1].min() - _MARGIN
+    xmax, ymax = pts[:, 0].max() + _MARGIN, pts[:, 1].max() + _MARGIN
     r = f"{dot_radius:g}"
     dots = [f'<circle cx="{x}" cy="{y}" r="{r}" />'
             for x, y in zip(_g_words(pts[:, 0] - xmin), _g_words(ymax - pts[:, 1]))]

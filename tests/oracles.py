@@ -22,6 +22,9 @@ pair-by-pair matrix scan.
 One ambient set merged from two planar sets, for the distances that
 ``metric.planar_hausdorff`` and ``hausdorff --space-a/--space-b`` measure
 without building it.
+
+A bucket grid's cell assignment as one expression over (n, 2) rows, for
+``metric._TargetGrid.cell_of``, which works per coordinate column.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from ghbounds.correspondence import (Correspondence, GhResult, _Budget, _OutOfBu
                                      distortion)
 from ghbounds.covers import SubsetFamily
 from ghbounds.errors import HTooSmall, NonIntegerPoint, SizeCapExceeded
-from ghbounds.metric import EuclideanPointSet, MetricLike, SubsetRef, as_subset
+from ghbounds.metric import EuclideanPointSet, MetricLike, SubsetRef, _TargetGrid, as_subset
 
 ENUM_CELL_CAP = 25
 
@@ -365,3 +368,9 @@ def merge_point_sets(a: EuclideanPointSet, b: EuclideanPointSet,
     rank = np.cumsum(new) - 1
     from_a = order < a.n
     return EuclideanPointSet(rows[new]), SubsetRef(rank[from_a]), SubsetRef(rank[~from_a])
+
+
+def cell_of_rows(grid: _TargetGrid, v: np.ndarray) -> np.ndarray:
+    """The (column, row) cell of each row of v, clamped to grid, as an (n, 2) array."""
+    shape = np.array([grid.nx, grid.ny])
+    return np.minimum(np.maximum(np.floor((v - grid.lo) / grid.h), 0), shape - 1).astype(np.intp)

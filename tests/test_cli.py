@@ -91,6 +91,12 @@ class TestGen:
             "validation: generator would emit ")
         assert peak < 1 << 20
 
+    def test_comb_window_without_a_sample_is_empty(self, capsys):
+        # the window meets the axis row between two samples
+        assert run_cli(["gen", "comb", "--window", "0.3,0.7,-1,1", "--delta", "1"]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            "validation: window holds no sample of the axis or a vertical line")
+
     def test_gen_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -741,10 +747,12 @@ class TestScripts:
         ("scale_sweep.py", ["--sizes", "4,6"]),
         ("scale_sweep.py", ["--comb", "4"]),
         ("scale_sweep.py", ["--brick", "10"]),
+        ("ab_ops.py", ["--a", "{root}", "--b", "{root}", "--workload", "comb", "--ops", "3"]),
     ])
     def test_runs(self, script, args, tmp_path):
-        path = Path(__file__).resolve().parents[1] / "scripts" / script
+        root = Path(__file__).resolve().parents[1]
+        path = root / "scripts" / script
         proc = subprocess.run(
-            [sys.executable, str(path), *(a.format(tmp=tmp_path) for a in args)],
+            [sys.executable, str(path), *(a.format(tmp=tmp_path, root=root) for a in args)],
             capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr

@@ -23,6 +23,9 @@ from oracles import gen_comb_cover_loop, merge_point_sets
 
 SQRT2 = math.sqrt(2.0)
 
+_EDGE = st.integers(-6, 6).flatmap(
+    lambda k: st.sampled_from([k, k + 5e-10, k - 5e-10, k + 2e-9, k + 0.3]))
+
 
 def point_set(pts) -> set[tuple[float, float]]:
     return {(float(x), float(y)) for x, y in pts.points}
@@ -227,6 +230,32 @@ class TestCombSet:
         with pytest.raises(EmptyWindow):
             gen_comb_set(WindowSpec(0.25, 0.75, 0.5, 1.0), 0.25)
 
+    @pytest.mark.parametrize("window, delta", [
+        ((0.3, 0.7, -1.0, 1.0), 1.0),  # meets the axis row between its samples
+        ((0.3, 0.45, 0.0, 0.0), 0.5),
+        ((-0.2, 0.2, 0.3, 0.4), 0.5),  # meets a vertical line between its samples
+    ])
+    def test_window_without_a_sample_is_empty(self, window, delta):
+        with pytest.raises(EmptyWindow, match="no sample"):
+            gen_comb_set(WindowSpec(*window), delta)
+
+    @settings(max_examples=200)
+    @given(st.lists(_EDGE, min_size=2, max_size=2).map(sorted),
+           st.lists(_EDGE, min_size=2, max_size=2).map(sorted),
+           st.sampled_from([1.0, 0.5, 0.25, 0.2]))
+    def test_empty_exactly_when_no_sample(self, xs, ys, delta):
+        w = WindowSpec(*xs, *ys)
+        try:
+            n = gen_comb_set(w, delta).n
+        except EmptyWindow:
+            n = 0
+        on_axis = w.ymin <= 0.0 <= w.ymax
+        lines = _grid_coords(w.xmin, w.xmax, 1.0, pad_edges=False).size
+        want = (lines * _grid_coords(w.ymin, w.ymax, delta, pad_edges=False).size
+                + on_axis * np.setdiff1d(_grid_coords(w.xmin, w.xmax, delta, pad_edges=False),
+                                         _grid_coords(w.xmin, w.xmax, 1.0, pad_edges=False)).size)
+        assert n == want
+
 
 class TestCombCover:
     def setup_method(self):
@@ -398,10 +427,6 @@ class TestIntervalCover:
     def test_rejects_short_tiles(self):
         with pytest.raises(LTooSmall):
             gen_interval_cover(WindowSpec(0.0, 10.0, 0.0, 0.0), 2.0, L=3.0)
-
-
-_EDGE = st.integers(-6, 6).flatmap(
-    lambda k: st.sampled_from([k, k + 5e-10, k - 5e-10, k + 2e-9, k + 0.3]))
 
 
 class TestCountsBeforeBuilding:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import outcome, random_metric_matrix, random_space
-from oracles import merge_point_sets
+from oracles import cell_of_rows, merge_point_sets
 from ghbounds import (EuclideanPointSet, FiniteMetricSpace, SubsetFamily,
                       SubsetRef, WindowSpec, as_subset, build_space, diam,
                       directed_hausdorff, gen_comb_set, gen_epsilon_net,
@@ -460,6 +460,78 @@ class TestGridNearest:
         dx, dy = q[:, :1] - t[:, 0], q[:, 1:] - t[:, 1]
         d = np.sqrt(dx * dx + dy * dy)
         assert np.array_equal(pos, d.argmin(axis=1)) and np.array_equal(dist, d.min(axis=1))
+
+    @pytest.mark.parametrize("gather", [None, 12])
+    def test_small_blocks_scan_without_a_grid(self, gather):
+        # q x p cells at the threshold scan at once; one more cell builds a grid
+        gather = gather or metric._GATHER
+        built, grid = [], metric._TargetGrid
+
+        class Spy(grid):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0].shape[0])
+                super().__init__(*args, **kwargs)
+
+        rng = np.random.default_rng(3)
+        side = math.isqrt(gather)
+        shapes = [(side, gather // side), (1, gather), (gather, 1),  # at the threshold
+                  (side, gather // side + 1), (1, gather + 1), (gather + 1, 1)]  # past it
+        for n, m in shapes:
+            # integer points with many equal distances, and signed zeros
+            q = rng.integers(-3, 4, (n, 2)) * rng.choice([-0.0, 0.5, 1.0], (n, 2))
+            t = rng.integers(-3, 4, (m, 2)) * rng.choice([-0.0, 0.5, 1.0], (m, 2))
+            built.clear()
+            with mock.patch.object(metric, "_TargetGrid", Spy), \
+                    mock.patch.object(metric, "_GATHER", gather):
+                dist, pos = metric._grid_nearest(q, t)
+            assert built == ([] if n * m <= gather else [m])
+            dx, dy = q[:, :1] - t[:, 0], q[:, 1:] - t[:, 1]
+            d = np.sqrt(dx * dx + dy * dy)
+            assert np.array_equal(pos, d.argmin(axis=1))  # ties to the smallest position
+            assert dist.tobytes() == d.min(axis=1).tobytes()
+
+    @pytest.mark.parametrize("kind", ["quarter", "edges", "largest float", "subnormal"])
+    def test_cell_of_matches_the_rows_expression(self, kind):
+        rng = np.random.default_rng(9)
+        if kind == "quarter":
+            t = np.unique(rng.integers(-8, 9, (40, 2)) / 4.0, axis=0)
+        elif kind == "edges":  # 4 x 4 targets over [0, 4]^2: cells of side exactly 1
+            t = np.array([[x, y] for x in (0, 4 / 3, 8 / 3, 4) for y in (0, 4 / 3, 8 / 3, 4)])
+        elif kind == "largest float":
+            t = np.array([[-1e308, -1e308], [1e308, 1e308], [0.0, 1e308], [1e308, -0.0]])
+        else:
+            t = rng.integers(-20, 21, (30, 2)) * 5e-324
+        half = np.arange(-2, 11) / 2.0  # cell edges and centres of the unit grid
+        extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308,
+                    1.7976931348623157e308, -1.7976931348623157e308]
+        v = np.vstack([rng.integers(-12, 13, (200, 2)) / 4.0,
+                       np.array([[x, y] for x in half for y in half]),
+                       np.array([[x, y] for x in extremes for y in extremes]),
+                       t, t * 0.5])
+        with np.errstate(over="ignore"):  # far points overflow to infinite cells, then clamp
+            grid = metric._TargetGrid(t)
+            got, want = np.column_stack(grid.cell_of(v[:, 0], v[:, 1])), cell_of_rows(grid, v)
+        assert np.array_equal(grid.lo, t.min(axis=0)) and np.array_equal(grid.hi, t.max(axis=0))
+        assert kind != "edges" or grid.h == 1.0
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", PLANAR_KINDS)
+    def test_cell_distances_do_not_depend_on_positions(self, kind):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            q, t = _planar_case(kind, rng)
+            grid = metric._TargetGrid(t)
+            cx, cy = grid.cell_of(q[:, 0], q[:, 1])
+            r = rng.integers(0, 3, q.shape[0])
+            c0 = np.maximum(cx - r, 0), np.maximum(cy - r, 0)
+            c1 = np.minimum(cx + r + 1, grid.nx), np.minimum(cy + r + 1, grid.ny)
+            for gather in (metric._GATHER, 7):
+                with mock.patch.object(metric, "_GATHER", gather):
+                    d, pos, hit = metric._cells_nearest(grid, q, c0, c1)
+                    d2, pos2, hit2 = metric._cells_nearest(grid, q, c0, c1, positions=False)
+                assert d.tobytes() == d2.tobytes() and np.array_equal(hit, hit2) and pos2 is None
+                dx, dy = q[:, :1] - t[:, 0], q[:, 1:] - t[:, 1]
+                assert np.all(d[hit] >= np.sqrt(dx * dx + dy * dy).min(axis=1)[hit])
 
     def test_nearest_is_exact_on_the_comb_shape(self):
         # vertical lines and an axis against a fine net: many exact ties at 0.5
