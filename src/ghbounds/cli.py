@@ -374,8 +374,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def cmd_scale_ladder(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    if args.lam <= 1.0:
-        raise ValueError("--lam must be > 1 (an expanding scale)")
+    # an expanding scale whose top power lam**steps stays finite (nan fails too)
+    if not (args.lam > 1.0 and 0 <= args.steps < 1023 / math.log2(args.lam)):
+        raise ValueError("need --lam > 1 and --steps >= 0 with --lam ** --steps < 2**1023")
     space, families, r_file, _strict, _target = load_cover(args.cover)
     if not isinstance(space, EuclideanPointSet):
         raise NonEuclideanAmbient("scale-ladder needs a points2d ambient space")

@@ -114,11 +114,7 @@ def gen_lattice_window(w: WindowSpec) -> EuclideanPointSet:
     _check_count(nx * ny)
     xs = _grid_coords(w.xmin, w.xmax, 1.0, pad_edges=False)
     ys = _grid_coords(w.ymin, w.ymax, 1.0, pad_edges=False)
-    # each distinct coordinate is formatted once; a label is "(x," + "y)"
-    heads = [f"({int(x)}," for x in xs.tolist()]
-    tails = [f"{int(y)})" for y in ys.tolist()]
-    labels = tuple(head + tail for head in heads for tail in tails)
-    return EuclideanPointSet(_cross_product_points(xs, ys), labels)
+    return EuclideanPointSet(_cross_product_points(xs, ys))
 
 
 def gen_epsilon_net(w: WindowSpec, eps: float, cap: int = POINT_CAP) -> EuclideanPointSet:

@@ -17,11 +17,11 @@ square doubling until it holds one; its nearest target lies within ub,
 widened for rounding, so in that disc's box of cells, which the square
 usually holds already. A query whose square or box would cover a quarter
 of the grid scans every target as one block instead, and so do all queries
-when queries times targets fit in one gather, before any grid is built.
-The grid kernels work per coordinate column. Candidate distances
-use the same expression as ``EuclideanPointSet.block``, so every minimum,
-maximum and argmin (ties to the smallest index) is bitwise equal to the
-block scan's.
+when queries times targets fit in one gather (``_scan_first``), before any
+grid is built. The grid kernels work per coordinate column. Candidate
+distances use the same expression as ``EuclideanPointSet.block``, so every
+minimum, maximum and argmin (ties to the smallest index) is bitwise equal
+to the block scan's.
 
 A planar directed Hausdorff distance needs only the largest nearest
 distance, so it bounds whole cells of queries the same way and solves only
@@ -207,14 +207,13 @@ class FiniteMetricSpace:
 
 @dataclass(frozen=True, eq=False)
 class EuclideanPointSet:
-    """Labeled 2-D points with pairwise-distinct coordinates.
+    """2-D points with pairwise-distinct coordinates.
 
     Distances are Euclidean and evaluated lazily in blocks, so the set can be
     large (fine nets) without a dense matrix.
     """
 
     points: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
@@ -225,8 +224,6 @@ class EuclideanPointSet:
         if not np.isfinite(pts).all():
             raise ValueError("coordinates must be finite")
         _check_distinct(pts)
-        if self.labels is not None and len(self.labels) != pts.shape[0]:
-            raise ValueError("labels length must match point count")
         object.__setattr__(self, "points", pts)
         self.points.setflags(write=False)
 
@@ -385,15 +382,14 @@ class _TargetGrid:
         return self._csr
 
 
-def _grid_nearest(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest row of p for every row of q; see ``_grid_search``.
+def _scan_first(q: np.ndarray, p: np.ndarray) -> bool:
+    """Whether q x p is at most _GATHER cells, where one block scan costs less than a grid."""
+    return q.shape[0] * p.shape[0] <= _GATHER
 
-    When q x p is at most _GATHER cells, one block scan costs less than
-    building the grid, so no grid is built.
-    """
-    if q.shape[0] * p.shape[0] <= _GATHER:
-        return _block_nearest(q, p)
-    return _grid_search(_TargetGrid(p), q)
+
+def _grid_nearest(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest row of p for every row of q; see ``_scan_first`` and ``_grid_search``."""
+    return _block_nearest(q, p) if _scan_first(q, p) else _grid_search(_TargetGrid(p), q)
 
 
 def _block_nearest(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -648,7 +644,10 @@ def _grid_max_nearest(q: np.ndarray, p: np.ndarray) -> float:
     whole: each of its queries has its nearest target within ub of itself
     and so within R = ub + rho of c, widened for rounding, so its queries
     are measured against the targets of that disc only (``_solve_cells``).
+    Where ``_scan_first`` holds, one block scan gives the value instead.
     """
+    if _scan_first(q, p):
+        return float(_block_nearest(q, p)[0].max())
     targets = _TargetGrid(p)
     _, offs, qs = _TargetGrid(q, per_cell=_QUERY_CELL).buckets()
     starts = offs[:-1][offs[1:] > offs[:-1]]
@@ -820,5 +819,5 @@ def scale_points(pts: EuclideanPointSet, lam: float) -> EuclideanPointSet:
     """Multiply all coordinates by lam > 0; distances scale by exactly lam."""
     if lam <= 0:
         raise NonpositiveLambda(lam)
-    return EuclideanPointSet(pts.points * lam, pts.labels)
+    return EuclideanPointSet(pts.points * lam)
 

@@ -1,7 +1,7 @@
 """JSON wire formats for spaces, subsets, families, and reports.
 
 Spaces:   {"kind": "matrix", "n": N, "d": [[...], ...]}
-          {"kind": "points2d", "pts": [[x, y], ...], "labels": [...]?}
+          {"kind": "points2d", "pts": [[x, y], ...]}
 Subsets:  sorted index arrays.
 Family:   {"label": "red", "members": [[i, ...], ...]}.
 Cover:    {"kind": "cover", "space": ..., "families": [...], "r": ...,
@@ -32,11 +32,11 @@ text with the inner brackets removed, about _READ_CHARS characters at a
 time, so json's grammar and float bits hold, no list is made per point or
 member, and json's lists stay small. Points per row and entries per member
 come from the "], [" separators, and the text with the number characters
-deleted must read as those rows and members. The labels, ``r``,
+deleted must read as those rows and members. The family labels, ``r``,
 ``strict``, ``c`` and ``target`` come from json as well. Any other file
-(indented, reordered keys, a matrix space, a check that fails) is read by
-``cover_from_json(json.loads(text))``, so its values and errors are those
-of the plain path.
+(indented, reordered keys, a matrix space, a check that fails, a space with
+keys besides ``pts``) is read by ``cover_from_json(json.loads(text))``, so
+its values and errors are those of the plain path.
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
 
     if isinstance(space, EuclideanPointSet):
         obj: dict[str, Any] = {"kind": "points2d", "pts": table(space.points)}
-        if space.labels is not None:
-            obj["labels"] = list(space.labels)
     else:
         obj = {"kind": "matrix", "n": space.n, "d": table(space.matrix)}
     if families is None:
@@ -124,12 +122,16 @@ def _read(convert: Callable[[Any], Any], value: Any, what: str) -> Any:
         raise ValueError(f"{what}: {exc}") from None
 
 
+def _bool(value: Any, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def space_from_json(obj: dict[str, Any]) -> MetricLike:
     kind = _dict(obj, "a space").get("kind")
     if kind == "points2d":
-        labels = obj.get("labels")
-        return EuclideanPointSet(_read(_points_from_rows, obj["pts"], "pts"),
-                                 _read(tuple, labels, "labels") if labels is not None else None)
+        return EuclideanPointSet(_read(_points_from_rows, obj["pts"], "pts"))
     if kind == "matrix":
         return build_space(_read(lambda d: np.asarray(d, dtype=np.float64), obj["d"], "d"))
     raise ValueError(f"unknown space kind {kind!r}")
@@ -182,8 +184,13 @@ def cover_from_json(obj: dict[str, Any]) -> tuple[MetricLike, tuple[SubsetFamily
         raise ValueError(f"expected a cover file, got kind {obj.get('kind')!r}")
     space = space_from_json(obj["space"])
     families = tuple(family_from_json(f, space.n) for f in _read(list, obj["families"], "families"))
-    target = subset_from_json(obj["target"], space.n) if obj.get("target") is not None else None
-    return space, families, _read(float, obj["r"], "r"), bool(obj.get("strict", False)), target
+    return (space, families, *_cover_tail(obj, space.n))
+
+
+def _cover_tail(obj: dict[str, Any], n: int) -> tuple[float, bool, SubsetRef | None]:
+    """A cover's ``r``, ``strict`` and ``target``, read from its top-level keys."""
+    target = subset_from_json(obj["target"], n) if obj.get("target") is not None else None
+    return _read(float, obj["r"], "r"), _bool(obj.get("strict", False), "strict"), target
 
 
 def load_cover(path: str | Path) -> tuple[MetricLike, tuple[SubsetFamily, ...], float, bool,
@@ -195,7 +202,6 @@ def load_cover(path: str | Path) -> tuple[MetricLike, tuple[SubsetFamily, ...], 
 _DECODER = json.JSONDecoder()
 # what dump_json writes around a planar cover's arrays, in _document's key order
 _COVER_HEAD = '{"kind": "cover", "space": {"kind": "points2d", "pts": '
-_LABELS = ', "labels": '
 _FAMILIES = '}, "families": ['
 _LABEL = '{"label": '
 _MEMBERS = ', "members": '
@@ -221,21 +227,20 @@ def _cover_from_text(text: str) -> tuple[MetricLike, tuple[SubsetFamily, ...], f
         parts = None
     if parts is None:
         return cover_from_json(json.loads(text))
-    points, labels, runs, tail = parts
-    space = EuclideanPointSet(points, _read(tuple, labels, "labels") if labels is not None else None)
+    points, runs, tail = parts
+    space = EuclideanPointSet(points)
     families = tuple(_family_from_runs(str(label), flat, counts, space.n)
                      for label, flat, counts in runs)
-    target = subset_from_json(tail["target"], space.n) if tail.get("target") is not None else None
-    return space, families, _read(float, tail["r"], "r"), bool(tail.get("strict", False)), target
+    return (space, families, *_cover_tail(tail, space.n))
 
 
-def _cover_parts(text: str) -> tuple[np.ndarray, Any, list[tuple[Any, np.ndarray, np.ndarray]],
+def _cover_parts(text: str) -> tuple[np.ndarray, list[tuple[Any, np.ndarray, np.ndarray]],
                                      dict[str, Any]] | None:
-    """The point array, labels, each family's (label, entries, counts) and the keys after them.
+    """The point array, each family's (label, entries, counts) and the keys after them.
 
     None where the text departs from dump_json's layout of a planar cover.
-    Each literal piece of the layout is matched in place, the labels are
-    read by json's decoder where they stand, and each array ends at its
+    Each literal piece of the layout is matched in place, each family label
+    is read by json's decoder where it stands, and each array ends at its
     first "]]", which no number contains.
     """
     if not text.startswith(_COVER_HEAD + "[["):
@@ -243,15 +248,9 @@ def _cover_parts(text: str) -> tuple[np.ndarray, Any, list[tuple[Any, np.ndarray
     i = len(_COVER_HEAD)
     end = text.find("]]", i) + 2
     rows = _runs_at(text, i, end, np.float64, width=2)
-    if rows is None:
+    if rows is None or not text.startswith(_FAMILIES, end):
         return None
-    if text.startswith(_LABELS, end):
-        labels, i = _DECODER.raw_decode(text, end + len(_LABELS))
-    else:
-        labels, i = None, end
-    if not text.startswith(_FAMILIES, i):
-        return None
-    i += len(_FAMILIES)
+    i = end + len(_FAMILIES)
     runs = []
     while not text.startswith("]", i):
         if runs:
@@ -275,7 +274,7 @@ def _cover_parts(text: str) -> tuple[np.ndarray, Any, list[tuple[Any, np.ndarray
     tail = json.loads("{" + text[i + 3:])
     if not tail.keys() <= _TAIL_KEYS:  # a later "space", say, would replace the one read
         return None
-    return rows[0].reshape(-1, 2), labels, runs, tail
+    return rows[0].reshape(-1, 2), runs, tail
 
 
 def _runs_at(text: str, i: int, end: int, dtype: type,
@@ -375,7 +374,7 @@ def model_from_json(obj: dict[str, Any]) -> ModelSpaceDescriptor:
     return ModelSpaceDescriptor(
         name=str(_dict(obj, "a model")["name"]),
         asdim_lower=_read(int, obj["asdim_lower"], "asdim_lower"),
-        stabilizer_nontrivial=bool(obj["stabilizer_nontrivial"]),
+        stabilizer_nontrivial=_bool(obj["stabilizer_nontrivial"], "stabilizer_nontrivial"),
         provenance=str(obj.get("provenance", "user supplied")),
     )
 

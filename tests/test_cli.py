@@ -300,6 +300,22 @@ class TestVerifyCover:
         failing = [f for f in outs["families"] if not f["disjoint_ok"]]
         assert failing and all(f["witness"] is not None for f in failing)
 
+    def test_a_file_with_point_labels_gives_the_same_outputs(self, tmp_path):
+        # earlier releases wrote each lattice point's label "(x,y)" after the points
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        assert run_cli(["gen", "chess", "--window", "0,6,0,6", "--out", str(new)]) == 0
+        text = new.read_text(encoding="utf-8")
+        labels = [f"({int(x)},{int(y)})" for x, y in load_json(new)["space"]["pts"]]
+        at = text.index("]]") + 2
+        old.write_text(text[:at] + ', "labels": ' + json.dumps(labels) + text[at:],
+                       encoding="utf-8")
+        for command in ("verify-cover", "lower-bound"):
+            (rc_old, got), (rc_new, want) = (
+                run_cli_report([command, "--cover", str(path)], tmp_path / f"{path.stem}.out")
+                for path in (old, new))
+            assert rc_old == rc_new == 0
+            assert got["outputs"] == want["outputs"]
+
 
 # Outputs of verify-cover and lower-bound on one cover file of every generator,
 # pinned from the release that measured each check separately: per family
@@ -444,13 +460,13 @@ class TestReproduce:
 # written (the reproduce report without runtime_ms) and gen's summary line.
 PINNED_GEN = {
     "lattice": (["--window", "0,6,0,6"],
-                "710295699fff48e3a4b2f2d1b3c0b30985449c9a2174f4237ec9cec73de9fab1",
+                "12046635a231c1d92b5ccce64a8eeae1761ce4c1ef6dd651188fa84a5186788a",
                 "lattice: 49 points"),
     "net": (["--window", "0,2,0,2", "--eps", "0.25"],
             "e787886f1e9f557f5b4e0b42ccef1e99014d835785b2e4d77e9479301db00448",
             "net: 81 points at spacing 0.25"),
     "chess": (["--window", "0,6,0,6"],
-              "3467dc2ef98009fab5e170d215544be7b798f1a04fab23139cb04b1ddb9eac5f",
+              "82cf64da9287b9b257da39254fd4cd64ff11af43232cb455ba1598417ded7dee",
               "chess: 49 points, 25 red + 24 blue singletons, "
               "advertised r=1.4142135623730951 (sqrt 2), C=0"),
     "comb": (["--window", "0,4,-2,2", "--delta", "0.25"],
@@ -469,9 +485,9 @@ PINNED_GEN = {
 }
 # SHA-256 of gen's stdout (indented JSON) for the same arguments, without --out
 PINNED_GEN_STDOUT = {
-    "lattice": "4960b67239434de64ff9afc436fc88ef27bcedaaac9d3be948a0a7f4a559c9ed",
+    "lattice": "c2737962bb21327cb870353b8030b07c8027b569fdc5cf861994fceb6c054919",
     "net": "a7d88ba8ff96f2949b676107c5d895d2ca5149121a08ca915ec47849a5867b68",
-    "chess": "307317ab2754873a870022770d07cdadcc6569615b992f722ccd08c502ff5c01",
+    "chess": "51348a881db96f0d7cd2caf77a568b91607ab064e7327f737e583b3c35bf1db4",
     "comb": "6863503ada7ffe9dedb0c23bdae03c962c2ec984b83183c8181a843cc11f606c",
     "comb-cover": "6ab37207296bb112724cbf64c1a41eaefefd1de5f9b527ef1d52c87da866b0cf",
     "brick": "3ef9623d4a67997d4f7d14c8ca664f231b1e3b78037dfe575f2d6e7519ead26e",
@@ -549,6 +565,19 @@ class TestScaleLadder:
     def test_contracting_lambda_is_rejected(self, chess_cover):
         assert run_cli(["scale-ladder", "--cover", str(chess_cover),
                         "--lam", "1.0"]) == 2
+
+    @pytest.mark.parametrize("lam, steps", [
+        ("1e200", "3"),  # lam**steps overflows a float
+        ("2", "1023"),
+        ("inf", "0"),
+        ("2", "-3"),
+        ("nan", "1"),
+    ])
+    def test_unusable_ladders_are_rejected(self, chess_cover, lam, steps, capsys):
+        assert run_cli(["scale-ladder", "--cover", str(chess_cover),
+                        "--lam", lam, "--steps", steps]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "validation: need --lam > 1 and --steps >= 0 with --lam ** --steps < 2**1023"]
 
     def test_matrix_covers_cannot_scale(self, tmp_path):
         cover = tmp_path / "m.json"
@@ -657,6 +686,9 @@ class TestMalformedDocuments:
         ("--cover", _cover_doc(families=[{"label": "a", "members": [0, 1]}])),
         ("--cover", _cover_doc(target=5)),
         ("--cover", _cover_doc(families=[5])),
+        *(("--cover", _cover_doc(strict=flag)) for flag in ("false", 0, None)),
+        *(("--model-file", {"name": "m", "asdim_lower": 2, "stabilizer_nontrivial": flag})
+          for flag in ("false", 1)),
     ])
     def test_exit_2(self, option, doc, tmp_path, capsys):
         files = {"good": tmp_path / "good.json", "cover": tmp_path / "cover.json"}

@@ -73,10 +73,9 @@ class TestLattice:
         with pytest.raises(EmptyWindow):
             gen_lattice_window(WindowSpec(0.2, 0.8, 0.2, 0.8))
 
-    def test_lexicographic_order_and_labels(self):
+    def test_lexicographic_order(self):
         lat = gen_lattice_window(WindowSpec.square(1))
         assert [tuple(p) for p in lat.points] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert lat.labels == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
 
     @pytest.mark.parametrize("window", [
         (-7.5, 3.0, -12.0, -4.2),           # negative, fractional edges
@@ -84,9 +83,14 @@ class TestLattice:
         (1e15, 1e15 + 4, -2.0 ** 53, -2.0 ** 53 + 6),  # large magnitudes, still exact
         (-1e12 - 2, -1e12 + 2, 1e9, 1e9 + 3),
     ])
-    def test_labels_match_per_point_formatting(self, window):
+    def test_points_are_the_integer_cross_product(self, window):
+        xmin, xmax, ymin, ymax = window
         lat = gen_lattice_window(WindowSpec(*window))
-        assert lat.labels == tuple(f"({int(x)},{int(y)})" for x, y in lat.points)
+        # every integer (x, y) in the window, x-major: the same bits
+        want = np.array([(float(x), float(y))
+                         for x in range(math.ceil(xmin), math.floor(xmax) + 1)
+                         for y in range(math.ceil(ymin), math.floor(ymax) + 1)])
+        assert lat.points.tobytes() == want.tobytes()
 
     def test_refuses_oversized_windows(self):
         with pytest.raises(TooManyPoints):

@@ -489,6 +489,14 @@ class TestGridNearest:
             d = np.sqrt(dx * dx + dy * dy)
             assert np.array_equal(pos, d.argmin(axis=1))  # ties to the smallest position
             assert dist.tobytes() == d.min(axis=1).tobytes()
+            # the largest nearest distance follows the same rule: past it, a grid of targets
+            # and one of queries
+            built.clear()
+            with mock.patch.object(metric, "_TargetGrid", Spy), \
+                    mock.patch.object(metric, "_GATHER", gather):
+                worst = metric._grid_max_nearest(q, t)
+            assert built == ([] if n * m <= gather else [m, n])
+            assert np.float64(worst).tobytes() == dist.max().tobytes()
 
     @pytest.mark.parametrize("kind", ["quarter", "edges", "largest float", "subnormal"])
     def test_cell_of_matches_the_rows_expression(self, kind):

@@ -32,18 +32,15 @@ from ghbounds.metric import EuclideanPointSet, SubsetRef
 
 
 class TestSpaceRoundTrip:
-    def test_points_with_labels(self):
-        lat = gen_lattice_window(WindowSpec.square(2))
-        back = space_from_json(json.loads(json.dumps(space_to_json(lat))))
-        assert isinstance(back, EuclideanPointSet)
-        assert np.array_equal(back.points, lat.points)
-        assert back.labels == lat.labels
-
     def test_points_without_labels(self):
         pts = EuclideanPointSet(np.array([[0.0, 0.0], [0.25, 0.75]]))
-        back = space_from_json(space_to_json(pts))
-        assert back.labels is None
+        obj = space_to_json(pts)
+        assert obj.keys() == {"kind", "pts"}
+        back = space_from_json(obj)
         assert np.array_equal(back.points, pts.points)
+        # a space written with per-point labels reads as its points
+        old = space_from_json({**obj, "labels": ["(0,0)", "(1,1)"]})
+        assert old.points.tobytes() == pts.points.tobytes()
 
     def test_matrix_revalidates(self):
         rng = np.random.default_rng(17)
@@ -400,8 +397,8 @@ _COORDINATES = ["-0.0", "-0", "0", "5e-324", "1e+300", "1E5", "7", "-2.5e-3",
                 "123456789012345678901", "1" + "0" * 400, "1e400"]
 _ENTRIES = ["-0", "-1", "0", "99999", "1.0", "1" + "0" * 25]
 _PERTURBATIONS = ["none", "space", "indent", "reorder", "matrix", "coordinate", "entry",
-                  "ragged", "empty-member", "truncate", "label", "labels-null", "target",
-                  "late-space"]
+                  "ragged", "empty-member", "truncate", "label", "labels", "labels-null",
+                  "target", "late-space", "strict"]
 # gen arguments of every cover kind, on windows of side a by b
 _GEN_COVERS = {
     "chess": lambda a, b: ["chess", "--window", f"0,{a},0,{b}"],
@@ -460,11 +457,12 @@ def _perturb(text: str, how: str, rng: np.random.Generator) -> str:
         key = pick(['"target": [0]', '"target": [0, 3]', '"target": []']) if how == "target" \
             else '"space": {"kind": "points2d", "pts": [[5.0, 5.0]]}'
         return text.rstrip()[:-1] + ", " + key + "}\n"
-    if how == "labels-null":  # dump_json's layout with null labels, which mean none
-        rest = text[pts_end:]
-        if rest.startswith(', "labels": '):
-            rest = rest[rest.index("]") + 1:]
-        return text[:pts_end] + ', "labels": null' + rest
+    if how in ("labels", "labels-null"):  # per-point labels, as older files have them
+        n = text.count("], [", pts_start, pts_end) + 1
+        labels = pick([n, n + 1, n - 1]) * ["(0,0)"] if how == "labels" else None
+        return text[:pts_end] + ', "labels": ' + json.dumps(labels) + text[pts_end:]
+    if how == "strict":
+        return text.replace('"strict": false', '"strict": ' + pick(['"false"', "0", "null", "true"]))
     return text
 
 
@@ -476,7 +474,6 @@ def _outcome(read: Callable[[], Any]) -> tuple:
         return type(exc), str(exc)
     table = space.points if isinstance(space, EuclideanPointSet) else space.matrix
     return (type(space), table.shape, table.view(np.int64).tolist(),
-            getattr(space, "labels", None),
             [(fam.label, fam._index[0].tolist(), fam._index[1].tolist()) for fam in families],
             struct.pack("<d", r), strict, target)
 
@@ -519,6 +516,11 @@ class TestLoadCover:
         ("[[+1.0, 0.0], [1.0, 0.0]]", _family("[[0], [1]]"), _TAIL, False),  # json refuses these
         ("[[.5, 0.0], [1.0, 0.0]]", _family("[[0], [1]]"), _TAIL, False),
         ("[[01, 0.0], [1.0, 0.0]]", _family("[[0], [1]]"), _TAIL, False),
+        # per-point labels, of any length, are read by the plain path and ignored
+        (_TWO + ', "labels": ["a"]', _family("[[0], [1]]"), _TAIL, False),
+        # a strict that is not a JSON boolean fails on the array path as on the plain one
+        (_TWO, _family("[[0], [1]]"), ', "r": 1.0, "strict": "false"}\n', True),
+        (_TWO, _family("[[0], [1]]"), ', "r": 1.0, "strict": 0}\n', True),
     ])
     def test_hand_written_files(self, tmp_path, pts, families, tail, fast):
         path = tmp_path / "c.json"
@@ -539,6 +541,8 @@ class TestLoadCover:
            read_chars=st.sampled_from([1, 40, None]))
     @example(kind="chess", a=2, b=2, how="label", seed=0, read_chars=None)
     @example(kind="brick", a=3, b=3, how="none", seed=0, read_chars=1)
+    @example(kind="chess", a=1, b=2, how="labels", seed=0, read_chars=None)
+    @example(kind="interval", a=3, b=0, how="strict", seed=0, read_chars=None)
     def test_matches_the_plain_reader(self, tmp_path_factory, kind, a, b, how, seed, read_chars):
         path = tmp_path_factory.mktemp("cover") / "c.json"
         assert cli.main(["gen", *_GEN_COVERS[kind](a, b), "--out", str(path)]) == 0
