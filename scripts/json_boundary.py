@@ -3,8 +3,8 @@
 
 Two cases, each the r=1 brick cover of the square window [0, W]^2:
 
-  brick   of the quarter-spaced net (few distinct coordinates)
-  random  of as many uniform random points, (4W + 1)^2 (every coordinate distinct)
+  brick   of the quarter-spaced net, a cross product written as its two axes (grid2d)
+  random  of as many uniform random points, (4W + 1)^2, written as a point list (points2d)
 
 For each case a child process runs ``gen brick ... --out`` (generate, then
 ``dump_json``), and another runs ``load_cover``, the reader of

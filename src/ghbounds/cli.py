@@ -100,7 +100,7 @@ def _report(command: str, inputs: dict[str, Any], outputs: dict[str, Any],
 def _load_euclidean(path: str) -> EuclideanPointSet:
     space = space_from_json(load_json(path))
     if not isinstance(space, EuclideanPointSet):
-        raise NonEuclideanAmbient(f"{path} must hold a points2d space")
+        raise NonEuclideanAmbient(f"{path} must hold a planar space (points2d or grid2d)")
     return space
 
 
@@ -211,11 +211,14 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
 def cmd_gh_exact(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     docs = [load_json(args.x), load_json(args.y)]
-    # an oversized side is refused before a matrix's n^3 triangle check
+    # an oversized side is refused before its space is built: before a matrix's n^3
+    # triangle check, or a grid2d's cross product
     for doc in docs:
-        rows = doc.get("pts" if doc.get("kind") == "points2d" else "d") if isinstance(doc, dict) else None
-        if isinstance(rows, list):
-            _check_sides(len(rows))
+        if isinstance(doc, dict):
+            keys = {"grid2d": ("x", "y"), "points2d": ("pts",)}.get(doc.get("kind"), ("d",))
+            lists = [doc.get(key) for key in keys]
+            if all(isinstance(v, list) for v in lists):
+                _check_sides(math.prod(map(len, lists)))
     x, y = (space_from_json(doc) for doc in docs)
     res = exact_gh(x, y, budget=args.budget)
     outputs = gh_result_to_json(res)
@@ -379,7 +382,7 @@ def cmd_scale_ladder(args: argparse.Namespace) -> int:
         raise ValueError("need --lam > 1 and --steps >= 0 with --lam ** --steps < 2**1023")
     space, families, r_file, _strict, _target = load_cover(args.cover)
     if not isinstance(space, EuclideanPointSet):
-        raise NonEuclideanAmbient("scale-ladder needs a points2d ambient space")
+        raise NonEuclideanAmbient("scale-ladder needs a planar ambient space")
 
     def measure(pts: EuclideanPointSet) -> tuple[float, float]:
         gap = min(check_r_disjoint(pts, fam, 0.0).min_gap for fam in families)
@@ -445,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", default=None, help="subset JSON (defaults to all points)")
     p.add_argument("--b", default=None, help="subset JSON (defaults to all points)")
     p.add_argument("--space-a", dest="space_a", default=None,
-                   help="points2d JSON; merged with --space-b into one ambient")
+                   help="planar space JSON (points2d or grid2d); merged with --space-b "
+                        "into one ambient")
     p.add_argument("--space-b", dest="space_b", default=None)
     p.add_argument("--out", default=None)
 

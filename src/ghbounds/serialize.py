@@ -1,42 +1,52 @@
 """JSON wire formats for spaces, subsets, families, and reports.
 
 Spaces:   {"kind": "matrix", "n": N, "d": [[...], ...]}
+          {"kind": "grid2d", "x": [...], "y": [...]}
           {"kind": "points2d", "pts": [[x, y], ...]}
 Subsets:  sorted index arrays.
 Family:   {"label": "red", "members": [[i, ...], ...]}.
 Cover:    {"kind": "cover", "space": ..., "families": [...], "r": ...,
            "strict": ..., "c": ...?, "target": ...?}
 
+A planar set is written as grid2d when its points are the x-major cross
+product of two axes, bit for bit: point k is (x[k // len(y)], y[k % len(y)]),
+as every lattice window, net and interval net of ``gen`` is. The reader
+rebuilds that array with ``constructions._cross_product_points`` after
+counting len(x) * len(y) against ``POINT_CAP``. Any other planar set is
+written as points2d.
+
 Floats pass through json untouched, so distances print in Python's
 shortest round-trip form (e.g. 0.7071067811865476) and reload bit-exactly.
 Files are written as single-line JSON by the C encoder; ``python -m
 json.tool`` pretty-prints them.
 
-``dump_json`` also takes the documents ``gen`` hands it, which hold the
-point array as a 2-D float64 array and each family's members as its index
-arrays (``_Members``), and writes the bytes of ``json.dumps`` of their
-``tolist()``. Points go _DUMP_SLICE rows at a time. A slice whose
+``dump_json`` also takes the documents ``gen`` hands it, which hold a
+points2d point array as a 2-D float64 array and each family's members as
+its index arrays (``_Members``), and writes the bytes of ``json.dumps`` of
+their ``tolist()``. Points go _DUMP_SLICE rows at a time. A slice whose
 distinct values (by bit pattern, so -0.0 and 0.0 stay apart) number at
 most half its cells is written by formatting each distinct value once and
-joining the rows by index; the brick net's 160,801 points hold 401
-distinct coordinates. Any other slice goes through the C encoder whole.
+joining the rows by index; a comb's points repeat a few line and sample
+coordinates. Any other slice goes through the C encoder whole.
 Members go through the C encoder as lists cut from the index array, at
 most _DUMP_SLICE entries at a time, so no family's member lists are held
 whole.
 
 ``load_cover`` reads a cover file straight into arrays when its text has
 the layout ``dump_json`` writes for a planar cover: the keys in
-``_document``'s order, ", " and ": " separators, no indentation. Its point
-array and each family's member array are parsed by ``json.loads`` of their
-text with the inner brackets removed, about _READ_CHARS characters at a
-time, so json's grammar and float bits hold, no list is made per point or
-member, and json's lists stay small. Points per row and entries per member
-come from the "], [" separators, and the text with the number characters
+``_document``'s order, ", " and ": " separators, no indentation. A grid2d
+space is decoded by json where it stands and read by ``space_from_json``;
+it must hold exactly the keys kind, x and y. A points2d point array and
+each family's member array are parsed by ``json.loads`` of their text with
+the inner brackets removed, about _READ_CHARS characters at a time, so
+json's grammar and float bits hold, no list is made per point or member,
+and json's lists stay small. Points per row and entries per member come
+from the "], [" separators, and the text with the number characters
 deleted must read as those rows and members. The family labels, ``r``,
 ``strict``, ``c`` and ``target`` come from json as well. Any other file
 (indented, reordered keys, a matrix space, a check that fails, a space with
-keys besides ``pts``) is read by ``cover_from_json(json.loads(text))``, so
-its values and errors are those of the plain path.
+other keys) is read by ``cover_from_json(json.loads(text))``, so its
+values and errors are those of the plain path.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from .constructions import _check_count, _cross_product_points
 from .correspondence import GhResult
 from .covers import (BoundResult, CoverCertificate, ModelSpaceDescriptor, SubsetFamily,
                      _family_from_runs)
@@ -76,15 +87,20 @@ def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
               target: SubsetRef | None = None, arrays: bool = False) -> dict[str, Any]:
     """The wire layout of a space, or of a cover of it when families are given.
 
-    Plain JSON values by default. With ``arrays``, the space's point or
-    distance array and each family's members (``_Members``) are kept as
-    arrays for ``dump_json``; each has a ``tolist()`` giving the plain value.
+    Plain JSON values by default. With ``arrays``, a points2d point array or
+    a matrix's distance array and each family's members (``_Members``) are
+    kept as arrays for ``dump_json``; each has a ``tolist()`` giving the
+    plain value. A grid2d space's axes are lists either way.
     """
     def table(a: np.ndarray | _Members) -> Any:
         return a if arrays else a.tolist()
 
     if isinstance(space, EuclideanPointSet):
-        obj: dict[str, Any] = {"kind": "points2d", "pts": table(space.points)}
+        axes = _axes(space.points)
+        if axes is None:
+            obj: dict[str, Any] = {"kind": "points2d", "pts": table(space.points)}
+        else:
+            obj = {"kind": "grid2d", "x": axes[0].tolist(), "y": axes[1].tolist()}
     else:
         obj = {"kind": "matrix", "n": space.n, "d": table(space.matrix)}
     if families is None:
@@ -102,6 +118,22 @@ def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
     if target is not None:
         obj["target"] = subset_to_json(target)
     return obj
+
+
+def _axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The axes xs, ys whose x-major cross product is points, bit for bit, or None.
+
+    Bit patterns are compared, so -0.0 and 0.0 stay apart. x's first run
+    gives len(ys): a cross product of distinct points has distinct axis values.
+    """
+    bits = points.view(np.int64)
+    ny = int(np.argmax(bits[:, 0] != bits[0, 0])) or len(bits)
+    if len(bits) % ny:
+        return None
+    grid = bits.reshape(-1, ny, 2)
+    if (grid[:, :, 0] == grid[:, :1, 0]).all() and (grid[:, :, 1] == grid[:1, :, 1]).all():
+        return points[::ny, 0], points[:ny, 1]
+    return None
 
 
 def space_to_json(space: MetricLike) -> dict[str, Any]:
@@ -130,6 +162,16 @@ def _bool(value: Any, what: str) -> bool:
 
 def space_from_json(obj: dict[str, Any]) -> MetricLike:
     kind = _dict(obj, "a space").get("kind")
+    if kind == "grid2d":
+        axes = obj["x"], obj["y"]
+        if not all(type(a) is list and a and set(map(type, a)) <= {int, float} for a in axes):
+            raise ValueError("grid2d x and y must be nonempty JSON arrays of numbers")
+        _check_count(len(axes[0]) * len(axes[1]))  # before the points are allocated
+        try:
+            xs, ys = (np.array(a, dtype=np.float64) for a in axes)
+        except OverflowError:  # an integer past the largest float
+            raise ValueError("coordinates must be finite") from None
+        return EuclideanPointSet(_cross_product_points(xs, ys))
     if kind == "points2d":
         return EuclideanPointSet(_read(_points_from_rows, obj["pts"], "pts"))
     if kind == "matrix":
@@ -201,7 +243,9 @@ def load_cover(path: str | Path) -> tuple[MetricLike, tuple[SubsetFamily, ...], 
 
 _DECODER = json.JSONDecoder()
 # what dump_json writes around a planar cover's arrays, in _document's key order
-_COVER_HEAD = '{"kind": "cover", "space": {"kind": "points2d", "pts": '
+_COVER_SPACE = '{"kind": "cover", "space": '
+_COVER_HEAD = _COVER_SPACE + '{"kind": "points2d", "pts": '
+_GRID_HEAD = _COVER_SPACE + '{"kind": "grid2d", "x": '
 _FAMILIES = '}, "families": ['
 _LABEL = '{"label": '
 _MEMBERS = ', "members": '
@@ -227,28 +271,39 @@ def _cover_from_text(text: str) -> tuple[MetricLike, tuple[SubsetFamily, ...], f
         parts = None
     if parts is None:
         return cover_from_json(json.loads(text))
-    points, runs, tail = parts
-    space = EuclideanPointSet(points)
+    head, runs, tail = parts
+    space = space_from_json(head) if isinstance(head, dict) else EuclideanPointSet(head)
     families = tuple(_family_from_runs(str(label), flat, counts, space.n)
                      for label, flat, counts in runs)
     return (space, families, *_cover_tail(tail, space.n))
 
 
-def _cover_parts(text: str) -> tuple[np.ndarray, list[tuple[Any, np.ndarray, np.ndarray]],
+def _cover_parts(text: str) -> tuple[np.ndarray | dict[str, Any],
+                                     list[tuple[Any, np.ndarray, np.ndarray]],
                                      dict[str, Any]] | None:
-    """The point array, each family's (label, entries, counts) and the keys after them.
+    """The space, each family's (label, entries, counts) and the keys after them.
 
-    None where the text departs from dump_json's layout of a planar cover.
-    Each literal piece of the layout is matched in place, each family label
-    is read by json's decoder where it stands, and each array ends at its
-    first "]]", which no number contains.
+    The space is a grid2d space object as json reads it, or a points2d
+    space's point array. None where the text departs from dump_json's
+    layout of a planar cover. Each literal piece of the layout is matched in
+    place, the grid2d space and each family label are read by json's
+    decoder where they stand, and each array ends at its first "]]", which
+    no number contains.
     """
-    if not text.startswith(_COVER_HEAD + "[["):
+    if text.startswith(_GRID_HEAD):
+        head, end = _DECODER.raw_decode(text, len(_COVER_SPACE))
+        if list(head) != ["kind", "x", "y"]:
+            return None
+        end -= 1  # back to the space's "}", where _FAMILIES starts
+    elif text.startswith(_COVER_HEAD + "[["):
+        end = text.find("]]", len(_COVER_HEAD)) + 2
+        rows = _runs_at(text, len(_COVER_HEAD), end, np.float64, width=2)
+        if rows is None:
+            return None
+        head = rows[0].reshape(-1, 2)
+    else:
         return None
-    i = len(_COVER_HEAD)
-    end = text.find("]]", i) + 2
-    rows = _runs_at(text, i, end, np.float64, width=2)
-    if rows is None or not text.startswith(_FAMILIES, end):
+    if not text.startswith(_FAMILIES, end):
         return None
     i = end + len(_FAMILIES)
     runs = []
@@ -274,7 +329,7 @@ def _cover_parts(text: str) -> tuple[np.ndarray, list[tuple[Any, np.ndarray, np.
     tail = json.loads("{" + text[i + 3:])
     if not tail.keys() <= _TAIL_KEYS:  # a later "space", say, would replace the one read
         return None
-    return rows[0].reshape(-1, 2), runs, tail
+    return head, runs, tail
 
 
 def _runs_at(text: str, i: int, end: int, dtype: type,

@@ -41,8 +41,9 @@ class TestGen:
     def test_lattice_to_stdout(self, capsys):
         assert run_cli(["gen", "lattice", "--window", "0,2,0,2"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert obj["kind"] == "points2d"
-        assert len(obj["pts"]) == 9
+        # the window's points are the cross product of its two axes
+        assert obj == {"kind": "grid2d", "x": [0.0, 1.0, 2.0], "y": [0.0, 1.0, 2.0]}
+        assert space_from_json(obj).points.tolist() == [[x, y] for x in range(3) for y in range(3)]
 
     def test_chess_cover_file(self, tmp_path):
         out = tmp_path / "chess.json"
@@ -123,6 +124,22 @@ class TestHausdorff:
         assert report["outputs"]["directed_ab"] == 0.0  # lattice inside net
         assert report["inputs"]["merged"] is True
 
+    def test_grid_and_point_list_files_give_the_same_outputs(self, tmp_path):
+        # gen writes the net as its axes; the comb is no cross product, so it lists its points
+        net, comb, listed = tmp_path / "net.json", tmp_path / "comb.json", tmp_path / "listed.json"
+        assert run_cli(["gen", "net", "--window", "0,4,-2,2", "--eps", "0.5",
+                        "--out", str(net)]) == 0
+        assert run_cli(["gen", "comb", "--window", "0,4,-2,2", "--delta", "0.25",
+                        "--out", str(comb)]) == 0
+        assert load_json(net)["kind"] == "grid2d" and load_json(comb)["kind"] == "points2d"
+        dump_json({"kind": "points2d",
+                   "pts": space_from_json(load_json(net)).points.tolist()}, listed)
+        reports = [run_cli_report(["hausdorff", "--space-a", str(a), "--space-b", str(comb)],
+                                  tmp_path / f"{a.stem}.out") for a in (net, listed)]
+        assert reports[0][0] == reports[1][0] == 0
+        assert reports[0][1]["outputs"] == reports[1][1]["outputs"]
+        assert reports[0][1]["outputs"]["n_a"] == 81
+
     def test_two_space_outputs_pinned(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         dump_json({"kind": "points2d", "pts": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [4.0, 0.0]]}, a)
@@ -161,11 +178,13 @@ class TestHausdorff:
         assert run_cli(["hausdorff", "--space-a", str(lat)]) == 2
         assert run_cli(["hausdorff"]) == 2
 
-    def test_matrix_space_cannot_merge(self, tmp_path):
+    def test_matrix_space_cannot_merge(self, tmp_path, capsys):
         m = tmp_path / "m.json"
         dump_json({"kind": "matrix", "n": 2, "d": [[0.0, 1.0], [1.0, 0.0]]}, m)
         assert run_cli(["hausdorff", "--space-a", str(m),
                         "--space-b", str(m)]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            f"validation: {m} must hold a planar space (points2d or grid2d)")
 
 
 class TestGhExact:
@@ -210,6 +229,19 @@ class TestGhExact:
         assert run_cli(["gh-exact", "--x", str(x), "--y", str(big)]) == 2
         assert built == []
         assert "at most 62 points per side" in capsys.readouterr().err
+
+    def test_refuses_an_oversized_grid_side_before_building_it(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # 8 x 8 axes list 16 values but hold 64 points
+        built = []
+        monkeypatch.setattr(serialize, "_cross_product_points", lambda *axes: built.append(axes))
+        x, _ = self.write_pair(tmp_path)
+        grid = tmp_path / "grid.json"
+        dump_json({"kind": "grid2d", "x": list(range(8)), "y": list(range(8))}, grid)
+        assert run_cli(["gh-exact", "--x", str(x), "--y", str(grid)]) == 2
+        assert built == []
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            "validation: solver is sized for small spaces (at most 62 points per side)")
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +333,16 @@ class TestVerifyCover:
         assert failing and all(f["witness"] is not None for f in failing)
 
     def test_a_file_with_point_labels_gives_the_same_outputs(self, tmp_path):
-        # earlier releases wrote each lattice point's label "(x,y)" after the points
+        # earlier releases wrote the lattice as a points2d list, each point's label "(x,y)"
+        # after the points
         new, old = tmp_path / "new.json", tmp_path / "old.json"
         assert run_cli(["gen", "chess", "--window", "0,6,0,6", "--out", str(new)]) == 0
-        text = new.read_text(encoding="utf-8")
-        labels = [f"({int(x)},{int(y)})" for x, y in load_json(new)["space"]["pts"]]
-        at = text.index("]]") + 2
-        old.write_text(text[:at] + ', "labels": ' + json.dumps(labels) + text[at:],
-                       encoding="utf-8")
+        doc = load_json(new)
+        assert doc["space"]["kind"] == "grid2d"
+        pts = space_from_json(doc["space"]).points.tolist()
+        labels = [f"({int(x)},{int(y)})" for x, y in pts]
+        doc["space"] = {"kind": "points2d", "pts": pts, "labels": labels}
+        old.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         for command in ("verify-cover", "lower-bound"):
             (rc_old, got), (rc_new, want) = (
                 run_cli_report([command, "--cover", str(path)], tmp_path / f"{path.stem}.out")
@@ -460,13 +494,13 @@ class TestReproduce:
 # written (the reproduce report without runtime_ms) and gen's summary line.
 PINNED_GEN = {
     "lattice": (["--window", "0,6,0,6"],
-                "12046635a231c1d92b5ccce64a8eeae1761ce4c1ef6dd651188fa84a5186788a",
+                "269617928837a7a0b743a01538a4198ad7620358737ec042b24e4555b8f5e5dc",
                 "lattice: 49 points"),
     "net": (["--window", "0,2,0,2", "--eps", "0.25"],
-            "e787886f1e9f557f5b4e0b42ccef1e99014d835785b2e4d77e9479301db00448",
+            "2bef3e57568ce61fe51b1acffb8f8bef3d3ae7ff831f0ef32ab50388a5708de2",
             "net: 81 points at spacing 0.25"),
     "chess": (["--window", "0,6,0,6"],
-              "82cf64da9287b9b257da39254fd4cd64ff11af43232cb455ba1598417ded7dee",
+              "36479abecb14336e3aca7ee339394048b03901fb8d0bca0805f52d75ffe5a12e",
               "chess: 49 points, 25 red + 24 blue singletons, "
               "advertised r=1.4142135623730951 (sqrt 2), C=0"),
     "comb": (["--window", "0,4,-2,2", "--delta", "0.25"],
@@ -476,22 +510,22 @@ PINNED_GEN = {
                    "fc878b59e13a7359388fc0d1b9b0182968333bd4616f8789ef4e5a089a31a95f",
                    "comb-cover: 97 points, 7 red + 8 blue pieces, advertised r=1, C=2.0"),
     "brick": (["--window", "0,6,0,6", "--r", "1"],
-              "a7a6f250d8a725216b6481dfa6eecaf2e8fa3bfb6a5c6d816b47e61d7872fbdb",
+              "a95fd1fc209be364667be4320060ff90ddc83774ba6ac2c19c20d7dc249d249f",
               "brick: 625 points, 3+3+3 bricks in 3 families, advertised r=1.0, "
               "C=4.242640687119286"),
     "interval": (["--window", "0,6,0,0", "--r", "1"],
-                 "eac52d6296bf8f0160b4e654aee3941fee559fc4f611cf8a8d38e24af2427e4c",
+                 "b9da59317612abaf59a55a9c15c4c84b49da0adef89e5b60c938c07b5526d8b4",
                  "interval: 25 points, 2+1 intervals in 2 families, advertised r=1.0, C=3.0"),
 }
 # SHA-256 of gen's stdout (indented JSON) for the same arguments, without --out
 PINNED_GEN_STDOUT = {
-    "lattice": "c2737962bb21327cb870353b8030b07c8027b569fdc5cf861994fceb6c054919",
-    "net": "a7d88ba8ff96f2949b676107c5d895d2ca5149121a08ca915ec47849a5867b68",
-    "chess": "51348a881db96f0d7cd2caf77a568b91607ab064e7327f737e583b3c35bf1db4",
+    "lattice": "2b53070255ea7d6e22ebcafd3dec38dac0d06a094e7748709ee42afe6755dbda",
+    "net": "6c9d40d48030614a01163cbe05cbd8a6287cd0db41900030d29389f98f726353",
+    "chess": "bb516890aef16e27e44416034f559077851d7692d65591616939c5311fda417f",
     "comb": "6863503ada7ffe9dedb0c23bdae03c962c2ec984b83183c8181a843cc11f606c",
     "comb-cover": "6ab37207296bb112724cbf64c1a41eaefefd1de5f9b527ef1d52c87da866b0cf",
-    "brick": "3ef9623d4a67997d4f7d14c8ca664f231b1e3b78037dfe575f2d6e7519ead26e",
-    "interval": "cbaf49ef50fcd8c223b6526c7f7facefadb708f3559ad469fc7966df1ae0a36c",
+    "brick": "45b1e8804e9373aebe30ffa9d018d59ab89e4ca839b88eb295c1526ba34449e3",
+    "interval": "300a6245b03ff97169816c59acf35faade453a78cf9794a891ebbcfe6e0da28f",
 }
 PINNED_REPRODUCE = {  # report, CSV, SVG
     "example1": ("452d14913307d9095b05a2f0e5a7f0ae22733c2df631e5e4bc5aadba51f8b6eb",
@@ -766,7 +800,7 @@ class TestEntryPoint:
              "--window", "0,1,0,1"], capture_output=True, text=True,
             env=_child_env())
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["kind"] == "points2d"
+        assert json.loads(proc.stdout) == {"kind": "grid2d", "x": [0.0, 1.0], "y": [0.0, 1.0]}
 
 
 class TestScripts:

@@ -14,12 +14,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_metric_matrix
 from ghbounds import (SubsetFamily, WindowSpec,
-                      build_space, exact_gh, gen_chess_families, gen_epsilon_net,
-                      gen_lattice_window, make_certificate, model_space)
+                      build_space, exact_gh, gen_brick_cover, gen_chess_families, gen_comb_set,
+                      gen_epsilon_net, gen_interval_cover, gen_lattice_window, make_certificate,
+                      model_space)
 from ghbounds.serialize import (certificate_report_json, cover_from_json,
                                 cover_to_json, dump_json, family_from_json,
                                 family_to_json, gh_result_to_json, load_json,
@@ -27,7 +28,8 @@ from ghbounds.serialize import (certificate_report_json, cover_from_json,
                                 space_to_json, subset_from_json,
                                 subset_to_json)
 from ghbounds import cli, serialize
-from ghbounds.errors import TriangleViolation
+from ghbounds.constructions import POINT_CAP
+from ghbounds.errors import DuplicatePoint, TooManyPoints, TriangleViolation
 from ghbounds.metric import EuclideanPointSet, SubsetRef
 
 
@@ -96,6 +98,127 @@ class TestPointRows:
             space_from_json(obj)
         path = tmp_path / "bad.json"
         dump_json(obj, path)
+        assert cli.main(["hausdorff", "--space", str(path)]) == 2
+
+
+# gen's planar sets on quarter-grid, negative and padded-edge windows, single rows,
+# columns and points: each is the x-major cross product of two axes
+_GRID_SETS = {
+    "lattice": lambda: gen_lattice_window(WindowSpec(-3.0, 4.0, -2.0, 5.0)),
+    "lattice-negative": lambda: gen_lattice_window(WindowSpec(-7.5, -2.0, -4.0, -1.0)),
+    "lattice-row": lambda: gen_lattice_window(WindowSpec(0.0, 9.0, 3.0, 3.0)),
+    "lattice-column": lambda: gen_lattice_window(WindowSpec(-2.0, -2.0, 0.0, 9.0)),
+    "lattice-point": lambda: gen_lattice_window(WindowSpec(1.0, 1.0, -1.0, -1.0)),
+    "net-quarter": lambda: gen_epsilon_net(WindowSpec(0.0, 3.0, -1.0, 2.0), 0.25),
+    "net-negative": lambda: gen_epsilon_net(WindowSpec(-2.0, -0.5, -3.0, -1.0), 0.25),
+    "net-padded": lambda: gen_epsilon_net(WindowSpec(0.1, 2.3, -0.7, 1.9), 0.3),
+    "net-tenth": lambda: gen_epsilon_net(WindowSpec(-1.0, 1.0, 0.0, 1.0), 0.1),
+    "net-point": lambda: gen_epsilon_net(WindowSpec(0.3, 0.3, 0.7, 0.7), 0.25),
+    "brick": lambda: gen_brick_cover(WindowSpec(-1.0, 5.0, 0.5, 4.5), 1.0)[0],
+    "interval": lambda: gen_interval_cover(WindowSpec(-2.0, 3.3, 0.0, 0.0), 1.0)[0],
+    "signed-zero": lambda: EuclideanPointSet(np.array([[-0.0, 0.0], [-0.0, 1.0]])),
+}
+
+
+# planar sets that are no x-major cross product, bit for bit
+_LISTED_SETS = {
+    "comb": lambda: gen_comb_set(WindowSpec(0.0, 3.0, -2.0, 2.0), 0.25),
+    "rows-swapped": lambda: EuclideanPointSet(
+        gen_lattice_window(WindowSpec(0.0, 3.0, 0.0, 2.0)).points[[0, 3, 2, 1, *range(4, 12)]]),
+    "y-major": lambda: EuclideanPointSet(
+        gen_lattice_window(WindowSpec(0.0, 3.0, 0.0, 2.0)).points[:, ::-1]),
+    "one-point-off": lambda: EuclideanPointSet(np.vstack((
+        gen_lattice_window(WindowSpec(0.0, 3.0, 0.0, 2.0)).points[:-1], [[3.0, 2.5]]))),
+    # equal to a grid's columns by value, not by bits
+    "signed-zero": lambda: EuclideanPointSet(np.array([[0.0, 0.0], [-0.0, 1.0]])),
+    "signed-zero-x": lambda: EuclideanPointSet(
+        np.array([[1.0, 0.0], [1.0, 1.0], [-0.0, 0.0], [0.0, 1.0]])),
+    "signed-zero-y": lambda: EuclideanPointSet(
+        np.array([[0.0, -0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])),
+    "ragged": lambda: EuclideanPointSet(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])),
+}
+
+
+def _reread(space: EuclideanPointSet, tmp_path) -> tuple[dict[str, Any], np.ndarray, np.ndarray]:
+    """The plain document of a space, and its points read back from it and from gen's file."""
+    obj = space_to_json(space)
+    path = tmp_path / "s.json"
+    dump_json(serialize._document(space, arrays=True), path)
+    assert load_json(path) == obj  # gen's file holds the plain document
+    return (obj, space_from_json(json.loads(json.dumps(obj))).points,
+            space_from_json(load_json(path)).points)
+
+
+class TestGridSpaces:
+    """A planar set that is the cross product of two axes is written as them, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_GRID_SETS))
+    def test_cross_products_are_written_as_their_axes(self, name, tmp_path):
+        space = _GRID_SETS[name]()
+        obj, plain, filed = _reread(space, tmp_path)
+        assert obj.keys() == {"kind", "x", "y"} and obj["kind"] == "grid2d"
+        assert len(obj["x"]) * len(obj["y"]) == space.n
+        for back in (plain, filed):
+            assert back.view(np.int64).tolist() == space.points.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("name", sorted(_LISTED_SETS))
+    def test_other_sets_are_written_as_points(self, name, tmp_path):
+        space = _LISTED_SETS[name]()
+        obj, plain, filed = _reread(space, tmp_path)
+        assert obj["kind"] == "points2d"
+        for back in (plain, filed):
+            assert back.view(np.int64).tolist() == space.points.view(np.int64).tolist()
+
+    # distinct by value within an axis, so -0.0 and 0.0 are never both drawn
+    _AXIS = st.lists(st.sampled_from([-0.0, 5e-324, 1e-7, 1e22, -2.5, 0.1 * 3, 3.5, -7.0]),
+                     min_size=1, max_size=6, unique=True)
+
+    @given(_AXIS, _AXIS, st.integers(0, 2 ** 32 - 1))
+    def test_random_axes_and_their_shuffles(self, xs, ys, seed):
+        pts = np.array([[x, y] for x in xs for y in ys])
+        shuffled = pts[np.random.default_rng(seed).permutation(len(pts))]
+        for rows in (pts, shuffled):
+            obj = space_to_json(EuclideanPointSet(rows))
+            assert obj["kind"] == "grid2d" or rows is shuffled
+            back = space_from_json(json.loads(json.dumps(obj))).points
+            assert back.view(np.int64).tolist() == rows.view(np.int64).tolist()
+
+    def test_the_point_cap_is_counted_before_any_point(self):
+        axes = {"kind": "grid2d", "x": list(range(1001)), "y": list(range(1000))}
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyPoints) as info:
+                space_from_json(axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.count, info.value.cap) == (1_001_000, POINT_CAP)
+        assert peak < 1 << 16  # the 1,001,000 points would take 16 MB
+
+    @pytest.mark.parametrize("x", [
+        [[0.0], [1.0]], [0.0, [1.0]], [], [0.0, "1"], [True, 2.0], [0.0, None], 5, "01", None,
+        {"a": 1.0},
+    ], ids=["nested", "one-nested", "empty", "string", "boolean", "null", "number", "text",
+            "null-axis", "object"])
+    def test_malformed_axes_are_rejected(self, x, tmp_path):
+        for obj in ({"kind": "grid2d", "x": x, "y": [0.0, 1.0]},
+                    {"kind": "grid2d", "x": [0.0, 1.0], "y": x}):
+            with pytest.raises(ValueError, match="grid2d x and y must be nonempty"):
+                space_from_json(obj)
+            path = tmp_path / "bad.json"
+            dump_json(obj, path)
+            assert cli.main(["hausdorff", "--space", str(path)]) == 2
+
+    @pytest.mark.parametrize("x, error", [
+        ([0.0, 1.0, 0.0], DuplicatePoint), ([0.0, -0.0], DuplicatePoint),
+        ([0.0, float("inf")], ValueError), ([1, 10 ** 400], ValueError),
+    ])
+    def test_axes_go_through_the_point_set_checks(self, x, error, tmp_path):
+        obj = {"kind": "grid2d", "x": x, "y": [0.5]}
+        with pytest.raises(error):
+            space_from_json(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
         assert cli.main(["hausdorff", "--space", str(path)]) == 2
 
 
@@ -196,14 +319,18 @@ class TestFiles:
 
     def test_cover_written_in_slices_equals_one_dumps(self, tmp_path):
         # 6,561 points and about 3,280 members per family: both lists are
-        # longer than one slice
+        # longer than one slice. Listed y-major, the lattice is written as its
+        # points; listed x-major, as its two axes
         lat = gen_lattice_window(WindowSpec.square(80))
-        obj = cover_to_json(lat, gen_chess_families(lat), math.sqrt(2), c=0.0,
-                            target=SubsetRef.full(lat.n))
-        assert len(obj["space"]["pts"]) > serialize._DUMP_SLICE
-        path = tmp_path / "chess.json"
-        dump_json(obj, path)
-        assert path.read_bytes() == (json.dumps(obj) + "\n").encode("utf-8")
+        for space, kind in ((EuclideanPointSet(lat.points[:, ::-1]), "points2d"),
+                            (lat, "grid2d")):
+            obj = cover_to_json(space, gen_chess_families(space), math.sqrt(2), c=0.0,
+                                target=SubsetRef.full(space.n))
+            assert obj["space"]["kind"] == kind
+            assert kind == "grid2d" or len(obj["space"]["pts"]) > serialize._DUMP_SLICE
+            path = tmp_path / "chess.json"
+            dump_json(obj, path)
+            assert path.read_bytes() == (json.dumps(obj) + "\n").encode("utf-8")
 
     @pytest.mark.parametrize("obj", [
         {"a": [[1, 2], [3]] * 4, "b": {"c": list(range(9)), "d": []}, "e": {}},
@@ -398,7 +525,7 @@ _COORDINATES = ["-0.0", "-0", "0", "5e-324", "1e+300", "1E5", "7", "-2.5e-3",
 _ENTRIES = ["-0", "-1", "0", "99999", "1.0", "1" + "0" * 25]
 _PERTURBATIONS = ["none", "space", "indent", "reorder", "matrix", "coordinate", "entry",
                   "ragged", "empty-member", "truncate", "label", "labels", "labels-null",
-                  "target", "late-space", "strict"]
+                  "target", "late-space", "strict", "empty-space", "repeat"]
 # gen arguments of every cover kind, on windows of side a by b
 _GEN_COVERS = {
     "chess": lambda a, b: ["chess", "--window", f"0,{a},0,{b}"],
@@ -408,15 +535,37 @@ _GEN_COVERS = {
     "interval": lambda a, b: ["interval", "--window", f"0,{a},0,{b}", "--r", "1"],
 }
 _NUMBER = re.compile(r"-?[0-9][0-9.eE+-]*")
+_LIST = re.compile(r"\[[^\[\]]*\]")  # a points2d row or a grid2d axis
+
+
+def _as_points2d(text: str) -> str:
+    """A cover file's text with its space written as the list of its points."""
+    obj = json.loads(text)
+    obj["space"] = {"kind": "points2d", "pts": space_from_json(obj["space"]).points.tolist()}
+    return json.dumps(obj) + "\n"
 
 
 def _perturb(text: str, how: str, rng: np.random.Generator) -> str:
-    """A cover file's text changed one way; most ways leave dump_json's layout."""
+    """A cover file's text changed one way; most ways leave dump_json's layout.
+
+    The coordinates are a points2d space's rows or a grid2d space's axes.
+    On a points2d space "ragged" changes a row's length, "empty-space"
+    empties the rows and "repeat" repeats a row; on a grid2d space they nest
+    an axis value, empty an axis and repeat an axis value, and "labels" is
+    a space key besides kind, x and y.
+    """
     def pick(seq):
         return seq[int(rng.integers(len(seq)))]
 
-    pts_start = text.index('"pts": ') + len('"pts": ')
-    pts_end = text.index("]]", pts_start) + 2
+    grid = text.startswith(serialize._GRID_HEAD)
+    # the space's coordinates: from the rows' "[[", or the x axis' "[", to just past the last "]"
+    if grid:
+        pts_start = text.index('"x": ') + len('"x": ')
+        pts_end = text.index('}, "families": ')
+    else:
+        pts_start = text.index('"pts": ') + len('"pts": ')
+        pts_end = text.index("]]", pts_start) + 2
+    numbers = list(_NUMBER.finditer(text, pts_start, pts_end))
     if how == "space":
         at = pick([m.end() for m in re.finditer(r", |: ", text)])
         return text[:at] + " " + text[at:]
@@ -427,17 +576,27 @@ def _perturb(text: str, how: str, rng: np.random.Generator) -> str:
         if how == "reorder":
             obj["space"] = dict(reversed(obj["space"].items()))
             return json.dumps(dict(reversed(obj.items())))
-        pts = np.array(obj["space"]["pts"])
+        pts = space_from_json(obj["space"]).points
         d = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
         obj["space"] = {"kind": "matrix", "n": len(pts), "d": d.tolist()}
         return json.dumps(obj)
     if how in ("coordinate", "ragged"):
         if how == "coordinate":
-            m = pick(list(_NUMBER.finditer(text, pts_start, pts_end)))
+            m = pick(numbers)
             return text[:m.start()] + pick(_COORDINATES) + text[m.end():]
+        if grid:
+            m = pick(numbers)
+            return text[:m.start()] + pick([f"[{m[0]}]", f"[{m[0]}, 0.5]"]) + text[m.end():]
         m = pick(list(re.finditer(r"\[([^\[\]]*), ([^\[\]]*)\]", text[:pts_end])))
         row = pick([f"[{m[1]}]", f"[{m[1]}, {m[2]}, 0.5]", f"[{m[1]}, {m[2]}, 0.5], [0.5]"])
         return text[:m.start()] + row + text[m.end():]
+    if how == "empty-space":
+        m = pick(list(_LIST.finditer(text, pts_start, pts_end))) if grid else None
+        at, end = (m.start(), m.end()) if grid else (pts_start, pts_end)
+        return text[:at] + "[]" + text[end:]
+    if how == "repeat":  # a point, or an axis value, twice
+        m = pick(numbers if grid else list(_LIST.finditer(text, pts_start + 1, pts_end)))
+        return text[:m.end()] + ", " + m[0] + text[m.end():]
     if how == "entry":
         ms = [m for s in re.finditer(r'"members": ', text)
               for m in _NUMBER.finditer(text, s.end(), text.index("}", s.end()))]
@@ -455,10 +614,11 @@ def _perturb(text: str, how: str, rng: np.random.Generator) -> str:
         return re.sub(r'(\{"label": )("(?:[^"\\]|\\.)*")', lambda m: m[1] + label, text, count=1)
     if how in ("target", "late-space"):  # a key after the others: json keeps the last "space"
         key = pick(['"target": [0]', '"target": [0, 3]', '"target": []']) if how == "target" \
-            else '"space": {"kind": "points2d", "pts": [[5.0, 5.0]]}'
+            else '"space": ' + pick(['{"kind": "points2d", "pts": [[5.0, 5.0]]}',
+                                     '{"kind": "grid2d", "x": [5.0], "y": [5.0, 6.0]}'])
         return text.rstrip()[:-1] + ", " + key + "}\n"
     if how in ("labels", "labels-null"):  # per-point labels, as older files have them
-        n = text.count("], [", pts_start, pts_end) + 1
+        n = space_from_json(json.loads(text)["space"]).n
         labels = pick([n, n + 1, n - 1]) * ["(0,0)"] if how == "labels" else None
         return text[:pts_end] + ', "labels": ' + json.dumps(labels) + text[pts_end:]
     if how == "strict":
@@ -536,18 +696,54 @@ class TestLoadCover:
         assert (plain.call_count == 0
                 and path.read_text() not in [c.args[0] for c in loads.call_args_list]) is fast
 
+    @pytest.mark.parametrize("space, fast", [
+        ('{"kind": "grid2d", "x": [0.0, 1.0], "y": [-0.0]}', True),
+        ('{"kind": "grid2d", "x": [-1, 1E5, 5e-324], "y": [2.5, 123456789012345678901]}', True),
+        ('{"kind": "grid2d", "x": [0.0, 1.0], "y": [0.0], "x": [2.0, 3.0]}', True),  # json's last
+        ('{"kind": "grid2d", "x": [0.0, 1.0], "y": [0.0]  }', True),
+        ('{"kind": "grid2d", "x": [0.0, 0.0], "y": [0.0]}', True),  # a duplicate point
+        ('{"kind": "grid2d", "x": [0.0, 1e400], "y": [0.0]}', True),
+        ('{"kind": "grid2d", "x": [0.0, 1.0], "y": []}', True),
+        ('{"kind": "grid2d", "x": [0.0, [1.0]], "y": [0.0]}', True),
+        ('{"kind": "grid2d", "x": [0.0, 1.0], "y": [0.0], "labels": ["a", "b"]}', False),
+        ('{"kind": "grid2d", "x": [0.0, 1.0], "y": [0.0], "pts": [[0.0, 0.0]]}', False),
+        ('{"kind": "grid2d", "x": [0.0, 1.0]}', False),
+        ('{"kind": "grid2d", "y": [0.0], "x": [0.0, 1.0]}', False),
+        ('{"kind": "grid2d",  "x": [0.0, 1.0], "y": [0.0]}', False),
+        ('{"kind": "grid2d", "x": [0.0, 1.0], "y": [0.0]]', False),  # not JSON
+    ])
+    def test_hand_written_grid_files(self, tmp_path, space, fast):
+        path = tmp_path / "c.json"
+        path.write_text('{"kind": "cover", "space": ' + space + serialize._FAMILIES[1:-1]
+                        + _family("[[0], [1]]") + _TAIL, encoding="utf-8")
+        want = _outcome(lambda: cover_from_json(load_json(path)))
+        with mock.patch.object(serialize, "cover_from_json",
+                               wraps=serialize.cover_from_json) as plain, \
+                mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            got = _outcome(lambda: serialize.load_cover(path))
+        assert got == want
+        assert (plain.call_count == 0
+                and path.read_text() not in [c.args[0] for c in loads.call_args_list]) is fast
+
+    # every perturbation, of the file as gen writes it and of its points2d rewrite
+    @pytest.mark.parametrize("layout", ["gen", "points2d"])
+    @pytest.mark.parametrize("how", _PERTURBATIONS)
+    @settings(max_examples=6)
     @given(kind=st.sampled_from(sorted(_GEN_COVERS)), a=st.integers(0, 3), b=st.integers(0, 3),
-           how=st.sampled_from(_PERTURBATIONS), seed=st.integers(0, 2 ** 32 - 1),
-           read_chars=st.sampled_from([1, 40, None]))
-    @example(kind="chess", a=2, b=2, how="label", seed=0, read_chars=None)
-    @example(kind="brick", a=3, b=3, how="none", seed=0, read_chars=1)
-    @example(kind="chess", a=1, b=2, how="labels", seed=0, read_chars=None)
-    @example(kind="interval", a=3, b=0, how="strict", seed=0, read_chars=None)
-    def test_matches_the_plain_reader(self, tmp_path_factory, kind, a, b, how, seed, read_chars):
+           seed=st.integers(0, 2 ** 32 - 1), read_chars=st.sampled_from([1, 40, None]))
+    @example(kind="chess", a=2, b=2, seed=0, read_chars=None)
+    @example(kind="brick", a=3, b=3, seed=0, read_chars=1)
+    @example(kind="chess", a=1, b=2, seed=0, read_chars=None)
+    @example(kind="interval", a=3, b=0, seed=0, read_chars=None)
+    @example(kind="comb-cover", a=3, b=1, seed=0, read_chars=40)
+    def test_matches_the_plain_reader(self, tmp_path_factory, layout, how, kind, a, b, seed,
+                                      read_chars):
         path = tmp_path_factory.mktemp("cover") / "c.json"
         assert cli.main(["gen", *_GEN_COVERS[kind](a, b), "--out", str(path)]) == 0
         text = path.read_text(encoding="utf-8")
-        if how == "matrix" and text.count("], [") > 60:
+        if layout == "points2d":
+            text = _as_points2d(text)
+        if how == "matrix" and space_from_json(json.loads(text)["space"]).n > 60:
             how = "none"  # keep the triangle check of the matrix small
         path.write_text(_perturb(text, how, np.random.default_rng(seed)), encoding="utf-8")
         want = _outcome(lambda: cover_from_json(load_json(path)))
