@@ -54,6 +54,7 @@ from .metric import (EuclideanPointSet, SubsetRef, _planar_directed, _unmatched,
                      planar_hausdorff, scale_points)
 from .serialize import (
     _document,
+    _space_size,
     certificate_report_json,
     dump_json,
     gh_result_to_json,
@@ -211,14 +212,10 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
 def cmd_gh_exact(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     docs = [load_json(args.x), load_json(args.y)]
-    # an oversized side is refused before its space is built: before a matrix's n^3
-    # triangle check, or a grid2d's cross product
-    for doc in docs:
-        if isinstance(doc, dict):
-            keys = {"grid2d": ("x", "y"), "points2d": ("pts",)}.get(doc.get("kind"), ("d",))
-            lists = [doc.get(key) for key in keys]
-            if all(isinstance(v, list) for v in lists):
-                _check_sides(math.prod(map(len, lists)))
+    # a side past 62 points is refused before its space (a matrix's n^3 check) is built
+    for size in map(_space_size, docs):
+        if size is not None:
+            _check_sides(size)
     x, y = (space_from_json(doc) for doc in docs)
     res = exact_gh(x, y, budget=args.budget)
     outputs = gh_result_to_json(res)

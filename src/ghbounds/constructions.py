@@ -95,9 +95,9 @@ def _grid_coords(lo: float, hi: float, step: float, pad_edges: bool) -> np.ndarr
     return np.concatenate((head, coords, tail)) if head or tail else coords
 
 
-def _check_count(count: int, cap: int = POINT_CAP) -> None:
-    if count > cap:
-        raise TooManyPoints(count, cap)
+def _check_count(count: int) -> None:
+    if count > POINT_CAP:
+        raise TooManyPoints(count, POINT_CAP)
 
 
 def _cross_product_points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -117,7 +117,7 @@ def gen_lattice_window(w: WindowSpec) -> EuclideanPointSet:
     return EuclideanPointSet(_cross_product_points(xs, ys))
 
 
-def gen_epsilon_net(w: WindowSpec, eps: float, cap: int = POINT_CAP) -> EuclideanPointSet:
+def gen_epsilon_net(w: WindowSpec, eps: float) -> EuclideanPointSet:
     """Grid of spacing eps covering the closed window.
 
     Coordinates are multiples of eps, so the grid passes through (xmin, ymin)
@@ -127,7 +127,7 @@ def gen_epsilon_net(w: WindowSpec, eps: float, cap: int = POINT_CAP) -> Euclidea
     """
     if eps <= 0:
         raise ValueError("net spacing must be positive")
-    _check_count(_grid_size(w.xmin, w.xmax, eps, True) * _grid_size(w.ymin, w.ymax, eps, True), cap)
+    _check_count(_grid_size(w.xmin, w.xmax, eps, True) * _grid_size(w.ymin, w.ymax, eps, True))
     xs = _grid_coords(w.xmin, w.xmax, eps, pad_edges=True)
     ys = _grid_coords(w.ymin, w.ymax, eps, pad_edges=True)
     return EuclideanPointSet(_cross_product_points(xs, ys))
@@ -262,7 +262,6 @@ _BRICK_LABELS = ("red", "blue", "green")
 
 def gen_brick_cover(w: WindowSpec, r: float, L: float | None = None,
                     spacing: float | None = None,
-                    net: EuclideanPointSet | None = None,
                     ) -> tuple[EuclideanPointSet, tuple[SubsetFamily, SubsetFamily, SubsetFamily]]:
     """Brick-wall 3-coloring of a window net: same-color gap >= L/2, diam <= L*sqrt(2).
 
@@ -278,8 +277,7 @@ def gen_brick_cover(w: WindowSpec, r: float, L: float | None = None,
         L = 3.0 * r
     if L < 2.0 * r - 1e-12:
         raise LTooSmall(L, r)
-    if net is None:
-        net = gen_epsilon_net(w, spacing if spacing is not None else r / 4.0)
+    net = gen_epsilon_net(w, spacing if spacing is not None else r / 4.0)
     x, y = net.points[:, 0], net.points[:, 1]
     j = np.floor(y / L + _GRID_TOL).astype(np.int64)
     i = np.floor((x - j * (L / 2.0)) / L + _GRID_TOL).astype(np.int64)

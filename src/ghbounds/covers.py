@@ -60,6 +60,7 @@ from .metric import (
     MetricLike,
     SubsetRef,
     _GRID_FLOOR,
+    _GRID_SLACK,
     _TargetGrid,
     _batches,
     _checked_runs,
@@ -106,10 +107,6 @@ class SubsetFamily:
             self.__init__(label, [SubsetRef(m, n).array for m in members])
             return
         _set_index(self, label, flat, counts, n)
-
-    @staticmethod
-    def of(label: str, members: Iterable[Iterable[int]], n: int | None = None) -> "SubsetFamily":
-        return SubsetFamily(label, members, n)
 
     @property
     def members(self) -> tuple[SubsetRef, ...]:
@@ -264,7 +261,6 @@ class CoverCertificate(_Target):
     strict: bool
     target_size: int
     min_gap: float
-    tolerance: float = DEFAULT_TOL
     given_target: SubsetRef | None = None
 
     @property
@@ -282,11 +278,6 @@ _GAP_PAIRS = 4096
 _BOX_POINTS = 16384
 # within-member point pairs per diameter batch
 _DIAM_PAIRS = 65536
-# sweep windows and grid cells reach past the threshold by thousands of ulps
-# of the coordinates, and by at least a gap whose square does not underflow
-# (_GRID_FLOOR), so rounding never drops a pair whose box gap is at most the
-# threshold
-_GAP_SLACK = 2.0 ** -40
 
 
 def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[int, int] | None]:
@@ -417,7 +408,7 @@ def _sweep_candidates(key: np.ndarray, edge: np.ndarray, order: np.ndarray,
     on the family's longer axis; ``edge`` is the high edge. Row t pairs
     with every later member whose low edge is within ub of its high edge.
     """
-    reach = edge + ub + (_GAP_SLACK * (np.abs(edge) + ub) + _GRID_FLOOR)
+    reach = edge + ub + (_GRID_SLACK * (np.abs(edge) + ub) + _GRID_FLOOR)
     begin = np.arange(1, key.size + 1)
     counts = np.maximum(np.searchsorted(key, reach, side="right") - begin, 0)
     return _Candidates(order, 1, begin, counts)
@@ -435,7 +426,7 @@ def _grid_candidates(lo: np.ndarray, hi: np.ndarray, ub: float) -> _Candidates:
     """
     extent = float((hi - lo).max())
     scale = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
-    side = extent + ub + (_GAP_SLACK * (scale + extent + ub) + _GRID_FLOOR)
+    side = extent + ub + (_GRID_SLACK * (scale + extent + ub) + _GRID_FLOOR)
     grid = _TargetGrid(lo.T, side)
     order, offs, _ = grid.buckets()
     nx, last = grid.nx, grid.nx * grid.ny
@@ -453,13 +444,13 @@ def _grid_candidates(lo: np.ndarray, hi: np.ndarray, ub: float) -> _Candidates:
 
 
 def check_r_disjoint(space: MetricLike, fam: SubsetFamily, r: float,
-                     strict: bool = False, tolerance: float = DEFAULT_TOL) -> DisjointnessReport:
+                     strict: bool = False) -> DisjointnessReport:
     """Verify pairwise member gaps against r.
 
-    Strict mode requires gap > r; non-strict requires gap >= r - tolerance.
+    Strict mode requires gap > r; non-strict requires gap >= r - DEFAULT_TOL.
     """
     gap, witness = _family_min_gap(space, fam)
-    ok = gap > r if strict else gap >= r - tolerance
+    ok = gap > r if strict else gap >= r - DEFAULT_TOL
     return DisjointnessReport(ok=ok, min_gap=gap, witness=witness, r=r, strict=strict)
 
 
@@ -590,8 +581,8 @@ def _coverage(n: int, families: Sequence[SubsetFamily],
 
 
 def inspect_cover(space: MetricLike, families: Sequence[SubsetFamily], r: float,
-                  strict: bool = False, target: SubsetRef | Iterable[int] | None = None,
-                  tolerance: float = DEFAULT_TOL) -> CoverInspection:
+                  strict: bool = False,
+                  target: SubsetRef | Iterable[int] | None = None) -> CoverInspection:
     """Measure every certificate condition once, raising on none of them.
 
     Per family: the min gap and its witness against r (``check_r_disjoint``)
@@ -604,7 +595,7 @@ def inspect_cover(space: MetricLike, families: Sequence[SubsetFamily], r: float,
     if tgt is not None and len(tgt) == space.n:  # n points in [0, n) are every point
         tgt = None
     measured = tuple(FamilyInspection(fam.label, len(fam),
-                                      check_r_disjoint(space, fam, r, strict, tolerance),
+                                      check_r_disjoint(space, fam, r, strict),
                                       check_uniform_bound(space, fam)) for fam in fams)
     return CoverInspection(measured, space.n if tgt is None else len(tgt),
                            *_coverage(space.n, fams, tgt), given_target=tgt)
@@ -632,8 +623,8 @@ def _duplicate_members(fam: SubsetFamily) -> tuple[int, int] | None:
 
 
 def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: float,
-                     strict: bool = False, target: SubsetRef | Iterable[int] | None = None,
-                     tolerance: float = DEFAULT_TOL) -> CoverCertificate:
+                     strict: bool = False,
+                     target: SubsetRef | Iterable[int] | None = None) -> CoverCertificate:
     """Run disjointness, boundedness, and coverage checks; package the result.
 
     C is set to the measured maximum member diameter. Raises a structured
@@ -647,7 +638,7 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
         pair = _duplicate_members(fam)
         if pair is not None:
             raise NotDisjoint(fam.label, pair, 0.0, r)
-    found = inspect_cover(space, fams, r, strict, target, tolerance)
+    found = inspect_cover(space, fams, r, strict, target)
     for fam in found.families:
         if not fam.disjoint.ok:
             assert fam.disjoint.witness is not None
@@ -656,7 +647,7 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
         raise NotCovering(found.cover.uncovered)
     return CoverCertificate(space=space, families=fams, r=r, c=found.c, strict=strict,
                             target_size=found.target_size, min_gap=found.min_gap,
-                            tolerance=tolerance, given_target=found.given_target)
+                            given_target=found.given_target)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +667,7 @@ def gh_lower_bound(cert: CoverCertificate, model: ModelSpaceDescriptor) -> Bound
     model's dimension lower bound n, and the model's scaling stabilizer must
     be nontrivial. The emitted bound concerns the infinite model space, not
     any finite window. A non-strict certificate may accept a measured gap
-    up to its tolerance below r; the bound then uses the measured gap.
+    up to DEFAULT_TOL below r; the bound then uses the measured gap.
     """
     k, n = cert.k, model.asdim_lower
     if k > n:
@@ -704,7 +695,7 @@ def gh_lower_bound(cert: CoverCertificate, model: ModelSpaceDescriptor) -> Bound
     )
     if short:
         trace = trace + (
-            f"non-strict mode with tolerance {cert.tolerance!r}: the measured gap "
+            f"non-strict mode with tolerance {DEFAULT_TOL!r}: the measured gap "
             f"{gap} is {cert.r - cert.min_gap:.3g} below r, so the families are "
             "separated only by the measured gap, and the bound uses it in place of r",
         )

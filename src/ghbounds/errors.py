@@ -85,12 +85,6 @@ class NotACorrespondence(GhBoundsError):
         super().__init__(reason)
 
 
-class SizeCapExceeded(GhBoundsError):
-    def __init__(self, cells: int, cap: int):
-        self.cells, self.cap = cells, cap
-        super().__init__(f"nX*nY = {cells} exceeds enumeration cap {cap}")
-
-
 # ---------------------------------------------------------------------------
 # covers and certificates
 
@@ -151,6 +145,12 @@ class TooManyPoints(GhBoundsError):
     def __init__(self, count: int, cap: int):
         self.count, self.cap = count, cap
         super().__init__(f"generator would emit {count} points, cap is {cap}")
+
+
+class SpaceTooLarge(TooManyPoints):
+    def __init__(self, kind: str, count: int, cap: int):
+        self.kind, self.count, self.cap = kind, count, cap
+        GhBoundsError.__init__(self, f"{kind} space lists {count} points, cap is {cap}")
 
 
 class NonIntegerPoint(GhBoundsError):

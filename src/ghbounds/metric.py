@@ -106,10 +106,6 @@ class SubsetRef:
             self.check_ambient(n)
 
     @staticmethod
-    def of(indices: Iterable[int], n: int | None = None) -> "SubsetRef":
-        return SubsetRef(indices, n)
-
-    @staticmethod
     def full(n: int) -> "SubsetRef":
         """Every index of an n-point ambient, 0..n-1."""
         return SubsetRef(np.arange(n))
@@ -291,28 +287,22 @@ def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
 # ---------------------------------------------------------------------------
 # nearest points
 
-# relative allowance for rounding in cell assignment, cell edges and
-# distances; thousands of ulps, so every bound and reach stays conservative
+# relative and absolute allowances for rounding in cell assignment, cell
+# edges and distances, here and in the planar family gap search of covers:
+# thousands of ulps, and past 2**-537, to which a distance whose square is
+# subnormal is computed, so every bound and reach stays conservative
 _GRID_SLACK = 2.0 ** -40
-# absolute allowance of the same: a distance whose square is subnormal is
-# computed only to about 2**-537 (also the planar family gap search's)
 _GRID_FLOOR = 2.0 ** -500
 # a square or disc gather keeps about a dozen arrays per candidate (and per
 # grid row), so one gather holds a sixteenth of a distance block's cells
 _GATHER = _BLOCK_CELLS // 16
 
 
-def _nearest(space: MetricLike, ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each index in ia: distance to the nearest point of ib, and that point's index.
-
-    Ties go to the earliest position in ib (the smallest index, as callers
-    pass ib ascending), exactly as ``space.block(ia, ib).argmin(axis=1)``.
-    """
+def _nearest(space: MetricLike, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Each ia index's distance to its nearest ib point, as ``space.block(ia, ib).min(axis=1)``."""
     if isinstance(space, EuclideanPointSet):
-        dist, pos = _grid_nearest(space.points[ia], space.points[ib])
-    else:
-        dist, pos = _scan_nearest(lambda rows: space.block(ia[rows], ib), ia.size, ib.size)
-    return dist, ib[pos]
+        return _grid_nearest(space.points[ia], space.points[ib])[0]
+    return _scan_nearest(lambda rows: space.block(ia[rows], ib), ia.size, ib.size)[0]
 
 
 def _scan_nearest(block, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -695,13 +685,12 @@ def _planar_directed(q: np.ndarray, p: np.ndarray) -> float:
 # construction
 
 
-def build_space(matrix: Sequence[Sequence[float]] | np.ndarray,
-                tolerance: float = DEFAULT_TOL) -> FiniteMetricSpace:
+def build_space(matrix: Sequence[Sequence[float]] | np.ndarray) -> FiniteMetricSpace:
     """Validate a distance matrix and wrap it as a FiniteMetricSpace.
 
     The triangle inequality is checked exhaustively over all index triples
-    with additive tolerance; the first violating triple (lexicographic) is
-    reported.
+    with additive tolerance DEFAULT_TOL; the first violating triple
+    (lexicographic) is reported.
     """
     d = np.asarray(matrix, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -710,19 +699,19 @@ def build_space(matrix: Sequence[Sequence[float]] | np.ndarray,
         raise ValueError("matrix entries must be finite")
     n = d.shape[0]
 
-    asym = np.abs(d - d.T) > tolerance
+    asym = np.abs(d - d.T) > DEFAULT_TOL
     if asym.any():
         i, j = map(int, np.argwhere(asym)[0])
         raise NotSymmetric(i, j, float(d[i, j]), float(d[j, i]))
-    neg = d < -tolerance
+    neg = d < -DEFAULT_TOL
     if neg.any():
         i, j = map(int, np.argwhere(neg)[0])
         raise NegativeEntry(i, j, float(d[i, j]))
-    diag = np.abs(np.diagonal(d)) > tolerance
+    diag = np.abs(np.diagonal(d)) > DEFAULT_TOL
     if diag.any():
         i = int(np.argwhere(diag)[0][0])
         raise NonzeroDiagonal(i, float(d[i, i]))
-    off = (np.abs(d) <= tolerance) & ~np.eye(n, dtype=bool)
+    off = (np.abs(d) <= DEFAULT_TOL) & ~np.eye(n, dtype=bool)
     if off.any():
         i, j = map(int, np.argwhere(off)[0])
         raise ZeroOffDiagonal(i, j)
@@ -732,7 +721,7 @@ def build_space(matrix: Sequence[Sequence[float]] | np.ndarray,
     for s in range(0, n, step):
         lhs = d[s:s + step, None, :]                      # [i, 1, k]
         rhs = d[s:s + step, :, None] + d[None, :, :]      # [i, j, k]
-        bad = lhs > rhs + tolerance
+        bad = lhs > rhs + DEFAULT_TOL
         if bad.any():
             i, j, k = map(int, np.argwhere(bad)[0])
             i += s
@@ -769,14 +758,14 @@ def set_distance(space: MetricLike, a: "SubsetRef | Iterable[int]",
                  b: "SubsetRef | Iterable[int]") -> float:
     """min over cross pairs; 0 when the subsets share a point."""
     ia, ib = as_subset(a, space.n).array, as_subset(b, space.n).array
-    return float(_nearest(space, ia, ib)[0].min())
+    return float(_nearest(space, ia, ib).min())
 
 
 def neighborhood(space: MetricLike, a: "SubsetRef | Iterable[int]", r: float) -> SubsetRef:
     """Open r-neighborhood: indices at distance strictly below r from the subset."""
     if r <= 0:
         raise ValueError(f"neighborhood radius must be positive, got {r}")
-    dist, _ = _nearest(space, np.arange(space.n, dtype=np.intp), as_subset(a, space.n).array)
+    dist = _nearest(space, np.arange(space.n, dtype=np.intp), as_subset(a, space.n).array)
     return SubsetRef(np.flatnonzero(dist < r))
 
 
@@ -786,7 +775,7 @@ def directed_hausdorff(space: MetricLike, a: "SubsetRef | Iterable[int]",
     ia, ib = as_subset(a, space.n).array, as_subset(b, space.n).array
     if isinstance(space, EuclideanPointSet):
         return _planar_directed(space.points[ia], space.points[ib])
-    return float(_nearest(space, ia, ib)[0].max())
+    return float(_nearest(space, ia, ib).max())
 
 
 def hausdorff(space: MetricLike, a: "SubsetRef | Iterable[int]",

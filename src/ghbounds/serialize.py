@@ -11,9 +11,13 @@ Cover:    {"kind": "cover", "space": ..., "families": [...], "r": ...,
 A planar set is written as grid2d when its points are the x-major cross
 product of two axes, bit for bit: point k is (x[k // len(y)], y[k % len(y)]),
 as every lattice window, net and interval net of ``gen`` is. The reader
-rebuilds that array with ``constructions._cross_product_points`` after
-counting len(x) * len(y) against ``POINT_CAP``. Any other planar set is
-written as points2d.
+rebuilds that array with ``constructions._cross_product_points``. Any other
+planar set is written as points2d.
+
+Size limits: a space lists len(x) * len(y), len(pts) or len(d) points
+(``_space_size``), counted before anything is built. A grid2d or points2d
+space may list ``POINT_CAP`` = 1,000,000 points and a matrix 1,000 (its
+1,000,000 entries); a larger one is refused with ``SpaceTooLarge``.
 
 Floats pass through json untouched, so distances print in Python's
 shortest round-trip form (e.g. 0.7071067811865476) and reload bit-exactly.
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -60,10 +65,11 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .constructions import _check_count, _cross_product_points
+from .constructions import POINT_CAP, _cross_product_points
 from .correspondence import GhResult
 from .covers import (BoundResult, CoverCertificate, ModelSpaceDescriptor, SubsetFamily,
                      _family_from_runs)
+from .errors import SpaceTooLarge
 from .metric import EuclideanPointSet, MetricLike, SubsetRef, build_space
 
 # list items, array rows or member entries per slice in dump_json
@@ -147,10 +153,10 @@ def _dict(obj: Any, what: str) -> dict[str, Any]:
 
 
 def _read(convert: Callable[[Any], Any], value: Any, what: str) -> Any:
-    """convert(value); a JSON value of the wrong type for it raises ValueError, not TypeError."""
+    """convert(value); a JSON value of the wrong type or range for it raises ValueError."""
     try:
         return convert(value)
-    except TypeError as exc:  # an int where an array should be, an array where a number should
+    except (TypeError, OverflowError) as exc:  # a list for a number, an int past the floats
         raise ValueError(f"{what}: {exc}") from None
 
 
@@ -160,18 +166,33 @@ def _bool(value: Any, what: str) -> bool:
     return value
 
 
+# per space kind: the keys of the lists whose lengths multiply to its number
+# of points, and the most points read (a matrix of n points holds n^2 entries)
+_SPACE_LISTS = {"grid2d": (("x", "y"), POINT_CAP), "points2d": (("pts",), POINT_CAP),
+                "matrix": (("d",), math.isqrt(POINT_CAP))}
+
+
+def _space_size(obj: Any) -> int | None:
+    """The points a space document lists (None without its lists); SpaceTooLarge past its cap."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    keys, cap = _SPACE_LISTS[kind] if isinstance(kind, str) and kind in _SPACE_LISTS else ((), 0)
+    lists = [obj.get(key) for key in keys]
+    if not lists or not all(isinstance(v, (list, np.ndarray)) for v in lists):
+        return None
+    size = math.prod(map(len, lists))
+    if size > cap:
+        raise SpaceTooLarge(kind, size, cap)
+    return size
+
+
 def space_from_json(obj: dict[str, Any]) -> MetricLike:
     kind = _dict(obj, "a space").get("kind")
+    _space_size(obj)  # refused past its cap before anything is built
     if kind == "grid2d":
         axes = obj["x"], obj["y"]
         if not all(type(a) is list and a and set(map(type, a)) <= {int, float} for a in axes):
             raise ValueError("grid2d x and y must be nonempty JSON arrays of numbers")
-        _check_count(len(axes[0]) * len(axes[1]))  # before the points are allocated
-        try:
-            xs, ys = (np.array(a, dtype=np.float64) for a in axes)
-        except OverflowError:  # an integer past the largest float
-            raise ValueError("coordinates must be finite") from None
-        return EuclideanPointSet(_cross_product_points(xs, ys))
+        return EuclideanPointSet(_cross_product_points(*map(_coordinates, axes)))
     if kind == "points2d":
         return EuclideanPointSet(_read(_points_from_rows, obj["pts"], "pts"))
     if kind == "matrix":
@@ -179,11 +200,19 @@ def space_from_json(obj: dict[str, Any]) -> MetricLike:
     raise ValueError(f"unknown space kind {kind!r}")
 
 
+def _coordinates(values: Any) -> np.ndarray:
+    """``np.asarray(values, dtype=np.float64)``; an integer past the largest float is not finite."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("coordinates must be finite") from None
+
+
 def _points_from_rows(pts: Any) -> np.ndarray:
-    """``np.asarray(pts, dtype=np.float64)`` for JSON rows [[x, y], ...], without nesting.
+    """``_coordinates(pts)`` for JSON rows [[x, y], ...], without nesting.
 
     A list of lists, each of length 2, is read by one ``np.fromiter`` over
-    the flattened pairs; anything else goes through ``np.asarray``, whose
+    the flattened pairs; anything else goes through ``_coordinates``, whose
     shape ``EuclideanPointSet`` checks, as do rows it cannot read.
     """
     if (type(pts) is list and set(map(type, pts)) == {list}
@@ -191,11 +220,11 @@ def _points_from_rows(pts: Any) -> np.ndarray:
         try:
             flat = np.fromiter(itertools.chain.from_iterable(pts), dtype=np.float64,
                                count=2 * len(pts))
-        except (TypeError, ValueError):  # None, say, which asarray reads as nan
+        except (TypeError, ValueError, OverflowError):  # None, say, which asarray reads as nan
             pass
         else:
             return flat.reshape(-1, 2)
-    return np.asarray(pts, dtype=np.float64)
+    return _coordinates(pts)
 
 
 def subset_to_json(s: SubsetRef) -> list[int]:
@@ -211,7 +240,7 @@ def family_to_json(fam: SubsetFamily) -> dict[str, Any]:
 
 
 def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
-    return _read(lambda f: SubsetFamily.of(str(f["label"]), f["members"], n), obj, "a family")
+    return _read(lambda f: SubsetFamily(str(f["label"]), f["members"], n), obj, "a family")
 
 
 def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,
@@ -284,11 +313,11 @@ def _cover_parts(text: str) -> tuple[np.ndarray | dict[str, Any],
     """The space, each family's (label, entries, counts) and the keys after them.
 
     The space is a grid2d space object as json reads it, or a points2d
-    space's point array. None where the text departs from dump_json's
-    layout of a planar cover. Each literal piece of the layout is matched in
-    place, the grid2d space and each family label are read by json's
-    decoder where they stand, and each array ends at its first "]]", which
-    no number contains.
+    space's point array, counted against its cap. None where the text
+    departs from dump_json's layout of a planar cover. Each literal piece of
+    the layout is matched in place, the grid2d space and each family label
+    are read by json's decoder where they stand, and each array ends at its
+    first "]]", which no number contains.
     """
     if text.startswith(_GRID_HEAD):
         head, end = _DECODER.raw_decode(text, len(_COVER_SPACE))
@@ -301,6 +330,7 @@ def _cover_parts(text: str) -> tuple[np.ndarray | dict[str, Any],
         if rows is None:
             return None
         head = rows[0].reshape(-1, 2)
+        _space_size({"kind": "points2d", "pts": head})  # its cap, as space_from_json counts it
     else:
         return None
     if not text.startswith(_FAMILIES, end):

@@ -76,15 +76,3 @@ def render_families_svg(points: np.ndarray, families: Sequence[SubsetFamily],
             fh.write(block)
         fh.write(parts[-1])
     return out
-
-
-def count_pieces(path: str | Path) -> dict[str, int]:
-    """Pieces per family label in a written figure (markup round-trip check)."""
-    root = ET.parse(path).getroot()
-    counts: dict[str, int] = {}
-    for g in root.iter("{http://www.w3.org/2000/svg}g"):
-        classes = g.get("class", "").split()
-        if classes and classes[0] == "piece":
-            label = classes[1] if len(classes) > 1 else "?"
-            counts[label] = counts.get(label, 0) + 1
-    return counts

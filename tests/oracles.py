@@ -2,14 +2,15 @@
 
 Exhaustive enumeration of correspondences, for the exact GH solver: every
 subset of X x Y whose projections are both onto is scanned by bitmask, with
-no pruning, so sizes are capped at ENUM_CELL_CAP cells.
+no pruning, so sizes are capped at ENUM_CELL_CAP cells (SizeCapExceeded).
 
 The exact GH solver's former search, which chose each row's whole column
 subset in turn, for the search over two maps: the same bisection and
 cell-by-cell witness loop, so both give the same value and witness.
 
 The SVG figure built as one ElementTree element per dot, for the text
-writer in ``ghbounds.svgfig``.
+writer in ``ghbounds.svgfig``, and the pieces per family counted from a
+written figure's markup.
 
 The comb cover grouped point by point into a dict of pieces, for the
 array keys of ``ghbounds.constructions.gen_comb_cover``, and the duplicate
@@ -40,10 +41,16 @@ from ghbounds.constructions import _GRID_TOL, MIN_PIECE_HEIGHT
 from ghbounds.correspondence import (Correspondence, GhResult, _Budget, _OutOfBudget,
                                      distortion)
 from ghbounds.covers import SubsetFamily
-from ghbounds.errors import HTooSmall, NonIntegerPoint, SizeCapExceeded
+from ghbounds.errors import GhBoundsError, HTooSmall, NonIntegerPoint
 from ghbounds.metric import EuclideanPointSet, MetricLike, SubsetRef, _TargetGrid, as_subset
 
 ENUM_CELL_CAP = 25
+
+
+class SizeCapExceeded(GhBoundsError):
+    def __init__(self, cells: int, cap: int):
+        self.cells, self.cap = cells, cap
+        super().__init__(f"nX*nY = {cells} exceeds enumeration cap {cap}")
 
 
 def _surjectivity_masks(nx: int, ny: int) -> tuple[list[int], list[int]]:
@@ -284,6 +291,18 @@ def render_families_svg_et(points: np.ndarray, families: Sequence[SubsetFamily],
     out = Path(path)
     ET.ElementTree(svg).write(out, encoding="utf-8", xml_declaration=True)
     return out
+
+
+def count_pieces(path: str | Path) -> dict[str, int]:
+    """Pieces per family label in a written figure (markup round-trip check)."""
+    root = ET.parse(path).getroot()
+    counts: dict[str, int] = {}
+    for g in root.iter("{http://www.w3.org/2000/svg}g"):
+        classes = g.get("class", "").split()
+        if classes and classes[0] == "piece":
+            label = classes[1] if len(classes) > 1 else "?"
+            counts[label] = counts.get(label, 0) + 1
+    return counts
 
 
 def _comb_piece_key(x: float, y: float, h: float) -> tuple:

@@ -21,6 +21,7 @@ import pytest
 
 import ghbounds
 from conftest import run_cli, run_cli_report
+from oracles import count_pieces
 from ghbounds import __version__, cli, exact_gh, gen_lattice_window, serialize
 from ghbounds.constructions import POINT_CAP
 from ghbounds.covers import SubsetFamily, make_certificate
@@ -28,7 +29,6 @@ from ghbounds.errors import TooManyPoints
 from ghbounds.metric import SubsetRef
 from ghbounds.serialize import (cover_from_json, dump_json, load_cover, load_json,
                                 space_from_json, space_to_json)
-from ghbounds.svgfig import count_pieces
 from ghbounds import build_space
 
 SQRT2 = math.sqrt(2.0)
@@ -229,6 +229,18 @@ class TestGhExact:
         assert run_cli(["gh-exact", "--x", str(x), "--y", str(big)]) == 2
         assert built == []
         assert "at most 62 points per side" in capsys.readouterr().err
+
+    def test_refuses_an_oversized_point_list_side_before_reading_it(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        read = []
+        monkeypatch.setattr(serialize, "_points_from_rows", read.append)
+        x, _ = self.write_pair(tmp_path)
+        pts = tmp_path / "pts.json"
+        dump_json({"kind": "points2d", "pts": [[float(k), 0.0] for k in range(63)]}, pts)
+        assert run_cli(["gh-exact", "--x", str(pts), "--y", str(x)]) == 2
+        assert read == []
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            "validation: solver is sized for small spaces (at most 62 points per side)")
 
     def test_refuses_an_oversized_grid_side_before_building_it(self, tmp_path, monkeypatch,
                                                                capsys):
@@ -687,7 +699,7 @@ class TestFullTargetStaysUnbuilt:
             assert full.call_count == 0 and rows.call_count == 0
             assert cert.target_size == space.n
             # the tuple of every index is built on the first read of the target, once
-            assert cert.target == SubsetRef.of(range(space.n))
+            assert cert.target == SubsetRef(range(space.n))
             assert cert.target is cert.target
             assert full.call_count == 1
             assert rows.call_count == 0
@@ -717,6 +729,7 @@ class TestMalformedDocuments:
         *((option, doc) for option in ("--space", "--cover", "--x", "--space-a", "--model-file")
           for doc in ([1, 2], "x")),
         ("--space", {"kind": "points2d", "pts": {"a": 1}}),
+        ("--x", {"kind": ["matrix"], "d": [[0.0]]}),  # a kind no dict key can be
         ("--cover", _cover_doc(families=[{"label": "a", "members": [0, 1]}])),
         ("--cover", _cover_doc(target=5)),
         ("--cover", _cover_doc(families=[5])),
@@ -725,14 +738,33 @@ class TestMalformedDocuments:
           for flag in ("false", 1)),
     ])
     def test_exit_2(self, option, doc, tmp_path, capsys):
+        assert self.run(option, doc, tmp_path) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith("validation: ")
+
+    @pytest.mark.parametrize("option, doc, message", [
+        ("--space-a", {"kind": "points2d", "pts": [[10 ** 400, 0.0]]},
+         "coordinates must be finite"),
+        ("--space", {"kind": "points2d", "pts": [[0.0, 1.0], [-(10 ** 400), 0.0]]},
+         "coordinates must be finite"),
+        ("--cover", _cover_doc(r=10 ** 400), "r: int too large to convert to float"),
+        ("--space", {"kind": "matrix", "d": [[0.0]] * 1001},
+         "matrix space lists 1001 points, cap is 1000"),
+        # a side whose list is malformed reaches space_from_json's own error
+        ("--x", {"kind": "points2d", "pts": 5}, "points must have shape (n, 2), got (1,)"),
+    ])
+    def test_one_validation_line(self, option, doc, message, tmp_path, capsys):
+        assert self.run(option, doc, tmp_path) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"validation: {message}"]
+
+    def run(self, option, doc, tmp_path):
+        """The command of option, reading doc there and valid files elsewhere; its exit code."""
         files = {"good": tmp_path / "good.json", "cover": tmp_path / "cover.json"}
         files["good"].write_text(json.dumps(_SPACE))
         files["cover"].write_text(json.dumps(_cover_doc()))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         command, *rest = self.COMMANDS[option]
-        assert run_cli([command, option, str(bad), *(a.format(**files) for a in rest)]) == 2
-        assert capsys.readouterr().err.strip().splitlines()[-1].startswith("validation: ")
+        return run_cli([command, option, str(bad), *(a.format(**files) for a in rest)])
 
 
 class TestCollectorPause:

@@ -466,7 +466,7 @@ def _dict_grouped(labels, color, *keys) -> tuple[SubsetFamily, ...]:
         groups: dict[tuple[int, ...], list[int]] = {}
         for idx in np.nonzero(color == c)[0]:
             groups.setdefault(tuple(int(k[idx]) for k in keys), []).append(int(idx))
-        fams.append(SubsetFamily(label, tuple(SubsetRef.of(groups[key]) for key in sorted(groups))))
+        fams.append(SubsetFamily(label, tuple(SubsetRef(groups[key]) for key in sorted(groups))))
     return tuple(fams)
 
 

@@ -13,9 +13,8 @@ from ghbounds import (Correspondence, EuclideanPointSet, Relation, WindowSpec,
                       gen_lattice_window, gh_upper_bound_from_correspondence,
                       hausdorff, nearest_point_correspondence,
                       pushforward, scale)
-from ghbounds.errors import (EmptyImage, EmptyRelation, IndexOutOfRange,
-                             NotACorrespondence, SizeCapExceeded)
-from oracles import (count_correspondences, enumerate_correspondences,
+from ghbounds.errors import EmptyImage, EmptyRelation, IndexOutOfRange, NotACorrespondence
+from oracles import (SizeCapExceeded, count_correspondences, enumerate_correspondences,
                      exact_gh_row_subsets, merge_point_sets, min_distortion_bruteforce)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import outcome, random_correspondence, random_space
-from ghbounds import (Correspondence, EuclideanPointSet, SubsetFamily,
+from ghbounds import (DEFAULT_TOL, Correspondence, EuclideanPointSet, SubsetFamily,
                       WindowSpec, check_cover, check_r_disjoint,
                       check_uniform_bound, diam, distortion,
                       gen_brick_cover, gen_chess_families, gen_comb_cover, gen_comb_set,
@@ -157,7 +157,7 @@ DIAMETER_KINDS = ("integer", "quarter", "horizontal", "vertical", "sloped", "dia
 
 class TestSubsetFamily:
     def test_of_builds_members(self):
-        fam = SubsetFamily.of("f", [[0, 1], [2]], n=4)
+        fam = SubsetFamily("f", [[0, 1], [2]], n=4)
         assert fam.label == "f"
         assert len(fam) == 2
         assert fam.members[0].indices == (0, 1)
@@ -212,7 +212,7 @@ class TestDisjointness:
             idx = rng.permutation(pts.n)
             cuts = sorted(rng.choice(range(1, pts.n), size=5, replace=False))
             members = [seg.tolist() for seg in np.split(idx, cuts) if len(seg)]
-            fam = SubsetFamily.of("parts", members, n=pts.n)
+            fam = SubsetFamily("parts", members, n=pts.n)
             fast = check_r_disjoint(pts, fam, 1.0)
             slow = check_r_disjoint(induce_space(pts), fam, 1.0)
             assert fast.min_gap == slow.min_gap
@@ -228,7 +228,7 @@ class TestDisjointness:
         rng = np.random.default_rng(seed)
         pts, members = _family_case(kind, rng)
         planar = EuclideanPointSet(pts)
-        fam = SubsetFamily.of("f", members, n=planar.n)
+        fam = SubsetFamily("f", members, n=planar.n)
         want = _all_pairs_gap(planar, fam, members)
         if len(fam) >= 500:  # still hundreds of steps, in a fraction of the time
             batch *= 16
@@ -254,7 +254,7 @@ class TestDisjointness:
             for seed in range(4):
                 pts, members = _family_case(kind, np.random.default_rng(seed))
                 planar = EuclideanPointSet(pts)
-                fam = SubsetFamily.of("f", members, n=planar.n)
+                fam = SubsetFamily("f", members, n=planar.n)
                 with mock.patch.object(covers, "_fewer_pairs", spy):
                     got = check_r_disjoint(planar, fam, 1.0)
                 assert chosen.pop() == want
@@ -267,7 +267,7 @@ class TestDisjointness:
         pts = EuclideanPointSet(np.array([[0.0, 0.0],
                                           [1.380197857157211, 1.8267155902738015],
                                           [1.380197857157211, -1.8267155902738013]]))
-        fam = SubsetFamily.of("solo", [[0], [1], [2]], n=3)
+        fam = SubsetFamily("solo", [[0], [1], [2]], n=3)
         gap = 2.289505617518926
         for space in (pts, induce_space(pts)):
             rep = check_r_disjoint(space, fam, gap, strict=True)
@@ -281,13 +281,13 @@ class TestDisjointness:
         # also rounds to 1; a window cut at 0 misses the first tie (0, 1)
         pts = EuclideanPointSet(np.array([[2.0 ** -60, 0.0], [-1.0, 0.0],
                                           [10.0, 0.0], [11.0, 0.0]]))
-        fam = SubsetFamily.of("row", [[0], [1], [2], [3]], n=4)
+        fam = SubsetFamily("row", [[0], [1], [2], [3]], n=4)
         rep = check_r_disjoint(pts, fam, 1.0)
         assert rep.min_gap == 1.0 and rep.witness == (0, 1)
 
     def test_touching_members_have_zero_gap(self):
         pts = EuclideanPointSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-        fam = SubsetFamily.of("touch", [[0, 1], [1, 2]], n=3)
+        fam = SubsetFamily("touch", [[0, 1], [1, 2]], n=3)
         rep = check_r_disjoint(pts, fam, 0.5)
         assert not rep.ok and rep.min_gap == 0.0
 
@@ -300,7 +300,7 @@ class TestBoundAndCover:
     def test_uniform_bound_is_the_largest_member_diameter(self):
         pts = EuclideanPointSet(np.array(
             [[0.0, 0.0], [0.0, 3.0], [5.0, 0.0], [5.0, 1.0]]))
-        fam = SubsetFamily.of("two", [[0, 1], [2, 3]], n=4)
+        fam = SubsetFamily("two", [[0, 1], [2, 3]], n=4)
         assert check_uniform_bound(pts, fam) == 3.0
 
     @settings(max_examples=200)
@@ -314,7 +314,7 @@ class TestBoundAndCover:
         pts, members = _diameter_case(kind, rng)
         planar = EuclideanPointSet(pts)
         matrix = induce_space(planar)
-        fam = SubsetFamily.of("f", members, n=planar.n)
+        fam = SubsetFamily("f", members, n=planar.n)
         want = max(diam(matrix, mem) for mem in fam.members)
         sizes = {name: batch if tiny_batches else getattr(covers, name)
                  for name in ("_DIAM_PAIRS", "_BOX_POINTS")}
@@ -325,12 +325,12 @@ class TestBoundAndCover:
     def test_batched_diameter_on_a_brick(self):
         # a rectangle of grid points: only its corners can attain the diameter
         net = gen_lattice_window(WindowSpec(0.0, 30.0, 0.0, 20.0))
-        fam = SubsetFamily.of("brick", [range(net.n)], n=net.n)
+        fam = SubsetFamily("brick", [range(net.n)], n=net.n)
         assert check_uniform_bound(net, fam) == diam(net, range(net.n)) == math.hypot(30.0, 20.0)
 
     def test_uniform_bound_keeps_the_range_error(self):
         pts = EuclideanPointSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-        fam = SubsetFamily.of("f", [[0], [1, 5], [2, 7]])
+        fam = SubsetFamily("f", [[0], [1, 5], [2, 7]])
         with pytest.raises(IndexOutOfRange) as ei:
             check_uniform_bound(pts, fam)
         assert (ei.value.index, ei.value.n) == (5, 3)
@@ -357,7 +357,7 @@ class TestBoundAndCover:
     def test_coverage_and_multiplicity_match_a_set_count(self, seed):
         rng = np.random.default_rng(seed)
         lat = gen_lattice_window(WindowSpec(0.0, 5.0, 0.0, 3.0))
-        families = [SubsetFamily.of(f"f{t}", [rng.choice(lat.n, int(rng.integers(1, 5)))
+        families = [SubsetFamily(f"f{t}", [rng.choice(lat.n, int(rng.integers(1, 5)))
                                               for _ in range(int(rng.integers(0, 6)))], n=lat.n)
                     for t in range(int(rng.integers(1, 4)))]
         target = rng.choice(lat.n, int(rng.integers(1, lat.n)), replace=False)
@@ -395,9 +395,9 @@ class TestFamilyIndex:
         members = [[3, 1], [2, 2, 0], [4], [5, 6]]  # unsorted and duplicated runs
         loaded = family_from_json({"label": "f", "members": members}, n=7)
         assert "members" not in vars(loaded)  # sorted and deduplicated as arrays
-        assert loaded == SubsetFamily.of("f", members, n=7)
+        assert loaded == SubsetFamily("f", members, n=7)
         for fam in (loaded, family_from_json({"label": "g", "members": [[0, 2], [5]]}),
-                    SubsetFamily.of("h", [[1.0, 2.0], [0]]), SubsetFamily("none", ())):
+                    SubsetFamily("h", [[1.0, 2.0], [0]]), SubsetFamily("none", ())):
             self.assert_holds_members(fam)
 
 
@@ -412,12 +412,12 @@ _LABELS = st.sampled_from(["red", "", "f\u00e9", 'a&b <c> "d"'])
 
 
 class TestArrayFamilies:
-    """Families built from index arrays against the member tuples of ``SubsetFamily.of``."""
+    """Families built from index arrays against the member tuples of ``SubsetFamily``."""
 
     @settings(max_examples=300)
     @given(_LABELS, st.lists(_RUN, max_size=10), st.one_of(st.none(), st.integers(1, 35)))
     def test_loaded_family_equals_of(self, label, members, n):
-        want = outcome(lambda: SubsetFamily.of(label, members, n))
+        want = outcome(lambda: SubsetFamily(label, members, n))
         got = outcome(lambda: family_from_json({"label": label, "members": members}, n))
         if not isinstance(want, SubsetFamily):
             assert got == want  # the same error, for the same first failing member
@@ -437,9 +437,9 @@ class TestArrayFamilies:
     def test_equality_is_by_label_and_members(self, label, one, two):
         a = family_from_json({"label": label, "members": one})
         b = family_from_json({"label": label, "members": two})
-        same = SubsetFamily.of(label, one).members == SubsetFamily.of(label, two).members
+        same = SubsetFamily(label, one).members == SubsetFamily(label, two).members
         assert (a == b) == same
-        assert (a == SubsetFamily.of(label, two)) == same
+        assert (a == SubsetFamily(label, two)) == same
         assert a != family_from_json({"label": label + "x", "members": one})
 
     def test_frozen(self):
@@ -448,7 +448,7 @@ class TestArrayFamilies:
             fam.label = "g"
         with pytest.raises(dataclasses.FrozenInstanceError):
             fam.members = ()
-        assert repr(fam) == repr(SubsetFamily.of("f", [[0, 1]]))
+        assert repr(fam) == repr(SubsetFamily("f", [[0, 1]]))
 
     @settings(max_examples=300)
     @given(st.lists(st.one_of(st.sets(st.integers(0, 6), min_size=1, max_size=3).map(sorted),
@@ -456,7 +456,7 @@ class TestArrayFamilies:
     def test_duplicate_witness_matches_dict_loop(self, members):
         lat = gen_lattice_window(WindowSpec(0.0, 6.0, 0.0, 6.0))
         fam = family_from_json({"label": "f", "members": members}, lat.n)
-        want = first_duplicate_member(SubsetFamily.of("f", members))
+        want = first_duplicate_member(SubsetFamily("f", members))
         assert covers._duplicate_members(fam) == want
         if want is not None:
             with pytest.raises(NotDisjoint) as ei:
@@ -610,7 +610,7 @@ class TestLowerBound:
         result = gh_lower_bound(cert, model_space("R2"))
         assert result.bound == 0.7071067811865476
         text = "\n".join(result.trace)
-        assert f"tolerance {cert.tolerance!r}" in text
+        assert f"tolerance {DEFAULT_TOL!r}" in text
         assert "bound uses it in place of r" in text
         assert "attains r exactly" not in text
 
@@ -670,7 +670,7 @@ class TestPushforwardFamily:
             members = [[i] for i in range(nx)]
             rng.shuffle(members)
             half = max(1, nx // 2)
-            fam = SubsetFamily.of("bits", members[:half], n=nx)
+            fam = SubsetFamily("bits", members[:half], n=nx)
             src_gap = check_r_disjoint(x, fam, 0.0).min_gap
             src_diam = check_uniform_bound(x, fam)
             _, report = pushforward_family(rel, fam, y)

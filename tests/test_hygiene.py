@@ -1,9 +1,11 @@
-"""Source hygiene: every imported name is used somewhere in its module, and
-every private module-level name in the package is used outside its definition."""
+"""Source hygiene: every imported name is used somewhere in its module, every
+private module-level name in the package is used outside its definition, and
+every defaulted parameter of the package is passed by some call."""
 
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,3 +131,96 @@ def test_the_dead_name_scan_sees_what_it_should():
         "b.py": "from .a import _used\nimport a\nx = a._Kept\n",
     }
     assert dead_private_names(sources) == ["a.py: _OLD", "a.py: _loop"]
+
+
+
+def _defaulted_params(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
+    """Each defaulted parameter of a module's functions and methods.
+
+    As (qualified name, the name calls use, parameter, its position among
+    a call's arguments, or None for a keyword-only one). A method's calls
+    skip self, and ``__init__`` is called by its class's name.
+    """
+    found = []
+    units = [(None, stmt) for stmt in tree.body] + [
+        (cls.name, stmt) for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body]
+    for owner, node in units:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if owner and not static else 0
+        called = owner if node.name == "__init__" else node.name
+        qual = f"{owner}.{node.name}" if owner else node.name
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        found += [(qual, called, p.arg, k - skip) for k, p in enumerate(positional) if k >= first]
+        found += [(qual, called, p.arg, None)
+                  for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def _passed(trees: list[ast.Module]) -> dict[str, tuple[int, set[str]]]:
+    """Per called name: the most positional arguments a call passes, and every keyword passed.
+
+    A call with ``*args`` counts as passing every position, and one with
+    ``**kwargs`` as passing every keyword (``"**"``).
+    """
+    seen: dict[str, tuple[int, set[str]]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            most, keys = seen.get(name, (0, set()))
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            most = max(most, math.inf if star else len(node.args))
+            seen[name] = most, keys | {k.arg or "**" for k in node.keywords}
+    return seen
+
+
+def unpassed_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """"module: function.parameter" for each defaulted parameter in sources that no call passes.
+
+    Calls in sources and callers are matched by name, so a call of any
+    function of that name counts; it passes the parameter by position or
+    by keyword.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    passed = _passed(list(trees.values()) + [ast.parse(text) for text in callers])
+    unpassed = []
+    for module, tree in trees.items():
+        for qual, called, param, pos in _defaulted_params(tree):
+            most, keys = passed.get(called, (0, set()))
+            if param not in keys and "**" not in keys and (pos is None or most <= pos):
+                unpassed.append(f"{module}: {qual}.{param}")
+    return unpassed
+
+
+def test_no_unpassed_defaults():
+    sources = {f.name: f.read_text() for f in sorted((ROOT / "src" / "ghbounds").glob("*.py"))}
+    callers = [f.read_text() for f in _scanned_files() if f.parent.name != "ghbounds"]
+    unpassed = unpassed_defaults(sources, callers)
+    assert not unpassed, "defaulted parameters that no call passes:\n" + "\n".join(unpassed)
+
+
+def test_the_unpassed_default_scan_sees_what_it_should():
+    sources = {
+        "a.py": ("def f(x, cap=3, *, tol=1e-9, quiet=False):\n    return x\n"
+                 "def g(x, net=None):\n    return f(x, 4)\n"
+                 "class K:\n"
+                 "    def __init__(self, side=0.0, per_cell=1):\n        pass\n"
+                 "    def m(self, a=1, b=2):\n        pass\n"
+                 "    @staticmethod\n    def s(a=1):\n        pass\n"
+                 "def h(x, y=0):\n    return x\n"
+                 "def k(x, y=0):\n    return x\n"),
+    }
+    callers = ["from a import f, g, K, h, k\n"
+               "f(1, quiet=True)\ng(2)\nK(5.0)\nK().m(1)\nK.s()\nh(*[1, 2])\nk(**{})\n"]
+    assert unpassed_defaults(sources, callers) == [
+        "a.py: f.tol", "a.py: g.net", "a.py: K.__init__.per_cell", "a.py: K.m.b", "a.py: K.s.a"]

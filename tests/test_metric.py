@@ -33,7 +33,7 @@ SQRT2 = math.sqrt(2.0)
 
 class TestSubsetRef:
     def test_sorts_and_dedups(self):
-        s = SubsetRef.of([3, 1, 1, 2])
+        s = SubsetRef([3, 1, 1, 2])
         assert s.indices == (1, 2, 3)
         assert len(s) == 3
         assert 2 in s and 0 not in s
@@ -41,45 +41,45 @@ class TestSubsetRef:
 
     def test_rejects_empty(self):
         with pytest.raises(EmptySubset):
-            SubsetRef.of([])
+            SubsetRef([])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            SubsetRef.of([0, 5], n=3)
+            SubsetRef([0, 5], n=3)
         with pytest.raises(IndexOutOfRange):
-            SubsetRef.of([-1])
+            SubsetRef([-1])
 
     def test_check_ambient(self):
-        s = SubsetRef.of([0, 4])
+        s = SubsetRef([0, 4])
         s.check_ambient(5)
         with pytest.raises(IndexOutOfRange):
             s.check_ambient(4)
 
     def test_as_subset_passthrough(self):
-        s = SubsetRef.of([0, 1])
+        s = SubsetRef([0, 1])
         assert as_subset(s) is s
         assert as_subset([1, 0]).indices == (0, 1)
         assert as_subset(range(3)).indices == (0, 1, 2)
 
     def test_beyond_int64(self):
         with pytest.raises(OverflowError):
-            SubsetRef.of([2 ** 70])
+            SubsetRef([2 ** 70])
         with pytest.raises(IndexOutOfRange) as err:
-            SubsetRef.of([0, 2 ** 70], n=4)
+            SubsetRef([0, 2 ** 70], n=4)
         assert (err.value.index, err.value.n) == (2 ** 70, 4)
         with pytest.raises(IndexOutOfRange) as err:
-            SubsetRef.of(i for i in (2 ** 70, -2 ** 70))
+            SubsetRef(i for i in (2 ** 70, -2 ** 70))
         assert (err.value.index, err.value.n) == (-2 ** 70, 0)
 
     def test_full(self):
-        assert SubsetRef.full(5) == SubsetRef.of(range(5))
+        assert SubsetRef.full(5) == SubsetRef(range(5))
         assert SubsetRef.full(1).indices == (0,)
         with pytest.raises(EmptySubset):
             SubsetRef.full(0)
 
 
 def _member_by_member(members, n):
-    return tuple(SubsetRef.of(m, n) for m in members)
+    return tuple(SubsetRef(m, n) for m in members)
 
 
 _INDEX = st.integers(min_value=-3, max_value=45)
@@ -94,7 +94,7 @@ _INT_TYPES = st.sampled_from([int, np.int64, np.int32, np.intp])
 
 
 class TestBatchedSubsets:
-    """``SubsetFamily.of``'s members against ``SubsetRef.of`` member by member."""
+    """``SubsetFamily``'s members against ``SubsetRef`` member by member."""
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(_MEMBER, _INT_TYPES), max_size=12),
@@ -102,7 +102,7 @@ class TestBatchedSubsets:
     def test_matches_member_by_member(self, typed_members, n):
         members = [[cast(i) for i in m] for m, cast in typed_members]
         want = outcome(lambda: _member_by_member(members, n))
-        got = outcome(lambda: SubsetFamily.of("f", members, n).members)
+        got = outcome(lambda: SubsetFamily("f", members, n).members)
         assert got == want
         if isinstance(want, tuple) and want and isinstance(want[0], SubsetRef):
             assert all(type(i) is int for s in got for i in s.indices)
@@ -119,7 +119,7 @@ class TestBatchedSubsets:
     @pytest.mark.parametrize("n", [None, 4])
     def test_odd_inputs_match(self, members, n):
         want = outcome(lambda: _member_by_member(members(), n))
-        assert outcome(lambda: SubsetFamily.of("f", members(), n).members) == want
+        assert outcome(lambda: SubsetFamily("f", members(), n).members) == want
 
     def test_runs_of_an_array(self):
         flat = np.array([0, 3, 7, 2, 2, 1, 9], dtype=np.intp)
@@ -144,14 +144,14 @@ class TestSubsetRefValues:
            st.lists(st.integers(min_value=-3, max_value=45), max_size=8))
     def test_matches_sorted_tuples(self, runs, probes):
         want = [tuple(sorted(set(run))) for run in runs]
-        fam = SubsetFamily.of("f", runs)
+        fam = SubsetFamily("f", runs)
         views = fam.members  # slices of the family's one index array
         assert all(np.shares_memory(v.array, fam._index[0]) for v in views)
         sources = [np.array(run) for run in runs]
         built = [SubsetRef(src) for src in sources]
         for src in sources:
             src[:] = 0  # the subsets hold their own copies
-        for refs in (built, views, [SubsetRef.of(run) for run in runs]):
+        for refs in (built, views, [SubsetRef(run) for run in runs]):
             for s, w in zip(refs, want):
                 assert s.indices == w and tuple(s) == w and len(s) == len(w)
                 assert all(type(i) is int for i in s) and all(type(i) is int for i in s.indices)

@@ -29,7 +29,7 @@ from ghbounds.serialize import (certificate_report_json, cover_from_json,
                                 subset_to_json)
 from ghbounds import cli, serialize
 from ghbounds.constructions import POINT_CAP
-from ghbounds.errors import DuplicatePoint, TooManyPoints, TriangleViolation
+from ghbounds.errors import DuplicatePoint, SpaceTooLarge, TooManyPoints, TriangleViolation
 from ghbounds.metric import EuclideanPointSet, SubsetRef
 
 
@@ -222,14 +222,56 @@ class TestGridSpaces:
         assert cli.main(["hausdorff", "--space", str(path)]) == 2
 
 
+class TestSizeCaps:
+    """Every space document is counted against its kind's cap before anything is built."""
+
+    @pytest.mark.parametrize("kind, key, rows, cap", [
+        ("matrix", "d", 1001, 1000), ("points2d", "pts", POINT_CAP + 1, POINT_CAP)])
+    def test_listed_rows_are_counted_before_any_array(self, kind, key, rows, cap):
+        # every row is one shared list, so the document itself is cheap
+        doc = {"kind": kind, key: [[0.0] * (rows if kind == "matrix" else 2)] * rows}
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpaceTooLarge) as info:
+                space_from_json(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.kind, info.value.count, info.value.cap) == (kind, rows, cap)
+        assert str(info.value) == f"{kind} space lists {rows} points, cap is {cap}"
+        assert peak < 1 << 16  # the float array would take 8 or 16 MB
+
+    def test_a_matrix_at_the_cap_is_counted_not_refused(self):
+        assert serialize._SPACE_LISTS["matrix"][1] ** 2 == POINT_CAP
+        assert serialize._space_size({"kind": "matrix", "d": [[0.0]] * 1000}) == 1000
+
+    def test_both_cover_readers_count_the_points(self, tmp_path, monkeypatch):
+        space = EuclideanPointSet(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 3.0]]))
+        doc = cover_to_json(space, [SubsetFamily("a", [[0], [1], [2]])], 0.5)
+        path = tmp_path / "cover.json"
+        dump_json(doc, path)
+        assert serialize._cover_parts(path.read_text()) is not None  # the array reader's layout
+        monkeypatch.setitem(serialize._SPACE_LISTS, "points2d", (("pts",), 2))
+        for read in (lambda: serialize.load_cover(path), lambda: cover_from_json(doc)):
+            with pytest.raises(SpaceTooLarge) as info:
+                read()
+            assert (info.value.kind, info.value.count, info.value.cap) == ("points2d", 3, 2)
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2], {"kind": "points2d", "pts": 5}, {"kind": "grid2d", "x": [0.0]},
+        {"kind": "matrix"}, {"kind": "other", "d": [[0.0]]}, {"kind": ["matrix"], "d": [[0.0]]}])
+    def test_documents_without_their_lists_have_no_size(self, doc):
+        assert serialize._space_size(doc) is None
+
+
 class TestSmallObjects:
     def test_subset(self):
-        s = SubsetRef.of([4, 1])
+        s = SubsetRef([4, 1])
         assert subset_to_json(s) == [1, 4]
         assert subset_from_json([1, 4], n=5) == s
 
     def test_family(self):
-        fam = SubsetFamily.of("f", [[0], [2, 3]], n=4)
+        fam = SubsetFamily("f", [[0], [2, 3]], n=4)
         obj = family_to_json(fam)
         assert obj == {"label": "f", "members": [[0], [2, 3]]}
         assert family_from_json(obj, n=4) == fam
@@ -249,7 +291,7 @@ class TestCoverRoundTrip:
     def test_target_is_preserved(self):
         lat = gen_lattice_window(WindowSpec.square(2))
         families = gen_chess_families(lat)
-        obj = cover_to_json(lat, families, 1.0, target=SubsetRef.of([0, 1]))
+        obj = cover_to_json(lat, families, 1.0, target=SubsetRef([0, 1]))
         *_, target = cover_from_json(obj)
         assert target.indices == (0, 1)
 
@@ -279,7 +321,7 @@ class TestReports:
 
     def test_infinite_gap_becomes_null(self):
         lat = gen_lattice_window(WindowSpec(0.0, 0.0, 0.0, 0.0))
-        fam = SubsetFamily.of("solo", [[0]], n=1)
+        fam = SubsetFamily("solo", [[0]], n=1)
         cert = make_certificate(lat, (fam,), 1.0)
         assert certificate_report_json(cert)["min_gap"] is None
 
@@ -443,7 +485,7 @@ class TestFamilyArrayEncoder:
            st.one_of(st.none(), st.integers(1, 8)), st.booleans())
     def test_matches_dumps_of_lists(self, tmp_path_factory, families, slice_items, loaded):
         fams = tuple(family_from_json({"label": label, "members": members}) if loaded
-                     else SubsetFamily.of(label, members) for label, members in families)
+                     else SubsetFamily(label, members) for label, members in families)
         doc = serialize._document(self.SPACE, fams, 1.5, c=2.0, arrays=True)
         plain = cover_to_json(self.SPACE, fams, 1.5, c=2.0)
         assert plain["families"] == [{"label": label, "members": [sorted(set(m)) for m in members]}
@@ -458,7 +500,7 @@ class TestFamilyArrayEncoder:
         assert out.getvalue() == json.dumps(plain, indent=2) + "\n"
 
     def test_pieces_hold_at_most_a_slice_of_entries(self):
-        fam = SubsetFamily.of("f", [[0, 1, 2], [3], [4, 5], [6, 7, 8, 9, 10, 11], [12], [13]])
+        fam = SubsetFamily("f", [[0, 1, 2], [3], [4, 5], [6, 7, 8, 9, 10, 11], [12], [13]])
         with mock.patch.object(serialize, "_DUMP_SLICE", 4):
             pieces = list(serialize._encode(serialize._Members(*fam._index)))
         assert "".join(pieces) == json.dumps(family_to_json(fam)["members"])

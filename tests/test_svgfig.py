@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from ghbounds import SubsetFamily, WindowSpec, gen_chess_families, gen_lattice_window
 from ghbounds.constructions import gen_comb_cover, gen_comb_set
-from ghbounds.svgfig import count_pieces, render_families_svg
-from oracles import render_families_svg_et
+from ghbounds.svgfig import render_families_svg
+from oracles import count_pieces, render_families_svg_et
 
 AWKWARD = 'a&b <c> "d"\nnext\tline'
 
@@ -33,23 +33,23 @@ def _comb():
 
 def _awkward_labels():
     pts = np.array([[0.0, 0.0], [1.5, -2.0], [3.0, 1e-7]])
-    return pts, (SubsetFamily.of(AWKWARD, [[0], [2]]), SubsetFamily.of("blue", [[1, 2]]))
+    return pts, (SubsetFamily(AWKWARD, [[0], [2]]), SubsetFamily("blue", [[1, 2]]))
 
 
 def _empty_family():
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    return pts, (SubsetFamily.of("red", []), SubsetFamily.of("green", [[0, 1]]),
-                 SubsetFamily.of("blue", []))
+    return pts, (SubsetFamily("red", []), SubsetFamily("green", [[0, 1]]),
+                 SubsetFamily("blue", []))
 
 
 def _single_point():
-    return np.array([[2.5, -7.0]]), (SubsetFamily.of("red", [[0]]),)
+    return np.array([[2.5, -7.0]]), (SubsetFamily("red", [[0]]),)
 
 
 def _signed_zeros():
     # signed zeros, far-apart magnitudes, and points shared by two families
     pts = np.array([[-0.0, 0.0], [0.0, -0.0], [-1.0, 0.25], [1e16, -1e22]])
-    return pts, (SubsetFamily.of("red", [[0, 1], [3]]), SubsetFamily.of("blue", [[1, 2, 3]]))
+    return pts, (SubsetFamily("red", [[0, 1], [3]]), SubsetFamily("blue", [[1, 2, 3]]))
 
 
 @pytest.mark.parametrize("make", [_chess, _comb, _awkward_labels, _empty_family,
@@ -74,7 +74,7 @@ def test_random_grids_match(tmp_path_factory, cells, seed, spacing):
     rng = np.random.default_rng(seed)
     points = np.array(cells, dtype=np.float64) * spacing
     families = tuple(
-        SubsetFamily.of(label, [rng.choice(len(points), int(rng.integers(1, len(points) + 1)),
+        SubsetFamily(label, [rng.choice(len(points), int(rng.integers(1, len(points) + 1)),
                                            replace=False).tolist()
                                 for _ in range(int(rng.integers(0, 4)))])
         for label in ("red", "blue", "other"))
