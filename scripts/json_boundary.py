@@ -12,7 +12,7 @@ For each case a child process runs ``gen brick ... --out`` (generate, then
 go through the same ``gen`` path: the child builds them, then swaps the net
 generator for one that returns them. Each child reports the seconds of its
 step and its own peak RSS from ``resource.getrusage``; the table gives
-every run and the median per step.
+every run and the median per step, with the size of the file written.
 
     PYTHONPATH=src python scripts/json_boundary.py --window 100 --repeats 5
 """
@@ -20,6 +20,7 @@ every run and the median per step.
 from __future__ import annotations
 
 import argparse
+import os
 import resource
 import statistics
 import subprocess
@@ -67,7 +68,7 @@ def main() -> None:
         _child(case, step, float(window), path)
         return
 
-    print(f"{'case':>7} {'step':>5} {'run':>4} {'seconds':>9} {'peak_mb':>8}")
+    print(f"{'case':>7} {'step':>5} {'run':>4} {'seconds':>9} {'peak_mb':>8} {'bytes':>9}")
     with tempfile.TemporaryDirectory() as tmp:
         for case in ("brick", "random"):
             path = str(Path(tmp) / f"{case}.json")
@@ -79,7 +80,8 @@ def main() -> None:
                         capture_output=True, text=True, check=True)
                     seconds, peak = map(float, proc.stdout.split()[-2:])
                     runs[step].append((seconds, peak))
-                    print(f"{case:>7} {step:>5} {k:>4} {seconds:>9.4f} {peak:>8.1f}")
+                    print(f"{case:>7} {step:>5} {k:>4} {seconds:>9.4f} {peak:>8.1f} "
+                          f"{os.path.getsize(path):>9}")
             for step, rows in runs.items():
                 print(f"{case:>7} {step:>5} {'p50':>4} "
                       f"{statistics.median(s for s, _ in rows):>9.4f} "

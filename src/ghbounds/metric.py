@@ -212,9 +212,10 @@ class EuclideanPointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
+        pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
+        pts = np.ascontiguousarray(pts)
         if pts.shape[0] == 0:
             raise ValueError("point set must be nonempty")
         if not np.isfinite(pts).all():

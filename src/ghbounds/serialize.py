@@ -4,7 +4,8 @@ Spaces:   {"kind": "matrix", "n": N, "d": [[...], ...]}
           {"kind": "grid2d", "x": [...], "y": [...]}
           {"kind": "points2d", "pts": [[x, y], ...]}
 Subsets:  sorted index arrays.
-Family:   {"label": "red", "members": [[i, ...], ...]}.
+Family:   {"label": "red", "members": [[i, ...], ...]}
+          {"label": "red", "ranges": [[a0, b0, a1, b1, ...], ...]}
 Cover:    {"kind": "cover", "space": ..., "families": [...], "r": ...,
            "strict": ..., "c": ...?, "target": ...?}
 
@@ -14,10 +15,26 @@ as every lattice window, net and interval net of ``gen`` is. The reader
 rebuilds that array with ``constructions._cross_product_points``. Any other
 planar set is written as points2d.
 
+A family lists each member's indices (``members``) or, as ``ranges``, each
+member as the union of the half-open index ranges [a, b) of its start,
+stop pairs, a0 < b0 < a1 < b1 < ... strictly increasing, so every range is
+a maximal run and the form is canonical. The writer picks ``ranges`` when
+twice the family's maximal runs of consecutive indices are fewer than its
+entries, and ``members`` otherwise: a brick is a few runs of x-major
+indices, a chess family is singletons. A family holds exactly one of the
+two keys. A ranges member must be a nonempty list of an even count of JSON
+integers, strictly increasing, with a0 >= 0 (else ``IndexOutOfRange(a0,
+0)``) and its last stop at most n (else ``IndexOutOfRange(stop - 1, n)``,
+the largest index, as ``members`` names it).
+
 Size limits: a space lists len(x) * len(y), len(pts) or len(d) points
 (``_space_size``), counted before anything is built. A grid2d or points2d
 space may list ``POINT_CAP`` = 1,000,000 points and a matrix 1,000 (its
-1,000,000 entries); a larger one is refused with ``SpaceTooLarge``.
+1,000,000 entries); a larger one is refused with ``SpaceTooLarge``. The
+ranges families of one file may expand to ``POINT_CAP`` entries in all,
+sum(b - a), counted before any of them is expanded; past it they are
+refused with ``_TooManyEntries``. Every ``gen`` cover has multiplicity 1,
+so it holds at most n entries. A ``members`` list is bounded by its text.
 
 Floats pass through json untouched, so distances print in Python's
 shortest round-trip form (e.g. 0.7071067811865476) and reload bit-exactly.
@@ -25,32 +42,36 @@ Files are written as single-line JSON by the C encoder; ``python -m
 json.tool`` pretty-prints them.
 
 ``dump_json`` also takes the documents ``gen`` hands it, which hold a
-points2d point array as a 2-D float64 array and each family's members as
-its index arrays (``_Members``), and writes the bytes of ``json.dumps`` of
-their ``tolist()``. Points go _DUMP_SLICE rows at a time. A slice whose
-distinct values (by bit pattern, so -0.0 and 0.0 stay apart) number at
-most half its cells is written by formatting each distinct value once and
-joining the rows by index; a comb's points repeat a few line and sample
-coordinates. Any other slice goes through the C encoder whole.
-Members go through the C encoder as lists cut from the index array, at
-most _DUMP_SLICE entries at a time, so no family's member lists are held
-whole.
+grid2d axis as a 1-D float64 array, a points2d point array as a 2-D
+float64 array and each family's members or ranges as index arrays
+(``_Members``), and writes the bytes of ``json.dumps`` of their
+``tolist()``. An axis goes _DUMP_SLICE values at a time, and points
+_DUMP_SLICE rows at a time. A slice of points whose distinct values (by
+bit pattern, so -0.0 and 0.0 stay apart) number at most half its cells is
+written by formatting each distinct value once and joining the rows by
+index; a comb's points repeat a few line and sample coordinates. Any other
+slice goes through the C encoder whole. Members go through the C encoder
+as lists cut from the index array, at most _DUMP_SLICE entries at a time,
+so no family's member lists are held whole.
 
 ``load_cover`` reads a cover file straight into arrays when its text has
 the layout ``dump_json`` writes for a planar cover: the keys in
 ``_document``'s order, ", " and ": " separators, no indentation. A grid2d
 space is decoded by json where it stands and read by ``space_from_json``;
 it must hold exactly the keys kind, x and y. A points2d point array and
-each family's member array are parsed by ``json.loads`` of their text with
-the inner brackets removed, about _READ_CHARS characters at a time, so
-json's grammar and float bits hold, no list is made per point or member,
-and json's lists stay small. Points per row and entries per member come
-from the "], [" separators, and the text with the number characters
-deleted must read as those rows and members. The family labels, ``r``,
+each family's member or range array are parsed by ``json.loads`` of their
+text with the inner brackets removed, about _READ_CHARS characters at a
+time, so json's grammar and float bits hold, no list is made per point or
+member, and json's lists stay small. Points per row and entries per member
+come from the "], [" separators, and the text with the number characters
+deleted must read as those rows and members. A range array holds no ".",
+"e" or "E", so its numbers are JSON integers. The family labels, ``r``,
 ``strict``, ``c`` and ``target`` come from json as well. Any other file
 (indented, reordered keys, a matrix space, a check that fails, a space with
 other keys) is read by ``cover_from_json(json.loads(text))``, so its
-values and errors are those of the plain path.
+values and errors are those of the plain path. Both readers check and
+expand ranges through the same functions (``_checked_ranges``,
+``_families``).
 """
 
 from __future__ import annotations
@@ -58,6 +79,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -69,7 +91,7 @@ from .constructions import POINT_CAP, _cross_product_points
 from .correspondence import GhResult
 from .covers import (BoundResult, CoverCertificate, ModelSpaceDescriptor, SubsetFamily,
                      _family_from_runs)
-from .errors import SpaceTooLarge
+from .errors import EmptySubset, GhBoundsError, IndexOutOfRange, SpaceTooLarge, TooManyPoints
 from .metric import EuclideanPointSet, MetricLike, SubsetRef, build_space
 
 # list items, array rows or member entries per slice in dump_json
@@ -88,15 +110,35 @@ class _Members:
         return [entries[s:e] for s, e in zip(bounds, bounds[1:])]
 
 
+def _family_document(fam: SubsetFamily, table: Callable[[_Members], Any]) -> dict[str, Any]:
+    """A family's wire object: its ``ranges`` when 2 * (maximal runs) < entries, else ``members``.
+
+    A run ends where the next index is not the previous one + 1, or where a
+    member ends. Member k's ranges are the start, stop pairs of its runs.
+    """
+    flat, offsets = fam._index
+    cut = np.ones(flat.size, dtype=bool)
+    cut[1:] = flat[1:] != flat[:-1] + 1
+    cut[offsets[:-1]] = True  # members are nonempty, so each offset but the last is an entry
+    starts = np.flatnonzero(cut)
+    if 2 * starts.size >= flat.size:  # an empty family too
+        return {"label": fam.label, "members": table(_Members(flat, offsets))}
+    stops = np.append(starts[1:], flat.size)
+    pairs = np.column_stack((flat[starts], flat[stops - 1] + 1)).ravel()
+    # every member starts a run, so its runs begin at its offset's place in starts
+    return {"label": fam.label,
+            "ranges": table(_Members(pairs, 2 * np.searchsorted(starts, offsets)))}
+
+
 def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
               r: float = 0.0, strict: bool = False, c: float | None = None,
               target: SubsetRef | None = None, arrays: bool = False) -> dict[str, Any]:
     """The wire layout of a space, or of a cover of it when families are given.
 
-    Plain JSON values by default. With ``arrays``, a points2d point array or
-    a matrix's distance array and each family's members (``_Members``) are
-    kept as arrays for ``dump_json``; each has a ``tolist()`` giving the
-    plain value. A grid2d space's axes are lists either way.
+    Plain JSON values by default. With ``arrays``, a grid2d space's axes, a
+    points2d point array or a matrix's distance array and each family's
+    members or ranges (``_Members``) are kept as arrays for ``dump_json``;
+    each has a ``tolist()`` giving the plain value.
     """
     def table(a: np.ndarray | _Members) -> Any:
         return a if arrays else a.tolist()
@@ -106,7 +148,7 @@ def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
         if axes is None:
             obj: dict[str, Any] = {"kind": "points2d", "pts": table(space.points)}
         else:
-            obj = {"kind": "grid2d", "x": axes[0].tolist(), "y": axes[1].tolist()}
+            obj = {"kind": "grid2d", "x": table(axes[0]), "y": table(axes[1])}
     else:
         obj = {"kind": "matrix", "n": space.n, "d": table(space.matrix)}
     if families is None:
@@ -114,8 +156,7 @@ def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
     obj = {
         "kind": "cover",
         "space": obj,
-        "families": [{"label": f.label, "members": table(_Members(*f._index))}
-                     for f in families],
+        "families": [_family_document(f, table) for f in families],
         "r": r,
         "strict": strict,
     }
@@ -236,11 +277,118 @@ def subset_from_json(obj: Sequence[int], n: int | None = None) -> SubsetRef:
 
 
 def family_to_json(fam: SubsetFamily) -> dict[str, Any]:
-    return {"label": fam.label, "members": _Members(*fam._index).tolist()}
+    return _family_document(fam, _Members.tolist)
 
 
 def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
-    return _read(lambda f: SubsetFamily(str(f["label"]), f["members"], n), obj, "a family")
+    return _families([_family_part(obj, n)], n)[0]
+
+
+# a family read but not built yet: its label, range numbers and numbers per member, checked
+_RangesPart = tuple[str, np.ndarray, np.ndarray]
+
+
+class _TooManyEntries(TooManyPoints):
+    """A file's ranges families expand to more member entries than ``POINT_CAP``."""
+
+    def __init__(self, count: int, cap: int):
+        self.count, self.cap = count, cap
+        GhBoundsError.__init__(self, f"ranges families list {count} member entries, cap is {cap}")
+
+
+def _family_part(obj: Any, n: int | None) -> SubsetFamily | _RangesPart:
+    """A family object's members family, built, or its ranges, checked but not expanded."""
+    label = str(_dict(obj, "a family")["label"])
+    if ("members" in obj) == ("ranges" in obj):
+        raise ValueError("a family must hold exactly one of members and ranges")
+    if "members" in obj:
+        return _read(lambda m: SubsetFamily(label, m, n), obj["members"], "a family")
+    return (label, *_read(lambda r: _range_numbers(r, n), obj["ranges"], "a family"))
+
+
+def _range_numbers(ranges: Any, n: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """A JSON ranges list as its numbers, one int64 array, and each member's count; checked."""
+    if type(ranges) is not list or not all(type(m) is list for m in ranges):
+        raise ValueError("ranges must be a JSON array of arrays")
+    numbers = list(itertools.chain.from_iterable(ranges))
+    if not set(map(type, numbers)) <= {int}:  # a bool or a float is not an index
+        raise ValueError("ranges must hold JSON integers")
+    counts = np.fromiter(map(len, ranges), dtype=np.intp, count=len(ranges))
+    try:
+        values = np.fromiter(numbers, dtype=np.int64, count=len(numbers))
+    except OverflowError:  # past int64: the first failing member, checked as ints, raises
+        for member in ranges:
+            _check_range_member(member, n)
+        raise
+    return _checked_ranges(values, counts, n)
+
+
+def _check_range_member(member: list[int], n: int | None) -> None:
+    """Raise the error of a ranges member that is not nonempty start, stop pairs within [0, n]."""
+    if not member:
+        raise EmptySubset("subset must be nonempty")
+    if len(member) % 2:
+        raise ValueError(f"a ranges member holds start, stop pairs, got {len(member)} numbers")
+    if any(a >= b for a, b in zip(member, member[1:])):
+        raise ValueError("a ranges member must be strictly increasing")
+    if member[0] < 0:
+        raise IndexOutOfRange(member[0], 0)
+    if n is not None and member[-1] > n:
+        raise IndexOutOfRange(member[-1] - 1, n)
+
+
+def _checked_ranges(values: np.ndarray, counts: np.ndarray,
+                    n: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """values and counts, member k holding counts[k] numbers; else the first failing member's error.
+
+    The checks are ``_check_range_member``'s, over all members at once.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    bad = (counts == 0) | (counts % 2 == 1)
+    full = np.flatnonzero(counts)
+    bad[full] |= values[starts[full]] < 0
+    if n is not None:
+        bad[full] |= values[ends[full] - 1] > n
+    # a number that does not rise above its predecessor in the same member
+    fall = np.flatnonzero(values[1:] <= values[:-1]) + 1
+    owner = np.searchsorted(ends, fall, side="right")
+    bad[owner[fall != starts[owner]]] = True
+    if bad.any():
+        k = int(np.argmax(bad))
+        _check_range_member(values[starts[k]:ends[k]].tolist(), n)
+    return values, counts
+
+
+def _families(parts: Sequence[SubsetFamily | _RangesPart],
+              n: int | None) -> tuple[SubsetFamily, ...]:
+    """The families of one file, its ranges expanded once their entries are counted.
+
+    Past ``POINT_CAP`` entries in all, sum(b - a), ``_TooManyEntries`` is
+    raised before any ranges family is expanded. The expansion's (entries,
+    counts) go to ``_family_from_runs``, which checks them as any members.
+    """
+    ranges = [part for part in parts if isinstance(part, tuple)]
+    entries = sum(sum((values[1::2] - values[::2]).tolist()) for _, values, _ in ranges)
+    if entries > POINT_CAP:
+        raise _TooManyEntries(entries, POINT_CAP)
+    return tuple(part if isinstance(part, SubsetFamily)
+                 else _family_from_runs(part[0], *_expand_ranges(*part[1:]), n)
+                 for part in parts)
+
+
+def _expand_ranges(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked ranges as members: every index of each [a, b), and each member's count of them."""
+    lo, hi = values[::2], values[1::2]
+    ends = np.cumsum(hi - lo)
+    # each entry is the one before it + 1, but a range's first, which steps to its start
+    flat = np.ones(ends[-1] if ends.size else 0, dtype=np.int64)
+    flat[ends[:-1]] = lo[1:] - hi[:-1] + 1
+    flat[:1] = lo[:1]
+    np.cumsum(flat, out=flat)
+    # member k's last range ends at ends[(numbers before it + counts[k]) / 2 - 1]
+    totals = np.concatenate(([0], ends))[np.cumsum(counts) // 2]
+    return flat, np.diff(totals, prepend=0)
 
 
 def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,
@@ -254,7 +402,8 @@ def cover_from_json(obj: dict[str, Any]) -> tuple[MetricLike, tuple[SubsetFamily
     if _dict(obj, "a cover").get("kind") != "cover":
         raise ValueError(f"expected a cover file, got kind {obj.get('kind')!r}")
     space = space_from_json(obj["space"])
-    families = tuple(family_from_json(f, space.n) for f in _read(list, obj["families"], "families"))
+    families = _families([_family_part(f, space.n)
+                          for f in _read(list, obj["families"], "families")], space.n)
     return (space, families, *_cover_tail(obj, space.n))
 
 
@@ -278,6 +427,9 @@ _GRID_HEAD = _COVER_SPACE + '{"kind": "grid2d", "x": '
 _FAMILIES = '}, "families": ['
 _LABEL = '{"label": '
 _MEMBERS = ', "members": '
+_RANGES = ', "ranges": '
+# what a JSON number holds only when it is not an integer
+_FRACTION = re.compile("[.eE]")
 _TAIL_KEYS = frozenset({"r", "strict", "c", "target"})
 # what json writes in a number: digits, sign, point and exponent
 _NUMBER_CHARS = b"0123456789+-.eE"
@@ -292,7 +444,7 @@ def _cover_from_text(text: str) -> tuple[MetricLike, tuple[SubsetFamily, ...], f
     Text in dump_json's layout is parsed by ``_cover_parts``; any other text,
     or text whose arrays fail a check, goes to ``json.loads`` whole. The
     parsed parts are then validated in ``cover_from_json``'s order by the
-    same checks: the point set, each family's runs, the target, r.
+    same checks: the point set, each family's runs or ranges, the target, r.
     """
     try:
         parts = _cover_parts(text)
@@ -302,15 +454,20 @@ def _cover_from_text(text: str) -> tuple[MetricLike, tuple[SubsetFamily, ...], f
         return cover_from_json(json.loads(text))
     head, runs, tail = parts
     space = space_from_json(head) if isinstance(head, dict) else EuclideanPointSet(head)
-    families = tuple(_family_from_runs(str(label), flat, counts, space.n)
-                     for label, flat, counts in runs)
+    n = space.n
+    families = _families([(str(label), *_checked_ranges(flat, counts, n)) if form == _RANGES
+                          else _family_from_runs(str(label), flat, counts, n)
+                          for label, form, flat, counts in runs], n)
     return (space, families, *_cover_tail(tail, space.n))
 
 
 def _cover_parts(text: str) -> tuple[np.ndarray | dict[str, Any],
-                                     list[tuple[Any, np.ndarray, np.ndarray]],
+                                     list[tuple[Any, str, np.ndarray, np.ndarray]],
                                      dict[str, Any]] | None:
-    """The space, each family's (label, entries, counts) and the keys after them.
+    """The space, each family's (label, key, numbers, counts) and the keys after them.
+
+    The key is _MEMBERS or _RANGES, and the numbers are the member entries
+    or the range numbers, counts[k] of them for member k.
 
     The space is a grid2d space object as json reads it, or a points2d
     space's point array, counted against its cap. None where the text
@@ -345,14 +502,17 @@ def _cover_parts(text: str) -> tuple[np.ndarray | dict[str, Any],
         if not text.startswith(_LABEL, i):
             return None
         label, i = _DECODER.raw_decode(text, i + len(_LABEL))
-        if not text.startswith(_MEMBERS, i):
+        form = _MEMBERS if text.startswith(_MEMBERS, i) else _RANGES
+        if not text.startswith(form, i):
             return None
-        i += len(_MEMBERS)
+        i += len(form)
         end = i + 2 if text.startswith("[]", i) else text.find("]]", i) + 2
+        if form == _RANGES and _FRACTION.search(text, i, end):  # not JSON integers
+            return None
         members = _runs_at(text, i, end, np.int64)
         if members is None or not text.startswith("}", end):
             return None
-        runs.append((label, *members))
+        runs.append((label, form, *members))
         i = end + 1
     if not text.startswith(", ", i + 1):
         return None
@@ -523,9 +683,10 @@ def _encode(obj: Any) -> Iterator[str]:
     """The text of ``json.dumps(obj)``, in pieces of bounded size.
 
     Dicts with string keys, lists of dicts, lists longer than _DUMP_SLICE
-    items, 2-D float64 arrays and ``_Members`` (as their ``tolist()``) are
-    taken apart, _DUMP_SLICE items, rows or entries at a time; everything
-    else goes through the C encoder in one call.
+    items, 1-D and 2-D float64 arrays and ``_Members`` (as their
+    ``tolist()``) are taken apart, _DUMP_SLICE items, values, rows or
+    entries at a time; everything else goes through the C encoder in one
+    call.
     """
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         yield "{"
@@ -547,10 +708,13 @@ def _encode(obj: Any) -> Iterator[str]:
                 yield ", "
             yield from _encode(v)
         yield "]"
-    elif isinstance(obj, (list, tuple)) and len(obj) > _DUMP_SLICE:
+    elif (isinstance(obj, (list, tuple)) and len(obj) > _DUMP_SLICE
+          or isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1):
         yield "["
         for s in range(0, len(obj), _DUMP_SLICE):
-            yield (", " if s else "") + json.dumps(obj[s:s + _DUMP_SLICE])[1:-1]
+            part = obj[s:s + _DUMP_SLICE]
+            yield (", " if s else "") + json.dumps(
+                part.tolist() if isinstance(part, np.ndarray) else part)[1:-1]
         yield "]"
     else:
         yield json.dumps(obj)
@@ -559,7 +723,7 @@ def _encode(obj: Any) -> Iterator[str]:
 def dump_json(obj: Any, path: str | Path) -> None:
     """Write obj as single-line JSON plus a newline: the bytes of ``json.dumps(obj)``.
 
-    A 2-D float64 array or ``_Members`` in a dict value is written as its ``tolist()``.
+    A 1-D or 2-D float64 array or ``_Members`` in a dict value is written as its ``tolist()``.
     ``json.dumps`` without an indent runs the C encoder; large lists and
     arrays are encoded a slice at a time so no whole-file string is built.
     """

@@ -519,14 +519,14 @@ PINNED_GEN = {
              "13b8ce3bdb4b264233e390d765c0075dfc8a5c153eda4da117b81a98e4086cd7",
              "comb: 97 points at spacing 0.25"),
     "comb-cover": (["--window", "0,4,-2,2", "--delta", "0.25"],
-                   "fc878b59e13a7359388fc0d1b9b0182968333bd4616f8789ef4e5a089a31a95f",
+                   "ec4235054c39be98d0c1a63fe963a91eafea119b5f48930c202b030fc484c73b",
                    "comb-cover: 97 points, 7 red + 8 blue pieces, advertised r=1, C=2.0"),
     "brick": (["--window", "0,6,0,6", "--r", "1"],
-              "a95fd1fc209be364667be4320060ff90ddc83774ba6ac2c19c20d7dc249d249f",
+              "1c696148f1fe59494c5b534d20193481dc216c9215057649a618e98ad104795a",
               "brick: 625 points, 3+3+3 bricks in 3 families, advertised r=1.0, "
               "C=4.242640687119286"),
     "interval": (["--window", "0,6,0,0", "--r", "1"],
-                 "b9da59317612abaf59a55a9c15c4c84b49da0adef89e5b60c938c07b5526d8b4",
+                 "8bee627ce008d161960f8ce844dbcbef5ea23f088df9a8589d94a69209bef9b8",
                  "interval: 25 points, 2+1 intervals in 2 families, advertised r=1.0, C=3.0"),
 }
 # SHA-256 of gen's stdout (indented JSON) for the same arguments, without --out
@@ -535,9 +535,9 @@ PINNED_GEN_STDOUT = {
     "net": "6c9d40d48030614a01163cbe05cbd8a6287cd0db41900030d29389f98f726353",
     "chess": "bb516890aef16e27e44416034f559077851d7692d65591616939c5311fda417f",
     "comb": "6863503ada7ffe9dedb0c23bdae03c962c2ec984b83183c8181a843cc11f606c",
-    "comb-cover": "6ab37207296bb112724cbf64c1a41eaefefd1de5f9b527ef1d52c87da866b0cf",
-    "brick": "45b1e8804e9373aebe30ffa9d018d59ab89e4ca839b88eb295c1526ba34449e3",
-    "interval": "300a6245b03ff97169816c59acf35faade453a78cf9794a891ebbcfe6e0da28f",
+    "comb-cover": "e906efd45cf934b528b029ee521c3c5bfa02ceb15362487eba9efc679309d777",
+    "brick": "1c4135fde02fb9120c74ea206422554b7acff0be6349307c9f037065b7c327ad",
+    "interval": "80af5feaa5c9c725d4048fc44d4b34593f582c70ea6398651ad23aa4fac6fb2a",
 }
 PINNED_REPRODUCE = {  # report, CSV, SVG
     "example1": ("452d14913307d9095b05a2f0e5a7f0ae22733c2df631e5e4bc5aadba51f8b6eb",
@@ -750,7 +750,7 @@ class TestMalformedDocuments:
         ("--space", {"kind": "matrix", "d": [[0.0]] * 1001},
          "matrix space lists 1001 points, cap is 1000"),
         # a side whose list is malformed reaches space_from_json's own error
-        ("--x", {"kind": "points2d", "pts": 5}, "points must have shape (n, 2), got (1,)"),
+        ("--x", {"kind": "points2d", "pts": 5}, "points must have shape (n, 2), got ()"),
     ])
     def test_one_validation_line(self, option, doc, message, tmp_path, capsys):
         assert self.run(option, doc, tmp_path) == 2

@@ -455,10 +455,43 @@ class TestArrayEncoder:
         assert net.n > serialize._DUMP_SLICE
         self._check(tmp_path, net.points, np.zeros((0, 2)), None)
 
+    @pytest.mark.parametrize("axis", [np.zeros(0), np.array(SPECIAL), np.arange(9) * 0.25])
+    @pytest.mark.parametrize("slice_values", [1, 2, 4096])
+    def test_axes_match_dumps_of_lists(self, tmp_path, axis, slice_values):
+        # a grid2d axis, written as a 1-D float64 array a slice at a time
+        path = tmp_path / "x.json"
+        with mock.patch.object(serialize, "_DUMP_SLICE", slice_values):
+            dump_json({"x": axis, "y": axis[::-1]}, path)
+        plain = {"x": axis.tolist(), "y": axis[::-1].tolist()}
+        assert path.read_bytes() == (json.dumps(plain) + "\n").encode("utf-8")
+
     def test_other_arrays_are_refused_like_dumps(self, tmp_path):
-        for bad in (np.zeros(3), np.zeros((2, 2), dtype=np.int64)):
+        for bad in (np.zeros((2, 2, 2)), np.zeros(3, dtype=np.float32),
+                    np.zeros((2, 2), dtype=np.int64)):
             with pytest.raises(TypeError):
                 dump_json({"a": bad}, tmp_path / "x.json")
+
+
+def _runs(members: list[list[int]]) -> list[list[int]]:
+    """Each sorted member as the start, stop pairs of its maximal runs of consecutive indices."""
+    out = []
+    for member in members:
+        pairs: list[int] = []
+        for i in member:
+            if pairs and pairs[-1] == i:
+                pairs[-1] = i + 1
+            else:
+                pairs += [i, i + 1]
+        out.append(pairs)
+    return out
+
+
+def _wire_family(label: str, members: list[list[int]]) -> dict[str, Any]:
+    """A family's wire object: its ranges when 2 * (maximal runs) < entries, else its members."""
+    ranges = _runs(members)
+    if sum(map(len, ranges)) < sum(map(len, members)):
+        return {"label": label, "ranges": ranges}
+    return {"label": label, "members": members}
 
 
 _FAMILY_MEMBERS = st.one_of(
@@ -488,7 +521,7 @@ class TestFamilyArrayEncoder:
                      else SubsetFamily(label, members) for label, members in families)
         doc = serialize._document(self.SPACE, fams, 1.5, c=2.0, arrays=True)
         plain = cover_to_json(self.SPACE, fams, 1.5, c=2.0)
-        assert plain["families"] == [{"label": label, "members": [sorted(set(m)) for m in members]}
+        assert plain["families"] == [_wire_family(label, [sorted(set(m)) for m in members])
                                      for label, members in families]
         path = tmp_path_factory.mktemp("fam") / "c.json"
         with mock.patch.object(serialize, "_DUMP_SLICE", slice_items or serialize._DUMP_SLICE):
@@ -503,7 +536,7 @@ class TestFamilyArrayEncoder:
         fam = SubsetFamily("f", [[0, 1, 2], [3], [4, 5], [6, 7, 8, 9, 10, 11], [12], [13]])
         with mock.patch.object(serialize, "_DUMP_SLICE", 4):
             pieces = list(serialize._encode(serialize._Members(*fam._index)))
-        assert "".join(pieces) == json.dumps(family_to_json(fam)["members"])
+        assert "".join(pieces) == json.dumps([list(m.indices) for m in fam.members])
         # three members, then one member alone, written 4 entries at a time, then two
         assert pieces == ["[", "[0, 1, 2], [3]", ", ", "[4, 5]", ", ", "[", "6, 7, 8, 9", ", 10, 11",
                           "]", ", ", "[12], [13]", "]"]
@@ -565,9 +598,13 @@ class TestRowsText:
 _COORDINATES = ["-0.0", "-0", "0", "5e-324", "1e+300", "1E5", "7", "-2.5e-3",
                 "123456789012345678901", "1" + "0" * 400, "1e400"]
 _ENTRIES = ["-0", "-1", "0", "99999", "1.0", "1" + "0" * 25]
+# breaks of a family's ranges: an odd count, a == b, not increasing, a start below 0, a
+# stop past n, a float and a boolean entry ("empty-member" empties a ranges member too)
+_RANGE_BREAKS = ["ranges-odd", "ranges-empty", "ranges-order", "ranges-negative",
+                 "ranges-past-n", "ranges-float", "ranges-bool"]
 _PERTURBATIONS = ["none", "space", "indent", "reorder", "matrix", "coordinate", "entry",
                   "ragged", "empty-member", "truncate", "label", "labels", "labels-null",
-                  "target", "late-space", "strict", "empty-space", "repeat"]
+                  "target", "late-space", "strict", "empty-space", "repeat", *_RANGE_BREAKS]
 # gen arguments of every cover kind, on windows of side a by b
 _GEN_COVERS = {
     "chess": lambda a, b: ["chess", "--window", f"0,{a},0,{b}"],
@@ -587,6 +624,16 @@ def _as_points2d(text: str) -> str:
     return json.dumps(obj) + "\n"
 
 
+def _with_ranges(text: str) -> str:
+    """A cover file's text with its families written as ranges, unless one already is."""
+    if '"ranges": ' in text:
+        return text
+    obj = json.loads(text)
+    obj["families"] = [{"label": f["label"], "ranges": _runs(f["members"])}
+                       for f in obj["families"]]
+    return json.dumps(obj) + "\n"
+
+
 def _perturb(text: str, how: str, rng: np.random.Generator) -> str:
     """A cover file's text changed one way; most ways leave dump_json's layout.
 
@@ -594,10 +641,37 @@ def _perturb(text: str, how: str, rng: np.random.Generator) -> str:
     On a points2d space "ragged" changes a row's length, "empty-space"
     empties the rows and "repeat" repeats a row; on a grid2d space they nest
     an axis value, empty an axis and repeat an axis value, and "labels" is
-    a space key besides kind, x and y.
+    a space key besides kind, x and y. A break of ranges (_RANGE_BREAKS)
+    first writes the families as ranges where none is.
     """
     def pick(seq):
         return seq[int(rng.integers(len(seq)))]
+
+    if how in _RANGE_BREAKS:
+        text = _with_ranges(text)
+        ms = [m for s in re.finditer(r'"ranges": \[', text)
+              for m in _LIST.finditer(text, s.end(), text.index("}", s.end()))]
+        if not ms:
+            return text
+        m = pick(ms)
+        nums = [int(v) for v in m[0][1:-1].split(", ")]
+        k = int(rng.integers(len(nums)))
+        words = list(map(str, nums))
+        if how == "ranges-odd":
+            del words[k]
+        elif how == "ranges-empty":  # a pair's stop set to its start
+            words[k | 1] = words[k & ~1]
+        elif how == "ranges-order":
+            words.reverse()
+        elif how == "ranges-negative":
+            words[0] = pick(["-1", "-7", "-" + "9" * 20])
+        elif how == "ranges-past-n":
+            n = space_from_json(json.loads(text)["space"]).n
+            words[-1] = pick([str(n + 1), str(n + 5), "9" * 20])
+        else:
+            words[k] = pick([words[k] + ".0", words[k] + "e0", "1E1"] if how == "ranges-float"
+                            else ["true", "false"])
+        return text[:m.start()] + "[" + ", ".join(words) + "]" + text[m.end():]
 
     grid = text.startswith(serialize._GRID_HEAD)
     # the space's coordinates: from the rows' "[[", or the x axis' "[", to just past the last "]"
@@ -640,14 +714,14 @@ def _perturb(text: str, how: str, rng: np.random.Generator) -> str:
         m = pick(numbers if grid else list(_LIST.finditer(text, pts_start + 1, pts_end)))
         return text[:m.end()] + ", " + m[0] + text[m.end():]
     if how == "entry":
-        ms = [m for s in re.finditer(r'"members": ', text)
+        ms = [m for s in re.finditer(r'"(?:members|ranges)": ', text)
               for m in _NUMBER.finditer(text, s.end(), text.index("}", s.end()))]
         if not ms:
             return text
         m = pick(ms)
         return text[:m.start()] + pick(_ENTRIES) + text[m.end():]
     if how == "empty-member":
-        at = pick([m.end() - 1 for m in re.finditer(r'"members": \[', text)])
+        at = pick([m.end() - 1 for m in re.finditer(r'"(?:members|ranges)": \[', text)])
         return text[:at + 1] + ("[]" if text[at + 1] == "]" else "[], ") + text[at + 1:]
     if how == "truncate":
         return text[:int(rng.integers(len(text)))]
@@ -797,3 +871,129 @@ class TestLoadCover:
         if how == "none":
             assert plain.call_count == 0  # a file as gen writes it takes the array path
             assert len(got) > 2
+
+
+@st.composite
+def _run_families(draw) -> tuple[int, list[list[list[int]]]]:
+    """n, and families over n points whose members are unions of drawn runs.
+
+    Runs of 1, 2 or 3 indices, or up to the last index, so singletons,
+    two-entry runs, gaps between runs and a last stop equal to n all occur.
+    """
+    n = draw(st.integers(1, 30))
+    families = []
+    for _ in range(draw(st.integers(1, 3))):
+        members = []
+        for _ in range(draw(st.integers(0, 5))):
+            member: set[int] = set()
+            for _ in range(draw(st.integers(1, 4))):
+                start = draw(st.integers(0, n - 1))
+                member.update(range(start, min(start + draw(st.sampled_from([1, 2, 3, n])), n)))
+            members.append(sorted(member))
+        families.append(members)
+    return n, families
+
+
+class TestRanges:
+    """A family written as ranges reads as the family its members list."""
+
+    @staticmethod
+    def _text(n: int, families: list[dict[str, Any]]) -> str:
+        space = {"kind": "grid2d", "x": [float(i) for i in range(n)], "y": [0.0]}
+        return json.dumps({"kind": "cover", "space": space, "families": families,
+                           "r": 1.0, "strict": False}) + "\n"
+
+    @given(_run_families(), st.sampled_from([1, 8, None]))
+    @example((3, [[[0, 1, 2]], [[0], [2]]]), None)  # one run up to n; singletons
+    @example((5, [[[0, 1, 3, 4], [2]]]), 1)  # two-entry runs around a gap
+    def test_members_and_ranges_read_alike(self, tmp_path_factory, drawn, read_chars):
+        n, families = drawn
+        want = tuple(SubsetFamily(f"f{k}", members, n) for k, members in enumerate(families))
+        path = tmp_path_factory.mktemp("ranges") / "c.json"
+        for key, value in (("members", lambda m: m), ("ranges", _runs)):
+            text = self._text(n, [{"label": f"f{k}", key: value(members)}
+                                  for k, members in enumerate(families)])
+            path.write_text(text, encoding="utf-8")
+            with mock.patch.object(serialize, "_READ_CHARS", read_chars or serialize._READ_CHARS), \
+                    mock.patch.object(serialize, "cover_from_json",
+                                      wraps=serialize.cover_from_json) as plain:
+                fast = serialize.load_cover(path)[1]
+            assert plain.call_count == 0  # the array reader took it
+            assert cover_from_json(json.loads(text))[1] == fast == want
+
+    @pytest.mark.parametrize("ranges, error", [
+        ([[0, 2, 1, 3]], "strictly increasing"),
+        ([[0, 1, 1, 2]], "strictly increasing"),  # adjacent runs are one range
+        ([[2, 2]], "strictly increasing"),
+        ([[0, 1, 2]], "got 3 numbers"),
+        ([[]], "subset must be nonempty"),
+        ([[0, 1], [-2, 1]], "index -2 out of range for ambient of size 0"),
+        ([[0, 5]], "index 4 out of range for ambient of size 4"),
+        # far past n: the index is named before the entries are counted against the cap
+        ([[0, 2 ** 40]], f"index {2 ** 40 - 1} out of range for ambient of size 4"),
+        ([[-(2 ** 40), 1]], f"index {-(2 ** 40)} out of range for ambient of size 0"),
+        ([[0, 10 ** 20]], f"index {10 ** 20 - 1} out of range for ambient of size 4"),
+        ([[-(10 ** 20), 1]], f"index {-(10 ** 20)} out of range for ambient of size 0"),
+        ([[0, 1.0]], "JSON integers"),
+        ([[0, True]], "JSON integers"),
+        ([[0, 1], 2], "JSON array of arrays"),
+        ({"0": 1}, "JSON array of arrays"),
+    ])
+    def test_malformed_ranges_are_refused(self, ranges, error):
+        with pytest.raises(Exception, match=re.escape(error)):
+            family_from_json({"label": "f", "ranges": ranges}, n=4)
+
+    @pytest.mark.parametrize("obj", [{"label": "f"},
+                                     {"label": "f", "members": [[0]], "ranges": [[0, 1]]}])
+    def test_a_family_holds_one_of_the_forms(self, obj):
+        with pytest.raises(ValueError, match="exactly one of members and ranges"):
+            family_from_json(obj, n=4)
+
+    def test_ranges_past_the_entry_cap_are_refused_unexpanded(self, tmp_path, capsys):
+        # 101 members of 10,000 entries over a 100 x 100 grid: a 2 kB file
+        # that would expand to 1,010,000 entries, past POINT_CAP
+        axis = list(range(100))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "cover", "space": {"kind": "grid2d", "x": axis,
+                                                               "y": axis},
+                                    "families": [{"label": "f", "ranges": [[0, 10000]] * 101}],
+                                    "r": 1.0, "strict": False}), encoding="utf-8")
+        assert path.stat().st_size < 2200
+        for read in (lambda: serialize.load_cover(path),
+                     lambda: cover_from_json(load_json(path))):
+            with mock.patch.object(serialize, "_expand_ranges",
+                                   wraps=serialize._expand_ranges) as expand:
+                with pytest.raises(TooManyPoints, match="1010000 member entries, cap is 1000000"):
+                    read()
+            assert expand.call_count == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(["verify-cover", "--cover", str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < POINT_CAP  # bytes: an eighth of the expanded int64 array
+        assert capsys.readouterr().err.splitlines() == [
+            "validation: ranges families list 1010000 member entries, cap is 1000000"]
+
+    @pytest.mark.parametrize("kind, key", [("chess", "members"), ("brick", "ranges"),
+                                           ("interval", "ranges"), ("comb-cover", "ranges")])
+    def test_gen_picks_the_form_by_runs(self, tmp_path, kind, key):
+        path = tmp_path / "c.json"
+        assert cli.main(["gen", *_GEN_COVERS[kind](6, 6), "--out", str(path)]) == 0
+        families = json.loads(path.read_text())["families"]
+        assert families and all(list(f) == ["label", key] for f in families)
+
+    @pytest.mark.parametrize("members, key", [
+        ([[0, 1], [3, 4]], "members"),  # 2 * 2 runs == 4 entries
+        ([[0], [2]], "members"),
+        ([[0, 1, 2], [4, 5]], "ranges"),  # 2 * 2 runs < 5 entries
+        ([[0, 1], [2, 3]], "members"),  # a run ends where its member ends
+        ([[0, 1, 2, 3], [5]], "ranges"),
+        ([], "members"),
+    ])
+    def test_the_form_boundary(self, members, key):
+        fam = SubsetFamily("f", members, 8)
+        obj = family_to_json(fam)
+        assert obj == _wire_family("f", members) and key in obj
+        assert family_from_json(obj, 8) == fam
