@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Time the JSON file boundary, each step in a fresh process.
 
-Two cases, each the r=1 brick cover of the square window [0, W]^2:
+Three cases on the square window [0, W]^2:
 
-  brick   of the quarter-spaced net, a cross product written as its two axes (grid2d)
-  random  of as many uniform random points, (4W + 1)^2, written as a point list (points2d)
+  brick   the r=1 brick cover of the quarter-spaced net, a cross product written
+          as its two axes (grid2d)
+  random  the same bricks over as many uniform random points, (4W + 1)^2,
+          written as a point list (points2d)
+  comb    the comb cover of ``gen comb-cover --delta 0.05``, whose comb is no
+          cross product and is written as a point list (points2d)
 
-For each case a child process runs ``gen brick ... --out`` (generate, then
+For each case a child process runs ``gen ... --out`` (generate, then
 ``dump_json``), and another runs ``load_cover``, the reader of
 ``verify-cover`` and ``lower-bound``, on the file written. The random points
-go through the same ``gen`` path: the child builds them, then swaps the net
+go through the brick ``gen`` path: the child builds them, then swaps the net
 generator for one that returns them. Each child reports the seconds of its
 step and its own peak RSS from ``resource.getrusage``; the table gives
 every run and the median per step, with the size of the file written.
@@ -38,13 +42,17 @@ from ghbounds.serialize import load_cover
 
 def _child(case: str, step: str, window: float, path: str) -> None:
     """Run one step and print "seconds peak_mb"."""
-    gen = ["gen", "brick", "--window", f"0,{window},0,{window}", "--r", "1", "--out", path]
+    square = f"0,{window},0,{window}"
+    gen = ["gen", "brick", "--window", square, "--r", "1", "--out", path]
     if step == "load":
         t0 = time.perf_counter()
         load_cover(path)
     elif case == "brick":
         t0 = time.perf_counter()
         cli.main(gen)
+    elif case == "comb":
+        t0 = time.perf_counter()
+        cli.main(["gen", "comb-cover", "--window", square, "--delta", "0.05", "--out", path])
     else:
         n = (int(4 * window) + 1) ** 2
         pts = EuclideanPointSet(np.random.default_rng(0).uniform(0.0, window, (n, 2)))
@@ -70,7 +78,7 @@ def main() -> None:
 
     print(f"{'case':>7} {'step':>5} {'run':>4} {'seconds':>9} {'peak_mb':>8} {'bytes':>9}")
     with tempfile.TemporaryDirectory() as tmp:
-        for case in ("brick", "random"):
+        for case in ("brick", "random", "comb"):
             path = str(Path(tmp) / f"{case}.json")
             runs: dict[str, list[tuple[float, float]]] = {"dump": [], "load": []}
             for k in range(args.repeats):

@@ -84,6 +84,29 @@ def run_cli_report(args: list[str], out: Path) -> tuple[int, dict[str, Any]]:
     return rc, payload
 
 
+def nested_layout(doc: Any) -> Any:
+    """A space or cover document in the nested layout of earlier releases.
+
+    A points2d space's ``xy`` becomes its ``pts`` rows [[x, y], ...], and a
+    family's flat list with its ``sizes`` becomes one array per member.
+    Anything else is returned as it is.
+    """
+    if not isinstance(doc, dict):
+        return doc
+    if doc.get("kind") == "points2d" and "xy" in doc:
+        xy = doc["xy"]
+        return {"kind": "points2d", "pts": [xy[i:i + 2] for i in range(0, len(xy), 2)]}
+    if doc.get("kind") != "cover":
+        return doc
+    families = []
+    for fam in doc["families"]:
+        key = "members" if "members" in fam else "ranges"
+        bounds = np.cumsum([0, *fam["sizes"]]).tolist()
+        families.append({"label": fam["label"],
+                         key: [fam[key][s:e] for s, e in zip(bounds, bounds[1:])]})
+    return {**doc, "space": nested_layout(doc["space"]), "families": families}
+
+
 # ---------------------------------------------------------------------------
 # acceptance-line recording
 

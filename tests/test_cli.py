@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import ghbounds
-from conftest import run_cli, run_cli_report
+from conftest import nested_layout, run_cli, run_cli_report
 from oracles import count_pieces
 from ghbounds import __version__, cli, exact_gh, gen_lattice_window, serialize
 from ghbounds.constructions import POINT_CAP
@@ -233,7 +233,7 @@ class TestGhExact:
     def test_refuses_an_oversized_point_list_side_before_reading_it(self, tmp_path, monkeypatch,
                                                                     capsys):
         read = []
-        monkeypatch.setattr(serialize, "_points_from_rows", read.append)
+        monkeypatch.setattr(serialize, "_coordinates", read.append)
         x, _ = self.write_pair(tmp_path)
         pts = tmp_path / "pts.json"
         dump_json({"kind": "points2d", "pts": [[float(k), 0.0] for k in range(63)]}, pts)
@@ -344,6 +344,30 @@ class TestVerifyCover:
         failing = [f for f in outs["families"] if not f["disjoint_ok"]]
         assert failing and all(f["witness"] is not None for f in failing)
 
+    @pytest.mark.parametrize("gen, model, space_key, family_key", [
+        (["chess", "--window", "0,8,0,8"], "R2", "x", "members"),
+        (["brick", "--window", "0,12,0,12", "--r", "1"], "R3", "x", "ranges"),
+        (["comb-cover", "--window", "0,6,-3,3", "--delta", "0.25"], "R2", "xy", "ranges"),
+    ])
+    def test_a_nested_file_gives_the_same_cover_and_outputs(self, gen, model, space_key,
+                                                            family_key, tmp_path):
+        # earlier releases listed one array per member and a points2d space's [x, y] rows
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        assert run_cli(["gen", *gen, "--out", str(new)]) == 0
+        doc = load_json(new)
+        assert space_key in doc["space"] and all(family_key in f for f in doc["families"])
+        old.write_text(json.dumps(nested_layout(doc)) + "\n", encoding="utf-8")
+        (space, families, *rest), (old_space, old_families, *old_rest) = map(load_cover,
+                                                                               (new, old))
+        assert space.points.tobytes() == old_space.points.tobytes()
+        assert families == old_families and rest == old_rest
+        for command in (["verify-cover"], ["lower-bound", "--model", model]):
+            (rc_old, got), (rc_new, want) = (
+                run_cli_report([*command, "--cover", str(path)], tmp_path / f"{path.stem}.out")
+                for path in (old, new))
+            assert rc_old == rc_new == 0
+            assert got["outputs"] == want["outputs"]
+
     def test_a_file_with_point_labels_gives_the_same_outputs(self, tmp_path):
         # earlier releases wrote the lattice as a points2d list, each point's label "(x,y)"
         # after the points
@@ -403,7 +427,9 @@ class TestPinnedCoverOutputs:
         assert (report["outputs"]["bound"], report["outputs"]["C"]) == (bound, c)
 
     @pytest.mark.parametrize("case, edit, extra, families, cover, error", [
-        ("uncovered", lambda obj: obj["families"][0]["members"].pop(3), [],
+        # red is 25 singletons, written as one flat list with sizes of 1
+        ("uncovered", lambda obj: (obj["families"][0]["members"].pop(3),
+                                   obj["families"][0]["sizes"].pop()), [],
          [[SQRT2, [0, 4], True], [SQRT2, [0, 4], True]], (False, [6], 1),
          "validation: 1 target indices uncovered, first: (6,)"),
         ("closer than r", lambda obj: None, ["--r", "2"],
@@ -411,7 +437,8 @@ class TestPinnedCoverOutputs:
          "validation: family 'red': members 0 and 5 are at gap 1.4142135623730951, "
          "not r-disjoint for r=2.0"),
         ("duplicated member",
-         lambda obj: obj["families"][0]["members"].insert(5, obj["families"][0]["members"][2]), [],
+         lambda obj: (obj["families"][0]["members"].insert(5, obj["families"][0]["members"][2]),
+                      obj["families"][0]["sizes"].append(1)), [],
          [[0.0, [2, 5], False], [SQRT2, [0, 4], True]], (True, [], 2),
          "validation: family 'red': members 2 and 5 are at gap 0.0, "
          "not r-disjoint for r=1.4142135623730951"),
@@ -512,32 +539,46 @@ PINNED_GEN = {
             "2bef3e57568ce61fe51b1acffb8f8bef3d3ae7ff831f0ef32ab50388a5708de2",
             "net: 81 points at spacing 0.25"),
     "chess": (["--window", "0,6,0,6"],
-              "36479abecb14336e3aca7ee339394048b03901fb8d0bca0805f52d75ffe5a12e",
+              "badfcb497d7995662a12c01b943aa70bb54b772f76416d0a1e14a4cb4a788b44",
               "chess: 49 points, 25 red + 24 blue singletons, "
               "advertised r=1.4142135623730951 (sqrt 2), C=0"),
     "comb": (["--window", "0,4,-2,2", "--delta", "0.25"],
-             "13b8ce3bdb4b264233e390d765c0075dfc8a5c153eda4da117b81a98e4086cd7",
+             "2cd11ba0d1106d1ce254f71836fb6f990610e8ec932dc0da20ca1e35bc330f3e",
              "comb: 97 points at spacing 0.25"),
     "comb-cover": (["--window", "0,4,-2,2", "--delta", "0.25"],
-                   "ec4235054c39be98d0c1a63fe963a91eafea119b5f48930c202b030fc484c73b",
+                   "40e7dfe91f8e0e618c593abd6eaf9fd9a7df51e012d75f9f44de6245b95ea0c3",
                    "comb-cover: 97 points, 7 red + 8 blue pieces, advertised r=1, C=2.0"),
     "brick": (["--window", "0,6,0,6", "--r", "1"],
-              "1c696148f1fe59494c5b534d20193481dc216c9215057649a618e98ad104795a",
+              "08a7aa06c1c60877965c3858ea3ed1d71d30d96123f5e0dd54c7259d50bdbb77",
               "brick: 625 points, 3+3+3 bricks in 3 families, advertised r=1.0, "
               "C=4.242640687119286"),
     "interval": (["--window", "0,6,0,0", "--r", "1"],
-                 "8bee627ce008d161960f8ce844dbcbef5ea23f088df9a8589d94a69209bef9b8",
+                 "a50e39ee9cc940dc0b88e34f0b332058780d65d3e02eda6e3016a47233bae05a",
                  "interval: 25 points, 2+1 intervals in 2 families, advertised r=1.0, C=3.0"),
 }
 # SHA-256 of gen's stdout (indented JSON) for the same arguments, without --out
 PINNED_GEN_STDOUT = {
     "lattice": "2b53070255ea7d6e22ebcafd3dec38dac0d06a094e7748709ee42afe6755dbda",
     "net": "6c9d40d48030614a01163cbe05cbd8a6287cd0db41900030d29389f98f726353",
-    "chess": "bb516890aef16e27e44416034f559077851d7692d65591616939c5311fda417f",
-    "comb": "6863503ada7ffe9dedb0c23bdae03c962c2ec984b83183c8181a843cc11f606c",
-    "comb-cover": "e906efd45cf934b528b029ee521c3c5bfa02ceb15362487eba9efc679309d777",
-    "brick": "1c4135fde02fb9120c74ea206422554b7acff0be6349307c9f037065b7c327ad",
-    "interval": "80af5feaa5c9c725d4048fc44d4b34593f582c70ea6398651ad23aa4fac6fb2a",
+    "chess": "353d3668205fcb7130d471c1225110b62dab0791cde30706173b59dc49f53196",
+    "comb": "942693be36e8dcdddabd4129a5bbcbdb2096fcab8ee12eec825b0cb87332028f",
+    "comb-cover": "782f8ef18af1cfe28fd3c92071fa077d9f3eb8ac2a809e2345e9a30f6b5364f9",
+    "brick": "f2645b2d2c570d89c7ff4f572ba8c4b47577b2474a4b7ae00d883a6d2a173a37",
+    "interval": "c43d49e5d5f4f9e8f51e535989d52500ed00983f683c64827db0617c611d32b2",
+}
+# SHA-256 of the same files and stdout rewritten in the nested layout (one
+# array per member, points2d as [x, y] rows): the bytes of earlier releases
+PINNED_GEN_NESTED = {
+    "chess": ("36479abecb14336e3aca7ee339394048b03901fb8d0bca0805f52d75ffe5a12e",
+              "bb516890aef16e27e44416034f559077851d7692d65591616939c5311fda417f"),
+    "comb": ("13b8ce3bdb4b264233e390d765c0075dfc8a5c153eda4da117b81a98e4086cd7",
+             "6863503ada7ffe9dedb0c23bdae03c962c2ec984b83183c8181a843cc11f606c"),
+    "comb-cover": ("ec4235054c39be98d0c1a63fe963a91eafea119b5f48930c202b030fc484c73b",
+                   "e906efd45cf934b528b029ee521c3c5bfa02ceb15362487eba9efc679309d777"),
+    "brick": ("1c696148f1fe59494c5b534d20193481dc216c9215057649a618e98ad104795a",
+              "1c4135fde02fb9120c74ea206422554b7acff0be6349307c9f037065b7c327ad"),
+    "interval": ("8bee627ce008d161960f8ce844dbcbef5ea23f088df9a8589d94a69209bef9b8",
+                 "80af5feaa5c9c725d4048fc44d4b34593f582c70ea6398651ad23aa4fac6fb2a"),
 }
 PINNED_REPRODUCE = {  # report, CSV, SVG
     "example1": ("452d14913307d9095b05a2f0e5a7f0ae22733c2df631e5e4bc5aadba51f8b6eb",
@@ -569,6 +610,17 @@ class TestPinnedOutputs:
         out, err = capsys.readouterr()
         assert err.splitlines() == [line]
         assert _sha256(out.encode()) == PINNED_GEN_STDOUT[kind]
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_GEN_NESTED))
+    def test_gen_in_the_nested_layout(self, kind, tmp_path, capsys):
+        args, _, _ = PINNED_GEN[kind]
+        out = tmp_path / f"{kind}.json"
+        assert run_cli(["gen", kind, *args, "--out", str(out)]) == 0
+        assert run_cli(["gen", kind, *args]) == 0
+        stdout = capsys.readouterr().out
+        nested = (json.dumps(nested_layout(load_json(out))) + "\n",
+                  json.dumps(nested_layout(json.loads(stdout)), indent=2) + "\n")
+        assert tuple(_sha256(text.encode()) for text in nested) == PINNED_GEN_NESTED[kind]
 
     @pytest.mark.parametrize("example", sorted(PINNED_REPRODUCE))
     def test_reproduce(self, example, tmp_path, monkeypatch):
@@ -689,20 +741,21 @@ class TestFullTargetStaysUnbuilt:
     def test_no_target_tuple_or_point_rows(self, gen_args, model, tmp_path):
         cover = str(tmp_path / "cover.json")
         with mock.patch.object(SubsetRef, "full", wraps=SubsetRef.full) as full, \
-                mock.patch.object(serialize, "_points_from_rows",
-                                  wraps=serialize._points_from_rows) as rows:
+                mock.patch.object(serialize, "_flattened",
+                                  wraps=serialize._flattened) as nested:
             assert run_cli(["gen", *gen_args, "--out", cover]) == 0
             assert run_cli(["verify-cover", "--cover", cover]) == 0
             assert run_cli(["lower-bound", "--cover", cover, "--model", model]) == 0
             space, families, r, strict, target = load_cover(cover)
             cert = make_certificate(space, families, r, strict, target)
-            assert full.call_count == 0 and rows.call_count == 0
+            # gen's files hold flat lists: no nested rows or members are read
+            assert full.call_count == 0 and nested.call_count == 0
             assert cert.target_size == space.n
             # the tuple of every index is built on the first read of the target, once
             assert cert.target == SubsetRef(range(space.n))
             assert cert.target is cert.target
             assert full.call_count == 1
-            assert rows.call_count == 0
+            assert nested.call_count == 0
 
 
 _SPACE = {"kind": "points2d", "pts": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
@@ -722,6 +775,7 @@ class TestMalformedDocuments:
         "--space-a": ["hausdorff", "--space-b", "{good}"],
         "--x": ["gh-exact", "--y", "{good}"],
         "--cover": ["verify-cover"],
+        "--a": ["hausdorff", "--space", "{good}"],
         "--model-file": ["lower-bound", "--cover", "{cover}"],
     }
 
@@ -750,7 +804,18 @@ class TestMalformedDocuments:
         ("--space", {"kind": "matrix", "d": [[0.0]] * 1001},
          "matrix space lists 1001 points, cap is 1000"),
         # a side whose list is malformed reaches space_from_json's own error
-        ("--x", {"kind": "points2d", "pts": 5}, "points must have shape (n, 2), got ()"),
+        ("--x", {"kind": "points2d", "pts": 5}, "pts must be a JSON array of arrays"),
+        # an index is a JSON integer: a float or a boolean is refused, not truncated
+        ("--cover", _cover_doc(families=[{"label": "a", "members": [[1.5, True], [2.9]]}]),
+         "members must be a JSON array of integers"),
+        ("--cover", _cover_doc(families=[{"label": "a", "members": [0, 1.0], "sizes": [1, 1]}]),
+         "members must be a JSON array of integers"),
+        ("--cover", _cover_doc(families=[{"label": "a", "ranges": [0, 2], "sizes": [2.0]}]),
+         "sizes must be a JSON array of integers"),
+        ("--cover", _cover_doc(families=[{"label": "a", "ranges": [0, True], "sizes": [2]}]),
+         "ranges must be a JSON array of integers"),
+        ("--cover", _cover_doc(target=[0.5, True]), "a subset must be a JSON array of integers"),
+        ("--a", [0.7, True, 2.2], "a subset must be a JSON array of integers"),
     ])
     def test_one_validation_line(self, option, doc, message, tmp_path, capsys):
         assert self.run(option, doc, tmp_path) == 2
