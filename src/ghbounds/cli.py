@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .constructions import (
     WindowSpec,
+    _tile_side,
     gen_brick_cover,
     gen_chess_families,
     gen_comb_cover,
@@ -138,11 +139,11 @@ def _comb_cover(w: WindowSpec, args: argparse.Namespace) -> _Built:
 
 def _tiled(w: WindowSpec, args: argparse.Namespace, make: Callable[..., Any],
            pieces: str, c_per_tile: float) -> _Built:
-    """A brick or interval cover: both need --r, and the tile side defaults to 3r."""
+    """A brick or interval cover: both need --r, and C is c_per_tile times the tile side."""
     if args.r is None:
         raise ValueError(f"gen {args.kind} requires --r")
     net, fams = make(w, args.r, args.tile, args.spacing)
-    c = (args.tile if args.tile is not None else 3.0 * args.r) * c_per_tile
+    c = _tile_side(args.r, args.tile) * c_per_tile
     return net, fams, args.r, c, (
         f"{args.kind}: {net.n} points, {'+'.join(str(len(f)) for f in fams)} {pieces} "
         f"in {len(fams)} families, advertised r={args.r}, C={c!r}")
@@ -236,11 +237,16 @@ def _load_model(args: argparse.Namespace):
     return model_space(args.model)
 
 
-def cmd_lower_bound(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _load_cover_args(args: argparse.Namespace):
+    """``load_cover(args.cover)``, with r and strict as --r and --strict set them."""
     space, families, r_file, strict_file, target = load_cover(args.cover)
     r = args.r if args.r is not None else r_file
-    strict = bool(args.strict or strict_file)
+    return space, families, r, bool(args.strict or strict_file), target
+
+
+def cmd_lower_bound(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
+    space, families, r, strict, target = _load_cover_args(args)
     cert = make_certificate(space, families, r, strict, target)
     model = _load_model(args)
     bound = gh_lower_bound(cert, model)
@@ -255,9 +261,7 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
 
 def cmd_verify_cover(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    space, families, r_file, strict_file, target = load_cover(args.cover)
-    r = args.r if args.r is not None else r_file
-    strict = bool(args.strict or strict_file)
+    space, families, r, strict, target = _load_cover_args(args)
     found = inspect_cover(space, families, r, strict, target)
     fam_reports = [{
         "label": fam.label,
@@ -494,10 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # A command makes hundreds of thousands of small lists (JSON rows, member
-    # tuples) and frees them by reference counting; the cyclic collector
-    # would only scan them over and over. It is paused for the command and
-    # left as the caller had it.
+    # A file in the nested layout reads as one small list per member or
+    # point, up to a million of them, freed by reference counting; the cyclic
+    # collector would only scan them over and over. It is paused for the
+    # command and left as the caller had it.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -125,8 +125,10 @@ def gen_epsilon_net(w: WindowSpec, eps: float) -> EuclideanPointSet:
     used by the bundled experiments); otherwise the exact window edges are
     appended. Either way each window point is within eps*sqrt(2)/2 of the net.
     """
-    if eps <= 0:
+    if not eps > 0:  # nan too
         raise ValueError("net spacing must be positive")
+    if eps == math.inf:
+        raise ValueError("net spacing must be finite")
     _check_count(_grid_size(w.xmin, w.xmax, eps, True) * _grid_size(w.ymin, w.ymax, eps, True))
     xs = _grid_coords(w.xmin, w.xmax, eps, pad_edges=True)
     ys = _grid_coords(w.ymin, w.ymax, eps, pad_edges=True)
@@ -260,6 +262,21 @@ def gen_comb_cover(comb: EuclideanPointSet, h: float = 2.0) -> tuple[SubsetFamil
 _BRICK_LABELS = ("red", "blue", "green")
 
 
+def _tile_side(r: float, L: float | None) -> float:
+    """The tile side of a brick or interval cover at separation r: L, or 3r when L is None.
+
+    r must be positive and finite, and L finite and at least 2r (LTooSmall).
+    """
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"separation r must be positive and finite, got {r!r}")
+    L = 3.0 * r if L is None else L
+    if not L < math.inf:
+        raise ValueError(f"tile size must be finite, got {L!r}")
+    if L < 2.0 * r - 1e-12:
+        raise LTooSmall(L, r)
+    return L
+
+
 def gen_brick_cover(w: WindowSpec, r: float, L: float | None = None,
                     spacing: float | None = None,
                     ) -> tuple[EuclideanPointSet, tuple[SubsetFamily, SubsetFamily, SubsetFamily]]:
@@ -271,12 +288,7 @@ def gen_brick_cover(w: WindowSpec, r: float, L: float | None = None,
     (i,j±1), (i-1,j+1), (i+1,j-1) — differs mod 3, and the nearest same-color
     bricks, e.g. (i,j) and (i+1,j+1), are offset by 3L/2 in x.
     """
-    if r <= 0:
-        raise ValueError("separation r must be positive")
-    if L is None:
-        L = 3.0 * r
-    if L < 2.0 * r - 1e-12:
-        raise LTooSmall(L, r)
+    L = _tile_side(r, L)
     net = gen_epsilon_net(w, spacing if spacing is not None else r / 4.0)
     x, y = net.points[:, 0], net.points[:, 1]
     j = np.floor(y / L + _GRID_TOL).astype(np.int64)
@@ -293,17 +305,11 @@ def gen_interval_cover(w: WindowSpec, r: float, L: float | None = None,
     Same-color intervals are a full interval apart, so the gap is L >= 2r; each
     member's diameter is below L.
     """
-    if r <= 0:
-        raise ValueError("separation r must be positive")
-    if L is None:
-        L = 3.0 * r
-    if L < 2.0 * r - 1e-12:
-        raise LTooSmall(L, r)
-    step = spacing if spacing is not None else r / 4.0
-    _check_count(_grid_size(w.xmin, w.xmax, step, True))
-    xs = _grid_coords(w.xmin, w.xmax, step, pad_edges=True)
-    net = EuclideanPointSet(np.column_stack((xs, np.zeros_like(xs))))
-    k = np.floor(xs / L + _GRID_TOL).astype(np.int64)
+    L = _tile_side(r, L)
+    # the net of the x-range: its y-axis is the single coordinate 0.0
+    net = gen_epsilon_net(WindowSpec(w.xmin, w.xmax, 0.0, 0.0),
+                          spacing if spacing is not None else r / 4.0)
+    k = np.floor(net.points[:, 0] / L + _GRID_TOL).astype(np.int64)
     red, blue = _keyed_families(("red", "blue"), k % 2, k)
     return net, (red, blue)
 

@@ -16,7 +16,7 @@ Intelligence 14, 1980), and the node budget counts the values tried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -42,10 +42,6 @@ class Relation:
         if not self.pairs:
             raise EmptyRelation("relation must be nonempty")
         object.__setattr__(self, "pairs", tuple(sorted(set(self.pairs))))
-
-    @staticmethod
-    def of(pairs: Iterable[Sequence[int]]) -> "Relation":
-        return Relation(tuple((int(i), int(j)) for i, j in pairs))
 
     def check_ranges(self, nx: int, ny: int) -> None:
         for i, j in self.pairs:
@@ -76,11 +72,6 @@ class Correspondence:
         if len(right) != self.ny:
             missing = min(set(range(self.ny)) - right)
             raise NotACorrespondence(f"y-index {missing} is unmatched")
-
-    @staticmethod
-    def of(pairs: Iterable[Sequence[int]], nx: int, ny: int) -> "Correspondence":
-        return Correspondence(tuple((int(i), int(j)) for i, j in pairs), nx, ny)
-
 
 # ---------------------------------------------------------------------------
 # distortion and pushforward

@@ -3,8 +3,9 @@
 A verified certificate (k families, separation r, diameter bound C, covered
 target) entitles a lower bound of min(r, measured gap)/2 on the GH distance
 to any model space whose asymptotic dimension is at least k and whose
-scaling stabilizer is nontrivial. Model-space facts are axioms in a
-read-only registry; they are not computable from finite windows.
+scaling stabilizer is nontrivial. Model-space facts are axioms, not computed
+from finite windows: ``model_space`` builds R<n>, for any n >= 1, from its
+name, with asymptotic dimension n and a nontrivial stabilizer.
 
 Every check of a cover is measured in one inspection pass,
 ``inspect_cover``: each family's min gap and witness, each family's largest
@@ -38,7 +39,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -63,6 +63,7 @@ from .metric import (
     _GRID_SLACK,
     _TargetGrid,
     _batches,
+    _check_integers,
     _checked_runs,
     _euclid,
     _ragged,
@@ -75,10 +76,10 @@ from .metric import (
 class SubsetFamily:
     """A labeled list of nonempty subsets of one ambient space.
 
-    Members are expected to be pairwise distinct; duplicated members measure
-    a gap of 0 and therefore fail every disjointness check, so certificates
-    cannot contain them. Pushforward images, however, may legitimately
-    coincide and are kept as-is.
+    Members are expected to be pairwise distinct. A repeated one measures a
+    gap of 0, which a non-strict check at r = 0 passes, so ``make_certificate``
+    refuses it first (``_duplicate_members``). Pushforward images, however,
+    may legitimately coincide and are kept as-is.
 
     A family holds only its members' indices: ``_index`` is one read-only
     int64 index array and the member offsets, and member k is
@@ -93,13 +94,14 @@ class SubsetFamily:
     def __init__(self, label: str, members: Iterable[Iterable[int]], n: int | None = None) -> None:
         """The family of ``SubsetRef(m, n)`` for each member m, validated in one pass.
 
-        Members that do not convert to int64 as a whole (non-numbers,
-        integers beyond 64 bits, unsized iterables) are built one by one, so
-        the error is the first failing member's either way.
+        Members that do not convert to int64 as a whole (values that are no
+        integers, integers beyond 64 bits, unsized iterables) are built one
+        by one, so the error is the first failing member's either way.
         """
         members = list(members)
         try:
             counts = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
+            _check_integers(itertools.chain.from_iterable(members))
             flat = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64,
                                count=int(counts.sum()))
         except (TypeError, ValueError, OverflowError):
@@ -174,32 +176,15 @@ class FamilyInspection:
     max_diam: float
 
 
-class _Target:
-    """A target of ``target_size`` points: ``given_target``, or every point when that is None.
-
-    ``target`` is the SubsetRef, built on first read and kept, so a target of
-    every point is a count until something reads its indices.
-    """
-
-    target_size: int
-    given_target: SubsetRef | None
-
-    @cached_property
-    def target(self) -> SubsetRef:
-        if self.given_target is not None:
-            return self.given_target
-        return SubsetRef.full(self.target_size)
-
-
 @dataclass(frozen=True)
-class CoverInspection(_Target):
+class CoverInspection:
     """Everything ``inspect_cover`` measured; it judges nothing by itself."""
 
     families: tuple[FamilyInspection, ...]
     target_size: int
     cover: CoverReport
     multiplicity: int
-    given_target: SubsetRef | None = None
+    given_target: SubsetRef | None = None  # None: the target is every point
 
     @property
     def c(self) -> float:
@@ -232,36 +217,27 @@ _RN_PROVENANCE = (
     "stabilizer is nontrivial because x -> lam*x rescales every distance by lam."
 )
 
-MODEL_SPACES: dict[str, ModelSpaceDescriptor] = {
-    f"R{n}": ModelSpaceDescriptor(f"R{n}", n, True, _RN_PROVENANCE.format(n=n))
-    for n in (1, 2, 3)
-}
-
 
 def model_space(name: str) -> ModelSpaceDescriptor:
-    """Look up a model space; accepts any 'R<n>' plus the seeded entries."""
-    if name in MODEL_SPACES:
-        return MODEL_SPACES[name]
+    """The model space R<n> named by name, for any n >= 1."""
     m = re.fullmatch(r"R(\d+)", name)
-    if m:
-        n = int(m.group(1))
-        if n >= 1:
-            return ModelSpaceDescriptor(name, n, True, _RN_PROVENANCE.format(n=n))
-    raise UnknownModelSpace(name)
+    n = int(m.group(1)) if m else 0
+    if n < 1:
+        raise UnknownModelSpace(name)
+    return ModelSpaceDescriptor(name, n, True, _RN_PROVENANCE.format(n=n))
 
 
 @dataclass(frozen=True)
-class CoverCertificate(_Target):
+class CoverCertificate:
     """Verified package: families, separation r, diameter bound C, covered target."""
 
-    space: MetricLike
     families: tuple[SubsetFamily, ...]
     r: float
     c: float
     strict: bool
     target_size: int
     min_gap: float
-    given_target: SubsetRef | None = None
+    given_target: SubsetRef | None = None  # None: the target is every point
 
     @property
     def k(self) -> int:
@@ -443,12 +419,24 @@ def _grid_candidates(lo: np.ndarray, hi: np.ndarray, ub: float) -> _Candidates:
     return _Candidates(order, 2, begin, counts)
 
 
+def _check_ambient(fam: SubsetFamily, n: int) -> None:
+    """Raise IndexOutOfRange(i, n) for the first member holding an index at or past n.
+
+    i is that member's largest index, as ``SubsetRef(member, n)`` names it.
+    """
+    flat, offsets = fam._index
+    if flat.size and flat.max() >= n:
+        tops = np.maximum.reduceat(flat, offsets[:-1])
+        raise IndexOutOfRange(int(tops[np.argmax(tops >= n)]), n)
+
+
 def check_r_disjoint(space: MetricLike, fam: SubsetFamily, r: float,
                      strict: bool = False) -> DisjointnessReport:
     """Verify pairwise member gaps against r.
 
     Strict mode requires gap > r; non-strict requires gap >= r - DEFAULT_TOL.
     """
+    _check_ambient(fam, space.n)
     gap, witness = _family_min_gap(space, fam)
     ok = gap > r if strict else gap >= r - DEFAULT_TOL
     return DisjointnessReport(ok=ok, min_gap=gap, witness=witness, r=r, strict=strict)
@@ -460,10 +448,8 @@ def check_uniform_bound(space: MetricLike, fam: SubsetFamily) -> float:
     The same bits as ``max(diam(space, m) for m in fam.members)``, 0 for an
     empty family, measured for the whole family at once.
     """
+    _check_ambient(fam, space.n)
     flat, offsets = fam._index
-    if flat.size and flat.max() >= space.n:  # diam's error, for the first member past the ambient
-        tops = np.maximum.reduceat(flat, offsets[:-1])
-        raise IndexOutOfRange(int(tops[np.argmax(tops >= space.n)]), space.n)
     sizes = np.diff(offsets)
     multi = np.flatnonzero(sizes > 1)  # singletons have diameter 0
     if not multi.size:
@@ -570,6 +556,8 @@ def _coverage(n: int, families: Sequence[SubsetFamily],
 
     A target of None is every point.
     """
+    for fam in families:
+        _check_ambient(fam, n)
     flat = np.concatenate([np.empty(0, dtype=np.int64)] + [fam._index[0] for fam in families])
     counts = np.bincount(flat, minlength=n)
     if tgt is None:
@@ -645,7 +633,7 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
             raise NotDisjoint(fam.label, fam.disjoint.witness, fam.disjoint.min_gap, r)
     if not found.cover.ok:
         raise NotCovering(found.cover.uncovered)
-    return CoverCertificate(space=space, families=fams, r=r, c=found.c, strict=strict,
+    return CoverCertificate(families=fams, r=r, c=found.c, strict=strict,
                             target_size=found.target_size, min_gap=found.min_gap,
                             given_target=found.given_target)
 

@@ -124,7 +124,7 @@ class TrivialStabilizer(GhBoundsError):
 class UnknownModelSpace(GhBoundsError):
     def __init__(self, name: str):
         self.name = name
-        super().__init__(f"no registry entry for model space {name!r}")
+        super().__init__(f"unknown model space {name!r}: model spaces are named R<n>, n >= 1")
 
 
 # ---------------------------------------------------------------------------

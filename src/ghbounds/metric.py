@@ -75,19 +75,21 @@ class SubsetRef:
     array: np.ndarray
 
     def __init__(self, values: Iterable[int], n: int | None = None) -> None:
-        """The distinct index values, sorted, each converted as ``int()`` converts it.
+        """The distinct index values, sorted.
 
-        Raises EmptySubset for no index, then IndexOutOfRange(i, 0) for the
-        smallest i when it is negative, then IndexOutOfRange(i, n) for the
-        largest i when it is at or past n. An integer beyond int64 raises
-        OverflowError where neither applies.
+        Raises ValueError for a value that is no integer (``_check_integers``),
+        EmptySubset for no index, then IndexOutOfRange(i, 0) for the smallest
+        i when it is negative, then IndexOutOfRange(i, n) for the largest i
+        when it is at or past n. An integer beyond int64 raises OverflowError
+        where neither applies.
         """
-        if iter(values) is values:  # an iterator reads once; the overflow path reads again
+        if iter(values) is values:  # an iterator reads once; the checks read it again
             values = list(values)
         try:
             if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "i":
                 a = values.astype(np.int64, copy=values.flags.writeable)
             else:
+                _check_integers(values)
                 a = np.fromiter(values, dtype=np.int64)
         except OverflowError:  # past int64, so at or past any ambient's size
             big = sorted(map(int, values))
@@ -135,6 +137,13 @@ class SubsetRef:
 
     def __hash__(self) -> int:
         return hash(self.array.tobytes())
+
+
+def _check_integers(values: Iterable[object]) -> None:
+    """Raise ValueError for a value that is no Python or NumPy integer: a float, a bool."""
+    for kind in set(map(type, values)):
+        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+            raise ValueError(f"indices must be integers, got {kind.__name__}")
 
 
 def as_subset(s: "SubsetRef | Iterable[int]", n: int | None = None) -> SubsetRef:

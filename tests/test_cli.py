@@ -70,6 +70,21 @@ class TestGen:
         _, families, r, *_ = cover_from_json(load_json(out))
         assert len(families) == 3 and r == 1.0
 
+    @pytest.mark.parametrize("kind, window", [("brick", "0,4,0,4"), ("interval", "0,4,0,0")])
+    @pytest.mark.parametrize("args", [
+        ["--r", "1", "--spacing", "0"], ["--r", "1", "--spacing", "-0.25"],
+        ["--r", "1", "--spacing", "nan"], ["--r", "1", "--spacing", "inf"],
+        ["--r", "1", "--tile", "nan"], ["--r", "1", "--tile", "inf"], ["--r", "1", "--tile", "1"],
+        ["--r", "0"], ["--r", "nan"], ["--r", "inf"],
+    ])
+    def test_refused_tiling_input(self, kind, window, args, tmp_path, capsys):
+        # brick and interval share one tile rule and one net
+        out = tmp_path / "cover.json"
+        assert run_cli(["gen", kind, "--window", window, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("validation: ")
+        assert not out.exists()
+
     def test_bad_window_is_a_validation_error(self):
         assert run_cli(["gen", "lattice", "--window", "5,1,0,1"]) == 2
         assert run_cli(["gen", "lattice", "--window", "zero,1,0,1"]) == 2
@@ -750,12 +765,7 @@ class TestFullTargetStaysUnbuilt:
             cert = make_certificate(space, families, r, strict, target)
             # gen's files hold flat lists: no nested rows or members are read
             assert full.call_count == 0 and nested.call_count == 0
-            assert cert.target_size == space.n
-            # the tuple of every index is built on the first read of the target, once
-            assert cert.target == SubsetRef(range(space.n))
-            assert cert.target is cert.target
-            assert full.call_count == 1
-            assert nested.call_count == 0
+            assert cert.target_size == space.n and cert.given_target is None
 
 
 _SPACE = {"kind": "points2d", "pts": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}

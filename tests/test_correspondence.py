@@ -23,7 +23,7 @@ from oracles import (SizeCapExceeded, count_correspondences, enumerate_correspon
 
 class TestRelation:
     def test_sorts_and_dedups(self):
-        rel = Relation.of([(1, 0), (0, 1), (1, 0)])
+        rel = Relation([(1, 0), (0, 1), (1, 0)])
         assert rel.pairs == ((0, 1), (1, 0))
 
     def test_rejects_empty(self):
@@ -31,7 +31,7 @@ class TestRelation:
             Relation(())
 
     def test_check_ranges(self):
-        rel = Relation.of([(0, 2)])
+        rel = Relation([(0, 2)])
         rel.check_ranges(1, 3)
         with pytest.raises(IndexOutOfRange):
             rel.check_ranges(1, 2)
@@ -39,16 +39,16 @@ class TestRelation:
 
 class TestCorrespondence:
     def test_accepts_full_product(self):
-        c = Correspondence.of([(i, j) for i in range(2) for j in range(3)], 2, 3)
+        c = Correspondence([(i, j) for i in range(2) for j in range(3)], 2, 3)
         assert len(c.pairs) == 6
 
     def test_rejects_unmatched_x(self):
         with pytest.raises(NotACorrespondence, match="x-index 1"):
-            Correspondence.of([(0, 0), (0, 1)], 2, 2)
+            Correspondence([(0, 0), (0, 1)], 2, 2)
 
     def test_rejects_unmatched_y(self):
         with pytest.raises(NotACorrespondence, match="y-index 1"):
-            Correspondence.of([(0, 0), (1, 0)], 2, 2)
+            Correspondence([(0, 0), (1, 0)], 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -58,40 +58,40 @@ class TestDistortion:
     def test_identity_has_zero_distortion(self):
         rng = np.random.default_rng(0)
         x = random_space(rng, 5)
-        ident = Correspondence.of([(i, i) for i in range(5)], 5, 5)
+        ident = Correspondence([(i, i) for i in range(5)], 5, 5)
         assert distortion(x, x, ident) == 0.0
 
     def test_collapse_to_point_costs_the_diameter(self):
         rng = np.random.default_rng(1)
         y = random_space(rng, 6)
         point = build_space([[0.0]])
-        full = Correspondence.of([(0, j) for j in range(6)], 1, 6)
+        full = Correspondence([(0, j) for j in range(6)], 1, 6)
         assert distortion(point, y, full) == diam(y, range(6))
 
     def test_two_point_lines(self):
         x = build_space([[0.0, 1.0], [1.0, 0.0]])
         y = build_space([[0.0, 3.0], [3.0, 0.0]])
-        ident = Correspondence.of([(0, 0), (1, 1)], 2, 2)
+        ident = Correspondence([(0, 0), (1, 1)], 2, 2)
         assert distortion(x, y, ident) == 2.0
 
     def test_range_validation(self):
         x = build_space([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(IndexOutOfRange):
-            distortion(x, x, Relation.of([(0, 5)]))
+            distortion(x, x, Relation([(0, 5)]))
 
 
 class TestPushforward:
     def test_image_of_identity(self):
-        ident = Relation.of([(i, i) for i in range(4)])
+        ident = Relation([(i, i) for i in range(4)])
         assert pushforward(ident, [1, 3]).indices == (1, 3)
 
     def test_image_merges_fibers(self):
-        rel = Relation.of([(0, 1), (0, 2), (1, 0)])
+        rel = Relation([(0, 1), (0, 2), (1, 0)])
         assert pushforward(rel, [0]).indices == (1, 2)
         assert pushforward(rel, [0, 1]).indices == (0, 1, 2)
 
     def test_empty_image_raises(self):
-        rel = Relation.of([(0, 0)])
+        rel = Relation([(0, 0)])
         with pytest.raises(EmptyImage):
             pushforward(rel, [3])
 
@@ -271,7 +271,7 @@ class TestUpperBounds:
     def test_identity_gives_zero(self):
         rng = np.random.default_rng(12)
         x = random_space(rng, 5)
-        ident = Correspondence.of([(i, i) for i in range(5)], 5, 5)
+        ident = Correspondence([(i, i) for i in range(5)], 5, 5)
         assert gh_upper_bound_from_correspondence(x, x, ident) == 0.0
 
     def test_upper_bound_dominates_exact_value(self):
@@ -310,10 +310,10 @@ class TestUpperBounds:
 
     def test_requires_a_correspondence_between_the_two_spaces(self):
         x = build_space([[0.0, 1.0], [1.0, 0.0]])
-        bijection = Correspondence.of([(0, 0), (1, 1)], 2, 2)
+        bijection = Correspondence([(0, 0), (1, 1)], 2, 2)
         assert gh_upper_bound_from_correspondence(x, x, bijection) == 0.0
         for a, b in ((build_space([[0.0]]), x), (x, random_space(np.random.default_rng(14), 3))):
             with pytest.raises(NotACorrespondence):
                 gh_upper_bound_from_correspondence(a, b, bijection)
         with pytest.raises(NotACorrespondence):
-            gh_upper_bound_from_correspondence(x, x, Relation.of(bijection.pairs))
+            gh_upper_bound_from_correspondence(x, x, Relation(bijection.pairs))

@@ -335,6 +335,22 @@ class TestBoundAndCover:
             check_uniform_bound(pts, fam)
         assert (ei.value.index, ei.value.n) == (5, 3)
 
+    def test_every_check_refuses_an_index_past_the_ambient(self):
+        # a family built without n names index 20 of a 16-point lattice
+        lat = gen_lattice_window(WindowSpec(0.0, 3.0, 0.0, 3.0))
+        good = SubsetFamily("good", [[0, 1], [9]])
+        bad = SubsetFamily("bad", [[0], [5, 6], [20, 3], [30]])
+        for space in (lat, induce_space(lat)):
+            for check in (lambda: check_r_disjoint(space, bad, 1.0),
+                          lambda: check_uniform_bound(space, bad),
+                          lambda: covers.inspect_cover(space, (good, bad), 1.0),
+                          lambda: make_certificate(space, (good, bad), 1.0),
+                          lambda: check_cover(space, (good, bad), range(16)),
+                          lambda: multiplicity(space, (good, bad), range(16))):
+                with pytest.raises(IndexOutOfRange) as ei:
+                    check()
+                assert (ei.value.index, ei.value.n) == (20, 16)
+
     def test_uniform_bound_of_no_members_is_zero(self):
         lat, _, _ = chess_setup(2.0)
         assert check_uniform_bound(lat, SubsetFamily("none", ())) == 0.0
@@ -397,7 +413,8 @@ class TestFamilyIndex:
         assert "members" not in vars(loaded)  # sorted and deduplicated as arrays
         assert loaded == SubsetFamily("f", members, n=7)
         for fam in (loaded, family_from_json({"label": "g", "members": [[0, 2], [5]]}),
-                    SubsetFamily("h", [[1.0, 2.0], [0]]), SubsetFamily("none", ())):
+                    SubsetFamily("h", [np.array([1, 2], dtype=np.int32), [np.int64(0)]]),
+                    SubsetFamily("none", ())):
             self.assert_holds_members(fam)
 
 
@@ -472,7 +489,7 @@ class TestArrayFamilies:
                 hits[list(mem.indices)] += 1
         found = covers.inspect_cover(net, bricks[:2], 2.0)
         assert found == covers.inspect_cover(net, bricks[:2], 2.0, target=list(range(net.n)))
-        assert found.target == SubsetRef.full(net.n)
+        assert found.given_target is None and found.target_size == net.n
         assert found.cover.uncovered == tuple(np.flatnonzero(hits == 0).tolist())
         assert found.multiplicity == hits.max()
         assert not found.cover.ok
@@ -489,7 +506,8 @@ class TestInspectCover:
             assert got.max_diam == check_uniform_bound(net, fam)
         assert found.cover == check_cover(net, bricks, target)
         assert found.multiplicity == multiplicity(net, bricks, target)
-        assert found.target.indices == tuple(target)
+        assert found.given_target.indices == tuple(target)
+        assert found.target_size == len(target)
 
     def test_reports_failures_without_raising(self):
         lat, red, _ = chess_setup(4.0)
@@ -513,7 +531,7 @@ class TestMakeCertificate:
         assert cert.k == 2
         assert cert.c == 0.0
         assert cert.min_gap == SQRT2
-        assert len(cert.target) == lat.n
+        assert cert.target_size == lat.n
 
     def test_separation_failure_names_the_witness(self):
         lat, red, blue = chess_setup()
@@ -541,6 +559,16 @@ class TestMakeCertificate:
         assert ei.value.gap == 0.0
         assert ei.value.pair == (0, len(red.members))
 
+    def test_a_repeated_member_passes_the_gap_check_only_at_r_zero(self):
+        lat, _, _ = chess_setup(2.0)
+        doubled = SubsetFamily("f", [[0], [0], [5]])
+        report = check_r_disjoint(lat, doubled, 0.0)
+        assert report.ok and report.min_gap == 0.0 and report.witness == (0, 1)
+        assert not check_r_disjoint(lat, doubled, 0.5).ok
+        with pytest.raises(NotDisjoint) as ei:
+            make_certificate(lat, (doubled,), 0.0)
+        assert (ei.value.pair, ei.value.gap) == ((0, 1), 0.0)
+
     def test_empty_family_list_is_rejected(self):
         lat, _, _ = chess_setup(2.0)
         with pytest.raises(EmptyFamilyList):
@@ -550,11 +578,11 @@ class TestMakeCertificate:
         lat, red, blue = chess_setup(2.0)
         target = red.members[0]
         cert = make_certificate(lat, (red, blue), SQRT2, target=target)
-        assert len(cert.target) == 1
+        assert cert.target_size == 1 and cert.given_target == target
 
 
 # ---------------------------------------------------------------------------
-# the model registry and the bound
+# model spaces by name, and the bound
 
 class TestModelRegistry:
     def test_seeded_planes(self):
@@ -645,7 +673,7 @@ class TestLowerBound:
 class TestPushforwardFamily:
     def test_identity_preserves_measurements(self):
         lat, red, _ = chess_setup(3.0)
-        ident = Correspondence.of([(i, i) for i in range(lat.n)], lat.n, lat.n)
+        ident = Correspondence([(i, i) for i in range(lat.n)], lat.n, lat.n)
         images, report = pushforward_family(ident, red, lat)
         assert images.members == red.members
         assert report.min_gap == SQRT2
@@ -653,7 +681,7 @@ class TestPushforwardFamily:
 
     def test_full_product_collapses_gaps(self):
         lat, red, _ = chess_setup(2.0)
-        full = Correspondence.of(
+        full = Correspondence(
             [(i, j) for i in range(lat.n) for j in range(lat.n)], lat.n, lat.n)
         images, report = pushforward_family(full, red, lat)
         assert report.min_gap == 0.0

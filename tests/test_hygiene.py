@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used somewhere in its module, every
-private module-level name in the package is used outside its definition, and
-every defaulted parameter of the package is passed by some call."""
+private module-level name in the package is used outside its definition,
+every defaulted parameter of the package is passed by some call, and every
+method or property of a package class is read by something but the tests."""
 
 from __future__ import annotations
 
@@ -224,3 +225,64 @@ def test_the_unpassed_default_scan_sees_what_it_should():
                "f(1, quiet=True)\ng(2)\nK(5.0)\nK().m(1)\nK.s()\nh(*[1, 2])\nk(**{})\n"]
     assert unpassed_defaults(sources, callers) == [
         "a.py: f.tol", "a.py: g.net", "a.py: K.__init__.per_cell", "a.py: K.m.b", "a.py: K.s.a"]
+
+
+def _methods(tree: ast.Module) -> list[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    """(class name, definition) of each method and property of a module's classes, but dunders."""
+    return [(cls.name, node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def methods_only_tests_read(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """"module: Class.method" for each method or property in sources that no reader reads.
+
+    Readers are the sources themselves, the member's own body aside, and
+    the other non-test code. A read is an attribute of the member's name,
+    on any object: matched by name, as calls are matched above.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    outside = {sub.attr for text in readers for sub in ast.walk(ast.parse(text))
+               if isinstance(sub, ast.Attribute)}
+    inside = [sub for tree in trees.values() for sub in ast.walk(tree)
+              if isinstance(sub, ast.Attribute)]
+    unread = []
+    for module, tree in trees.items():
+        for cls, node in _methods(tree):
+            own = {id(sub) for sub in ast.walk(node)}
+            if node.name not in outside and not any(
+                    sub.attr == node.name and id(sub) not in own for sub in inside):
+                unread.append(f"{module}: {cls}.{node.name}")
+    return unread
+
+
+# read only by tests, on purpose: test_metric.py checks ``block`` against them
+_TEST_ONLY_METHODS = {"metric.py: FiniteMetricSpace.d", "metric.py: EuclideanPointSet.d"}
+
+
+def test_no_methods_only_tests_read():
+    sources = {f.name: f.read_text() for f in sorted((ROOT / "src" / "ghbounds").glob("*.py"))}
+    readers = [f.read_text() for f in sorted((ROOT / "scripts").glob("*.py"))
+               + sorted((ROOT / "perfbench").glob("*.py"))]
+    unread = [m for m in methods_only_tests_read(sources, readers)
+              if m not in _TEST_ONLY_METHODS]
+    assert not unread, "methods and properties only tests read:\n" + "\n".join(unread)
+
+
+def test_the_test_only_method_scan_sees_what_it_should():
+    sources = {
+        "a.py": ("class K:\n"
+                 "    def used(self):\n        return self.helper()\n"
+                 "    def helper(self):\n        return 1\n"
+                 "    def loop(self, n):\n        return self.loop(n - 1)\n"
+                 "    @property\n    def size(self):\n        return 0\n"
+                 "    @staticmethod\n    def of(pairs):\n        return K()\n"
+                 "    def __len__(self):\n        return 0\n"
+                 "    class Inner:\n        def deep(self):\n            pass\n"),
+        "b.py": "from .a import K\nx = K().used()\n",
+    }
+    readers = ["from a import K\nprint(K().size)\n"]
+    assert methods_only_tests_read(sources, readers) == [
+        "a.py: K.loop", "a.py: K.of", "a.py: Inner.deep"]
+

@@ -71,6 +71,26 @@ class TestSubsetRef:
             SubsetRef(i for i in (2 ** 70, -2 ** 70))
         assert (err.value.index, err.value.n) == (-2 ** 70, 0)
 
+    @pytest.mark.parametrize("values", [
+        lambda: [0.7, True, 2.2], lambda: [1.5], lambda: [True], lambda: [0, False],
+        lambda: [2.0], lambda: [np.float64(1.0)], lambda: [np.bool_(True)],
+        lambda: np.array([0.5, 1.7]), lambda: np.array([1.0, 2.0]),
+        lambda: np.array([True, False]), lambda: np.array([1, 2.5], dtype=object),
+        lambda: (i for i in (1, 2.0)),
+    ])
+    def test_refuses_floats_and_booleans(self, values):
+        # as the wire readers refuse them: a float or a boolean is no index, not truncated
+        with pytest.raises(ValueError, match="indices must be integers"):
+            SubsetRef(values())
+        with pytest.raises(ValueError, match="indices must be integers"):
+            as_subset(values(), 9)
+
+    def test_numpy_integers_stay_accepted(self):
+        assert SubsetRef([np.int64(3), np.int32(1), 2, np.uint8(0)]).indices == (0, 1, 2, 3)
+        for dtype in (np.int8, np.int32, np.int64, np.uint16, np.uint64):
+            assert SubsetRef(np.array([4, 1], dtype=dtype)).indices == (1, 4)
+        assert SubsetRef(np.array([2, 0], dtype=object)).indices == (0, 2)
+
     def test_full(self):
         assert SubsetRef.full(5) == SubsetRef(range(5))
         assert SubsetRef.full(1).indices == (0,)
@@ -109,7 +129,7 @@ class TestBatchedSubsets:
 
     @pytest.mark.parametrize("members", [
         lambda: [[0, 2], [2 ** 70]],            # beyond int64: member-by-member path
-        lambda: [[1.0, 0.0], [3.5]],            # floats truncate as int() does
+        lambda: [[1.0, 0.0], [3.5]],            # a float is no index: ValueError
         lambda: [[0], [float("nan")]],          # int(nan) raises ValueError
         lambda: [[0], [None]],                  # TypeError from int(None)
         lambda: [[1], (i for i in (2, 0))],     # an unsized member
@@ -120,6 +140,15 @@ class TestBatchedSubsets:
     def test_odd_inputs_match(self, members, n):
         want = outcome(lambda: _member_by_member(members(), n))
         assert outcome(lambda: SubsetFamily("f", members(), n).members) == want
+
+    @pytest.mark.parametrize("members", [
+        [[1.5, True], [2.9]], [[0], [1.0]], [[0, 1], [True]], [np.array([0.5, 1.7])],
+        [[2], np.array([False])], [SubsetRef([1]), [np.float32(2)]],
+    ])
+    @pytest.mark.parametrize("n", [None, 4])
+    def test_refuses_floats_and_booleans(self, members, n):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            SubsetFamily("f", members, n)
 
     def test_runs_of_an_array(self):
         flat = np.array([0, 3, 7, 2, 2, 1, 9], dtype=np.intp)
