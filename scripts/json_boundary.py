@@ -13,8 +13,8 @@ Three cases on the square window [0, W]^2:
 For each case a child process runs ``gen ... --out`` (generate, then
 ``dump_json``), and another runs ``load_cover``, the reader of
 ``verify-cover`` and ``lower-bound``, on the file written. The random points
-go through the brick ``gen`` path: the child builds them, then swaps the net
-generator for one that returns them. Each child reports the seconds of its
+go through the brick ``gen`` path: the child builds them, then swaps the
+brick generator for one that keys them into bricks by the same rule. Each child reports the seconds of its
 step and its own peak RSS from ``resource.getrusage``; the table gives
 every run and the median per step, with the size of the file written.
 
@@ -56,7 +56,16 @@ def _child(case: str, step: str, window: float, path: str) -> None:
     else:
         n = (int(4 * window) + 1) ** 2
         pts = EuclideanPointSet(np.random.default_rng(0).uniform(0.0, window, (n, 2)))
-        with mock.patch.object(constructions, "gen_epsilon_net", lambda w, eps: pts):
+
+        def random_bricks(w, r, tile, spacing):
+            """The brick rule of ``gen_brick_cover``, applied to pts point by point."""
+            side = constructions._tile_side(r, tile)
+            j = constructions._brick_row(pts.points[:, 1], side)
+            i = constructions._brick_column(pts.points[:, 0], j, side)
+            return pts, constructions._keyed_families(constructions._BRICK_LABELS,
+                                                      (i - j) % 3, i, j)
+
+        with mock.patch.object(cli, "gen_brick_cover", random_bricks):
             t0 = time.perf_counter()
             cli.main(gen)
     seconds = time.perf_counter() - t0

@@ -23,7 +23,7 @@ from .errors import (
     NonIntegerPoint,
     TooManyPoints,
 )
-from .metric import EuclideanPointSet
+from .metric import EuclideanPointSet, _ragged
 
 POINT_CAP = 1_000_000
 _GRID_TOL = 1e-9
@@ -63,16 +63,22 @@ def _grid_range(lo: float, hi: float, step: float,
                 pad_edges: bool) -> tuple[int, int, list[float], list[float]]:
     """The multiples k*step, k0 <= k <= k1, inside [lo, hi], and the edges put before and after.
 
-    Tolerance-adjusted index bounds absorb division rounding. A window too
-    wide for its step to index in floats is refused as a ValueError.
+    Tolerance-adjusted index bounds absorb division rounding; a multiple
+    more than edge_tol outside [lo, hi] is not taken. A window too wide for
+    its step to index in floats is refused as a ValueError.
     """
     k0, k1 = lo / step - _GRID_TOL, hi / step + _GRID_TOL
     if not (math.isfinite(k0) and math.isfinite(k1)):
         raise ValueError(f"spacing {step!r} is too fine for the range [{lo!r}, {hi!r}]")
     k0, k1 = math.ceil(k0), math.floor(k1)
+    # the tolerance counts in steps: a multiple it admits beyond edge_tol is dropped
+    edge_tol = _GRID_TOL * max(1.0, abs(lo), abs(hi))
+    if float(k0) * step < lo - edge_tol:
+        k0 += 1
+    if float(k1) * step > hi + edge_tol:
+        k1 -= 1
     # the first and last coordinate without edges; with no multiple, lo comes first
     first, last = (float(k0) * step, float(k1) * step) if k0 <= k1 else (math.inf, lo)
-    edge_tol = _GRID_TOL * max(1.0, abs(lo), abs(hi))
     head = [lo] if pad_edges and first > lo + edge_tol else []
     tail = [hi] if pad_edges and last < hi - edge_tol else []
     return k0, k1, head, tail
@@ -125,14 +131,18 @@ def gen_epsilon_net(w: WindowSpec, eps: float) -> EuclideanPointSet:
     used by the bundled experiments); otherwise the exact window edges are
     appended. Either way each window point is within eps*sqrt(2)/2 of the net.
     """
+    return EuclideanPointSet(_cross_product_points(*_net_axes(w, eps)))
+
+
+def _net_axes(w: WindowSpec, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y axes of ``gen_epsilon_net(w, eps)``, whose x-major product is the net."""
     if not eps > 0:  # nan too
         raise ValueError("net spacing must be positive")
     if eps == math.inf:
         raise ValueError("net spacing must be finite")
     _check_count(_grid_size(w.xmin, w.xmax, eps, True) * _grid_size(w.ymin, w.ymax, eps, True))
-    xs = _grid_coords(w.xmin, w.xmax, eps, pad_edges=True)
-    ys = _grid_coords(w.ymin, w.ymax, eps, pad_edges=True)
-    return EuclideanPointSet(_cross_product_points(xs, ys))
+    return (_grid_coords(w.xmin, w.xmax, eps, pad_edges=True),
+            _grid_coords(w.ymin, w.ymax, eps, pad_edges=True))
 
 
 def _integer_coords(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,6 +287,16 @@ def _tile_side(r: float, L: float | None) -> float:
     return L
 
 
+def _brick_row(y: np.ndarray, L: float) -> np.ndarray:
+    """The row j of the bricks of side L that hold ordinates y."""
+    return np.floor(y / L + _GRID_TOL).astype(np.int64)
+
+
+def _brick_column(x: np.ndarray, j: np.ndarray, L: float) -> np.ndarray:
+    """The index i of the bricks of side L in rows j that hold abscissas x."""
+    return np.floor((x - j * (L / 2.0)) / L + _GRID_TOL).astype(np.int64)
+
+
 def gen_brick_cover(w: WindowSpec, r: float, L: float | None = None,
                     spacing: float | None = None,
                     ) -> tuple[EuclideanPointSet, tuple[SubsetFamily, SubsetFamily, SubsetFamily]]:
@@ -287,13 +307,34 @@ def gen_brick_cover(w: WindowSpec, r: float, L: float | None = None,
     is triangular and three colors separate: every neighbor of (i,j) — (i±1,j),
     (i,j±1), (i-1,j+1), (i+1,j-1) — differs mod 3, and the nearest same-color
     bricks, e.g. (i,j) and (i+1,j+1), are offset by 3L/2 in x.
+
+    The families are built from runs, with no sort of the net's points. The
+    net is the x-major product of its axes, and j rises with y, so each
+    column's points in one row of bricks are one run of consecutive indices,
+    all in one brick. The runs are sorted by (color, i, j), column order kept,
+    so members and their indices come in the order of ``_keyed_families``.
     """
     L = _tile_side(r, L)
-    net = gen_epsilon_net(w, spacing if spacing is not None else r / 4.0)
-    x, y = net.points[:, 0], net.points[:, 1]
-    j = np.floor(y / L + _GRID_TOL).astype(np.int64)
-    i = np.floor((x - j * (L / 2.0)) / L + _GRID_TOL).astype(np.int64)
-    red, blue, green = _keyed_families(_BRICK_LABELS, (i - j) % 3, i, j)
+    xs, ys = _net_axes(w, spacing if spacing is not None else r / 4.0)
+    net = EuclideanPointSet(_cross_product_points(xs, ys))
+    row = _brick_row(ys, L)
+    first = np.flatnonzero(np.diff(row, prepend=row[0] - 1))  # the first y of each row of bricks
+    # one run per (column, row of bricks), column-major: its brick (i, j), first index, length
+    i = _brick_column(xs[:, None], row[first], L).ravel()
+    j = np.tile(row[first], xs.size)
+    start = (np.arange(xs.size)[:, None] * ys.size + first).ravel()
+    size = np.tile(np.diff(first, append=ys.size), xs.size)
+    order = np.lexsort((j, i, (i - j) % 3))  # stable: a brick's runs stay in column order
+    i, j, start, size = i[order], j[order], start[order], size[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+    heads = np.flatnonzero(new)
+    counts = np.add.reduceat(size, heads)
+    flat = _ragged(start, size)[0]
+    ends = np.append(0, np.cumsum(counts))
+    cuts = np.searchsorted((i[heads] - j[heads]) % 3, np.arange(len(_BRICK_LABELS) + 1))
+    red, blue, green = (_family_from_runs(label, flat[ends[lo]:ends[hi]], counts[lo:hi])
+                        for label, lo, hi in zip(_BRICK_LABELS, cuts[:-1], cuts[1:]))
     return net, (red, blue, green)
 
 

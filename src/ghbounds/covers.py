@@ -25,12 +25,15 @@ pairs come from a sweep along the family's longer axis or from a bucket
 grid whose cells are as wide as the largest member plus that distance,
 whichever of the two counts fewer, and are made a few thousand at a time.
 It returns the same bits and the same witness as the all-pairs scan that
-matrix spaces use. The largest
-diameter measures only the points that can attain it: a point whose
-distance to the farthest corner of its member's bounding box is below a
-distance already measured between two extreme points of some member is
-dropped, and the pairs of the rest are scanned in batches. By monotone
-rounding the result is the same bits as the block scan of ``diam``.
+matrix spaces use. The largest diameter measures only the points that can
+attain it. Each member is cut to the endpoints of its chains, runs of
+consecutive member points with x equal bit for bit and y strictly rising:
+a point's largest computed distance to a chain is at one of its endpoints.
+Then an endpoint whose distance to the farthest corner of its member's
+bounding box is below a distance already measured between two extreme
+points of some member is dropped, and the pairs of the rest are scanned in
+batches. By monotone rounding the result is the same bits as the block
+scan of ``diam``.
 """
 
 from __future__ import annotations
@@ -473,27 +476,46 @@ def _diam_candidates(points: np.ndarray, flat: np.ndarray, starts: np.ndarray,
 
     Returns their indices and their members' positions k, grouped by member.
     Members are gathered in groups of at most _BOX_POINTS points, as for
-    bounding boxes. In each group, the member with the longest box diagonal
-    gives a lower bound lb: the largest distance between two of its extreme
-    points (min and max of x, y, x+y, x-y). The block scan computes that
-    same distance, so the family's largest diameter is at least lb. A point
-    is dropped when its distance to the farthest corner of its member's
-    bounding box is strictly below lb. Rounding is monotone, so each of its
-    computed distances within the member is at most that corner distance:
-    no pair with a dropped point reaches lb.
+    bounding boxes, and each is first cut to the endpoints of its chains. A
+    chain is a run of consecutive member points whose x is equal bit for bit
+    and whose y strictly increases. For a fixed point p, fl(px - qx) is the
+    same at every q of a chain, and |fl(py - qy)| falls and then rises along
+    it, as rounding is monotone; so p's largest computed distance to the
+    chain is at an endpoint, and the largest diameter is attained between
+    endpoints. The chains come from the coordinates alone, whatever built
+    the space. A chain's endpoints hold its box and its extreme points too.
+
+    In each group, the member with the longest box diagonal gives a lower
+    bound lb: the largest distance between two of its extreme points (min
+    and max of x, y, x+y, x-y). The block scan computes that same distance,
+    so the family's largest diameter is at least lb. An endpoint is dropped
+    when its distance to the farthest corner of its member's bounding box is
+    strictly below lb. Rounding is monotone, so each of its computed
+    distances within the member is at most that corner distance: no pair
+    with a dropped point reaches lb.
     """
     lb = 0.0
     kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     a, b = np.triu_indices(8, 1)
     for grp in _batches(sizes, _BOX_POINTS):
-        pos, own = _ragged(starts[grp], sizes[grp])
-        p = points[flat[pos]]
-        px, py = p[:, 0], p[:, 1]
-        seg = np.cumsum(sizes[grp]) - sizes[grp]
+        first = np.cumsum(sizes[grp]) - sizes[grp]
+        ids = flat[_ragged(starts[grp], sizes[grp])[0]]
+        px, py = points[ids, 0], points[ids, 1]
+        # link t joins points t and t + 1 of one member into a chain
+        link = (px[1:].view(np.int64) == px[:-1].view(np.int64)) & (py[1:] > py[:-1])
+        link[first[1:] - 1] = False
+        is_end = np.ones(ids.size, dtype=bool)
+        is_end[1:-1] = ~(link[:-1] & link[1:])
+        # a member's first point is an endpoint, so every member keeps one
+        counts = np.add.reduceat(is_end, first, dtype=np.intp)
+        at = np.flatnonzero(is_end)
+        ids, px, py = ids[at], px[at], py[at]
+        own = np.repeat(np.arange(counts.size), counts)
+        seg = np.cumsum(counts) - counts
         xlo, xhi = np.minimum.reduceat(px, seg), np.maximum.reduceat(px, seg)
         ylo, yhi = np.minimum.reduceat(py, seg), np.maximum.reduceat(py, seg)
         k = int(np.argmax(_euclid(xhi - xlo, yhi - ylo)))
-        qx, qy = px[seg[k]:seg[k] + sizes[grp][k]], py[seg[k]:seg[k] + sizes[grp][k]]
+        qx, qy = px[seg[k]:seg[k] + counts[k]], py[seg[k]:seg[k] + counts[k]]
         projs = (qx, qy, qx + qy, qx - qy)
         ext = np.array([v.argmin() for v in projs] + [v.argmax() for v in projs])
         ex, ey = qx[ext], qy[ext]
@@ -501,7 +523,7 @@ def _diam_candidates(points: np.ndarray, flat: np.ndarray, starts: np.ndarray,
         far = _euclid(np.maximum(px - xlo[own], xhi[own] - px),
                       np.maximum(py - ylo[own], yhi[own] - py))
         keep = far >= lb
-        kept.append((flat[pos[keep]], own[keep] + grp.start, far[keep]))
+        kept.append((ids[keep], own[keep] + grp.start, far[keep]))
     idx, owner, far = (np.concatenate(col) for col in zip(*kept))
     keep = far >= lb  # lb has grown since earlier groups were filtered
     return idx[keep], owner[keep]
@@ -616,12 +638,15 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
     """Run disjointness, boundedness, and coverage checks; package the result.
 
     C is set to the measured maximum member diameter. Raises a structured
-    error naming the violated condition and its witness: a duplicated
-    member first, then the first family whose gap fails, then coverage.
+    error naming the violated condition and its witness: an index outside
+    the space first, then a duplicated member, then the first family whose
+    gap fails, then coverage.
     """
     fams = tuple(families)
     if not fams:
         raise EmptyFamilyList("certificate needs at least one family")
+    for fam in fams:
+        _check_ambient(fam, space.n)
     for fam in fams:
         pair = _duplicate_members(fam)
         if pair is not None:

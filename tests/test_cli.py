@@ -921,6 +921,7 @@ class TestScripts:
         ("scale_sweep.py", ["--comb", "4"]),
         ("scale_sweep.py", ["--brick", "10"]),
         ("ab_ops.py", ["--a", "{root}", "--b", "{root}", "--workload", "comb", "--ops", "3"]),
+        ("ab_ops.py", ["--a", "{root}", "--b", "{root}", "--workload", "brick", "--ops", "1"]),
     ])
     def test_runs(self, script, args, tmp_path):
         root = Path(__file__).resolve().parents[1]

@@ -119,6 +119,21 @@ class TestEpsilonNet:
         assert xs == [0.0, 0.3, 0.6, 0.3 * 3, 1.0]
         assert xs[-1] == 1.0  # the exact edge, not a rounded multiple
 
+    @pytest.mark.parametrize("eps", [1e300, 1e308, 1e20, 10.0])
+    def test_a_step_wider_than_the_window_gives_its_corners(self, eps):
+        # the index tolerance counts in steps: at 1e300 it admitted 0, outside [1, 2]
+        for w in (WindowSpec(1.0, 2.0, 1.0, 2.0), WindowSpec(-2.0, -1.0, 1.0, 2.0)):
+            net = gen_epsilon_net(w, eps)
+            assert net.points.tolist() == [[w.xmin, 1.0], [w.xmin, 2.0],
+                                           [w.xmax, 1.0], [w.xmax, 2.0]]
+
+    def test_a_multiple_within_rounding_of_the_edge_is_kept(self):
+        # 0.3 * 3 and 0.7 * 3 round one ulp below 0.9 and 2.1: both stay, as edges
+        xs = gen_epsilon_net(WindowSpec(0.0, 0.9, 0.0, 0.0), 0.3).points[:, 0].tolist()
+        assert xs == [0.0, 0.3, 0.6, 0.3 * 3]
+        xs = gen_epsilon_net(WindowSpec(2.1, 3.0, 0.0, 0.0), 0.7).points[:, 0].tolist()
+        assert xs == [0.7 * 3, 0.7 * 4, 3.0]
+
     def test_negative_ranges(self):
         net = gen_epsilon_net(WindowSpec(-1.0, 1.0, -1.0, 1.0), 0.5)
         assert net.n == 25
@@ -395,6 +410,21 @@ class TestBrickCover:
             gen_brick_cover(WindowSpec.square(12), 1.0, L=1.9)
         with pytest.raises(ValueError):
             gen_brick_cover(WindowSpec.square(12), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_EDGE, _EDGE, st.integers(0, 8), st.integers(0, 8),
+           st.sampled_from([0.3, 0.5, 1.0, 1.7]), st.sampled_from([None, 2.0, 2.6, 4.5]),
+           st.sampled_from([None, 0.1, 0.25, 0.3, 0.7, 1e300]))
+    def test_families_from_runs_equal_the_point_grouping(self, x0, y0, wx, wy, r, per_r, spacing):
+        # the runs of (column, row of bricks) against the brick of every point,
+        # grouped by one sort over the net
+        net, families = gen_brick_cover(WindowSpec(x0, x0 + wx, y0, y0 + wy), r,
+                                        None if per_r is None else per_r * r, spacing)
+        side = 3.0 * r if per_r is None else per_r * r
+        j = constructions._brick_row(net.points[:, 1], side)
+        i = constructions._brick_column(net.points[:, 0], j, side)
+        assert families == constructions._keyed_families(constructions._BRICK_LABELS,
+                                                         (i - j) % 3, i, j)
 
     def test_rows_shift_by_half_a_brick(self):
         net, families = gen_brick_cover(WindowSpec.square(12), 1.0)

@@ -112,7 +112,14 @@ FAMILY_KINDS = ("integer", "half", "horizontal", "vertical", "collinear", "unifo
 
 
 def _diameter_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, list[list[int]]]:
-    """Distinct points and a partition of them into members, some singletons."""
+    """Distinct points and a partition of them into members, some singletons.
+
+    Points come sorted x-major, so a member's points in one column are
+    chains (equal x, rising y), except in kind "unsorted", whose columns
+    hold their points in random order. Kind "cross" cuts the indices into
+    consecutive runs, which cross from one column into the next, and keeps
+    them in index order half the time, so chains of adjacent members meet.
+    """
     n = int(rng.integers(1, 60))
     if kind == "integer":
         pts = rng.integers(0, 8, (n, 2)).astype(float)
@@ -133,10 +140,35 @@ def _diameter_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, lis
     elif kind == "circle":  # every point is on the hull: nothing can be dropped
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
         pts = float(rng.uniform(0.5, 100.0)) * np.column_stack([np.cos(theta), np.sin(theta)])
+    elif kind == "columns":  # many quarter-grid columns, some of one point
+        pts = np.column_stack([rng.integers(-20, 21, n), rng.integers(-8, 9, n)]) / 4.0
+    elif kind == "unsorted":  # a few tall columns
+        pts = np.column_stack([rng.integers(-3, 4, n), rng.integers(-12, 13, n)]) / 4.0
+    elif kind == "signed-zero":  # columns at x = 0.0 and x = -0.0, interleaved by y
+        y = rng.choice(np.arange(-40, 40), size=n, replace=False) / 4.0
+        pts = np.column_stack([rng.choice([0.0, 0.0, 0.5], n), y])
+    elif kind == "subnormal":  # squares of differences round to subnormals or to 0
+        pts = rng.integers(-6, 7, (n, 2)) * np.array([5e-324, 2.0 ** -537])
+    elif kind == "overflow":  # beside a cluster at 0, differences that overflow
+        pts = rng.integers(-4, 5, (n, 2)) * np.where(rng.random((n, 1)) < 0.5, 1.0, 4e307)
+        pts[:, 1] += np.where(rng.random(n) < 0.3, 1e300, 0.0)
+    elif kind == "cross":  # a few columns with y in overlapping ranges
+        pts = np.column_stack([rng.integers(0, 5, n) / 2.0, rng.integers(-10, 11, n) / 4.0])
     else:
         pts = rng.uniform(-10.0, 10.0, (n, 2))
     pts = np.unique(pts, axis=0)
     n = pts.shape[0]
+    if kind == "signed-zero":
+        pts[:, 0] = np.where(pts[:, 0] == 0.0, rng.choice([0.0, -0.0], n), pts[:, 0])
+    if kind == "unsorted":  # x-major still, y in random order
+        pts = pts[np.lexsort((rng.random(n), pts[:, 0]))]
+    if kind == "cross":
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(int(rng.integers(0, 6)), n - 1),
+                                  replace=False)) if n > 1 else []
+        members = [run.tolist() for run in np.split(np.arange(n), cuts)]
+        if rng.random() < 0.5:
+            rng.shuffle(members)
+        return pts, members
     perm = rng.permutation(n)
     solo = rng.random(n) < float(rng.choice([0.0, 0.3, 0.9]))
     big = int(rng.integers(1, 5))
@@ -149,7 +181,8 @@ def _diameter_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, lis
 
 
 DIAMETER_KINDS = ("integer", "quarter", "horizontal", "vertical", "sloped", "diagonal",
-                  "near-tie", "circle", "uniform")
+                  "near-tie", "circle", "uniform", "columns", "unsorted", "signed-zero",
+                  "subnormal", "overflow", "cross")
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +340,31 @@ class TestBoundAndCover:
     @given(st.sampled_from(DIAMETER_KINDS), st.integers(min_value=0, max_value=2**32 - 1),
            st.booleans(), st.integers(min_value=1, max_value=3))
     def test_batched_diameter_matches_diam(self, kind, seed, tiny_batches, batch):
-        # the pruned, batched planar scan and the matrix path's batched block
-        # entries against diam member by member; tiny batches split rows and
-        # groups, so the lower bound grows between groups
+        # the planar scan over chain endpoints, pruned and batched, and the
+        # matrix path's batched block entries against diam, for the family
+        # and member by member; tiny batches split rows and groups, so the
+        # lower bound grows between groups
         rng = np.random.default_rng(seed)
         pts, members = _diameter_case(kind, rng)
         planar = EuclideanPointSet(pts)
-        matrix = induce_space(planar)
         fam = SubsetFamily("f", members, n=planar.n)
-        want = max(diam(matrix, mem) for mem in fam.members)
         sizes = {name: batch if tiny_batches else getattr(covers, name)
                  for name in ("_DIAM_PAIRS", "_BOX_POINTS")}
-        with mock.patch.multiple(covers, **sizes):
-            assert check_uniform_bound(planar, fam) == want
-            assert check_uniform_bound(matrix, fam) == want
+        with np.errstate(over="ignore"), mock.patch.multiple(covers, **sizes):
+            matrix = induce_space(planar)
+            each = [diam(matrix, mem) for mem in fam.members]
+            assert check_uniform_bound(planar, fam) == max(each)
+            assert check_uniform_bound(matrix, fam) == max(each)
+            # member by member, so no member's error hides below another's diameter
+            for mem, want in zip(fam.members, each):
+                assert check_uniform_bound(planar, SubsetFamily("m", [mem])) == want
+
+    def test_chains_break_between_members(self):
+        # one column of rising y cut into two members: a chain joined across
+        # the cut would drop point 2 and point 3 and measure both members 0
+        pts = EuclideanPointSet(np.column_stack([np.zeros(6), [0.0, 1.0, 10.0, 11.0, 12.0, 13.0]]))
+        fam = SubsetFamily("f", [[0, 1, 2], [3, 4, 5]], n=pts.n)
+        assert check_uniform_bound(pts, fam) == 10.0
 
     def test_batched_diameter_on_a_brick(self):
         # a rectangle of grid points: only its corners can attain the diameter
@@ -568,6 +612,18 @@ class TestMakeCertificate:
         with pytest.raises(NotDisjoint) as ei:
             make_certificate(lat, (doubled,), 0.0)
         assert (ei.value.pair, ei.value.gap) == ((0, 1), 0.0)
+
+    def test_an_index_past_the_ambient_is_refused_before_a_repeated_member(self):
+        # the repeated [0] would raise NotDisjoint, but index 7 names no point of 3,
+        # also when the family past the ambient comes after one with a repeat
+        pts = EuclideanPointSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+        doubled = SubsetFamily("b", [[1], [1]])
+        for fams in ([SubsetFamily("a", [[0], [0], [7]])],
+                     [doubled, SubsetFamily("a", [[0], [7]])]):
+            for space in (pts, induce_space(pts)):
+                with pytest.raises(IndexOutOfRange) as ei:
+                    make_certificate(space, fams, 1.0)
+                assert (ei.value.index, ei.value.n) == (7, 3)
 
     def test_empty_family_list_is_rejected(self):
         lat, _, _ = chess_setup(2.0)
