@@ -38,14 +38,13 @@ from .constructions import (
 from .correspondence import DEFAULT_NODE_BUDGET, _check_sides, exact_gh
 from .covers import (
     SubsetFamily,
-    check_r_disjoint,
-    check_uniform_bound,
     gh_lower_bound,
     inspect_cover,
     make_certificate,
     model_space,
 )
 from .errors import (
+    EmptyFamilyList,
     GhBoundsError,
     NonEuclideanAmbient,
     TooManyFamilies,
@@ -55,6 +54,7 @@ from .metric import (EuclideanPointSet, SubsetRef, _planar_directed, _unmatched,
                      planar_hausdorff, scale_points)
 from .serialize import (
     _document,
+    _finite,
     _space_size,
     certificate_report_json,
     dump_json,
@@ -198,9 +198,9 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
         inputs = {"space": args.space, "a": args.a, "b": args.b, "merged": False}
     value = max(d_ab, d_ba)
     outputs = {
-        "hausdorff": value,
-        "directed_ab": d_ab,
-        "directed_ba": d_ba,
+        "hausdorff": _finite(value),
+        "directed_ab": _finite(d_ab),
+        "directed_ba": _finite(d_ba),
         "n_ambient": n_ambient,
         "n_a": n_a,
         "n_b": n_b,
@@ -266,9 +266,9 @@ def cmd_verify_cover(args: argparse.Namespace) -> int:
     fam_reports = [{
         "label": fam.label,
         "members": fam.members,
-        "min_gap": None if math.isinf(fam.disjoint.min_gap) else fam.disjoint.min_gap,
+        "min_gap": _finite(fam.disjoint.min_gap),
         "witness": list(fam.disjoint.witness) if fam.disjoint.witness else None,
-        "max_diam": fam.max_diam,
+        "max_diam": _finite(fam.max_diam),
         "disjoint_ok": fam.disjoint.ok,
     } for fam in found.families]
     all_ok = all(fam.disjoint.ok for fam in found.families) and found.cover.ok
@@ -276,7 +276,7 @@ def cmd_verify_cover(args: argparse.Namespace) -> int:
         "k": len(families),
         "r": r,
         "strictness": "strict" if strict else "non-strict",
-        "C": found.c,
+        "C": _finite(found.c),
         "families": fam_reports,
         "cover_ok": found.cover.ok,
         "uncovered": list(found.cover.uncovered[:20]),
@@ -284,7 +284,7 @@ def cmd_verify_cover(args: argparse.Namespace) -> int:
         "ok": all_ok,
     }
     _say(f"verify-cover: {'OK' if all_ok else 'FAILED'} "
-         f"(k={len(families)}, r={r!r}, C={outputs['C']!r}, multiplicity={found.multiplicity})")
+         f"(k={len(families)}, r={r!r}, C={found.c!r}, multiplicity={found.multiplicity})")
     _emit(_report("verify-cover", {"cover": args.cover, "r": r, "strict": strict},
                   outputs, t0), args.out)
     return EXIT_OK if all_ok else EXIT_VALIDATION
@@ -381,34 +381,33 @@ def cmd_scale_ladder(args: argparse.Namespace) -> int:
     # an expanding scale whose top power lam**steps stays finite (nan fails too)
     if not (args.lam > 1.0 and 0 <= args.steps < 1023 / math.log2(args.lam)):
         raise ValueError("need --lam > 1 and --steps >= 0 with --lam ** --steps < 2**1023")
-    space, families, r_file, _strict, _target = load_cover(args.cover)
+    space, families, _r, _strict, _target = load_cover(args.cover)
     if not isinstance(space, EuclideanPointSet):
         raise NonEuclideanAmbient("scale-ladder needs a planar ambient space")
+    if not families:
+        raise EmptyFamilyList("scale-ladder needs at least one family")
 
-    def measure(pts: EuclideanPointSet) -> tuple[float, float]:
-        gap = min(check_r_disjoint(pts, fam, 0.0).min_gap for fam in families)
-        dia = max(check_uniform_bound(pts, fam) for fam in families)
-        return gap, dia
-
-    gap0, diam0 = measure(space)
-    rows = []
-    ok = True
+    measured = []  # (m, lam**m, min gap, C), each scale once; m = 0 is the space as loaded
     for m in range(args.steps + 1):
         lam_m = args.lam ** m
-        gap_m, diam_m = measure(scale_points(space, lam_m) if m else space)
+        found = inspect_cover(scale_points(space, lam_m) if m else space, families, 0.0)
+        measured.append((m, lam_m, found.min_gap, found.c))
+    gap0, diam0 = measured[0][2:]
+    rows = []
+    for m, lam_m, gap_m, diam_m in measured:
         gap_ok = (math.isinf(gap0) or
                   abs(gap_m - lam_m * gap0) <= 1e-9 * max(1.0, lam_m * gap0))
-        diam_ok = (diam_m == 0.0 if diam0 == 0.0 else
+        diam_ok = (diam_m == lam_m * diam0 if diam0 in (0.0, math.inf) else
                    abs(diam_m - lam_m * diam0) <= 1e-9 * lam_m * diam0)
-        ok = ok and gap_ok and diam_ok
-        rows.append({"m": m, "lambda_pow": lam_m, "gap": gap_m, "diam": diam_m,
+        rows.append({"m": m, "lambda_pow": lam_m, "gap": _finite(gap_m), "diam": _finite(diam_m),
                      "gap_ok": gap_ok, "diam_ok": diam_ok})
-    outputs = {"lambda": args.lam, "steps": args.steps, "gap0": gap0,
-               "diam0": diam0, "rows": rows, "ok": ok}
+    ok = all(row["gap_ok"] and row["diam_ok"] for row in rows)
+    outputs = {"lambda": args.lam, "steps": args.steps, "gap0": _finite(gap0),
+               "diam0": _finite(diam0), "rows": rows, "ok": ok}
     if args.csv:
         _write_csv(args.csv, ["m", "lambda_pow", "gap", "diam"],
-                   [[r["m"], repr(r["lambda_pow"]), repr(r["gap"]), repr(r["diam"])]
-                    for r in rows])
+                   [[m, repr(lam_m), repr(gap_m), repr(diam_m)]
+                    for m, lam_m, gap_m, diam_m in measured])
     _say(f"scale-ladder: {'OK' if ok else 'RATIO MISMATCH'} over {args.steps} steps "
          f"at lambda={args.lam}")
     _emit(_report("scale-ladder", {"cover": args.cover, "lam": args.lam,
@@ -505,8 +504,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        # looked up by name when called, so a patched cmd_* is the one that runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        # an overflowing coordinate difference or square is meant to give inf,
+        # which every distance, gap and diameter reads as such: no warning is due
+        with np.errstate(over="ignore"):
+            # looked up by name when called, so a patched cmd_* is the one that runs
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (TooManyFamilies, TrivialStabilizer) as exc:
         _say(f"theorem gate: {exc}")
         return EXIT_GATE

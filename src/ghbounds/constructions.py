@@ -330,7 +330,7 @@ def gen_brick_cover(w: WindowSpec, r: float, L: float | None = None,
     new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
     heads = np.flatnonzero(new)
     counts = np.add.reduceat(size, heads)
-    flat = _ragged(start, size)[0]
+    flat = _ragged(start, size)
     ends = np.append(0, np.cumsum(counts))
     cuts = np.searchsorted((i[heads] - j[heads]) % 3, np.arange(len(_BRICK_LABELS) + 1))
     red, blue, green = (_family_from_runs(label, flat[ends[lo]:ends[hi]], counts[lo:hi])

@@ -80,8 +80,6 @@ class Correspondence:
 def distortion(x: MetricLike, y: MetricLike, rel: Relation | Correspondence) -> float:
     """max over ordered pairs of matched pairs of | d_X(i,i') - d_Y(j,j') |."""
     pairs = rel.pairs
-    if not pairs:
-        raise EmptyRelation("relation must be nonempty")
     Relation(pairs).check_ranges(x.n, y.n)
     ii = np.fromiter((p[0] for p in pairs), dtype=np.intp)
     jj = np.fromiter((p[1] for p in pairs), dtype=np.intp)

@@ -19,21 +19,22 @@ read ``members``, which makes one ``SubsetRef`` per member: the
 duplicate-member check compares only members that start at the same index,
 and the gap search slices only the members it passes to ``set_distance``.
 
-On planar sets the family gap search measures only pairs whose bounding
-boxes come within a distance already measured between two members. Those
-pairs come from a sweep along the family's longer axis or from a bucket
-grid whose cells are as wide as the largest member plus that distance,
-whichever of the two counts fewer, and are made a few thousand at a time.
-It returns the same bits and the same witness as the all-pairs scan that
-matrix spaces use. The largest diameter measures only the points that can
-attain it. Each member is cut to the endpoints of its chains, runs of
-consecutive member points with x equal bit for bit and y strictly rising:
-a point's largest computed distance to a chain is at one of its endpoints.
-Then an endpoint whose distance to the farthest corner of its member's
-bounding box is below a distance already measured between two extreme
-points of some member is dropped, and the pairs of the rest are scanned in
-batches. By monotone rounding the result is the same bits as the block
-scan of ``diam``.
+On planar sets the member boxes and the diameter read member points
+through one gather, ``_member_columns``. The family gap search measures
+only pairs whose bounding boxes come within a distance already measured
+between two members. Those pairs come from a sweep along the family's
+longer axis or from a bucket grid whose cells are as wide as the largest
+member plus that distance, whichever of the two counts fewer, and are made
+a few thousand at a time. It returns the same bits and the same witness as
+the all-pairs scan that matrix spaces use. The largest diameter measures
+only the points that can attain it, in the members of two or more points.
+Each member is cut to the endpoints of its chains, runs of consecutive
+member points with x equal bit for bit and y strictly rising: a point's
+largest computed distance to a chain is at one of its endpoints. Then an
+endpoint whose distance to the farthest corner of its member's bounding
+box is below a distance already measured between two extreme points of
+some member is dropped, and the pairs of the rest are scanned in batches.
+By monotone rounding the result keeps the bits of ``diam``'s block scan.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .metric import (
     EuclideanPointSet,
     MetricLike,
     SubsetRef,
+    _GATHER,
     _GRID_FLOOR,
     _GRID_SLACK,
     _TargetGrid,
@@ -253,8 +255,6 @@ class CoverCertificate:
 
 # member pairs per gap-search batch, which keeps about a dozen arrays per pair
 _GAP_PAIRS = 4096
-# member points gathered at once to build bounding boxes
-_BOX_POINTS = 16384
 # within-member point pairs per diameter batch
 _DIAM_PAIRS = 65536
 
@@ -282,22 +282,28 @@ def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[
     return best, witness
 
 
-def _member_boxes(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high corners of every member's bounding box, as (2, m) arrays.
+def _member_columns(points: np.ndarray, flat: np.ndarray, offsets: np.ndarray
+                    ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """The points of members flat[offsets[k]:offsets[k + 1]], a group of members at a time.
 
-    Members are gathered in groups of a few thousand points, so a family
-    over a large net never holds a copy of all its points at once.
+    Yields the group's slice of members, each member's first position in
+    the group, and the group's x and y, gathered as two columns from its
+    contiguous slice of flat. A group holds at most _GATHER points, or one
+    member, so a family over a large net never holds a copy of all its
+    points at once.
     """
-    flat, offsets = fam._index
-    sizes = np.diff(offsets)
-    lo, hi = np.empty((2, sizes.size)), np.empty((2, sizes.size))
-    for grp in _batches(sizes, _BOX_POINTS):
-        idx = flat[offsets[grp.start]:offsets[grp.stop]]
-        starts = offsets[grp] - offsets[grp.start]
-        for c in range(2):
-            col = space.points[idx, c]
-            lo[c, grp] = np.minimum.reduceat(col, starts)
-            hi[c, grp] = np.maximum.reduceat(col, starts)
+    for grp in _batches(np.diff(offsets), _GATHER):
+        ids = flat[offsets[grp.start]:offsets[grp.stop]]
+        yield grp, offsets[grp] - offsets[grp.start], points[ids, 0], points[ids, 1]
+
+
+def _member_boxes(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high corners of every member's bounding box, as (2, m) arrays."""
+    lo, hi = np.empty((2, len(fam))), np.empty((2, len(fam)))
+    for grp, first, *cols in _member_columns(space.points, *fam._index):
+        for c, col in enumerate(cols):
+            lo[c, grp] = np.minimum.reduceat(col, first)
+            hi[c, grp] = np.maximum.reduceat(col, first)
     return lo, hi
 
 
@@ -454,28 +460,29 @@ def check_uniform_bound(space: MetricLike, fam: SubsetFamily) -> float:
     _check_ambient(fam, space.n)
     flat, offsets = fam._index
     sizes = np.diff(offsets)
-    multi = np.flatnonzero(sizes > 1)  # singletons have diameter 0
-    if not multi.size:
+    multi = sizes > 1  # singletons have diameter 0
+    if not multi.any():
         return 0.0
-    starts, sizes = offsets[multi], sizes[multi]
+    if not multi.all():  # the members of two or more points, as one family's index
+        sizes = sizes[multi]
+        flat = flat[_ragged(offsets[:-1][multi], sizes)]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
     if not isinstance(space, EuclideanPointSet):
         # the entries of diam's block scan: every ordered pair of a member
-        pos, owner = _ragged(starts, sizes)
-        idx, first = flat[pos], np.cumsum(sizes) - sizes
-        return _pair_max(lambda i, j: space.matrix[idx[i], idx[j]], first[owner], sizes[owner])
-    idx, owner = _diam_candidates(space.points, flat, starts, sizes)
-    x, y = space.points[idx, 0], space.points[idx, 1]
-    rows = np.arange(idx.size)
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        return _pair_max(lambda i, j: space.matrix[flat[i], flat[j]], offsets[owner], sizes[owner])
+    x, y, owner = _diam_candidates(space.points, flat, offsets)
+    rows = np.arange(x.size)
     end = np.searchsorted(owner, owner, side="right")
     return _pair_max(lambda i, j: _euclid(x[i] - x[j], y[i] - y[j]), rows + 1, end - rows - 1)
 
 
-def _diam_candidates(points: np.ndarray, flat: np.ndarray, starts: np.ndarray,
-                     sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points of members flat[starts[k]:starts[k] + sizes[k]] that can attain the largest diameter.
+def _diam_candidates(points: np.ndarray, flat: np.ndarray,
+                     offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points of members flat[offsets[k]:offsets[k + 1]] that can attain the largest diameter.
 
-    Returns their indices and their members' positions k, grouped by member.
-    Members are gathered in groups of at most _BOX_POINTS points, as for
+    Returns their x, their y and their members' positions k, grouped by
+    member. Members are read in the groups of ``_member_columns``, as for
     bounding boxes, and each is first cut to the endpoints of its chains. A
     chain is a run of consecutive member points whose x is equal bit for bit
     and whose y strictly increases. For a fixed point p, fl(px - qx) is the
@@ -495,21 +502,18 @@ def _diam_candidates(points: np.ndarray, flat: np.ndarray, starts: np.ndarray,
     with a dropped point reaches lb.
     """
     lb = 0.0
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    kept: list[tuple[np.ndarray, ...]] = []
     a, b = np.triu_indices(8, 1)
-    for grp in _batches(sizes, _BOX_POINTS):
-        first = np.cumsum(sizes[grp]) - sizes[grp]
-        ids = flat[_ragged(starts[grp], sizes[grp])[0]]
-        px, py = points[ids, 0], points[ids, 1]
+    for grp, first, px, py in _member_columns(points, flat, offsets):
         # link t joins points t and t + 1 of one member into a chain
         link = (px[1:].view(np.int64) == px[:-1].view(np.int64)) & (py[1:] > py[:-1])
         link[first[1:] - 1] = False
-        is_end = np.ones(ids.size, dtype=bool)
+        is_end = np.ones(px.size, dtype=bool)
         is_end[1:-1] = ~(link[:-1] & link[1:])
         # a member's first point is an endpoint, so every member keeps one
         counts = np.add.reduceat(is_end, first, dtype=np.intp)
         at = np.flatnonzero(is_end)
-        ids, px, py = ids[at], px[at], py[at]
+        px, py = px[at], py[at]
         own = np.repeat(np.arange(counts.size), counts)
         seg = np.cumsum(counts) - counts
         xlo, xhi = np.minimum.reduceat(px, seg), np.maximum.reduceat(px, seg)
@@ -523,10 +527,10 @@ def _diam_candidates(points: np.ndarray, flat: np.ndarray, starts: np.ndarray,
         far = _euclid(np.maximum(px - xlo[own], xhi[own] - px),
                       np.maximum(py - ylo[own], yhi[own] - py))
         keep = far >= lb
-        kept.append((ids[keep], own[keep] + grp.start, far[keep]))
-    idx, owner, far = (np.concatenate(col) for col in zip(*kept))
+        kept.append((px[keep], py[keep], own[keep] + grp.start, far[keep]))
+    x, y, owner, far = (np.concatenate(col) for col in zip(*kept))
     keep = far >= lb  # lb has grown since earlier groups were filtered
-    return idx[keep], owner[keep]
+    return x[keep], y[keep], owner[keep]
 
 
 def _pair_max(dist: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -277,9 +277,6 @@ def _row_chunks(n_rows: int, n_cols: int) -> Iterator[slice]:
 def _batches(weights: np.ndarray, cap: int) -> Iterator[slice]:
     """Consecutive slices whose weights sum to at most cap; a heavier item goes alone."""
     csum = np.cumsum(weights)
-    if csum[-1] <= cap:
-        yield slice(0, csum.size)
-        return
     start = 0
     while start < csum.size:
         base = int(csum[start - 1]) if start else 0
@@ -288,10 +285,9 @@ def _batches(weights: np.ndarray, cap: int) -> Iterator[slice]:
         start = stop
 
 
-def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated ranges [start, start + count), and the range each element came from."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    return np.arange(owner.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts), owner
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[k], starts[k] + counts[k]) concatenated, in order of k."""
+    return np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +515,12 @@ def _square_gather(grid: _TargetGrid, squares: tuple[np.ndarray, ...]
     tally[1:, 1:] = np.diff(offs).reshape(grid.ny, grid.nx).cumsum(axis=0).cumsum(axis=1)
     square = tally[y1, x1] - tally[y0, x1] - tally[y1, x0] + tally[y0, x0]
     for b in _batches(square + (y1 - y0), _GATHER):
-        iy, owner = _ragged(y0[b], y1[b] - y0[b])
-        base = iy * grid.nx
+        rows = y1[b] - y0[b]
+        owner = np.repeat(np.arange(rows.size), rows)
+        base = _ragged(y0[b], rows) * grid.nx
         s0 = offs[base + x0[b][owner]]
-        cand, run = _ragged(s0, offs[base + x1[b][owner]] - s0)
-        yield b, cand, owner[run]
+        run = offs[base + x1[b][owner]] - s0
+        yield b, _ragged(s0, run), np.repeat(owner, run)
 
 
 def _cells_nearest(grid: _TargetGrid, q: np.ndarray, c0: tuple[np.ndarray, np.ndarray],
@@ -617,7 +614,7 @@ def _solve_cells(grid: _TargetGrid, qs: np.ndarray, starts: np.ndarray,
         for b2 in _batches(weights, _GATHER):
             w = weights[b2]
             at = np.cumsum(w) - w
-            pos = np.arange(int(at[-1] + w[-1])) - np.repeat(at - first[b2], w)
+            pos = _ragged(first[b2], w)
             # _euclid's expression in place; sqrt is monotone, so the root of
             # the largest smallest square is the largest smallest distance
             dx = np.repeat(qx[b2], w)
@@ -658,9 +655,8 @@ def _grid_max_nearest(q: np.ndarray, p: np.ndarray) -> float:
     keep = ub > cmax
     keep[seed] = False
     if keep.any():
-        rows, _ = _ragged(starts[keep], sizes[keep])
         kept = np.cumsum(sizes[keep]) - sizes[keep]
-        qk = qs[rows]
+        qk = qs[_ragged(starts[keep], sizes[keep])]
         centre, rho, scale = _cell_boxes(qk, kept, targets)
         cmax = max(cmax, _solve_cells(targets, qk, kept, centre, _widen(ub[keep] + rho, scale)))
     return cmax

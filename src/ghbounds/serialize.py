@@ -78,7 +78,7 @@ from .correspondence import GhResult
 from .covers import (BoundResult, CoverCertificate, ModelSpaceDescriptor, SubsetFamily,
                      _family_from_runs)
 from .errors import EmptySubset, GhBoundsError, IndexOutOfRange, SpaceTooLarge, TooManyPoints
-from .metric import EuclideanPointSet, MetricLike, SubsetRef, build_space
+from .metric import EuclideanPointSet, MetricLike, SubsetRef, _ragged, build_space
 
 # list items or array values per slice in dump_json
 _DUMP_SLICE = 4096
@@ -375,16 +375,10 @@ def _families(parts: Sequence[SubsetFamily | _RangesPart],
 
 def _expand_ranges(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked ranges as members: every index of each [a, b), and each member's count of them."""
-    lo, hi = values[::2], values[1::2]
-    ends = np.cumsum(hi - lo)
-    # each entry is the one before it + 1, but a range's first, which steps to its start
-    flat = np.ones(ends[-1] if ends.size else 0, dtype=np.int64)
-    flat[ends[:-1]] = lo[1:] - hi[:-1] + 1
-    flat[:1] = lo[:1]
-    np.cumsum(flat, out=flat)
-    # member k's last range ends at ends[(numbers before it + counts[k]) / 2 - 1]
-    totals = np.concatenate(([0], ends))[np.cumsum(counts) // 2]
-    return flat, np.diff(totals, prepend=0)
+    lo, length = values[::2], values[1::2] - values[::2]
+    # member k's entries end where its last range does: at ends[(numbers up to it) / 2]
+    ends = np.concatenate(([0], np.cumsum(length)))
+    return _ragged(lo, length), np.diff(ends[np.cumsum(counts) // 2], prepend=0)
 
 
 def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,
@@ -421,14 +415,19 @@ def gh_result_to_json(res: GhResult) -> dict[str, Any]:
     }
 
 
+def _finite(value: float) -> float | None:
+    """value, or None where it is infinite: a report writes null, as JSON has no Infinity."""
+    return None if math.isinf(value) else value
+
+
 def certificate_report_json(cert: CoverCertificate, model: ModelSpaceDescriptor | None = None,
                             bound: BoundResult | None = None) -> dict[str, Any]:
     obj: dict[str, Any] = {
         "k": cert.k,
         "r": cert.r,
-        "C": cert.c,
+        "C": _finite(cert.c),
         "strictness": "strict" if cert.strict else "non-strict",
-        "min_gap": None if cert.min_gap == float("inf") else cert.min_gap,
+        "min_gap": _finite(cert.min_gap),
         "families": [{"label": f.label, "members": len(f)} for f in cert.families],
         "target_size": cert.target_size,
     }

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -32,6 +33,13 @@ from ghbounds.serialize import (cover_from_json, dump_json, load_cover, load_jso
 from ghbounds import build_space
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _strict_json(text: str):
+    """The JSON document in text, refusing the Infinity and NaN that JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +201,22 @@ class TestHausdorff:
         assert run_cli(["hausdorff", "--space-a", str(lat)]) == 2
         assert run_cli(["hausdorff"]) == 2
 
+    def test_overflowing_distances_are_null_without_warnings(self, tmp_path, capsys):
+        # every difference of 1e308 squares past the largest float, so every
+        # computed distance is inf: the report writes null, and NumPy says nothing
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        dump_json({"kind": "points2d", "pts": [[-1e308, 0.0], [1e308, 0.0]]}, a)
+        dump_json({"kind": "points2d", "pts": [[0.0, 0.0], [1e308, 1.0]]}, b)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["hausdorff", "--space-a", str(a), "--space-b", str(b)]) == 0
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert err.splitlines() == ["d_H = inf (directed inf / inf)"]
+        outputs = _strict_json(out)["outputs"]
+        assert outputs == {"hausdorff": None, "directed_ab": None, "directed_ba": None,
+                           "n_ambient": 4, "n_a": 2, "n_b": 2}
+
     def test_matrix_space_cannot_merge(self, tmp_path, capsys):
         m = tmp_path / "m.json"
         dump_json({"kind": "matrix", "n": 2, "d": [[0.0, 1.0], [1.0, 0.0]]}, m)
@@ -333,6 +357,64 @@ class TestLowerBound:
     def test_unknown_model_is_a_validation_error(self, chess_cover):
         assert run_cli(["lower-bound", "--cover", str(chess_cover),
                         "--model", "H2"]) == 2
+
+
+@pytest.fixture
+def overflow_cover(tmp_path):
+    # three columns 1e308 apart, whose gaps and boxes overflow to inf
+    out = tmp_path / "far.json"
+    dump_json({"kind": "cover", "r": 1.0, "strict": False,
+               "space": {"kind": "grid2d", "x": [-1e308, 0.0, 1e308], "y": [0.0, 1.0]},
+               "families": [{"label": "f", "members": [[0, 1], [2, 3], [4, 5]]}]}, out)
+    return out
+
+
+class TestOverflowIsQuiet:
+    """Overflowing differences give inf by design; the commands print no NumPy warning."""
+
+    def _run(self, args, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(args)
+        assert caught == []
+        out, err = capsys.readouterr()
+        return rc, _strict_json(out)["outputs"], err.splitlines()
+
+    def test_verify_cover(self, overflow_cover, capsys):
+        rc, outputs, err = self._run(["verify-cover", "--cover", str(overflow_cover)], capsys)
+        assert rc == 0
+        assert err == ["verify-cover: OK (k=1, r=1.0, C=1.0, multiplicity=1)"]
+        assert outputs == {"k": 1, "r": 1.0, "strictness": "non-strict", "C": 1.0,
+                           "families": [{"label": "f", "members": 3, "min_gap": None,
+                                         "witness": None, "max_diam": 1.0,
+                                         "disjoint_ok": True}],
+                           "cover_ok": True, "uncovered": [], "multiplicity": 1, "ok": True}
+
+    def test_lower_bound(self, overflow_cover, capsys):
+        rc, outputs, err = self._run(["lower-bound", "--cover", str(overflow_cover)], capsys)
+        assert rc == 0
+        assert err[-1] == "lower bound: d_GH >= 0.5 against R2"
+        assert [line[len("trace: "):] for line in err[:-1]] == outputs["trace"]
+        assert (outputs["bound"], outputs["C"], outputs["min_gap"]) == (0.5, 1.0, None)
+        assert "measured min gap inf" in outputs["trace"][0]
+
+    def test_an_overflowing_diameter_is_null(self, tmp_path, capsys):
+        # each member spans x = -1e308 to 1e308, so its diameter is inf
+        cover = tmp_path / "wide.json"
+        dump_json({"kind": "cover", "r": 1.0, "strict": False,
+                   "space": {"kind": "grid2d", "x": [-1e308, 1e308], "y": [0.0, 1.0]},
+                   "families": [{"label": "f", "members": [[0, 2], [1, 3]]}]}, cover)
+        rc, outputs, err = self._run(["verify-cover", "--cover", str(cover)], capsys)
+        assert rc == 0 and err == ["verify-cover: OK (k=1, r=1.0, C=inf, multiplicity=1)"]
+        assert outputs["C"] is None and outputs["families"][0]["max_diam"] is None
+        assert outputs["families"][0]["min_gap"] == 1.0
+        rc, outputs, err = self._run(["lower-bound", "--cover", str(cover)], capsys)
+        assert rc == 0 and (outputs["C"], outputs["min_gap"], outputs["bound"]) == (None, 1.0, 0.5)
+        # 1.5e308 is still finite, and the diameter stays inf at that scale
+        rc, outputs, err = self._run(["scale-ladder", "--cover", str(cover), "--lam", "1.5",
+                                      "--steps", "1"], capsys)
+        assert rc == 0 and outputs["ok"] and outputs["diam0"] is None
+        assert [(row["gap"], row["diam"]) for row in outputs["rows"]] == [(1.0, None), (1.5, None)]
 
 
 class TestVerifyCover:
@@ -699,6 +781,35 @@ class TestScaleLadder:
                              "d": [[0.0, 2.0], [2.0, 0.0]]},
                    "families": [{"label": "a", "members": [[0], [1]]}]}, cover)
         assert run_cli(["scale-ladder", "--cover", str(cover)]) == 2
+
+    def test_no_families_is_refused(self, tmp_path, capsys):
+        cover = tmp_path / "none.json"
+        dump_json({"kind": "cover", "r": 1.0, "strict": False,
+                   "space": {"kind": "grid2d", "x": [0.0, 1.0], "y": [0.0]},
+                   "families": []}, cover)
+        assert run_cli(["scale-ladder", "--cover", str(cover)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "validation: scale-ladder needs at least one family"]
+
+    def test_a_gapless_family_writes_null_gaps(self, tmp_path):
+        # one member has no gap to another: the gap is inf, written as null
+        cover = tmp_path / "one.json"
+        dump_json({"kind": "cover", "r": 1.0, "strict": False,
+                   "space": {"kind": "grid2d", "x": [0.0, 1.0], "y": [0.0, 2.0]},
+                   "families": [{"label": "a", "members": [[0, 1, 2, 3]]}]}, cover)
+        out = tmp_path / "l.json"
+        assert run_cli(["scale-ladder", "--cover", str(cover), "--steps", "2",
+                        "--out", str(out)]) == 0
+        outputs = _strict_json(out.read_text())["outputs"]
+        assert outputs["ok"] and outputs["gap0"] is None and outputs["diam0"] == math.sqrt(5.0)
+        assert [(row["gap"], row["diam"]) for row in outputs["rows"]] == [
+            (None, math.sqrt(5.0) * 2.0 ** m) for m in range(3)]
+
+    def test_each_scale_is_measured_once(self, chess_cover, tmp_path):
+        with mock.patch.object(cli, "inspect_cover", wraps=cli.inspect_cover) as found:
+            rc, _ = run_cli_report(["scale-ladder", "--cover", str(chess_cover),
+                                    "--steps", "3"], tmp_path / "l.json")
+        assert rc == 0 and found.call_count == 4
 
 
 # ---------------------------------------------------------------------------

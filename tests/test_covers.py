@@ -266,7 +266,7 @@ class TestDisjointness:
         if len(fam) >= 500:  # still hundreds of steps, in a fraction of the time
             batch *= 16
         sizes = {name: batch if tiny_batches else getattr(covers, name)
-                 for name in ("_GAP_PAIRS", "_BOX_POINTS")}
+                 for name in ("_GAP_PAIRS", "_GATHER")}
         for force in ({}, {"_fewer_pairs": lambda sweep, grid: sweep},
                       {"_fewer_pairs": lambda sweep, grid: grid}):
             with mock.patch.multiple(covers, **sizes, **force):
@@ -349,7 +349,7 @@ class TestBoundAndCover:
         planar = EuclideanPointSet(pts)
         fam = SubsetFamily("f", members, n=planar.n)
         sizes = {name: batch if tiny_batches else getattr(covers, name)
-                 for name in ("_DIAM_PAIRS", "_BOX_POINTS")}
+                 for name in ("_DIAM_PAIRS", "_GATHER")}
         with np.errstate(over="ignore"), mock.patch.multiple(covers, **sizes):
             matrix = induce_space(planar)
             each = [diam(matrix, mem) for mem in fam.members]
@@ -358,6 +358,19 @@ class TestBoundAndCover:
             # member by member, so no member's error hides below another's diameter
             for mem, want in zip(fam.members, each):
                 assert check_uniform_bound(planar, SubsetFamily("m", [mem])) == want
+
+    def test_diameter_of_singletons_among_larger_members(self):
+        # singletons between members of two and more points, read a few
+        # points at a time: the larger members are measured apart from them
+        pts = EuclideanPointSet(np.column_stack([np.arange(12.0), np.arange(12.0) % 5]))
+        members = [[0], [1, 2], [3], [4], [5, 6, 7], [8], [9, 11], [10]]
+        fam = SubsetFamily("f", members, n=pts.n)
+        want = max(diam(pts, mem) for mem in members)
+        assert want == math.sqrt(13.0)  # points 9 and 11, at (9, 4) and (11, 1)
+        for gather in (covers._GATHER, 1, 2, 3):
+            with mock.patch.object(covers, "_GATHER", gather):
+                for space in (pts, induce_space(pts)):
+                    assert check_uniform_bound(space, fam) == want
 
     def test_chains_break_between_members(self):
         # one column of rising y cut into two members: a chain joined across

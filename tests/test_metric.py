@@ -434,6 +434,25 @@ PLANAR_KINDS = ("integer", "quarter", "edges", "collinear", "sparse", "clustered
                 "merged")
 
 
+class TestRuns:
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 6)), max_size=12))
+    def test_ragged_concatenates_the_ranges(self, runs):
+        starts = np.array([s for s, _ in runs], dtype=np.int64)
+        counts = np.array([c for _, c in runs], dtype=np.int64)
+        want = np.concatenate([np.arange(s, s + c) for s, c in runs] + [np.zeros(0, np.int64)])
+        got = metric._ragged(starts, counts)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+    @given(st.lists(st.integers(0, 9), max_size=30), st.integers(1, 12))
+    def test_batches_cut_in_order_within_the_cap(self, weights, cap):
+        cuts = list(metric._batches(np.array(weights, dtype=np.int64), cap))
+        bounds = [0] + [b.stop for b in cuts]
+        assert [b.start for b in cuts] == bounds[:-1] and bounds[-1] == len(weights)
+        for b in cuts:  # as many items as fit, and at least one
+            assert b.stop - b.start == 1 or sum(weights[b]) <= cap
+            assert b.stop == len(weights) or sum(weights[b.start:b.stop + 1]) > cap
+
+
 class TestGridNearest:
     @settings(max_examples=200)
     @given(st.sampled_from(PLANAR_KINDS), st.integers(min_value=0, max_value=2**32 - 1),

@@ -866,6 +866,17 @@ class TestRanges:
                 path.write_text(self._text(n, fams), encoding="utf-8")
                 assert serialize.load_cover(path)[1] == want
 
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 5)), max_size=4),
+                    max_size=5))
+    def test_expanded_ranges_match_a_range_by_range_expansion(self, members):
+        # each member's ranges as [a, b) pairs; a member of no ranges expands to no entries
+        values = np.array([v for mem in members for a, w in mem for v in (a, a + w)],
+                          dtype=np.int64)
+        counts = np.array([2 * len(mem) for mem in members], dtype=np.int64)
+        flat, totals = serialize._expand_ranges(values, counts)
+        assert flat.tolist() == [i for mem in members for a, w in mem for i in range(a, a + w)]
+        assert totals.tolist() == [sum(w for _, w in mem) for mem in members]
+
     @pytest.mark.parametrize("ranges, error", [
         ([[0, 2, 1, 3]], "strictly increasing"),
         ([[0, 1, 1, 2]], "strictly increasing"),  # adjacent runs are one range
