@@ -512,10 +512,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TooManyFamilies, TrivialStabilizer) as exc:
         _say(f"theorem gate: {exc}")
         return EXIT_GATE
-    except GhBoundsError as exc:
-        _say(f"validation: {exc}")
-        return EXIT_VALIDATION
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (GhBoundsError, ValueError, KeyError, OSError) as exc:
         _say(f"validation: {exc}")
         return EXIT_VALIDATION
     finally:

@@ -197,7 +197,9 @@ def gen_comb_set(w: WindowSpec, delta: float) -> EuclideanPointSet:
     delta must divide 1 so axis samples land exactly on the crossings.
     Points come out (x, y)-lexicographically sorted.
     """
-    if delta <= 0 or abs(1.0 / delta - round(1.0 / delta)) > _GRID_TOL:
+    # in this order, so nan, inf and a delta whose reciprocal overflows raise no other error
+    if (not 0.0 < delta < math.inf or not 1.0 / delta < math.inf
+            or abs(1.0 / delta - round(1.0 / delta)) > _GRID_TOL):
         raise DeltaNotDividingOne(delta)
     # the lines' samples, and the axis's off the lines: axis sample k*delta
     # is line j's crossing exactly when k = j/delta, as delta divides 1
@@ -263,6 +265,8 @@ def gen_comb_cover(comb: EuclideanPointSet, h: float = 2.0) -> tuple[SubsetFamil
     h >= sqrt(3) (the binding corner pair (n±1/2, 0) to (n±1, h/2) has gap
     sqrt(1/4 + h^2/4)); with the default h=2 the max piece diameter is 2.
     """
+    if not h < math.inf:  # nan too
+        raise ValueError(f"piece height must be finite, got {h!r}")
     if h < MIN_PIECE_HEIGHT - 1e-12:
         raise HTooSmall(h, MIN_PIECE_HEIGHT)
     red, blue = _keyed_families(("red", "blue"), *_comb_piece_keys(comb.points, h))

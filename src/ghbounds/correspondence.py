@@ -61,8 +61,6 @@ class Correspondence:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(sorted(set(self.pairs))))
-        if not self.pairs:
-            raise EmptyRelation("correspondence must be nonempty")
         Relation(self.pairs).check_ranges(self.nx, self.ny)
         left = {i for i, _ in self.pairs}
         right = {j for _, j in self.pairs}

@@ -64,14 +64,13 @@ from .metric import (
     MetricLike,
     SubsetRef,
     _GATHER,
-    _GRID_FLOOR,
-    _GRID_SLACK,
     _TargetGrid,
     _batches,
     _check_integers,
     _checked_runs,
     _euclid,
     _ragged,
+    _widen,
     as_subset,
     set_distance,
 )
@@ -393,7 +392,7 @@ def _sweep_candidates(key: np.ndarray, edge: np.ndarray, order: np.ndarray,
     on the family's longer axis; ``edge`` is the high edge. Row t pairs
     with every later member whose low edge is within ub of its high edge.
     """
-    reach = edge + ub + (_GRID_SLACK * (np.abs(edge) + ub) + _GRID_FLOOR)
+    reach = edge + _widen(ub, np.abs(edge) + ub)
     begin = np.arange(1, key.size + 1)
     counts = np.maximum(np.searchsorted(key, reach, side="right") - begin, 0)
     return _Candidates(order, 1, begin, counts)
@@ -411,7 +410,7 @@ def _grid_candidates(lo: np.ndarray, hi: np.ndarray, ub: float) -> _Candidates:
     """
     extent = float((hi - lo).max())
     scale = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
-    side = extent + ub + (_GRID_SLACK * (scale + extent + ub) + _GRID_FLOOR)
+    side = _widen(extent + ub, scale + extent + ub)
     grid = _TargetGrid(lo.T, side)
     order, offs, _ = grid.buckets()
     nx, last = grid.nx, grid.nx * grid.ny
@@ -445,10 +444,17 @@ def check_r_disjoint(space: MetricLike, fam: SubsetFamily, r: float,
 
     Strict mode requires gap > r; non-strict requires gap >= r - DEFAULT_TOL.
     """
+    _check_separation(r)
     _check_ambient(fam, space.n)
     gap, witness = _family_min_gap(space, fam)
     ok = gap > r if strict else gap >= r - DEFAULT_TOL
     return DisjointnessReport(ok=ok, min_gap=gap, witness=witness, r=r, strict=strict)
+
+
+def _check_separation(r: float) -> None:
+    """Raise ValueError unless the separation r is finite and at least 0."""
+    if not 0.0 <= r < math.inf:  # nan too
+        raise ValueError(f"separation r must be finite and at least 0, got {r!r}")
 
 
 def check_uniform_bound(space: MetricLike, fam: SubsetFamily) -> float:
@@ -604,6 +610,7 @@ def inspect_cover(space: MetricLike, families: Sequence[SubsetFamily], r: float,
     target (default: every point): the uncovered points and the largest
     number of members containing one point, from one ``bincount``.
     """
+    _check_separation(r)
     fams = tuple(families)
     tgt = as_subset(target, space.n) if target is not None else None
     if tgt is not None and len(tgt) == space.n:  # n points in [0, n) are every point
@@ -646,6 +653,7 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
     the space first, then a duplicated member, then the first family whose
     gap fails, then coverage.
     """
+    _check_separation(r)
     fams = tuple(families)
     if not fams:
         raise EmptyFamilyList("certificate needs at least one family")
@@ -658,7 +666,6 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
     found = inspect_cover(space, fams, r, strict, target)
     for fam in found.families:
         if not fam.disjoint.ok:
-            assert fam.disjoint.witness is not None
             raise NotDisjoint(fam.label, fam.disjoint.witness, fam.disjoint.min_gap, r)
     if not found.cover.ok:
         raise NotCovering(found.cover.uncovered)

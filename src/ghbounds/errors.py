@@ -134,7 +134,7 @@ class UnknownModelSpace(GhBoundsError):
 class NonpositiveLambda(GhBoundsError):
     def __init__(self, lam: float):
         self.lam = lam
-        super().__init__(f"scale factor must be positive, got {lam}")
+        super().__init__(f"scale factor must be positive and finite, got {lam}")
 
 
 class EmptyWindow(GhBoundsError):

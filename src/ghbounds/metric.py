@@ -10,13 +10,14 @@ Nearest-point queries (directed Hausdorff, set distance, neighborhoods,
 nearest-point correspondences) all reduce over ``_nearest``. On a matrix
 space it scans distance blocks. On a planar set it buckets the targets in a
 uniform grid of about one point per cell, stored CSR-style, and every
-gather of targets reads a square of cells (``_square_gather``). A query is
-bounded, then solved: ub is its distance to the nearest target in the
-square of cells just past its distance to the targets' bounding box, the
-square doubling until it holds one; its nearest target lies within ub,
-widened for rounding, so in that disc's box of cells, which the square
-usually holds already. A query whose square or box would cover a quarter
-of the grid scans every target as one block instead, and so do all queries
+gather of targets reads a square of cells (``_square_gather``). A query
+searches one square of cells around its own, first just past its distance
+to the targets' bounding box. Its nearest target lies within the distance
+d to the square's nearest, widened for rounding, so in that disc's box of
+cells: the query is done when its square holds a target and that box. An
+empty square doubles; one that misses its box grows to hold it, and is
+done one gather later. A query whose square would cover a quarter of the
+grid scans every target as one block instead, and so do all queries
 when queries times targets fit in one gather (``_scan_first``), before any
 grid is built. The grid kernels work per coordinate column. Candidate
 distances use the same expression as ``EuclideanPointSet.block``, so every
@@ -24,8 +25,8 @@ minimum, maximum and argmin (ties to the smallest index) is bitwise equal
 to the block scan's.
 
 A planar directed Hausdorff distance needs only the largest nearest
-distance, so it bounds whole cells of queries the same way and solves only
-the cells whose bound exceeds the largest distance found
+distance, so it bounds whole cells of queries by a nearby target and
+solves only the cells whose bound exceeds the largest distance found
 (``_grid_max_nearest``). Queries equal to a target are dropped (their
 distance is 0.0), so two planar sets need no merged ambient
 (``planar_hausdorff``).
@@ -304,6 +305,11 @@ _GRID_FLOOR = 2.0 ** -500
 _GATHER = _BLOCK_CELLS // 16
 
 
+def _widen(d: np.ndarray | float, scale: np.ndarray | float) -> np.ndarray | float:
+    """d plus the allowance for rounding at coordinates of magnitude up to scale."""
+    return d * (1.0 + 2.0 * _GRID_SLACK) + (_GRID_SLACK * scale + _GRID_FLOOR)
+
+
 def _nearest(space: MetricLike, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """Each ia index's distance to its nearest ib point, as ``space.block(ia, ib).min(axis=1)``."""
     if isinstance(space, EuclideanPointSet):
@@ -398,15 +404,15 @@ def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Exact nearest row of grid.p for every row of q.
 
     Returns the distances and the positions in p; ties go to the smallest
-    position. Each query is bounded, then solved, as a directed Hausdorff
-    cell is. Bound: ub is the distance to the nearest target in the square
-    of cells just past the query's distance to the bounding box of p; the
-    square doubles until it holds a target. Solve: every nearest target
-    lies within ``_widen(ub)`` of the query, so in the box of cells that
-    ``_disc_gather`` gathers for that disc. Where the square holds that box,
-    its nearest target is the answer; otherwise it is the box's. A query
-    whose square or box covers a quarter of the grid scans all of p as one
-    block instead.
+    position. Each query gathers the square of cells around its own cell,
+    first just past its distance to the bounding box of p. With d the
+    distance to the nearest target in the square, every nearest target lies
+    within ``_widen(d)`` of the query, so in the box of cells of that disc.
+    The query is done when its square holds a target and that box. A square
+    with no target doubles its radius; one that misses its box grows to the
+    box's radius, and the box of the target it then finds can only shrink,
+    so it is done one gather later. A query whose square covers a quarter
+    of the grid scans all of p as one block instead.
     """
     h, nx, ny = grid.h, grid.nx, grid.ny
     (x0, y0), (x1, y1) = grid.lo.tolist(), grid.hi.tolist()
@@ -420,16 +426,16 @@ def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     r0 = math.ceil(min(apart / h, nx + ny)) + 1
     if 4 * (min(r0, nx - 1) + 1) * (min(r0, ny - 1) + 1) >= nx * ny:
         return _block_nearest(q, grid.p)
+    scale = float(np.abs([qx0, qy0, qx1, qy1, x0, y0, x1, y1]).max())
     best = np.empty(q.shape[0])
     bpos = np.empty(q.shape[0], dtype=np.intp)
 
-    # bound: a square whose targets are all at overflowing distance holds a
-    # target; its ub is inf, so its query's box covers the grid
+    # a square whose targets are all at overflowing distance holds a target;
+    # d is inf, so its box covers the grid
     cx, cy = grid.cell_of(qx, qy)
     outside = _euclid(np.maximum(np.maximum(x0 - qx, qx - x1), 0.0),
                       np.maximum(np.maximum(y0 - qy, qy - y1), 0.0))
     r = (np.minimum(np.ceil(outside / h), max(nx, ny)) + 1).astype(np.intp)
-    radius = np.empty(q.shape[0], dtype=np.intp)  # of the square each query was bounded in
     far = np.zeros(q.shape[0], dtype=bool)  # queries left to the block scan
     todo = np.arange(q.shape[0])
     while todo.size:
@@ -439,30 +445,18 @@ def _grid_search(grid: _TargetGrid, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
         big = 4 * (sx1 - sx0) * (sy1 - sy0) >= nx * ny
         far[todo[big]] = True
         keep = ~big
-        todo, r = todo[keep], r[keep]
+        todo, tx, ty, r = todo[keep], tx[keep], ty[keep], r[keep]
         if not todo.size:
             break
         d, pos, hit = _cells_nearest(grid, q[todo], (sx0[keep], sy0[keep]), (sx1[keep], sy1[keep]))
-        best[todo[hit]], bpos[todo[hit]], radius[todo[hit]] = d[hit], pos[hit], r[hit]
-        todo, r = todo[~hit], 2 * r[~hit]
-
-    # solve the queries whose disc's box of cells leaves their square
-    near = np.flatnonzero(~far)
-    reach = _widen(best[near], float(np.abs([qx0, qy0, qx1, qy1, x0, y0, x1, y1]).max()))
-    nqx, nqy = qx[near], qy[near]
-    ax0, ay0 = grid.cell_of(nqx - reach, nqy - reach)
-    ax1, ay1 = grid.cell_of(nqx + reach, nqy + reach)
-    ax1 += 1
-    ay1 += 1
-    r, kx, ky = radius[near], cx[near], cy[near]
-    out = (ax0 < kx - r) | (ay0 < ky - r) | (ax1 > kx + r + 1) | (ay1 > ky + r + 1)
-    near, ax0, ay0, ax1, ay1 = near[out], ax0[out], ay0[out], ax1[out], ay1[out]
-    big = 4 * (ax1 - ax0) * (ay1 - ay0) >= nx * ny
-    far[near[big]] = True
-    if not big.all():
-        keep = ~big
-        best[near[keep]], bpos[near[keep]], _ = _cells_nearest(
-            grid, q[near[keep]], (ax0[keep], ay0[keep]), (ax1[keep], ay1[keep]))
+        reach = _widen(d, scale)
+        ax0, ay0 = grid.cell_of(qx[todo] - reach, qy[todo] - reach)
+        ax1, ay1 = grid.cell_of(qx[todo] + reach, qy[todo] + reach)
+        # the radius of the square around the query's cell that holds the box
+        grow = np.maximum(np.maximum(tx - ax0, ax1 - tx), np.maximum(ty - ay0, ay1 - ty))
+        done = hit & (grow <= r)
+        best[todo[done]], bpos[todo[done]] = d[done], pos[done]
+        todo, r = todo[~done], np.where(hit, grow, 2 * r)[~done]
     if far.any():
         best[far], bpos[far] = _block_nearest(q[far], grid.p)
     return best, bpos
@@ -473,11 +467,6 @@ _QUERY_CELL = 8
 # a query cell's bound measures its centre against the targets this many
 # target cells out on each side of its own: a 5 x 5 square
 _BOUND_CELLS = 2
-
-
-def _widen(d: np.ndarray, scale: float) -> np.ndarray:
-    """d plus the allowance for rounding at coordinates of magnitude up to scale."""
-    return d * (1.0 + 2.0 * _GRID_SLACK) + (_GRID_SLACK * scale + _GRID_FLOOR)
 
 
 def _cell_boxes(qs: np.ndarray, starts: np.ndarray,
@@ -804,15 +793,15 @@ def planar_hausdorff(x: EuclideanPointSet, y: EuclideanPointSet) -> float:
 
 
 def scale(space: FiniteMetricSpace, lam: float) -> FiniteMetricSpace:
-    """Multiply all distances by lam > 0. Metric axioms are preserved."""
-    if lam <= 0:
+    """Multiply all distances by a finite lam > 0. Metric axioms are preserved."""
+    if not 0.0 < lam < math.inf:  # nan too
         raise NonpositiveLambda(lam)
     return FiniteMetricSpace(space.matrix * lam)
 
 
 def scale_points(pts: EuclideanPointSet, lam: float) -> EuclideanPointSet:
-    """Multiply all coordinates by lam > 0; distances scale by exactly lam."""
-    if lam <= 0:
+    """Multiply all coordinates by a finite lam > 0; distances scale by exactly lam."""
+    if not 0.0 < lam < math.inf:  # nan too
         raise NonpositiveLambda(lam)
     return EuclideanPointSet(pts.points * lam)
 

@@ -93,6 +93,20 @@ class TestGen:
         assert len(err) == 1 and err[0].startswith("validation: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["comb-cover", "--height", "nan"], "piece height must be finite, got nan"),
+        (["comb-cover", "--height", "inf"], "piece height must be finite, got inf"),
+        (["comb", "--delta", "nan"], "sample spacing nan must divide 1"),
+        (["comb", "--delta", "inf"], "sample spacing inf must divide 1"),
+        (["comb", "--delta", "1e-320"], "sample spacing 1e-320 must divide 1"),
+        (["comb-cover", "--delta", "inf"], "sample spacing inf must divide 1"),
+    ])
+    def test_refused_comb_input(self, args, message, tmp_path, capsys):
+        out = tmp_path / "comb.json"
+        assert run_cli(["gen", args[0], "--window", "0,4,-2,2", *args[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"validation: {message}"]
+        assert not out.exists()
+
     def test_bad_window_is_a_validation_error(self):
         assert run_cli(["gen", "lattice", "--window", "5,1,0,1"]) == 2
         assert run_cli(["gen", "lattice", "--window", "zero,1,0,1"]) == 2
@@ -357,6 +371,51 @@ class TestLowerBound:
     def test_unknown_model_is_a_validation_error(self, chess_cover):
         assert run_cli(["lower-bound", "--cover", str(chess_cover),
                         "--model", "H2"]) == 2
+
+
+class TestRefusedSeparation:
+    """r must be finite and at least 0, from --r or from the file, before any family is measured."""
+
+    @pytest.fixture
+    def pair_cover(self, tmp_path):
+        # two one-member families: no gap to measure, so only the r check can refuse
+        out = tmp_path / "pair.json"
+        assert run_cli(["gen", "chess", "--window", "0,1,0,0", "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("command", [["verify-cover"], ["lower-bound", "--model", "R2"]])
+    @pytest.mark.parametrize("r", ["nan", "inf", "-3"])
+    def test_flag(self, command, r, pair_cover, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli([*command, "--cover", str(pair_cover), "--r", r, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"validation: separation r must be finite and at least 0, got {float(r)!r}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["verify-cover"], ["lower-bound", "--model", "R2"]])
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -3.0])
+    def test_file(self, command, r, tmp_path, capsys):
+        # Python's json reads the NaN and Infinity that json.dumps writes
+        cover = tmp_path / "cover.json"
+        cover.write_text(json.dumps(_cover_doc(r=r, families=[{"label": "a", "members": [[0]]}])))
+        out = tmp_path / "report.json"
+        assert run_cli([*command, "--cover", str(cover), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"validation: separation r must be finite and at least 0, got {r!r}"]
+        assert not out.exists()
+
+    def test_zero_is_measured(self, pair_cover, tmp_path):
+        # scale-ladder inspects a cover at r = 0
+        out = tmp_path / "report.json"
+        assert run_cli(["verify-cover", "--cover", str(pair_cover), "--r", "0",
+                        "--out", str(out)]) == 0
+        outputs = _strict_json(out.read_text())["outputs"]
+        assert outputs["r"] == 0.0 and outputs["ok"]
+        assert [fam["min_gap"] for fam in outputs["families"]] == [None, None]
+        assert run_cli(["lower-bound", "--cover", str(pair_cover), "--r", "0",
+                        "--out", str(out)]) == 0
+        outputs = _strict_json(out.read_text())["outputs"]
+        assert outputs["r"] == 0.0 and outputs["bound"] == 0.0 and outputs["min_gap"] is None
 
 
 @pytest.fixture

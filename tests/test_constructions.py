@@ -245,6 +245,11 @@ class TestCombSet:
         with pytest.raises(DeltaNotDividingOne):
             gen_comb_set(WindowSpec.square(2), 0.3)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, 1e-320])
+    def test_rejects_spacing_that_is_not_positive_and_finite(self, delta):
+        with pytest.raises(DeltaNotDividingOne):
+            gen_comb_set(WindowSpec.square(2), delta)
+
     def test_rejects_window_missing_the_set(self):
         with pytest.raises(EmptyWindow):
             gen_comb_set(WindowSpec(0.25, 0.75, 0.5, 1.0), 0.25)
@@ -328,6 +333,11 @@ class TestCombCover:
     def test_rejects_short_pieces(self):
         with pytest.raises(HTooSmall):
             gen_comb_cover(self.comb, 1.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_rejects_nonfinite_heights(self, h):
+        with pytest.raises(ValueError, match="piece height must be finite"):
+            gen_comb_cover(self.comb, h)
 
     def test_rejects_off_line_points(self):
         net = gen_epsilon_net(WindowSpec.square(2), 0.5)

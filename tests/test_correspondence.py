@@ -36,11 +36,20 @@ class TestRelation:
         with pytest.raises(IndexOutOfRange):
             rel.check_ranges(1, 2)
 
+    def test_check_ranges_names_an_x_index_past_nx(self):
+        with pytest.raises(IndexOutOfRange) as ei:
+            Relation([(0, 0), (2, 0)]).check_ranges(2, 1)
+        assert (ei.value.index, ei.value.n) == (2, 2)
+
 
 class TestCorrespondence:
     def test_accepts_full_product(self):
         c = Correspondence([(i, j) for i in range(2) for j in range(3)], 2, 3)
         assert len(c.pairs) == 6
+
+    def test_rejects_empty(self):
+        with pytest.raises(EmptyRelation):
+            Correspondence((), 0, 0)
 
     def test_rejects_unmatched_x(self):
         with pytest.raises(NotACorrespondence, match="x-index 1"):

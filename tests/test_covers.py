@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import outcome, random_correspondence, random_space
-from ghbounds import (DEFAULT_TOL, Correspondence, EuclideanPointSet, SubsetFamily,
+from ghbounds import (DEFAULT_TOL, Correspondence, EuclideanPointSet, Relation, SubsetFamily,
                       WindowSpec, check_cover, check_r_disjoint,
                       check_uniform_bound, diam, distortion,
                       gen_brick_cover, gen_chess_families, gen_comb_cover, gen_comb_set,
@@ -21,8 +21,8 @@ from ghbounds import (DEFAULT_TOL, Correspondence, EuclideanPointSet, SubsetFami
 from ghbounds import covers
 from ghbounds.metric import SubsetRef
 from ghbounds.serialize import family_from_json
-from ghbounds.errors import (EmptyFamilyList, IndexOutOfRange, NotCovering, NotDisjoint,
-                             TooManyFamilies, TrivialStabilizer,
+from ghbounds.errors import (EmptyFamilyList, IndexOutOfRange, NotACorrespondence, NotCovering,
+                             NotDisjoint, TooManyFamilies, TrivialStabilizer,
                              UnknownModelSpace)
 from oracles import all_pairs_min_gap, first_duplicate_member
 
@@ -194,6 +194,11 @@ class TestSubsetFamily:
         assert fam.label == "f"
         assert len(fam) == 2
         assert fam.members[0].indices == (0, 1)
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        fam = SubsetFamily("f", [[0]])
+        assert fam.__eq__(("f", [[0]])) is NotImplemented
+        assert fam != ("f", [[0]])
 
 
 class TestDisjointness:
@@ -643,6 +648,20 @@ class TestMakeCertificate:
         with pytest.raises(EmptyFamilyList):
             make_certificate(lat, (), 1.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -3.0])
+    def test_a_separation_must_be_finite_and_at_least_zero(self, r):
+        lat, red, blue = chess_setup(2.0)
+        checks = (lambda: check_r_disjoint(lat, red, r),
+                  lambda: covers.inspect_cover(lat, (red, blue), r),
+                  lambda: covers.inspect_cover(lat, (), r),
+                  lambda: make_certificate(lat, (red, blue), r),
+                  lambda: make_certificate(lat, (), r))
+        # refused before any family is measured
+        with mock.patch.object(covers, "_family_min_gap", side_effect=AssertionError):
+            for check in checks:
+                with pytest.raises(ValueError, match="separation r must be finite and at least 0"):
+                    check()
+
     def test_partial_target_allows_larger_members(self):
         lat, red, blue = chess_setup(2.0)
         target = red.members[0]
@@ -747,6 +766,11 @@ class TestPushforwardFamily:
         assert images.members == red.members
         assert report.min_gap == SQRT2
         assert report.max_diam == 0.0
+
+    def test_a_plain_relation_is_refused(self):
+        lat, red, _ = chess_setup(2.0)
+        with pytest.raises(NotACorrespondence):
+            pushforward_family(Relation([(i, i) for i in range(lat.n)]), red, lat)
 
     def test_full_product_collapses_gaps(self):
         lat, red, _ = chess_setup(2.0)

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used somewhere in its module, every
 private module-level name in the package is used outside its definition,
-every defaulted parameter of the package is passed by some call, and every
-method or property of a package class is read by something but the tests."""
+every defaulted parameter of the package is passed by some call, every
+method or property of a package class is read by something but the tests,
+and the package holds no assert statement."""
 
 from __future__ import annotations
 
@@ -133,6 +134,14 @@ def test_the_dead_name_scan_sees_what_it_should():
     }
     assert dead_private_names(sources) == ["a.py: _OLD", "a.py: _loop"]
 
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, so a check that input can reach must raise
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "ghbounds").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in src/:\n" + "\n".join(found)
 
 
 def _defaulted_params(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:

@@ -274,6 +274,10 @@ class TestEuclideanPointSet:
         with pytest.raises(DuplicatePoint):
             EuclideanPointSet(np.array([[0.0, 0.0], [0.0, 0.0]]))
 
+    def test_rejects_points_that_are_not_pairs(self):
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 2\), got \(3, 3\)"):
+            EuclideanPointSet(np.eye(3))
+
     @pytest.mark.parametrize("kind", ["sorted", "reversed", "duplicated", "signed zeros", "shuffled"])
     def test_duplicate_check_matches_the_sort(self, kind):
         # the strictly-increasing fast path against the lexsort-only check
@@ -347,6 +351,11 @@ class TestMeasurements:
         assert hit.indices == (0, 1, 2)
         assert neighborhood(self.pts, [0], 1e-6).indices == (0,)
         assert len(neighborhood(self.pts, [0], 100.0)) == self.pts.n
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_neighborhood_radius_must_be_positive(self, r):
+        with pytest.raises(ValueError, match="neighborhood radius must be positive"):
+            neighborhood(self.pts, [0], r)
 
     def test_neighborhood_axis_pattern(self):
         grid = EuclideanPointSet(np.array(
@@ -1004,4 +1013,12 @@ class TestScaling:
             scale(x, 0.0)
         with pytest.raises(NonpositiveLambda):
             scale_points(EuclideanPointSet(np.zeros((1, 2))), -2.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_rejects_nonfinite(self, lam):
+        # a matrix times nan or inf would hold nan with no error
+        with pytest.raises(NonpositiveLambda, match="must be positive and finite"):
+            scale(build_space([[0.0, 1.0], [1.0, 0.0]]), lam)
+        with pytest.raises(NonpositiveLambda, match="must be positive and finite"):
+            scale_points(EuclideanPointSet(np.ones((1, 2))), lam)
 

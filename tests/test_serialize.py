@@ -877,6 +877,11 @@ class TestRanges:
         assert flat.tolist() == [i for mem in members for a, w in mem for i in range(a, a + w)]
         assert totals.tolist() == [sum(w for _, w in mem) for mem in members]
 
+    def test_a_stop_past_int64_without_an_ambient_is_a_value_error(self):
+        # with no n to name the index against, the overflow itself is reported
+        with pytest.raises(ValueError, match="^ranges: "):
+            family_from_json({"label": "f", "ranges": [0, 2 ** 63], "sizes": [2]})
+
     @pytest.mark.parametrize("ranges, error", [
         ([[0, 2, 1, 3]], "strictly increasing"),
         ([[0, 1, 1, 2]], "strictly increasing"),  # adjacent runs are one range
