@@ -165,7 +165,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     _say(summary)
     # the document keeps the point and index arrays, which dump_json writes
     # without a list per point, and without every member list at once
-    _emit(_document(space, families, r, c=c, arrays=True), args.out)
+    _emit(_document(space, families, r, c), args.out)
     return EXIT_OK
 
 

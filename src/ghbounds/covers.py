@@ -17,7 +17,7 @@ A family is one read-only int64 index array plus member offsets, and
 holds nothing else; a member is a slice of that array. The checks never
 read ``members``, which makes one ``SubsetRef`` per member: the
 duplicate-member check compares only members that start at the same index,
-and the gap search slices only the members it passes to ``set_distance``.
+and the gap search slices the index array, on either backing.
 
 On planar sets the member boxes and the diameter read member points
 through one gather, ``_member_columns``. The family gap search measures
@@ -26,7 +26,8 @@ between two members. Those pairs come from a sweep along the family's
 longer axis or from a bucket grid whose cells are as wide as the largest
 member plus that distance, whichever of the two counts fewer, and are made
 a few thousand at a time. It returns the same bits and the same witness as
-the all-pairs scan that matrix spaces use. The largest diameter measures
+the all-pairs scan, which matrix spaces run a member's rows at a time
+against the later members. The largest diameter measures
 only the points that can attain it, in the members of two or more points.
 Each member is cut to the endpoints of its chains, runs of consecutive
 member points with x equal bit for bit and y strictly rising: a point's
@@ -70,6 +71,7 @@ from .metric import (
     _checked_runs,
     _euclid,
     _ragged,
+    _row_chunks,
     _widen,
     as_subset,
     set_distance,
@@ -261,7 +263,11 @@ _DIAM_PAIRS = 65536
 def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[int, int] | None]:
     """Smallest gap between distinct members and its lexicographically first witness.
 
-    Matrix spaces measure every pair with ``set_distance``. Planar sets
+    On a matrix space the gap of members a < b is the least entry of
+    matrix[A, B], as ``set_distance`` reads it. Each member a takes the
+    column minima of its rows over the later members' entries, its rows
+    ``_row_chunks`` at a time, and reduces them per member: the first least
+    gap of a beats the best so far only when strictly smaller. Planar sets
     measure only candidate pairs (``_planar_min_gap``), with the same bits
     and the same witness.
     """
@@ -270,14 +276,18 @@ def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[
         return math.inf, None
     if isinstance(space, EuclideanPointSet):
         return _planar_min_gap(space, fam)
-    members = fam.members
+    flat, offsets = fam._index
     best = math.inf
     witness: tuple[int, int] | None = None
     for a in range(m - 1):
-        for b in range(a + 1, m):
-            d = set_distance(space, members[a], members[b])
-            if d < best:
-                best, witness = d, (a, b)
+        rows, cols = flat[offsets[a]:offsets[a + 1]], flat[offsets[a + 1]:]
+        near = np.full(cols.size, math.inf)
+        for chunk in _row_chunks(rows.size, cols.size):
+            np.minimum(near, space.block(rows[chunk], cols).min(axis=0), out=near)
+        gaps = np.minimum.reduceat(near, offsets[a + 1:-1] - offsets[a + 1])
+        b = int(np.argmin(gaps))
+        if gaps[b] < best:
+            best, witness = float(gaps[b]), (a, a + 1 + b)
     return best, witness
 
 

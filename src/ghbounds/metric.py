@@ -712,14 +712,13 @@ def build_space(matrix: Sequence[Sequence[float]] | np.ndarray) -> FiniteMetricS
         raise ZeroOffDiagonal(i, j)
 
     # d[i,k] <= d[i,j] + d[j,k], all triples; chunk over i to bound memory
-    step = max(1, _BLOCK_CELLS // max(1, n * n))
-    for s in range(0, n, step):
-        lhs = d[s:s + step, None, :]                      # [i, 1, k]
-        rhs = d[s:s + step, :, None] + d[None, :, :]      # [i, j, k]
+    for rows in _row_chunks(n, n * n):
+        lhs = d[rows, None, :]                      # [i, 1, k]
+        rhs = d[rows, :, None] + d[None, :, :]      # [i, j, k]
         bad = lhs > rhs + DEFAULT_TOL
         if bad.any():
             i, j, k = map(int, np.argwhere(bad)[0])
-            i += s
+            i += rows.start
             raise TriangleViolation(i, j, k, float(d[i, k]), float(d[i, j]), float(d[j, k]))
     return FiniteMetricSpace(d)
 

@@ -7,7 +7,7 @@ Subsets:  sorted index arrays.
 Family:   {"label": "red", "members": [i, ...], "sizes": [c0, c1, ...]}
           {"label": "red", "ranges": [a0, b0, a1, b1, ...], "sizes": [c0, c1, ...]}
 Cover:    {"kind": "cover", "space": ..., "families": [...], "r": ...,
-           "strict": ..., "c": ...?, "target": ...?}
+           "strict": ...?, "c": ...?, "target": ...?}
 
 A planar set is written as grid2d when its points are the x-major cross
 product of two axes, bit for bit: point k is (x[k // len(y)], y[k % len(y)]),
@@ -53,9 +53,12 @@ shortest round-trip form (e.g. 0.7071067811865476) and reload bit-exactly.
 Files are written as single-line JSON by the C encoder; ``python -m
 json.tool`` pretty-prints them.
 
-``dump_json`` also takes the documents ``gen`` hands it, which hold each
-list above as a 1-D float64 or int64 array, and writes the bytes of
-``json.dumps`` of their ``tolist()``, _DUMP_SLICE values at a time. A slice
+One writer, ``_document``, builds the layout: ``gen`` calls it. Its
+cover is non-strict, with its advertised ``c`` and no target; the reader
+also takes a ``strict`` (false when absent) and a ``target`` from a file
+written by hand. The document holds each list above as a 1-D float64 or
+int64 array, and ``dump_json`` writes the bytes of ``json.dumps`` of
+their ``tolist()``, _DUMP_SLICE values at a time. A slice
 of floats whose distinct values (by bit pattern, so -0.0 and 0.0 stay
 apart) number at most half its values is written by formatting each
 distinct value once and joining them by index; a comb's points repeat a
@@ -84,12 +87,12 @@ from .metric import EuclideanPointSet, MetricLike, SubsetRef, _ragged, build_spa
 _DUMP_SLICE = 4096
 
 
-def _family_document(fam: SubsetFamily, arrays: bool = False) -> dict[str, Any]:
+def _family_document(fam: SubsetFamily) -> dict[str, Any]:
     """A family's wire object: its ``ranges`` when 2 * (maximal runs) < entries, else ``members``.
 
     A run ends where the next index is not the previous one + 1, or where a
     member ends. Member k's ranges are the start, stop pairs of its runs.
-    With ``arrays`` the lists are kept as int64 arrays for ``dump_json``.
+    The lists are int64 arrays, which ``dump_json`` writes.
     """
     flat, offsets = fam._index
     cut = np.ones(flat.size, dtype=bool)
@@ -103,45 +106,30 @@ def _family_document(fam: SubsetFamily, arrays: bool = False) -> dict[str, Any]:
         key, values = "ranges", np.column_stack((flat[starts], flat[stops - 1] + 1)).ravel()
         # every member starts a run, so its runs begin at its offset's place in starts
         sizes = 2 * np.diff(np.searchsorted(starts, offsets))
-    if not arrays:
-        values, sizes = values.tolist(), sizes.tolist()
     return {"label": fam.label, key: values, "sizes": sizes}
 
 
 def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
-              r: float = 0.0, strict: bool = False, c: float | None = None,
-              target: SubsetRef | None = None, arrays: bool = False) -> dict[str, Any]:
+              r: float = 0.0, c: float = 0.0) -> dict[str, Any]:
     """The wire layout of a space, or of a cover of it when families are given.
 
-    Plain JSON values by default. With ``arrays``, a planar space's axes or
-    ``xy`` and each family's lists are kept as 1-D arrays for ``dump_json``;
-    each has a ``tolist()`` giving the plain value.
+    The one writer of the layout; ``gen`` calls it. A planar space's axes
+    or ``xy`` and each family's lists are 1-D arrays, which ``dump_json``
+    writes as their ``tolist()``. A cover is written non-strict, without a
+    target.
     """
-    def table(a: np.ndarray) -> Any:
-        return a if arrays else a.tolist()
-
     if isinstance(space, EuclideanPointSet):
         axes = _axes(space.points)
         if axes is None:
-            obj: dict[str, Any] = {"kind": "points2d", "xy": table(space.points.ravel())}
+            obj: dict[str, Any] = {"kind": "points2d", "xy": space.points.ravel()}
         else:
-            obj = {"kind": "grid2d", "x": table(axes[0]), "y": table(axes[1])}
+            obj = {"kind": "grid2d", "x": axes[0], "y": axes[1]}
     else:
         obj = {"kind": "matrix", "n": space.n, "d": space.matrix.tolist()}
     if families is None:
         return obj
-    obj = {
-        "kind": "cover",
-        "space": obj,
-        "families": [_family_document(f, arrays) for f in families],
-        "r": r,
-        "strict": strict,
-    }
-    if c is not None:
-        obj["c"] = c
-    if target is not None:
-        obj["target"] = subset_to_json(target)
-    return obj
+    return {"kind": "cover", "space": obj, "families": [_family_document(f) for f in families],
+            "r": r, "strict": False, "c": c}
 
 
 def _axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -158,10 +146,6 @@ def _axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if (grid[:, :, 0] == grid[:, :1, 0]).all() and (grid[:, :, 1] == grid[:1, :, 1]).all():
         return points[::ny, 0], points[:ny, 1]
     return None
-
-
-def space_to_json(space: MetricLike) -> dict[str, Any]:
-    return _document(space)
 
 
 def _dict(obj: Any, what: str) -> dict[str, Any]:
@@ -258,20 +242,8 @@ def _coordinates(values: Any) -> np.ndarray:
         raise ValueError("coordinates must be finite") from None
 
 
-def subset_to_json(s: SubsetRef) -> list[int]:
-    return list(s.indices)
-
-
-def subset_from_json(obj: list[int], n: int | None = None) -> SubsetRef:
+def subset_from_json(obj: list[int], n: int) -> SubsetRef:
     return _read(lambda s: SubsetRef(s, n), _integers(obj, "a subset"), "a subset")
-
-
-def family_to_json(fam: SubsetFamily) -> dict[str, Any]:
-    return _family_document(fam)
-
-
-def family_from_json(obj: dict[str, Any], n: int | None = None) -> SubsetFamily:
-    return _families([_family_part(obj, n)], n)[0]
 
 
 # a family read but not built yet: its label, range numbers and numbers per member, checked
@@ -286,7 +258,7 @@ class _TooManyEntries(TooManyPoints):
         GhBoundsError.__init__(self, f"ranges families list {count} member entries, cap is {cap}")
 
 
-def _family_part(obj: Any, n: int | None) -> SubsetFamily | _RangesPart:
+def _family_part(obj: Any, n: int) -> SubsetFamily | _RangesPart:
     """A family object's members family, built, or its ranges, checked but not expanded.
 
     The nested form is flattened first, so both forms pass the same checks:
@@ -319,7 +291,7 @@ def _family_part(obj: Any, n: int | None) -> SubsetFamily | _RangesPart:
     return (label, *_checked_ranges(flat, counts, n))
 
 
-def _check_range_member(member: list[int], n: int | None) -> None:
+def _check_range_member(member: list[int], n: int) -> None:
     """Raise the error of a ranges member that is not nonempty start, stop pairs within [0, n]."""
     if not member:
         raise EmptySubset("subset must be nonempty")
@@ -329,12 +301,12 @@ def _check_range_member(member: list[int], n: int | None) -> None:
         raise ValueError("a ranges member must be strictly increasing")
     if member[0] < 0:
         raise IndexOutOfRange(member[0], 0)
-    if n is not None and member[-1] > n:
+    if member[-1] > n:
         raise IndexOutOfRange(member[-1] - 1, n)
 
 
 def _checked_ranges(values: np.ndarray, counts: np.ndarray,
-                    n: int | None) -> tuple[np.ndarray, np.ndarray]:
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
     """values and counts, member k holding counts[k] numbers; else the first failing member's error.
 
     The checks are ``_check_range_member``'s, over all members at once.
@@ -343,9 +315,7 @@ def _checked_ranges(values: np.ndarray, counts: np.ndarray,
     starts = ends - counts
     bad = (counts == 0) | (counts % 2 == 1)
     full = np.flatnonzero(counts)
-    bad[full] |= values[starts[full]] < 0
-    if n is not None:
-        bad[full] |= values[ends[full] - 1] > n
+    bad[full] |= (values[starts[full]] < 0) | (values[ends[full] - 1] > n)
     # a number that does not rise above its predecessor in the same member
     fall = np.flatnonzero(values[1:] <= values[:-1]) + 1
     owner = np.searchsorted(ends, fall, side="right")
@@ -356,8 +326,7 @@ def _checked_ranges(values: np.ndarray, counts: np.ndarray,
     return values, counts
 
 
-def _families(parts: Sequence[SubsetFamily | _RangesPart],
-              n: int | None) -> tuple[SubsetFamily, ...]:
+def _families(parts: Sequence[SubsetFamily | _RangesPart], n: int) -> tuple[SubsetFamily, ...]:
     """The families of one file, its ranges expanded once their entries are counted.
 
     Past ``POINT_CAP`` entries in all, sum(b - a), ``_TooManyEntries`` is
@@ -379,12 +348,6 @@ def _expand_ranges(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
     # member k's entries end where its last range does: at ends[(numbers up to it) / 2]
     ends = np.concatenate(([0], np.cumsum(length)))
     return _ragged(lo, length), np.diff(ends[np.cumsum(counts) // 2], prepend=0)
-
-
-def cover_to_json(space: MetricLike, families: Sequence[SubsetFamily], r: float,
-                  strict: bool = False, c: float | None = None,
-                  target: SubsetRef | None = None) -> dict[str, Any]:
-    return _document(space, families, r, strict, c, target)
 
 
 def cover_from_json(obj: dict[str, Any]) -> tuple[MetricLike, tuple[SubsetFamily, ...],
@@ -476,10 +439,9 @@ def _values_text(values: np.ndarray) -> str:
 def _encode(obj: Any) -> Iterator[str]:
     """The text of ``json.dumps(obj)``, in pieces of bounded size.
 
-    Dicts with string keys, lists of dicts, lists longer than _DUMP_SLICE
-    items and 1-D float64 and int64 arrays (as their ``tolist()``) are
-    taken apart, _DUMP_SLICE items or values at a time; everything else goes
-    through the C encoder in one call.
+    Dicts with string keys and lists of dicts are taken apart item by item,
+    and 1-D float64 and int64 arrays (as their ``tolist()``) _DUMP_SLICE
+    values at a time; everything else goes through the C encoder in one call.
     """
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         yield "{"
@@ -494,15 +456,12 @@ def _encode(obj: Any) -> Iterator[str]:
                 yield ", "
             yield from _encode(v)
         yield "]"
-    elif (isinstance(obj, (list, tuple)) and len(obj) > _DUMP_SLICE
-          or isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype in (np.float64, np.int64)):
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype in (np.float64, np.int64):
         yield "["
-        for s in range(0, len(obj), _DUMP_SLICE):
+        for s in range(0, obj.size, _DUMP_SLICE):
             part = obj[s:s + _DUMP_SLICE]
-            if isinstance(part, np.ndarray) and part.dtype == np.float64:
-                text = _values_text(part)
-            else:
-                text = json.dumps(part.tolist() if isinstance(part, np.ndarray) else part)[1:-1]
+            text = (_values_text(part) if part.dtype == np.float64
+                    else json.dumps(part.tolist())[1:-1])
             yield (", " if s else "") + text
         yield "]"
     else:
@@ -513,8 +472,8 @@ def dump_json(obj: Any, path: str | Path) -> None:
     """Write obj as single-line JSON plus a newline: the bytes of ``json.dumps(obj)``.
 
     A 1-D float64 or int64 array in a dict value is written as its ``tolist()``.
-    ``json.dumps`` without an indent runs the C encoder; large lists and
-    arrays are encoded a slice at a time so no whole-file string is built.
+    ``json.dumps`` without an indent runs the C encoder; arrays are encoded
+    a slice at a time so no whole-file string is built.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_encode(obj))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ghbounds import Correspondence, FiniteMetricSpace, build_space, cli
+from ghbounds import Correspondence, FiniteMetricSpace, SubsetFamily, build_space, cli, serialize
 
 settings.register_profile("suite", deadline=None, max_examples=50, derandomize=True)
 settings.load_profile("suite")
@@ -82,6 +82,16 @@ def run_cli_report(args: list[str], out: Path) -> tuple[int, dict[str, Any]]:
     rc = cli.main([*args, "--out", str(out)])
     payload = json.loads(out.read_text()) if out.exists() else {}
     return rc, payload
+
+
+def plain(doc: Any) -> Any:
+    """A wire document with its arrays as JSON values: what json.loads of its file gives."""
+    return json.loads(json.dumps(doc, default=np.ndarray.tolist))
+
+
+def read_family(obj: Any, n: int) -> SubsetFamily:
+    """One family object, read and checked as a cover file's families are, over n points."""
+    return serialize._families([serialize._family_part(obj, n)], n)[0]
 
 
 def nested_layout(doc: Any) -> Any:

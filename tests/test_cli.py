@@ -28,8 +28,7 @@ from ghbounds.constructions import POINT_CAP
 from ghbounds.covers import SubsetFamily, make_certificate
 from ghbounds.errors import TooManyPoints
 from ghbounds.metric import SubsetRef
-from ghbounds.serialize import (cover_from_json, dump_json, load_cover, load_json,
-                                space_from_json, space_to_json)
+from ghbounds.serialize import cover_from_json, dump_json, load_cover, load_json, space_from_json
 from ghbounds import build_space
 
 SQRT2 = math.sqrt(2.0)
@@ -197,7 +196,7 @@ class TestHausdorff:
     def test_subset_form_with_defaults(self, tmp_path):
         space = tmp_path / "space.json"
         suba = tmp_path / "a.json"
-        dump_json(space_to_json(space_from_json(
+        dump_json(serialize._document(space_from_json(
             {"kind": "points2d", "pts": [[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]]})),
             space)
         dump_json([0, 1], suba)
@@ -263,8 +262,8 @@ class TestGhExact:
         y = tmp_path / "y.json"
         rng = np.random.default_rng(18)
         from conftest import random_metric_matrix
-        dump_json(space_to_json(build_space(random_metric_matrix(rng, 6))), x)
-        dump_json(space_to_json(build_space(random_metric_matrix(rng, 6))), y)
+        dump_json(serialize._document(build_space(random_metric_matrix(rng, 6))), x)
+        dump_json(serialize._document(build_space(random_metric_matrix(rng, 6))), y)
         rc, report = run_cli_report(
             ["gh-exact", "--x", str(x), "--y", str(y), "--budget", "3"],
             tmp_path / "g.json")

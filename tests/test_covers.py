@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import outcome, random_correspondence, random_space
+from conftest import (outcome, random_correspondence, random_metric_matrix, random_space,
+                      read_family)
 from ghbounds import (DEFAULT_TOL, Correspondence, EuclideanPointSet, Relation, SubsetFamily,
-                      WindowSpec, check_cover, check_r_disjoint,
+                      WindowSpec, build_space, check_cover, check_r_disjoint,
                       check_uniform_bound, diam, distortion,
                       gen_brick_cover, gen_chess_families, gen_comb_cover, gen_comb_set,
                       gen_lattice_window, gh_lower_bound, induce_space,
@@ -20,7 +21,6 @@ from ghbounds import (DEFAULT_TOL, Correspondence, EuclideanPointSet, Relation, 
                       pushforward_family, scale_points, set_distance)
 from ghbounds import covers
 from ghbounds.metric import SubsetRef
-from ghbounds.serialize import family_from_json
 from ghbounds.errors import (EmptyFamilyList, IndexOutOfRange, NotACorrespondence, NotCovering,
                              NotDisjoint, TooManyFamilies, TrivialStabilizer,
                              UnknownModelSpace)
@@ -256,6 +256,28 @@ class TestDisjointness:
             assert fast.min_gap == slow.min_gap
             assert fast.witness == slow.witness
 
+    @settings(max_examples=300)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 7, 1 << 18]))
+    def test_matrix_gaps_match_all_pairs(self, seed, block_cells):
+        # integer distances tie often, members overlap or repeat, and half the
+        # matrices are asymmetric within DEFAULT_TOL, so a gap must read
+        # matrix[A, B] with a's rows; tiny blocks read a member's rows one by one
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 16))
+        m = random_metric_matrix(rng, n, low=1.0, high=4.0, integer=rng.random() < 0.5)
+        if rng.random() < 0.5:
+            m = m + np.triu(rng.integers(0, 3, (n, n)), 1) * 2.0 ** -32
+        space = build_space(m)
+        members = [sorted(set(rng.choice(n, int(rng.integers(1, 4))).tolist()))
+                   for _ in range(int(rng.integers(2, 12)))]
+        if rng.random() < 0.3:  # an identical copy of one member: gap 0
+            members.append(list(members[int(rng.integers(0, len(members)))]))
+        fam = SubsetFamily("f", members, n)
+        with mock.patch("ghbounds.metric._BLOCK_CELLS", block_cells):
+            got = check_r_disjoint(space, fam, 1.0)
+        gap, witness = all_pairs_min_gap(space.matrix, members)
+        assert (got.min_gap.hex(), got.witness) == (gap.hex(), witness)
+
     @settings(max_examples=150)
     @given(st.sampled_from(FAMILY_KINDS), st.integers(min_value=0, max_value=2**32 - 1),
            st.booleans(), st.integers(min_value=1, max_value=3))
@@ -471,10 +493,10 @@ class TestFamilyIndex:
 
     def test_loaded_and_constructed_families(self):
         members = [[3, 1], [2, 2, 0], [4], [5, 6]]  # unsorted and duplicated runs
-        loaded = family_from_json({"label": "f", "members": members}, n=7)
+        loaded = read_family({"label": "f", "members": members}, 7)
         assert "members" not in vars(loaded)  # sorted and deduplicated as arrays
         assert loaded == SubsetFamily("f", members, n=7)
-        for fam in (loaded, family_from_json({"label": "g", "members": [[0, 2], [5]]}),
+        for fam in (loaded, read_family({"label": "g", "members": [[0, 2], [5]]}, 6),
                     SubsetFamily("h", [np.array([1, 2], dtype=np.int32), [np.int64(0)]]),
                     SubsetFamily("none", ())):
             self.assert_holds_members(fam)
@@ -494,10 +516,10 @@ class TestArrayFamilies:
     """Families built from index arrays against the member tuples of ``SubsetFamily``."""
 
     @settings(max_examples=300)
-    @given(_LABELS, st.lists(_RUN, max_size=10), st.one_of(st.none(), st.integers(1, 35)))
+    @given(_LABELS, st.lists(_RUN, max_size=10), st.integers(1, 35))
     def test_loaded_family_equals_of(self, label, members, n):
         want = outcome(lambda: SubsetFamily(label, members, n))
-        got = outcome(lambda: family_from_json({"label": label, "members": members}, n))
+        got = outcome(lambda: read_family({"label": label, "members": members}, n))
         if not isinstance(want, SubsetFamily):
             assert got == want  # the same error, for the same first failing member
             return
@@ -514,15 +536,15 @@ class TestArrayFamilies:
     @settings(max_examples=200)
     @given(_LABELS, st.lists(_VALID_RUN, max_size=6), st.lists(_VALID_RUN, max_size=6))
     def test_equality_is_by_label_and_members(self, label, one, two):
-        a = family_from_json({"label": label, "members": one})
-        b = family_from_json({"label": label, "members": two})
+        a = read_family({"label": label, "members": one}, 35)
+        b = read_family({"label": label, "members": two}, 35)
         same = SubsetFamily(label, one).members == SubsetFamily(label, two).members
         assert (a == b) == same
         assert (a == SubsetFamily(label, two)) == same
-        assert a != family_from_json({"label": label + "x", "members": one})
+        assert a != read_family({"label": label + "x", "members": one}, 35)
 
     def test_frozen(self):
-        fam = family_from_json({"label": "f", "members": [[0, 1]]})
+        fam = read_family({"label": "f", "members": [[0, 1]]}, 2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             fam.label = "g"
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -534,7 +556,7 @@ class TestArrayFamilies:
                               st.builds(lambda i: [i], st.integers(0, 40))), max_size=14))
     def test_duplicate_witness_matches_dict_loop(self, members):
         lat = gen_lattice_window(WindowSpec(0.0, 6.0, 0.0, 6.0))
-        fam = family_from_json({"label": "f", "members": members}, lat.n)
+        fam = read_family({"label": "f", "members": members}, lat.n)
         want = first_duplicate_member(SubsetFamily("f", members))
         assert covers._duplicate_members(fam) == want
         if want is not None:
@@ -570,6 +592,19 @@ class TestInspectCover:
         assert found.multiplicity == multiplicity(net, bricks, target)
         assert found.given_target.indices == tuple(target)
         assert found.target_size == len(target)
+
+    def test_matrix_spaces_never_read_members(self):
+        # members makes a SubsetRef per member; the checks read the index arrays
+        net, bricks = gen_brick_cover(WindowSpec(0.0, 4.0, 0.0, 4.0), 1.0)
+        lat, red, blue = chess_setup(8.0)
+        for planar, families in ((net, bricks), (lat, (red, blue))):
+            space = induce_space(planar)
+            want = covers.inspect_cover(planar, families, 1.0)
+            with mock.patch.object(SubsetFamily, "members", new_callable=mock.PropertyMock,
+                                   side_effect=AssertionError("members read")):
+                got = covers.inspect_cover(space, families, 1.0)
+            assert got.families == want.families
+            assert (got.cover, got.multiplicity) == (want.cover, want.multiplicity)
 
     def test_reports_failures_without_raising(self):
         lat, red, _ = chess_setup(4.0)

@@ -2,6 +2,7 @@
 private module-level name in the package is used outside its definition,
 every defaulted parameter of the package is passed by some call, every
 method or property of a package class is read by something but the tests,
+every public function of the package is named by something but the tests,
 and the package holds no assert statement."""
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import ast
 import math
 from pathlib import Path
+
+import ghbounds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -295,3 +298,50 @@ def test_the_test_only_method_scan_sees_what_it_should():
     assert methods_only_tests_read(sources, readers) == [
         "a.py: K.loop", "a.py: K.of", "a.py: Inner.deep"]
 
+
+
+def functions_only_tests_call(sources: dict[str, str], readers: list[str],
+                              exported: set[str]) -> list[str]:
+    """"module: function" for each public module-level function that no reader names.
+
+    Readers are the other statements of sources and the non-test code; a
+    name is read, imported or taken as an attribute (``_referenced``).
+    Exported names are kept, and so are ``main`` and ``cmd_*``, which
+    ``cli.main`` finds by name.
+    """
+    stmts = [(module, stmt) for module, text in sources.items() for stmt in ast.parse(text).body]
+    refs = [_referenced(stmt) for _, stmt in stmts]
+    kept = exported.union(*(_referenced(ast.parse(text)) for text in readers))
+    return [f"{module}: {stmt.name}" for k, (module, stmt) in enumerate(stmts)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not stmt.name.startswith(("_", "cmd_")) and stmt.name != "main"
+            and stmt.name not in kept
+            and not any(stmt.name in r for j, r in enumerate(refs) if j != k)]
+
+
+def test_no_functions_only_tests_call():
+    sources = {f.name: f.read_text() for f in sorted((ROOT / "src" / "ghbounds").glob("*.py"))
+               if f.name != "__init__.py"}
+    readers = [f.read_text() for f in sorted((ROOT / "scripts").glob("*.py"))
+               + sorted((ROOT / "perfbench").glob("*.py"))]
+    found = functions_only_tests_call(sources, readers, set(ghbounds.__all__))
+    assert not found, "public functions only tests call:\n" + "\n".join(found)
+
+
+def test_the_test_only_function_scan_sees_what_it_should():
+    sources = {
+        "a.py": ("def used():\n    return helper()\n"
+                 "def helper():\n    return 1\n"
+                 "def loop(n):\n    return loop(n - 1)\n"
+                 "def exported():\n    pass\n"
+                 "def scripted():\n    pass\n"
+                 "def cmd_go(args):\n    pass\n"
+                 "def main(argv):\n    pass\n"
+                 "def _private():\n    pass\n"
+                 "class K:\n    def method(self):\n        pass\n"
+                 "def wrapper():\n    return used()\n"),
+        "b.py": "from .a import used\n",
+    }
+    readers = ["import a\na.scripted()\n"]
+    assert functions_only_tests_call(sources, readers, {"exported"}) == [
+        "a.py: loop", "a.py: wrapper"]
