@@ -44,6 +44,8 @@ class WindowSpec:
     ymax: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.xmin, self.xmax, self.ymin, self.ymax))):
+            raise ValueError("window bounds must be finite")
         if self.xmax < self.xmin or self.ymax < self.ymin:
             raise EmptyWindow(f"window [{self.xmin},{self.xmax}]x[{self.ymin},{self.ymax}] is empty")
 
@@ -106,12 +108,6 @@ def _check_count(count: int) -> None:
         raise TooManyPoints(count, POINT_CAP)
 
 
-def _cross_product_points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    px = np.repeat(xs, ys.size)
-    py = np.tile(ys, xs.size)
-    return np.column_stack((px, py))
-
-
 def gen_lattice_window(w: WindowSpec) -> EuclideanPointSet:
     """All integer points in the closed window, in (x, y)-lexicographic order."""
     nx, ny = _grid_size(w.xmin, w.xmax, 1.0, False), _grid_size(w.ymin, w.ymax, 1.0, False)
@@ -120,7 +116,7 @@ def gen_lattice_window(w: WindowSpec) -> EuclideanPointSet:
     _check_count(nx * ny)
     xs = _grid_coords(w.xmin, w.xmax, 1.0, pad_edges=False)
     ys = _grid_coords(w.ymin, w.ymax, 1.0, pad_edges=False)
-    return EuclideanPointSet(_cross_product_points(xs, ys))
+    return EuclideanPointSet.grid(xs, ys)
 
 
 def gen_epsilon_net(w: WindowSpec, eps: float) -> EuclideanPointSet:
@@ -131,18 +127,13 @@ def gen_epsilon_net(w: WindowSpec, eps: float) -> EuclideanPointSet:
     used by the bundled experiments); otherwise the exact window edges are
     appended. Either way each window point is within eps*sqrt(2)/2 of the net.
     """
-    return EuclideanPointSet(_cross_product_points(*_net_axes(w, eps)))
-
-
-def _net_axes(w: WindowSpec, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y axes of ``gen_epsilon_net(w, eps)``, whose x-major product is the net."""
     if not eps > 0:  # nan too
         raise ValueError("net spacing must be positive")
     if eps == math.inf:
         raise ValueError("net spacing must be finite")
     _check_count(_grid_size(w.xmin, w.xmax, eps, True) * _grid_size(w.ymin, w.ymax, eps, True))
-    return (_grid_coords(w.xmin, w.xmax, eps, pad_edges=True),
-            _grid_coords(w.ymin, w.ymax, eps, pad_edges=True))
+    return EuclideanPointSet.grid(_grid_coords(w.xmin, w.xmax, eps, pad_edges=True),
+                                  _grid_coords(w.ymin, w.ymax, eps, pad_edges=True))
 
 
 def _integer_coords(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,14 +304,14 @@ def gen_brick_cover(w: WindowSpec, r: float, L: float | None = None,
     bricks, e.g. (i,j) and (i+1,j+1), are offset by 3L/2 in x.
 
     The families are built from runs, with no sort of the net's points. The
-    net is the x-major product of its axes, and j rises with y, so each
+    net is the x-major product of its ``axes``, and j rises with y, so each
     column's points in one row of bricks are one run of consecutive indices,
     all in one brick. The runs are sorted by (color, i, j), column order kept,
     so members and their indices come in the order of ``_keyed_families``.
     """
     L = _tile_side(r, L)
-    xs, ys = _net_axes(w, spacing if spacing is not None else r / 4.0)
-    net = EuclideanPointSet(_cross_product_points(xs, ys))
+    net = gen_epsilon_net(w, spacing if spacing is not None else r / 4.0)
+    xs, ys = net.axes
     row = _brick_row(ys, L)
     first = np.flatnonzero(np.diff(row, prepend=row[0] - 1))  # the first y of each row of bricks
     # one run per (column, row of bricks), column-major: its brick (i, j), first index, length

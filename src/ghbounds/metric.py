@@ -35,7 +35,7 @@ distance is 0.0), so two planar sets need no merged ambient
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -216,10 +216,11 @@ class EuclideanPointSet:
     """2-D points with pairwise-distinct coordinates.
 
     Distances are Euclidean and evaluated lazily in blocks, so the set can be
-    large (fine nets) without a dense matrix.
+    large (fine nets) without a dense matrix. ``grid`` sets ``axes``.
     """
 
     points: np.ndarray
+    axes: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -233,6 +234,14 @@ class EuclideanPointSet:
         _check_distinct(pts)
         object.__setattr__(self, "points", pts)
         self.points.setflags(write=False)
+
+    @staticmethod
+    def grid(xs: Sequence[float], ys: Sequence[float]) -> "EuclideanPointSet":
+        """Points (xs[k // len(ys)], ys[k % len(ys)]), checked, keeping their axes as ``axes``."""
+        n = len(ys)
+        space = EuclideanPointSet(np.column_stack((np.repeat(xs, n), np.tile(ys, len(xs)))))
+        object.__setattr__(space, "axes", (space.points[::n, 0], space.points[:n, 1]))
+        return space
 
     @property
     def n(self) -> int:

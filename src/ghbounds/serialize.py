@@ -9,11 +9,11 @@ Family:   {"label": "red", "members": [i, ...], "sizes": [c0, c1, ...]}
 Cover:    {"kind": "cover", "space": ..., "families": [...], "r": ...,
            "strict": ...?, "c": ...?, "target": ...?}
 
-A planar set is written as grid2d when its points are the x-major cross
-product of two axes, bit for bit: point k is (x[k // len(y)], y[k % len(y)]),
-as every lattice window, net and interval net of ``gen`` is. The reader
-rebuilds that array with ``constructions._cross_product_points``. Any other
-planar set is written as points2d: point k is (xy[2k], xy[2k + 1]).
+A planar set built by ``EuclideanPointSet.grid``, as every lattice window,
+net and interval net of ``gen`` is, is written as grid2d from its ``axes``:
+point k is (x[k // len(y)], y[k % len(y)]), and ``grid`` reads it back. Any
+other planar set, a cross product or not, is written as points2d: point k
+is (xy[2k], xy[2k + 1]).
 
 A family's list holds its members one after another: member k is the next
 sizes[k] numbers. With ``members`` they are its indices. With ``ranges``
@@ -26,7 +26,9 @@ x-major indices, a chess family is singletons. A family holds exactly one
 of the two keys.
 
 Every index list (members, ranges, sizes, a subset or a cover's target) must
-be a JSON array of JSON integers: a float or a boolean is refused. Every size
+be a JSON array of JSON integers: a float or a boolean is refused. Other
+values keep their JSON type (``_typed``): ``r`` and a matrix's entries are
+numbers, ``strict`` is a boolean, a label is a string. Every size
 is at least 1 (a 0 is an empty member, ``EmptySubset``), the sizes add up to
 the length of the list, and a ranges size is even. A ranges member's numbers
 rise strictly, with a0 >= 0 (else ``IndexOutOfRange(a0, 0)``) and its last
@@ -76,7 +78,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .constructions import POINT_CAP, _cross_product_points
+from .constructions import POINT_CAP
 from .correspondence import GhResult
 from .covers import (BoundResult, CoverCertificate, ModelSpaceDescriptor, SubsetFamily,
                      _family_from_runs)
@@ -113,39 +115,21 @@ def _document(space: MetricLike, families: Sequence[SubsetFamily] | None = None,
               r: float = 0.0, c: float = 0.0) -> dict[str, Any]:
     """The wire layout of a space, or of a cover of it when families are given.
 
-    The one writer of the layout; ``gen`` calls it. A planar space's axes
-    or ``xy`` and each family's lists are 1-D arrays, which ``dump_json``
-    writes as their ``tolist()``. A cover is written non-strict, without a
-    target.
+    The one writer of the layout; ``gen`` calls it. A planar space's
+    ``axes`` or ``xy`` and each family's lists are 1-D arrays, which
+    ``dump_json`` writes as their ``tolist()``. A cover is written
+    non-strict, without a target.
     """
-    if isinstance(space, EuclideanPointSet):
-        axes = _axes(space.points)
-        if axes is None:
-            obj: dict[str, Any] = {"kind": "points2d", "xy": space.points.ravel()}
-        else:
-            obj = {"kind": "grid2d", "x": axes[0], "y": axes[1]}
+    if not isinstance(space, EuclideanPointSet):
+        obj: dict[str, Any] = {"kind": "matrix", "n": space.n, "d": space.matrix.tolist()}
+    elif space.axes is None:
+        obj = {"kind": "points2d", "xy": space.points.ravel()}
     else:
-        obj = {"kind": "matrix", "n": space.n, "d": space.matrix.tolist()}
+        obj = {"kind": "grid2d", "x": space.axes[0], "y": space.axes[1]}
     if families is None:
         return obj
     return {"kind": "cover", "space": obj, "families": [_family_document(f) for f in families],
             "r": r, "strict": False, "c": c}
-
-
-def _axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The axes xs, ys whose x-major cross product is points, bit for bit, or None.
-
-    Bit patterns are compared, so -0.0 and 0.0 stay apart. x's first run
-    gives len(ys): a cross product of distinct points has distinct axis values.
-    """
-    bits = points.view(np.int64)
-    ny = int(np.argmax(bits[:, 0] != bits[0, 0])) or len(bits)
-    if len(bits) % ny:
-        return None
-    grid = bits.reshape(-1, ny, 2)
-    if (grid[:, :, 0] == grid[:, :1, 0]).all() and (grid[:, :, 1] == grid[:1, :, 1]).all():
-        return points[::ny, 0], points[:ny, 1]
-    return None
 
 
 def _dict(obj: Any, what: str) -> dict[str, Any]:
@@ -162,9 +146,11 @@ def _read(convert: Callable[[Any], Any], value: Any, what: str) -> Any:
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _bool(value: Any, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{what} must be a JSON boolean, got {value!r}")
+def _typed(value: Any, kinds: tuple[type, ...], what: str) -> Any:
+    """value, whose type must be one of kinds: a boolean is no number, and no value is converted."""
+    if type(value) not in kinds:
+        name = {bool: "boolean", int: "integer", float: "number", str: "string"}[kinds[-1]]
+        raise ValueError(f"{what} must be a JSON {name}, got {value!r}")
     return value
 
 
@@ -211,10 +197,12 @@ def space_from_json(obj: dict[str, Any]) -> MetricLike:
         axes = obj["x"], obj["y"]
         if not all(type(a) is list and a and set(map(type, a)) <= {int, float} for a in axes):
             raise ValueError("grid2d x and y must be nonempty JSON arrays of numbers")
-        return EuclideanPointSet(_cross_product_points(*map(_coordinates, axes)))
+        return EuclideanPointSet.grid(*map(_coordinates, axes))
     if kind == "points2d":
         return EuclideanPointSet(_coordinates(_xy(obj)).reshape(-1, 2))
     if kind == "matrix":
+        if not set(map(type, _flattened(obj["d"], "d")[0])) <= {int, float}:
+            raise ValueError("matrix d must hold JSON numbers")
         return build_space(_read(lambda d: np.asarray(d, dtype=np.float64), obj["d"], "d"))
     raise ValueError(f"unknown space kind {kind!r}")
 
@@ -265,7 +253,7 @@ def _family_part(obj: Any, n: int) -> SubsetFamily | _RangesPart:
     the index lists' types, the sizes, then ``_family_from_runs`` or
     ``_checked_ranges`` on the arrays.
     """
-    label = str(_dict(obj, "a family")["label"])
+    label = _typed(_dict(obj, "a family")["label"], (str,), "label")
     if ("members" in obj) == ("ranges" in obj):
         raise ValueError("a family must hold exactly one of members and ranges")
     key = "members" if "members" in obj else "ranges"
@@ -359,8 +347,8 @@ def cover_from_json(obj: dict[str, Any]) -> tuple[MetricLike, tuple[SubsetFamily
     families = _families([_family_part(f, n)
                           for f in _read(list, obj["families"], "families")], n)
     target = subset_from_json(obj["target"], n) if obj.get("target") is not None else None
-    return (space, families, _read(float, obj["r"], "r"),
-            _bool(obj.get("strict", False), "strict"), target)
+    return (space, families, _read(float, _typed(obj["r"], (int, float), "r"), "r"),
+            _typed(obj.get("strict", False), (bool,), "strict"), target)
 
 
 def load_cover(path: str | Path) -> tuple[MetricLike, tuple[SubsetFamily, ...], float, bool,
@@ -404,10 +392,11 @@ def certificate_report_json(cert: CoverCertificate, model: ModelSpaceDescriptor 
 
 def model_from_json(obj: dict[str, Any]) -> ModelSpaceDescriptor:
     return ModelSpaceDescriptor(
-        name=str(_dict(obj, "a model")["name"]),
-        asdim_lower=_read(int, obj["asdim_lower"], "asdim_lower"),
-        stabilizer_nontrivial=_bool(obj["stabilizer_nontrivial"], "stabilizer_nontrivial"),
-        provenance=str(obj.get("provenance", "user supplied")),
+        name=_typed(_dict(obj, "a model")["name"], (str,), "name"),
+        asdim_lower=_typed(obj["asdim_lower"], (int,), "asdim_lower"),
+        stabilizer_nontrivial=_typed(obj["stabilizer_nontrivial"], (bool,),
+                                     "stabilizer_nontrivial"),
+        provenance=_typed(obj.get("provenance", "user supplied"), (str,), "provenance"),
     )
 
 

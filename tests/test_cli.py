@@ -27,7 +27,7 @@ from ghbounds import __version__, cli, exact_gh, gen_lattice_window, serialize
 from ghbounds.constructions import POINT_CAP
 from ghbounds.covers import SubsetFamily, make_certificate
 from ghbounds.errors import TooManyPoints
-from ghbounds.metric import SubsetRef
+from ghbounds.metric import EuclideanPointSet, SubsetRef
 from ghbounds.serialize import cover_from_json, dump_json, load_cover, load_json, space_from_json
 from ghbounds import build_space
 
@@ -133,6 +133,16 @@ class TestGen:
         assert run_cli(["gen", "comb", "--window", "0.3,0.7,-1,1", "--delta", "1"]) == 2
         assert capsys.readouterr().err.strip().splitlines()[-1] == (
             "validation: window holds no sample of the axis or a vertical line")
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_window_bounds_are_named(self, slot, bound, capsys):
+        bounds = ["0", "1", "0", "1"]
+        bounds[slot] = bound
+        for kind in cli._GEN_KINDS:
+            assert run_cli(["gen", kind, f"--window={','.join(bounds)}", "--r", "1"]) == 2
+            assert capsys.readouterr().err.strip().splitlines() == [
+                "validation: window bounds must be finite"]
 
     def test_gen_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -298,7 +308,7 @@ class TestGhExact:
                                                                capsys):
         # 8 x 8 axes list 16 values but hold 64 points
         built = []
-        monkeypatch.setattr(serialize, "_cross_product_points", lambda *axes: built.append(axes))
+        monkeypatch.setattr(EuclideanPointSet, "grid", staticmethod(lambda *a: built.append(a)))
         x, _ = self.write_pair(tmp_path)
         grid = tmp_path / "grid.json"
         dump_json({"kind": "grid2d", "x": list(range(8)), "y": list(range(8))}, grid)
@@ -744,6 +754,14 @@ PINNED_REPRODUCE = {  # report, CSV, SVG
                  "027282430370956aef77830195b08654e749a25b1ce11a9e6f5c52b20518c71f"),
 }
 
+# a comb window that misses the x-axis holds the cross product of its lines and
+# their samples, but its points are not built by EuclideanPointSet.grid: gen
+# writes them as points2d (SHA-256 below), the points of the grid2d document
+# that earlier releases wrote for it
+OFF_AXIS_COMB = (["--window", "0,3,1,2", "--delta", "0.5"],
+                 "740534b29fe85472efec15e46d5484328cdd9c2b5b74cf5c9f67898e6859a93c",
+                 {"kind": "grid2d", "x": [0.0, 1.0, 2.0, 3.0], "y": [1.0, 1.5, 2.0]})
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -757,6 +775,16 @@ class TestPinnedOutputs:
         assert run_cli(["gen", kind, *args, "--out", str(out)]) == 0
         assert capsys.readouterr().err.splitlines() == [line, f"wrote {out}"]
         assert _sha256(out.read_bytes()) == digest
+
+    def test_gen_off_axis_comb(self, tmp_path):
+        args, digest, earlier = OFF_AXIS_COMB
+        out = tmp_path / "comb.json"
+        assert run_cli(["gen", "comb", *args, "--out", str(out)]) == 0
+        assert _sha256(out.read_bytes()) == digest
+        doc = load_json(out)
+        assert doc["kind"] == "points2d"
+        assert (space_from_json(doc).points.tobytes()
+                == space_from_json(earlier).points.tobytes())
 
     @pytest.mark.parametrize("kind", sorted(PINNED_GEN))
     def test_gen_stdout(self, kind, capsys):
@@ -995,6 +1023,20 @@ class TestMalformedDocuments:
          "ranges must be a JSON array of integers"),
         ("--cover", _cover_doc(target=[0.5, True]), "a subset must be a JSON array of integers"),
         ("--a", [0.7, True, 2.2], "a subset must be a JSON array of integers"),
+        # every other value has its JSON type too: none is converted
+        ("--cover", _cover_doc(r="0.5"), "r must be a JSON number, got '0.5'"),
+        ("--cover", _cover_doc(r=True), "r must be a JSON number, got True"),
+        *(("--model-file", {"name": "m", "asdim_lower": value, "stabilizer_nontrivial": True},
+           f"asdim_lower must be a JSON integer, got {value!r}") for value in (2.9, True, "2")),
+        *(("--space", {"kind": "matrix", "d": d}, "matrix d must hold JSON numbers")
+          for d in ([["0", "1"], ["1", "0"]], [[False, True], [True, False]])),
+        *(("--cover", _cover_doc(families=[{"label": label, "members": [[0], [1, 2]]}]),
+           f"label must be a JSON string, got {label!r}") for label in ([1, 2], None)),
+        *(("--model-file", {"name": name, "asdim_lower": 2, "stabilizer_nontrivial": True},
+           f"name must be a JSON string, got {name!r}") for name in ([1, 2], None, 2)),
+        *(("--model-file", {"name": "m", "asdim_lower": 2, "stabilizer_nontrivial": True,
+                            "provenance": value},
+           f"provenance must be a JSON string, got {value!r}") for value in ([1, 2], None)),
     ])
     def test_one_validation_line(self, option, doc, message, tmp_path, capsys):
         assert self.run(option, doc, tmp_path) == 2

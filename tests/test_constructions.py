@@ -48,6 +48,17 @@ class TestWindowSpec:
         with pytest.raises(EmptyWindow):
             WindowSpec.parse("0,1,5,-5")
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_rejects_non_finite_bounds(self, slot, bound):
+        # before the emptiness check, which a nan passes and an inf may fail
+        bounds = [0.0, 1.0, 0.0, 1.0]
+        bounds[slot] = bound
+        for make in (lambda: WindowSpec(*bounds),
+                     lambda: WindowSpec.parse(",".join(map(str, bounds)))):
+            with pytest.raises(ValueError, match="^window bounds must be finite$"):
+                make()
+
     def test_degenerate_point_window(self):
         w = WindowSpec(0.0, 0.0, 0.0, 0.0)
         assert gen_lattice_window(w).n == 1
@@ -428,8 +439,12 @@ class TestBrickCover:
     def test_families_from_runs_equal_the_point_grouping(self, x0, y0, wx, wy, r, per_r, spacing):
         # the runs of (column, row of bricks) against the brick of every point,
         # grouped by one sort over the net
-        net, families = gen_brick_cover(WindowSpec(x0, x0 + wx, y0, y0 + wy), r,
-                                        None if per_r is None else per_r * r, spacing)
+        w = WindowSpec(x0, x0 + wx, y0, y0 + wy)
+        net, families = gen_brick_cover(w, r, None if per_r is None else per_r * r, spacing)
+        # the net is the epsilon net's, bit for bit, axes included
+        eps_net = gen_epsilon_net(w, r / 4.0 if spacing is None else spacing)
+        assert net.points.tobytes() == eps_net.points.tobytes()
+        assert [a.tobytes() for a in net.axes] == [a.tobytes() for a in eps_net.axes]
         side = 3.0 * r if per_r is None else per_r * r
         j = constructions._brick_row(net.points[:, 1], side)
         i = constructions._brick_column(net.points[:, 0], j, side)

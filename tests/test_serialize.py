@@ -114,7 +114,7 @@ class TestPointRows:
 
 
 # gen's planar sets on quarter-grid, negative and padded-edge windows, single rows,
-# columns and points: each is the x-major cross product of two axes
+# columns and points: each is built by EuclideanPointSet.grid and keeps its axes
 _GRID_SETS = {
     "lattice": lambda: gen_lattice_window(WindowSpec(-3.0, 4.0, -2.0, 5.0)),
     "lattice-negative": lambda: gen_lattice_window(WindowSpec(-7.5, -2.0, -4.0, -1.0)),
@@ -128,11 +128,12 @@ _GRID_SETS = {
     "net-point": lambda: gen_epsilon_net(WindowSpec(0.3, 0.3, 0.7, 0.7), 0.25),
     "brick": lambda: gen_brick_cover(WindowSpec(-1.0, 5.0, 0.5, 4.5), 1.0)[0],
     "interval": lambda: gen_interval_cover(WindowSpec(-2.0, 3.3, 0.0, 0.0), 1.0)[0],
-    "signed-zero": lambda: EuclideanPointSet(np.array([[-0.0, 0.0], [-0.0, 1.0]])),
+    "signed-zero": lambda: EuclideanPointSet.grid([-0.0], [0.0, 1.0]),
 }
 
 
-# planar sets that are no x-major cross product, bit for bit
+# planar sets built from raw points: no x-major cross product, bit for bit, or one
+# that was not built by EuclideanPointSet.grid
 _LISTED_SETS = {
     "comb": lambda: gen_comb_set(WindowSpec(0.0, 3.0, -2.0, 2.0), 0.25),
     "rows-swapped": lambda: EuclideanPointSet(
@@ -148,6 +149,9 @@ _LISTED_SETS = {
     "signed-zero-y": lambda: EuclideanPointSet(
         np.array([[0.0, -0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])),
     "ragged": lambda: EuclideanPointSet(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])),
+    "raw-lattice": lambda: EuclideanPointSet(
+        gen_lattice_window(WindowSpec(0.0, 3.0, 0.0, 2.0)).points.copy()),
+    "comb-off-axis": lambda: gen_comb_set(WindowSpec(0.0, 3.0, 1.0, 2.0), 0.5),
 }
 
 
@@ -159,23 +163,29 @@ def _reread(space: EuclideanPointSet, tmp_path) -> tuple[dict[str, Any], np.ndar
     return obj, space_from_json(obj).points
 
 
+def _bits(a: np.ndarray) -> list[int]:
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
 class TestGridSpaces:
-    """A planar set that is the cross product of two axes is written as them, bit for bit."""
+    """A planar set built by ``EuclideanPointSet.grid`` is written as its axes, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(_GRID_SETS))
     def test_cross_products_are_written_as_their_axes(self, name, tmp_path):
         space = _GRID_SETS[name]()
+        assert space.axes is not None
         obj, back = _reread(space, tmp_path)
         assert obj.keys() == {"kind", "x", "y"} and obj["kind"] == "grid2d"
-        assert len(obj["x"]) * len(obj["y"]) == space.n
-        assert back.view(np.int64).tolist() == space.points.view(np.int64).tolist()
+        assert (_bits(obj["x"]), _bits(obj["y"])) == tuple(map(_bits, space.axes))
+        assert _bits(back) == _bits(space.points)
 
     @pytest.mark.parametrize("name", sorted(_LISTED_SETS))
     def test_other_sets_are_written_as_points(self, name, tmp_path):
         space = _LISTED_SETS[name]()
+        assert space.axes is None
         obj, back = _reread(space, tmp_path)
         assert obj["kind"] == "points2d"
-        assert back.view(np.int64).tolist() == space.points.view(np.int64).tolist()
+        assert _bits(back) == _bits(space.points)
 
     # distinct by value within an axis, so -0.0 and 0.0 are never both drawn
     _AXIS = st.lists(st.sampled_from([-0.0, 5e-324, 1e-7, 1e22, -2.5, 0.1 * 3, 3.5, -7.0]),
@@ -184,12 +194,24 @@ class TestGridSpaces:
     @given(_AXIS, _AXIS, st.integers(0, 2 ** 32 - 1))
     def test_random_axes_and_their_shuffles(self, xs, ys, seed):
         pts = np.array([[x, y] for x in xs for y in ys])
+        grid = EuclideanPointSet.grid(xs, ys)
+        assert _bits(grid.points) == _bits(pts)
+        assert tuple(map(_bits, grid.axes)) == (_bits(xs), _bits(ys))
+        assert not any(axis.flags.writeable for axis in grid.axes)
+        obj = plain(serialize._document(grid))
+        assert obj["kind"] == "grid2d"
+        back = space_from_json(obj)
+        assert _bits(back.points) == _bits(pts)
+        assert tuple(map(_bits, back.axes)) == (_bits(xs), _bits(ys))
+        # the same rows built raw, in order or shuffled, keep no axes
         shuffled = pts[np.random.default_rng(seed).permutation(len(pts))]
         for rows in (pts, shuffled):
-            obj = plain(serialize._document(EuclideanPointSet(rows)))
-            assert obj["kind"] == "grid2d" or rows is shuffled
-            back = space_from_json(obj).points
-            assert back.view(np.int64).tolist() == rows.view(np.int64).tolist()
+            raw = EuclideanPointSet(rows)
+            assert raw.axes is None
+            obj = plain(serialize._document(raw))
+            assert obj["kind"] == "points2d"
+            back = space_from_json(obj)
+            assert _bits(back.points) == _bits(rows) and back.axes is None
 
     def test_the_point_cap_is_counted_before_any_point(self):
         axes = {"kind": "grid2d", "x": list(range(1001)), "y": list(range(1000))}
