@@ -271,7 +271,6 @@ def cmd_verify_cover(args: argparse.Namespace) -> int:
         "max_diam": _finite(fam.max_diam),
         "disjoint_ok": fam.disjoint.ok,
     } for fam in found.families]
-    all_ok = all(fam.disjoint.ok for fam in found.families) and found.cover.ok
     outputs = {
         "k": len(families),
         "r": r,
@@ -281,13 +280,13 @@ def cmd_verify_cover(args: argparse.Namespace) -> int:
         "cover_ok": found.cover.ok,
         "uncovered": list(found.cover.uncovered[:20]),
         "multiplicity": found.multiplicity,
-        "ok": all_ok,
+        "ok": found.ok,
     }
-    _say(f"verify-cover: {'OK' if all_ok else 'FAILED'} "
+    _say(f"verify-cover: {'OK' if found.ok else 'FAILED'} "
          f"(k={len(families)}, r={r!r}, C={found.c!r}, multiplicity={found.multiplicity})")
     _emit(_report("verify-cover", {"cover": args.cover, "r": r, "strict": strict},
                   outputs, t0), args.out)
-    return EXIT_OK if all_ok else EXIT_VALIDATION
+    return EXIT_OK if found.ok else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------

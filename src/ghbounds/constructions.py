@@ -147,24 +147,31 @@ def _integer_coords(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i.astype(np.int64), j.astype(np.int64)
 
 
-def _keyed_families(labels: tuple[str, ...], color: np.ndarray,
-                    *keys: np.ndarray) -> tuple[SubsetFamily, ...]:
-    """Group point indices by color, then by equal key tuples.
+def _keyed_families(labels: tuple[str, ...], color: np.ndarray, *keys: np.ndarray,
+                    runs: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[SubsetFamily, ...]:
+    """Group items by color, then by equal key tuples.
 
-    Family c collects the points of color c (0 <= c < len(labels)): one
-    member per distinct key tuple, members in ascending key order, indices
-    ascending within a member.
+    Item t is point t, or with runs = (start, size) the indices
+    [start[t], start[t] + size[t]). Family c collects the items of color c
+    (0 <= c < len(labels)): one member per distinct key tuple, members in
+    ascending key order, the items of a member in ascending t.
     """
-    order = np.lexsort((*keys[::-1], color))  # stable: indices stay ascending
+    order = np.lexsort((*keys[::-1], color))  # stable: items stay ascending
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True
     for key in (color, *keys):
         ks = key[order]
         new[1:] |= ks[1:] != ks[:-1]
-    edges = np.append(np.flatnonzero(new), order.size)
+    items = np.append(np.flatnonzero(new), order.size)  # each member's first item, then the end
+    cuts = np.searchsorted(color[order[items[:-1]]], np.arange(len(labels) + 1))
+    if runs is None:  # a point is a run of one
+        flat, edges = order, items
+    else:
+        size = runs[1][order]
+        flat, edges = _ragged(runs[0][order], size), np.append(0, np.cumsum(
+            np.add.reduceat(size, items[:-1])))
     counts = np.diff(edges)
-    cuts = np.searchsorted(color[order[edges[:-1]]], np.arange(len(labels) + 1))
-    return tuple(_family_from_runs(label, order[edges[lo]:edges[hi]], counts[lo:hi])
+    return tuple(_family_from_runs(label, flat[edges[lo]:edges[hi]], counts[lo:hi])
                  for label, lo, hi in zip(labels, cuts[:-1], cuts[1:]))
 
 
@@ -306,8 +313,8 @@ def gen_brick_cover(w: WindowSpec, r: float, L: float | None = None,
     The families are built from runs, with no sort of the net's points. The
     net is the x-major product of its ``axes``, and j rises with y, so each
     column's points in one row of bricks are one run of consecutive indices,
-    all in one brick. The runs are sorted by (color, i, j), column order kept,
-    so members and their indices come in the order of ``_keyed_families``.
+    all in one brick. ``_keyed_families`` groups the runs by (color, i, j),
+    column order kept.
     """
     L = _tile_side(r, L)
     net = gen_epsilon_net(w, spacing if spacing is not None else r / 4.0)
@@ -319,17 +326,7 @@ def gen_brick_cover(w: WindowSpec, r: float, L: float | None = None,
     j = np.tile(row[first], xs.size)
     start = (np.arange(xs.size)[:, None] * ys.size + first).ravel()
     size = np.tile(np.diff(first, append=ys.size), xs.size)
-    order = np.lexsort((j, i, (i - j) % 3))  # stable: a brick's runs stay in column order
-    i, j, start, size = i[order], j[order], start[order], size[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
-    heads = np.flatnonzero(new)
-    counts = np.add.reduceat(size, heads)
-    flat = _ragged(start, size)
-    ends = np.append(0, np.cumsum(counts))
-    cuts = np.searchsorted((i[heads] - j[heads]) % 3, np.arange(len(_BRICK_LABELS) + 1))
-    red, blue, green = (_family_from_runs(label, flat[ends[lo]:ends[hi]], counts[lo:hi])
-                        for label, lo, hi in zip(_BRICK_LABELS, cuts[:-1], cuts[1:]))
+    red, blue, green = _keyed_families(_BRICK_LABELS, (i - j) % 3, i, j, runs=(start, size))
     return net, (red, blue, green)
 
 

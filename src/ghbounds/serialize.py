@@ -391,13 +391,13 @@ def certificate_report_json(cert: CoverCertificate, model: ModelSpaceDescriptor 
 
 
 def model_from_json(obj: dict[str, Any]) -> ModelSpaceDescriptor:
+    name = _typed(_dict(obj, "a model")["name"], (str,), "name")
+    n = _typed(obj["asdim_lower"], (int,), "asdim_lower")
+    if n < 1:  # as model_space refuses R0
+        raise ValueError(f"asdim_lower must be at least 1, got {n}")
     return ModelSpaceDescriptor(
-        name=_typed(_dict(obj, "a model")["name"], (str,), "name"),
-        asdim_lower=_typed(obj["asdim_lower"], (int,), "asdim_lower"),
-        stabilizer_nontrivial=_typed(obj["stabilizer_nontrivial"], (bool,),
-                                     "stabilizer_nontrivial"),
-        provenance=_typed(obj.get("provenance", "user supplied"), (str,), "provenance"),
-    )
+        name, n, _typed(obj["stabilizer_nontrivial"], (bool,), "stabilizer_nontrivial"),
+        _typed(obj.get("provenance", "user supplied"), (str,), "provenance"))
 
 
 def load_json(path: str | Path) -> Any:

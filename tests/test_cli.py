@@ -607,6 +607,12 @@ class TestPinnedCoverOutputs:
          [[0.0, [2, 5], False], [SQRT2, [0, 4], True]], (True, [], 2),
          "validation: family 'red': members 2 and 5 are at gap 0.0, "
          "not r-disjoint for r=1.4142135623730951"),
+        # a gap of 0 passes r = 0, but a repeated member fails either command
+        ("duplicated member at r 0",
+         lambda obj: (obj["families"][0]["members"].insert(5, obj["families"][0]["members"][2]),
+                      obj["families"][0]["sizes"].append(1)), ["--r", "0"],
+         [[0.0, [2, 5], False], [SQRT2, [0, 4], True]], (True, [], 2),
+         "validation: family 'red': members 2 and 5 are at gap 0.0, not r-disjoint for r=0.0"),
     ])
     def test_failing_covers(self, case, edit, extra, families, cover, error, tmp_path, capsys):
         path = tmp_path / "chess.json"
@@ -1037,6 +1043,9 @@ class TestMalformedDocuments:
         *(("--model-file", {"name": "m", "asdim_lower": 2, "stabilizer_nontrivial": True,
                             "provenance": value},
            f"provenance must be a JSON string, got {value!r}") for value in ([1, 2], None)),
+        # a model's dimension is at least 1, as R<n> needs n >= 1
+        *(("--model-file", {"name": "m", "asdim_lower": value, "stabilizer_nontrivial": True},
+           f"asdim_lower must be at least 1, got {value}") for value in (0, -3)),
     ])
     def test_one_validation_line(self, option, doc, message, tmp_path, capsys):
         assert self.run(option, doc, tmp_path) == 2

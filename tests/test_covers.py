@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (outcome, random_correspondence, random_metric_matrix, random_space,
                       read_family)
-from ghbounds import (DEFAULT_TOL, Correspondence, EuclideanPointSet, Relation, SubsetFamily,
+from ghbounds import (DEFAULT_TOL, Correspondence, CoverCertificate, EuclideanPointSet,
+                      Relation, SubsetFamily,
                       WindowSpec, build_space, check_cover, check_r_disjoint,
                       check_uniform_bound, diam, distortion,
                       gen_brick_cover, gen_chess_families, gen_comb_cover, gen_comb_set,
@@ -62,10 +63,14 @@ def _family_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, list[
     elif kind == "collinear":  # a slope, so neither axis is constant
         t = rng.integers(0, 30, n).astype(float)
         pts = np.column_stack([t / 2.0, 3.0 * t - 7.0])
+    elif kind == "signed-zero":  # boxes whose edges are zeros of either sign
+        pts = rng.integers(-2, 3, (n, 2)) / 2.0
     else:
         pts = rng.uniform(-10.0, 10.0, (n, 2))
     pts = np.unique(pts, axis=0)
     n = pts.shape[0]
+    if kind == "signed-zero":
+        pts = np.where(pts == 0.0, rng.choice([0.0, -0.0], (n, 2)), pts)
     perm = rng.permutation(n).tolist()
     if kind == "mixed":  # singletons beside a few large members
         big = int(rng.integers(1, 4))
@@ -108,7 +113,7 @@ def _all_pairs_gap(planar: EuclideanPointSet, fam: SubsetFamily,
 
 
 FAMILY_KINDS = ("integer", "half", "horizontal", "vertical", "collinear", "uniform", "mixed",
-                "dense", "long", "clusters", "offset", "diagonal", "repeated")
+                "dense", "long", "clusters", "offset", "diagonal", "repeated", "signed-zero")
 
 
 def _diameter_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, list[list[int]]]:
@@ -154,12 +159,16 @@ def _diameter_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, lis
         pts[:, 1] += np.where(rng.random(n) < 0.3, 1e300, 0.0)
     elif kind == "cross":  # a few columns with y in overlapping ranges
         pts = np.column_stack([rng.integers(0, 5, n) / 2.0, rng.integers(-10, 11, n) / 4.0])
+    elif kind == "extremes":  # zeros of either sign (set below) beside +-1e308
+        pts = rng.choice([-1e308, -1.0, 0.0, 0.5, 1e308], (n, 2))
     else:
         pts = rng.uniform(-10.0, 10.0, (n, 2))
     pts = np.unique(pts, axis=0)
     n = pts.shape[0]
     if kind == "signed-zero":
         pts[:, 0] = np.where(pts[:, 0] == 0.0, rng.choice([0.0, -0.0], n), pts[:, 0])
+    if kind == "extremes":
+        pts = np.where(pts == 0.0, rng.choice([0.0, -0.0], (n, 2)), pts)
     if kind == "unsorted":  # x-major still, y in random order
         pts = pts[np.lexsort((rng.random(n), pts[:, 0]))]
     if kind == "cross":
@@ -182,7 +191,7 @@ def _diameter_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, lis
 
 DIAMETER_KINDS = ("integer", "quarter", "horizontal", "vertical", "sloped", "diagonal",
                   "near-tie", "circle", "uniform", "columns", "unsorted", "signed-zero",
-                  "subnormal", "overflow", "cross")
+                  "subnormal", "overflow", "cross", "extremes")
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +394,29 @@ class TestBoundAndCover:
             # member by member, so no member's error hides below another's diameter
             for mem, want in zip(fam.members, each):
                 assert check_uniform_bound(planar, SubsetFamily("m", [mem])) == want
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(DIAMETER_KINDS), st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1, 2, 3, None]))
+    def test_endpoint_boxes_equal_every_points_box(self, kind, seed, gather):
+        # the boxes cut from chain endpoints against reduceat over every point
+        # of each member, +-1e308 included, in groups of a few points too,
+        # where a member is read alone. Equal bit for bit but for the sign
+        # of a zero: reduceat does not fix the order in which it reduces, so
+        # over every point a tie of 0.0 and -0.0 goes either way (np.minimum
+        # keeps its second argument on a tie). No measurement reads that sign:
+        # box gaps are squared, and sorts and cells compare values.
+        pts, members = _diameter_case(kind, np.random.default_rng(seed))
+        flat, offsets = SubsetFamily("f", members, n=len(pts))._index
+        with np.errstate(over="ignore"), \
+                mock.patch.object(covers, "_GATHER", gather or covers._GATHER):
+            lo, hi, *_ = covers._member_ends(EuclideanPointSet(pts).points, flat, offsets)
+        for c in range(2):
+            col = pts[flat, c]
+            for got, want in ((lo[c], np.minimum.reduceat(col, offsets[:-1])),
+                              (hi[c], np.maximum.reduceat(col, offsets[:-1]))):
+                assert np.array_equal(got, want)
+                assert got[want != 0.0].tobytes() == want[want != 0.0].tobytes()
 
     def test_diameter_of_singletons_among_larger_members(self):
         # singletons between members of two and more points, read a few
@@ -692,10 +724,56 @@ class TestMakeCertificate:
                   lambda: make_certificate(lat, (red, blue), r),
                   lambda: make_certificate(lat, (), r))
         # refused before any family is measured
-        with mock.patch.object(covers, "_family_min_gap", side_effect=AssertionError):
+        with mock.patch.object(covers, "_measure_family", side_effect=AssertionError):
             for check in checks:
                 with pytest.raises(ValueError, match="separation r must be finite and at least 0"):
                     check()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(FAMILY_KINDS), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans(), st.booleans())
+    def test_raises_exactly_when_the_inspection_fails(self, kind, seed, matrix, strict):
+        # one to three families cut from a case's members (repeated and
+        # overlapping ones included), on the planar set or its matrix, at r
+        # of 0, at random or at a measured gap, for every point or a target
+        rng = np.random.default_rng(seed)
+        pts, members = _family_case(kind, rng)
+        planar = EuclideanPointSet(pts)
+        space = induce_space(planar) if matrix and planar.n <= 120 else planar
+        k = int(rng.integers(1, 4)) if rng.random() < 0.95 else 0
+        owner = rng.integers(0, max(k, 1), len(members))
+        if rng.random() < 0.3:  # a member left out: some point may go uncovered
+            owner[int(rng.integers(0, len(members)))] = k
+        fams = tuple(SubsetFamily(f"f{t}", [m for m, o in zip(members, owner) if o == t],
+                                  n=space.n) for t in range(k))
+        gaps = [check_r_disjoint(space, fam, 0.0).min_gap for fam in fams]
+        r = float(rng.choice([0.0, rng.uniform(0.0, 3.0), *(g for g in gaps if g < math.inf)]))
+        target = (rng.choice(space.n, int(rng.integers(1, space.n + 1)), replace=False)
+                  if rng.random() < 0.5 else None)
+        found = covers.inspect_cover(space, fams, r, strict, target)
+        for fam, got in zip(fams, found.families):
+            pair = first_duplicate_member(fam)
+            if pair is None:
+                assert got.disjoint == check_r_disjoint(space, fam, r, strict)
+            else:
+                assert (got.disjoint.ok, got.disjoint.min_gap, got.disjoint.witness) \
+                    == (False, 0.0, pair)
+        assert found.ok == (found.cover.ok and all(f.disjoint.ok for f in found.families))
+        got = outcome(lambda: make_certificate(space, fams, r, strict, target))
+        if found.ok:
+            assert isinstance(got, CoverCertificate)
+            assert (got.c, got.min_gap, got.target_size) \
+                == (found.c, found.min_gap, found.target_size)
+            return
+        failing = [f for f in found.families if not f.disjoint.ok]
+        if not fams:
+            want = EmptyFamilyList("certificate needs at least one family")
+        elif failing:
+            first = failing[0].disjoint
+            want = NotDisjoint(failing[0].label, first.witness, first.min_gap, r)
+        else:
+            want = NotCovering(found.cover.uncovered)
+        assert got == (type(want), want.args, vars(want))
 
     def test_partial_target_allows_larger_members(self):
         lat, red, blue = chess_setup(2.0)
