@@ -8,12 +8,13 @@ from finite windows: ``model_space`` builds R<n>, for any n >= 1, from its
 name, with asymptotic dimension n and a nontrivial stabilizer.
 
 ``inspect_cover`` checks, measures and judges a cover once: r, every
-family's indices and the target first, then each family's min gap, witness
-and largest member diameter, and the target's coverage and multiplicity
-from one ``bincount``. A family with a repeated member fails, at gap 0 with
-the first repeat as witness. ``make_certificate`` raises the inspection's
-first failure, and the CLI's ``verify-cover`` reports its verdict ``ok``.
-The public single checks check their own input; ``check_r_disjoint`` reads
+family's indices and the target first, then each family's min gap and
+witness (``check_r_disjoint``) and largest member diameter
+(``check_uniform_bound``), and the target's coverage and multiplicity from
+one ``bincount``. A family with a repeated member fails, at gap 0 with the
+first repeat as witness. ``make_certificate`` raises the inspection's first
+failure, and the CLI's ``verify-cover`` reports its verdict ``ok``. The
+public single checks check their own input; ``check_r_disjoint`` reads
 gaps only, so a repeated member passes it at r = 0.
 
 A family is one read-only int64 index array plus member offsets, and
@@ -22,23 +23,23 @@ read ``members``, which makes one ``SubsetRef`` per member: the
 duplicate-member check compares only members that start at the same index,
 and the gap search slices the index array, on either backing.
 
-On planar sets one pass, ``_member_ends``, reads a family's points once
-and cuts each member to the endpoints of its chains, runs of consecutive
-member points with x equal bit for bit and y strictly rising; the member
-boxes and the diameter candidates come from those endpoints. The family
-gap search measures only pairs whose bounding boxes come within a distance
-already measured between two members. Those pairs come from a sweep along
-the family's longer axis or from a bucket grid whose cells are as wide as
-the largest member plus that distance, whichever of the two counts fewer,
-and are made a few thousand at a time. It returns the same bits and the
-same witness as the all-pairs scan, which matrix spaces run a member's
-rows at a time against the later members. The largest diameter measures
-only the endpoints of members of two or more points: a point's largest
-computed distance to a chain is at one of its endpoints. Then an endpoint
-whose distance to the farthest corner of its member's bounding box is
-below a distance already measured between two extreme points of some
-member is dropped, and the pairs of the rest are scanned in batches. By
-monotone rounding the result keeps the bits of ``diam``'s block scan.
+On planar sets the member boxes and the diameter read member points
+through one gather, ``_member_columns``. The family gap search measures
+only pairs whose bounding boxes come within a distance already measured
+between two members. Those pairs come from a sweep along the family's
+longer axis or from a bucket grid whose cells are as wide as the largest
+member plus that distance, whichever of the two counts fewer, and are made
+a few thousand at a time. It returns the same bits and the same witness as
+the all-pairs scan, which matrix spaces run a member's rows at a time
+against the later members. The largest diameter measures
+only the points that can attain it, in the members of two or more points.
+Each member is cut to the endpoints of its chains, runs of consecutive
+member points with x equal bit for bit and y strictly rising: a point's
+largest computed distance to a chain is at one of its endpoints. Then an
+endpoint whose distance to the farthest corner of its member's bounding
+box is below a distance already measured between two extreme points of
+some member is dropped, and the pairs of the rest are scanned in batches.
+By monotone rounding the result keeps the bits of ``diam``'s block scan.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from .metric import (
     _check_integers,
     _checked_runs,
     _euclid,
+    _ragged,
     _row_chunks,
     _widen,
     as_subset,
@@ -267,116 +269,60 @@ _GAP_PAIRS = 4096
 _DIAM_PAIRS = 65536
 
 
-def _measure_family(space: MetricLike, fam: SubsetFamily,
-                    search: bool) -> tuple[float, tuple[int, int] | None, float]:
-    """fam's min gap and its first witness (inf and None without search), and its C.
+def _family_min_gap(space: MetricLike, fam: SubsetFamily) -> tuple[float, tuple[int, int] | None]:
+    """Smallest gap between distinct members and its lexicographically first witness.
 
-    Indices are not checked. C has the bits of ``max(diam(space, m) for m
-    in fam.members)``, 0 for no member. A planar family's points are read
-    once (``_member_ends``): the gap search measures only candidate pairs
-    from the member boxes (``_planar_min_gap``), and C only the chain
-    endpoints that can attain it. On a matrix space the gap of members
-    a < b is the least entry of matrix[A, B], as ``set_distance`` reads it:
-    each member a takes the column minima of its rows over the later
-    members' entries, ``_row_chunks`` rows at a time, and reduces them per
-    member; the first least gap of a beats the best so far only when
-    strictly smaller. C reads every ordered pair of a member, as ``diam``'s
-    block scan does, so a singleton reads its own zero. Both paths give the
-    same bits and the same witness.
+    On a matrix space the gap of members a < b is the least entry of
+    matrix[A, B], as ``set_distance`` reads it. Each member a takes the
+    column minima of its rows over the later members' entries, its rows
+    ``_row_chunks`` at a time, and reduces them per member: the first least
+    gap of a beats the best so far only when strictly smaller. Planar sets
+    measure only candidate pairs (``_planar_min_gap``), with the same bits
+    and the same witness.
     """
-    flat, offsets = fam._index
-    gap, witness = math.inf, None
+    m = len(fam)
+    if m < 2:
+        return math.inf, None
     if isinstance(space, EuclideanPointSet):
-        lo, hi, x, y, owner = _member_ends(space.points, flat, offsets)
-        rows = np.arange(x.size)
-        end = np.searchsorted(owner, owner, side="right")
-        c = _pair_max(lambda i, j: _euclid(x[i] - x[j], y[i] - y[j]), rows + 1, end - rows - 1)
-        if search and len(fam) > 1:
-            gap, witness = _planar_min_gap(space, fam, lo, hi)
-        return gap, witness, c
-    sizes = np.diff(offsets)
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    c = _pair_max(lambda i, j: space.matrix[flat[i], flat[j]], offsets[owner], sizes[owner])
-    for a in range(len(fam) - 1 if search else 0):
+        return _planar_min_gap(space, fam)
+    flat, offsets = fam._index
+    best = math.inf
+    witness: tuple[int, int] | None = None
+    for a in range(m - 1):
         rows, cols = flat[offsets[a]:offsets[a + 1]], flat[offsets[a + 1]:]
         near = np.full(cols.size, math.inf)
         for chunk in _row_chunks(rows.size, cols.size):
             np.minimum(near, space.block(rows[chunk], cols).min(axis=0), out=near)
         gaps = np.minimum.reduceat(near, offsets[a + 1:-1] - offsets[a + 1])
         b = int(np.argmin(gaps))
-        if gaps[b] < gap:
-            gap, witness = float(gaps[b]), (a, a + 1 + b)
-    return gap, witness, c
+        if gaps[b] < best:
+            best, witness = float(gaps[b]), (a, a + 1 + b)
+    return best, witness
 
 
-def _member_ends(points: np.ndarray, flat: np.ndarray, offsets: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The box of every member of flat[offsets[k]:offsets[k + 1]], and its diameter candidates.
+def _member_columns(points: np.ndarray, flat: np.ndarray, offsets: np.ndarray
+                    ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """The points of members flat[offsets[k]:offsets[k + 1]], a group of members at a time.
 
-    Returns the low and high box corners as (2, m) arrays, and the x, the y
-    and the member positions k of the points that can attain the largest
-    member diameter, grouped by member. Members are read a group at a time:
-    a group holds at most _GATHER points, or one member, so a family over a
-    large net never holds a copy of all its points at once.
-
-    Each member is cut to the endpoints of its chains. A chain is a run of
-    consecutive member points whose x is equal bit for bit and whose y
-    strictly increases. Its endpoints hold its box: its x is one value, and
-    its other y lie strictly between theirs (a zero's sign may differ from
-    a reduction over every point, whose order numpy does not fix; no
-    measurement reads it). For a fixed point p, fl(px - qx) is the same at every q of a
-    chain, and |fl(py - qy)| falls and then rises along it, as rounding is
-    monotone; so p's largest computed distance to the chain is at an
-    endpoint, and the largest diameter is attained between endpoints.
-
-    In each group, the member with the longest box diagonal gives a lower
-    bound lb: the largest distance between two of its extreme points (min
-    and max of x, y, x+y, x-y). The block scan computes that same distance,
-    so the family's largest diameter is at least lb. An endpoint is dropped
-    when its distance to the farthest corner of its member's box is below
-    lb: by monotone rounding, no pair with it reaches lb. lb starts at the
-    least positive distance, so a singleton's point (its corner at 0) is
-    never kept: a diameter of 0 needs no pair.
+    Yields the group's slice of members, each member's first position in
+    the group, and the group's x and y, gathered as two columns from its
+    contiguous slice of flat. A group holds at most _GATHER points, or one
+    member, so a family over a large net never holds a copy of all its
+    points at once.
     """
-    lo, hi = np.empty((2, offsets.size - 1)), np.empty((2, offsets.size - 1))
-    lb = math.ulp(0.0)
-    kept = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), np.empty(0))]
-    a, b = np.triu_indices(8, 1)
     for grp in _batches(np.diff(offsets), _GATHER):
         ids = flat[offsets[grp.start]:offsets[grp.stop]]
-        px, py = points[ids, 0], points[ids, 1]
-        if px.size == grp.stop - grp.start:  # singletons: each point is its box
-            lo[:, grp] = hi[:, grp] = px, py
-            continue
-        first = offsets[grp] - offsets[grp.start]
-        # link t joins points t and t + 1 of one member into a chain
-        link = (px[1:].view(np.int64) == px[:-1].view(np.int64)) & (py[1:] > py[:-1])
-        link[first[1:] - 1] = False
-        is_end = np.ones(px.size, dtype=bool)
-        is_end[1:-1] = ~(link[:-1] & link[1:])
-        # a member's first point is an endpoint, so every member keeps one
-        counts = np.add.reduceat(is_end, first, dtype=np.intp)
-        at = np.flatnonzero(is_end)
-        px, py = px[at], py[at]
-        seg = np.cumsum(counts) - counts
-        for c, col in enumerate((px, py)):
-            lo[c, grp] = np.minimum.reduceat(col, seg)
-            hi[c, grp] = np.maximum.reduceat(col, seg)
-        (xlo, ylo), (xhi, yhi) = lo[:, grp], hi[:, grp]
-        k = int(np.argmax(_euclid(xhi - xlo, yhi - ylo)))
-        qx, qy = px[seg[k]:seg[k] + counts[k]], py[seg[k]:seg[k] + counts[k]]
-        projs = (qx, qy, qx + qy, qx - qy)
-        ext = np.array([v.argmin() for v in projs] + [v.argmax() for v in projs])
-        ex, ey = qx[ext], qy[ext]
-        lb = max(lb, float(_euclid(ex[a] - ex[b], ey[a] - ey[b]).max()))
-        own = np.repeat(np.arange(counts.size), counts)
-        far = _euclid(np.maximum(px - xlo[own], xhi[own] - px),
-                      np.maximum(py - ylo[own], yhi[own] - py))
-        keep = far >= lb
-        kept.append((px[keep], py[keep], own[keep] + grp.start, far[keep]))
-    x, y, owner, far = (np.concatenate(col) for col in zip(*kept))
-    keep = far >= lb  # lb has grown since earlier groups were filtered
-    return lo, hi, x[keep], y[keep], owner[keep]
+        yield grp, offsets[grp] - offsets[grp.start], points[ids, 0], points[ids, 1]
+
+
+def _member_boxes(space: EuclideanPointSet, fam: SubsetFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high corners of every member's bounding box, as (2, m) arrays."""
+    lo, hi = np.empty((2, len(fam))), np.empty((2, len(fam)))
+    for grp, first, *cols in _member_columns(space.points, *fam._index):
+        for c, col in enumerate(cols):
+            lo[c, grp] = np.minimum.reduceat(col, first)
+            hi[c, grp] = np.maximum.reduceat(col, first)
+    return lo, hi
 
 
 class _Candidates(NamedTuple):
@@ -396,24 +342,24 @@ class _Candidates(NamedTuple):
         return int(self.counts.sum())
 
 
-def _planar_min_gap(space: EuclideanPointSet, fam: SubsetFamily, lo: np.ndarray,
-                    hi: np.ndarray) -> tuple[float, tuple[int, int] | None]:
-    """The all-pairs minimum and witness of the matrix scan, from candidate pairs.
+def _planar_min_gap(space: EuclideanPointSet,
+                    fam: SubsetFamily) -> tuple[float, tuple[int, int] | None]:
+    """The all-pairs minimum and witness of ``_family_min_gap``, from candidate pairs.
 
-    lo and hi are the members' box corners, as ``_member_ends`` gives them.
     The threshold ub is the smallest distance between the first points of
     members adjacent in sweep order. Every pair whose bounding boxes come
     within ub is a candidate, by one of two rules: the sweep
-    (``_sweep_candidates``) or the bucket grid (``_grid_candidates``). Both
-    are counted before any pair is made, and the one with fewer pairs is
-    measured (``_fewer_pairs``). Candidates are made in batches of at most
-    _GAP_PAIRS. Box gaps use the distance expression of the points, so by
-    monotone rounding they never exceed the measured gap of any cross pair.
-    ``set_distance`` runs only on pairs whose box gap could still beat the
-    best (gap, a, b), in ascending (box gap, a, b) order per batch. When
-    every gap is inf (coordinates whose differences overflow), the witness
-    is None, as in the all-pairs scan.
+    (``_sweep_candidates``) or the bucket grid (``_grid_candidates``).
+    Both are counted before any pair is made, and the one with fewer pairs
+    is measured (``_fewer_pairs``). Candidates are made in batches of
+    at most _GAP_PAIRS. Box gaps use the distance expression of the points,
+    so by monotone rounding they never exceed the measured gap of any cross
+    pair. ``set_distance`` runs only on pairs whose box gap could still beat
+    the best (gap, a, b), in ascending (box gap, a, b) order per batch.
+    When every gap is inf (coordinates whose differences overflow), the
+    witness is None, as in the all-pairs scan.
     """
+    lo, hi = _member_boxes(space, fam)
     k = int(np.argmax(hi.max(axis=1) - lo.min(axis=1)))
     order = np.argsort(lo[k], kind="stable")
     # any point-to-point distance between two members bounds the minimum
@@ -518,23 +464,17 @@ def _check_separation(r: float) -> None:
         raise ValueError(f"separation r must be finite and at least 0, got {r!r}")
 
 
-def _disjointness(gap: float, witness: tuple[int, int] | None, r: float,
-                  strict: bool) -> DisjointnessReport:
-    """The measured gap against r: strict requires gap > r, non-strict gap >= r - DEFAULT_TOL."""
-    ok = gap > r if strict else gap >= r - DEFAULT_TOL
-    return DisjointnessReport(ok=ok, min_gap=gap, witness=witness, r=r, strict=strict)
-
-
 def check_r_disjoint(space: MetricLike, fam: SubsetFamily, r: float,
                      strict: bool = False) -> DisjointnessReport:
-    """Verify pairwise member gaps against r, as ``_disjointness`` judges them.
+    """Verify pairwise member gaps against r.
 
-    Only gaps are read: a repeated member measures a gap of 0, which a
-    non-strict check at r = 0 passes.
+    Strict mode requires gap > r; non-strict requires gap >= r - DEFAULT_TOL.
     """
     _check_separation(r)
     _check_ambient(space.n, fam)
-    return _disjointness(*_measure_family(space, fam, True)[:2], r, strict)
+    gap, witness = _family_min_gap(space, fam)
+    ok = gap > r if strict else gap >= r - DEFAULT_TOL
+    return DisjointnessReport(ok=ok, min_gap=gap, witness=witness, r=r, strict=strict)
 
 
 def check_uniform_bound(space: MetricLike, fam: SubsetFamily) -> float:
@@ -544,7 +484,79 @@ def check_uniform_bound(space: MetricLike, fam: SubsetFamily) -> float:
     empty family, measured for the whole family at once.
     """
     _check_ambient(space.n, fam)
-    return _measure_family(space, fam, False)[2]
+    flat, offsets = fam._index
+    sizes = np.diff(offsets)
+    multi = sizes > 1  # singletons have diameter 0
+    if not multi.any():
+        return 0.0
+    if not multi.all():  # the members of two or more points, as one family's index
+        sizes = sizes[multi]
+        flat = flat[_ragged(offsets[:-1][multi], sizes)]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+    if not isinstance(space, EuclideanPointSet):
+        # the entries of diam's block scan: every ordered pair of a member
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        return _pair_max(lambda i, j: space.matrix[flat[i], flat[j]], offsets[owner], sizes[owner])
+    x, y, owner = _diam_candidates(space.points, flat, offsets)
+    rows = np.arange(x.size)
+    end = np.searchsorted(owner, owner, side="right")
+    return _pair_max(lambda i, j: _euclid(x[i] - x[j], y[i] - y[j]), rows + 1, end - rows - 1)
+
+
+def _diam_candidates(points: np.ndarray, flat: np.ndarray,
+                     offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points of members flat[offsets[k]:offsets[k + 1]] that can attain the largest diameter.
+
+    Returns their x, their y and their members' positions k, grouped by
+    member. Members are read in the groups of ``_member_columns``, as for
+    bounding boxes, and each is first cut to the endpoints of its chains. A
+    chain is a run of consecutive member points whose x is equal bit for bit
+    and whose y strictly increases. For a fixed point p, fl(px - qx) is the
+    same at every q of a chain, and |fl(py - qy)| falls and then rises along
+    it, as rounding is monotone; so p's largest computed distance to the
+    chain is at an endpoint, and the largest diameter is attained between
+    endpoints. The chains come from the coordinates alone, whatever built
+    the space. A chain's endpoints hold its box and its extreme points too.
+
+    In each group, the member with the longest box diagonal gives a lower
+    bound lb: the largest distance between two of its extreme points (min
+    and max of x, y, x+y, x-y). The block scan computes that same distance,
+    so the family's largest diameter is at least lb. An endpoint is dropped
+    when its distance to the farthest corner of its member's bounding box is
+    strictly below lb. Rounding is monotone, so each of its computed
+    distances within the member is at most that corner distance: no pair
+    with a dropped point reaches lb.
+    """
+    lb = 0.0
+    kept: list[tuple[np.ndarray, ...]] = []
+    a, b = np.triu_indices(8, 1)
+    for grp, first, px, py in _member_columns(points, flat, offsets):
+        # link t joins points t and t + 1 of one member into a chain
+        link = (px[1:].view(np.int64) == px[:-1].view(np.int64)) & (py[1:] > py[:-1])
+        link[first[1:] - 1] = False
+        is_end = np.ones(px.size, dtype=bool)
+        is_end[1:-1] = ~(link[:-1] & link[1:])
+        # a member's first point is an endpoint, so every member keeps one
+        counts = np.add.reduceat(is_end, first, dtype=np.intp)
+        at = np.flatnonzero(is_end)
+        px, py = px[at], py[at]
+        own = np.repeat(np.arange(counts.size), counts)
+        seg = np.cumsum(counts) - counts
+        xlo, xhi = np.minimum.reduceat(px, seg), np.maximum.reduceat(px, seg)
+        ylo, yhi = np.minimum.reduceat(py, seg), np.maximum.reduceat(py, seg)
+        k = int(np.argmax(_euclid(xhi - xlo, yhi - ylo)))
+        qx, qy = px[seg[k]:seg[k] + counts[k]], py[seg[k]:seg[k] + counts[k]]
+        projs = (qx, qy, qx + qy, qx - qy)
+        ext = np.array([v.argmin() for v in projs] + [v.argmax() for v in projs])
+        ex, ey = qx[ext], qy[ext]
+        lb = max(lb, float(_euclid(ex[a] - ex[b], ey[a] - ey[b]).max()))
+        far = _euclid(np.maximum(px - xlo[own], xhi[own] - px),
+                      np.maximum(py - ylo[own], yhi[own] - py))
+        keep = far >= lb
+        kept.append((px[keep], py[keep], own[keep] + grp.start, far[keep]))
+    x, y, owner, far = (np.concatenate(col) for col in zip(*kept))
+    keep = far >= lb  # lb has grown since earlier groups were filtered
+    return x[keep], y[keep], owner[keep]
 
 
 def _pair_max(dist: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -615,11 +627,11 @@ def inspect_cover(space: MetricLike, families: Sequence[SubsetFamily], r: float,
 
     Checked first, before anything is measured: r, then every family's
     indices, then the target (default: every point). Per family: the min
-    gap and its witness against r, and the largest member diameter, from
-    one read of a planar family's points (``_measure_family``). A family
-    with a repeated member fails with gap 0 and the first repeat as its
-    witness (``_duplicate_members``), and its gap search is skipped. For the
-    target: the uncovered points and the largest number of members
+    gap and its witness against r (``check_r_disjoint``) and the largest
+    member diameter (``check_uniform_bound``), the spans perfbench times.
+    A family with a repeated member fails with gap 0 and the first repeat
+    as witness (``_duplicate_members``), and its gap search is skipped. For
+    the target: the uncovered points and the largest number of members
     containing one point, from one ``bincount``.
     """
     _check_separation(r)
@@ -631,10 +643,10 @@ def inspect_cover(space: MetricLike, families: Sequence[SubsetFamily], r: float,
     measured = []
     for fam in fams:
         pair = _duplicate_members(fam)
-        gap, witness, c = _measure_family(space, fam, pair is None)
-        disjoint = (_disjointness(gap, witness, r, strict) if pair is None
+        disjoint = (check_r_disjoint(space, fam, r, strict) if pair is None
                     else DisjointnessReport(ok=False, min_gap=0.0, witness=pair, r=r, strict=strict))
-        measured.append(FamilyInspection(fam.label, len(fam), disjoint, c))
+        measured.append(FamilyInspection(fam.label, len(fam), disjoint,
+                                         check_uniform_bound(space, fam)))
     return CoverInspection(tuple(measured), space.n if tgt is None else len(tgt),
                            *_coverage(space.n, fams, tgt), given_target=tgt)
 
@@ -666,11 +678,12 @@ def make_certificate(space: MetricLike, families: Sequence[SubsetFamily], r: flo
     """Package the cover that ``inspect_cover`` passes, or raise its first failure.
 
     C is set to the measured maximum member diameter. After the inspection's
-    own input errors, raises a structured error naming the violated
-    condition and its witness: no family, then the first family that is
-    not r-disjoint (a repeated member, or a gap below r), then coverage.
-    Families are judged in order, so an earlier family's gap failure comes
-    before a later family's repeated member.
+    own input errors (r, indices, then the target, also when there is no
+    family), raises a structured error naming the violated condition and
+    its witness: no family, then the first family that is not r-disjoint
+    (a repeated member, or a gap below r), then coverage. Families are
+    judged in order, so an earlier family's gap failure comes before a
+    later family's repeated member.
     """
     fams = tuple(families)
     found = inspect_cover(space, fams, r, strict, target)
@@ -758,7 +771,7 @@ def pushforward_family(rel: Correspondence, fam: SubsetFamily,
     if not isinstance(rel, Correspondence):
         raise NotACorrespondence("family pushforward requires a correspondence")
     images = SubsetFamily(fam.label, tuple(pushforward(rel, mem) for mem in fam.members))
-    _check_ambient(target_space.n, images)
-    gap, _, c = _measure_family(target_space, images, True)
-    return images, PushforwardReport(max_diam=c, min_gap=gap)
+    gap, _ = _family_min_gap(target_space, images)
+    return images, PushforwardReport(max_diam=check_uniform_bound(target_space, images),
+                                     min_gap=gap)
 

@@ -398,19 +398,21 @@ class TestBoundAndCover:
     @settings(max_examples=200)
     @given(st.sampled_from(DIAMETER_KINDS), st.integers(min_value=0, max_value=2**32 - 1),
            st.sampled_from([1, 2, 3, None]))
-    def test_endpoint_boxes_equal_every_points_box(self, kind, seed, gather):
-        # the boxes cut from chain endpoints against reduceat over every point
-        # of each member, +-1e308 included, in groups of a few points too,
-        # where a member is read alone. Equal bit for bit but for the sign
-        # of a zero: reduceat does not fix the order in which it reduces, so
-        # over every point a tie of 0.0 and -0.0 goes either way (np.minimum
-        # keeps its second argument on a tie). No measurement reads that sign:
-        # box gaps are squared, and sorts and cells compare values.
+    def test_member_boxes_equal_every_points_box(self, kind, seed, gather):
+        # the boxes read a group of members at a time against reduceat over
+        # every point of the family at once, +-1e308 included, in groups of
+        # a few points too, where a member is read alone. Equal bit for bit
+        # but for the sign of a zero: reduceat does not fix the order in
+        # which it reduces, so a tie of 0.0 and -0.0 goes either way
+        # (np.minimum keeps its second argument on a tie). No measurement
+        # reads that sign: box gaps are squared, and sorts and cells compare
+        # values.
         pts, members = _diameter_case(kind, np.random.default_rng(seed))
-        flat, offsets = SubsetFamily("f", members, n=len(pts))._index
+        fam = SubsetFamily("f", members, n=len(pts))
+        flat, offsets = fam._index
         with np.errstate(over="ignore"), \
                 mock.patch.object(covers, "_GATHER", gather or covers._GATHER):
-            lo, hi, *_ = covers._member_ends(EuclideanPointSet(pts).points, flat, offsets)
+            lo, hi = covers._member_boxes(EuclideanPointSet(pts), fam)
         for c in range(2):
             col = pts[flat, c]
             for got, want in ((lo[c], np.minimum.reduceat(col, offsets[:-1])),
@@ -724,7 +726,7 @@ class TestMakeCertificate:
                   lambda: make_certificate(lat, (red, blue), r),
                   lambda: make_certificate(lat, (), r))
         # refused before any family is measured
-        with mock.patch.object(covers, "_measure_family", side_effect=AssertionError):
+        with mock.patch.object(covers, "_family_min_gap", side_effect=AssertionError):
             for check in checks:
                 with pytest.raises(ValueError, match="separation r must be finite and at least 0"):
                     check()
